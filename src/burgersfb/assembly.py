@@ -4,7 +4,8 @@ Element integrals use a six-point interior rule exact to degree 4 and a
 three-point Gauss rule on boundary edges exact to degree 5, so every
 polynomial integrand appearing in the discrete forms (quadratic convection
 terms, cubic and quartic boundary traces) is integrated exactly.  Matrices
-are assembled cell-by-cell with vectorized numpy and returned as scipy CSR.
+are assembled cell-by-cell with vectorized numpy and returned as scipy CSR;
+:class:`Discretization` assembles the same forms onto one fixed CSC pattern.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .sparse import _csr, solve_spd
 
 __all__ = [
     "BoundaryQuadrature",
+    "Discretization",
     "FeField",
     "FieldNorms",
     "NonNestedMeshError",
@@ -155,6 +157,28 @@ def _element_triplets(mesh: Mesh, element_matrices: np.ndarray):
 _MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
+def _stiffness_blocks(areas, gx, gy):
+    return areas[:, None, None] * (
+        gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
+    )
+
+
+def _transport_blocks(areas, gx, gy, vk):
+    # vk: coefficient values at the element vertices, shape (triangles, 3)
+    lam = _QUADRATURE.interior_points
+    wq = _QUADRATURE.interior_weights
+    vq = vk @ lam.T
+    s = gx + gy
+    det = 2.0 * areas
+    coeff = (vq * wq[None, :]) @ lam
+    return det[:, None, None] * coeff[:, :, None] * s[:, None, :]
+
+
+def _gradient_blocks(areas, gx, gy, vk):
+    sv = np.sum(vk * (gx + gy), axis=1)
+    return (sv * areas)[:, None, None] * _MASS_PATTERN[None, :, :]
+
+
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Mass matrix: entries are exact integrals of basis products.
 
@@ -167,11 +191,7 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """Stiffness matrix of gradient inner products; constants span its kernel."""
-    areas, gx, gy = _geometry(mesh)
-    elements = areas[:, None, None] * (
-        gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
-    )
-    return _element_triplets(mesh, elements)
+    return _element_triplets(mesh, _stiffness_blocks(*_geometry(mesh)))
 
 
 def assemble_convection_by_transport(v: FeField) -> sp.csr_matrix:
@@ -180,17 +200,8 @@ def assemble_convection_by_transport(v: FeField) -> sp.csr_matrix:
     The coefficient ``v`` multiplies the transported basis function; the
     integrand is quadratic per element, so the interior rule is exact.
     """
-    mesh = v.mesh
-    areas, gx, gy = _geometry(mesh)
-    lam = _QUADRATURE.interior_points
-    wq = _QUADRATURE.interior_weights
-    vk = v.values[mesh.triangles]
-    vq = vk @ lam.T
-    s = gx + gy
-    det = 2.0 * areas
-    coeff = (vq * wq[None, :]) @ lam
-    elements = det[:, None, None] * coeff[:, :, None] * s[:, None, :]
-    return _element_triplets(mesh, elements)
+    blocks = _transport_blocks(*_geometry(v.mesh), v.values[v.mesh.triangles])
+    return _element_triplets(v.mesh, blocks)
 
 
 def assemble_convection_by_gradient(v: FeField) -> sp.csr_matrix:
@@ -199,12 +210,8 @@ def assemble_convection_by_gradient(v: FeField) -> sp.csr_matrix:
     The directional derivative of ``v`` is constant per element, so each
     block is that constant times the element mass block.
     """
-    mesh = v.mesh
-    areas, gx, gy = _geometry(mesh)
-    s = gx + gy
-    sv = np.sum(v.values[mesh.triangles] * s, axis=1)
-    elements = (sv * areas)[:, None, None] * _MASS_PATTERN[None, :, :]
-    return _element_triplets(mesh, elements)
+    blocks = _gradient_blocks(*_geometry(v.mesh), v.values[v.mesh.triangles])
+    return _element_triplets(v.mesh, blocks)
 
 
 def convection_form(v: FeField, w: FeField, z: FeField) -> float:
@@ -272,11 +279,12 @@ def boundary_quadrature(mesh: Mesh, tags=None) -> BoundaryQuadrature:
 
 def trace_values(w: FeField, tags=None) -> np.ndarray:
     """Field values at the edge quadrature points, shape (edges, points)."""
-    bq = boundary_quadrature(w.mesh, tags)
-    wa = w.values[bq.edges[:, 0]]
-    wb = w.values[bq.edges[:, 1]]
+    return _trace(w.values, boundary_quadrature(w.mesh, tags))
+
+
+def _trace(values: np.ndarray, bq: BoundaryQuadrature) -> np.ndarray:
     t = _QUADRATURE.edge_points
-    return wa[:, None] * (1.0 - t)[None, :] + wb[:, None] * t[None, :]
+    return values[bq.edges[:, 0], None] * (1.0 - t) + values[bq.edges[:, 1], None] * t
 
 
 def _coefficient_at_edge_quadrature(mesh, g, bq: BoundaryQuadrature) -> np.ndarray:
@@ -285,10 +293,7 @@ def _coefficient_at_edge_quadrature(mesh, g, bq: BoundaryQuadrature) -> np.ndarr
     if isinstance(g, FeField):
         if g.mesh is not mesh:
             raise ValueError("coefficient field lives on a different mesh")
-        wa = g.values[bq.edges[:, 0]]
-        wb = g.values[bq.edges[:, 1]]
-        t = _QUADRATURE.edge_points
-        return wa[:, None] * (1.0 - t)[None, :] + wb[:, None] * t[None, :]
+        return _trace(g.values, bq)
     if callable(g):
         return np.asarray(
             g(bq.points[:, :, 0], bq.points[:, :, 1]), dtype=float
@@ -325,10 +330,13 @@ def assemble_boundary_mass(mesh: Mesh, g, tags=None) -> sp.csr_matrix:
         n = mesh.num_vertices
         return sp.csr_matrix((n, n))
     gq = _coefficient_at_edge_quadrature(mesh, g, bq)
-    wq = bq.weights
-    blocks = np.einsum("q,eq,iq,jq->eij", wq, gq, bq.basis, bq.basis)
+    return _edge_triplets(mesh, bq, _edge_blocks(bq, gq))
+
+
+def _edge_blocks(bq: BoundaryQuadrature, gq: np.ndarray) -> np.ndarray:
+    blocks = np.einsum("q,eq,iq,jq->eij", bq.weights, gq, bq.basis, bq.basis)
     blocks *= bq.lengths[:, None, None]
-    return _edge_triplets(mesh, bq, blocks)
+    return blocks
 
 
 def boundary_load(mesh: Mesh, g, tags=None) -> np.ndarray:
@@ -363,17 +371,7 @@ def boundary_load(mesh: Mesh, g, tags=None) -> np.ndarray:
 
 def boundary_cubic_residual(w: FeField, tags=None) -> np.ndarray:
     """Vector of ``integral over tagged edges of w^3 phi_i`` (exact)."""
-    mesh = w.mesh
-    bq = boundary_quadrature(mesh, tags)
-    out = np.zeros(mesh.num_vertices)
-    if bq.edges.shape[0] == 0:
-        return out
-    tr = trace_values(w, tags)
-    contrib = np.einsum("q,eq,iq->ei", bq.weights, tr**3, bq.basis)
-    contrib *= bq.lengths[:, None]
-    np.add.at(out, bq.edges[:, 0], contrib[:, 0])
-    np.add.at(out, bq.edges[:, 1], contrib[:, 1])
-    return out
+    return boundary_load(w.mesh, trace_values(w, tags) ** 3, tags)
 
 
 def boundary_cubic_jacobian(w: FeField, tags=None) -> sp.csr_matrix:
@@ -563,3 +561,78 @@ def apply_dirichlet(matrix: sp.spmatrix, dofs: np.ndarray) -> sp.csr_matrix:
     pinned[dofs] = 1.0
     out = selector @ matrix @ selector + sp.diags(pinned)
     return sp.csr_matrix(out)
+
+
+class Discretization:
+    """Fixed CSC sparsity pattern of one mesh and the maps onto it.
+
+    Built once per mesh and set of active boundary ``tags``.
+    ``element_slots`` (triangles, 3, 3) and ``edge_slots`` (active edges,
+    2, 2) give the data position of each local matrix entry, so assembly is
+    one ``np.bincount``; ``mass`` and ``stiffness`` are data on the pattern.
+    ``trace`` maps nodal values to the active-edge quadrature points, one row
+    per (edge, point).  ``dirichlet_zero`` and ``dirichlet_diag`` are the
+    slots that :meth:`eliminate` clears and sets to one.
+    """
+
+    def __init__(self, mesh: Mesh, tags=None):
+        n = mesh.num_vertices
+        tri = mesh.triangles
+        # column-major keys order the pattern as CSC
+        keys, slots = np.unique(tri[:, None, :] * n + tri[:, :, None], return_inverse=True)
+        rows, columns = keys % n, keys // n
+        self.mesh = mesh
+        self.geometry = _geometry(mesh)
+        self.indices = rows.astype(np.int32)
+        self.indptr = np.searchsorted(columns, np.arange(n + 1)).astype(np.int32)
+        self.element_slots = slots.reshape(-1, 3, 3)
+        self.mass = self._scatter(self.element_slots, self.geometry[0][:, None, None] * _MASS_PATTERN)
+        self.stiffness = self._scatter(self.element_slots, _stiffness_blocks(*self.geometry))
+        self.bq = bq = boundary_quadrature(mesh, tags)
+        e = bq.edges
+        self.edge_slots = np.searchsorted(keys, e[:, None, :] * n + e[:, :, None])
+        points = e.shape[0] * bq.weights.size
+        self.trace = sp.csr_matrix(
+            (
+                np.tile(bq.basis.T, (e.shape[0], 1)).ravel(),
+                np.repeat(e, bq.weights.size, axis=0).ravel(),
+                np.arange(0, 2 * points + 1, 2),
+            ),
+            shape=(points, n),
+        )
+        pinned = np.zeros(n, dtype=bool)
+        pinned[dirichlet_vertex_indices(mesh)] = True
+        self.dirichlet_zero = np.flatnonzero(pinned[rows] | pinned[columns])
+        self.dirichlet_diag = np.flatnonzero(pinned[rows] & (rows == columns))
+
+    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        n = self.mesh.num_vertices
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+    def _scatter(self, slots, blocks):
+        return np.bincount(slots.ravel(), blocks.ravel(), self.indices.size)
+
+    def transport(self, values: np.ndarray) -> np.ndarray:
+        blocks = _transport_blocks(*self.geometry, values[self.mesh.triangles])
+        return self._scatter(self.element_slots, blocks)
+
+    def gradient(self, values: np.ndarray) -> np.ndarray:
+        blocks = _gradient_blocks(*self.geometry, values[self.mesh.triangles])
+        return self._scatter(self.element_slots, blocks)
+
+    def traces(self, values: np.ndarray) -> np.ndarray:
+        """Values at the active-edge quadrature points, shape (edges, points)."""
+        return (self.trace @ values).reshape(self.bq.points.shape[:2])
+
+    def boundary_mass(self, gq: np.ndarray) -> np.ndarray:
+        """Boundary mass data for coefficient values ``gq`` of shape (edges, points)."""
+        return self._scatter(self.edge_slots, _edge_blocks(self.bq, gq))
+
+    def boundary_load(self, gq: np.ndarray) -> np.ndarray:
+        """Vector of ``integral over active edges of g phi_i``."""
+        return self.trace.T @ (gq * self.bq.lengths[:, None] * self.bq.weights).ravel()
+
+    def eliminate(self, data: np.ndarray) -> None:
+        """In place, what :func:`apply_dirichlet` does to the matrix."""
+        data[self.dirichlet_zero] = 0.0
+        data[self.dirichlet_diag] = 1.0

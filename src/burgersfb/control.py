@@ -66,10 +66,18 @@ def _active_quadrature(mesh: Mesh, params: ControlParams):
     return bq
 
 
-def _linear_coefficient(u_steady: FeField, params: ControlParams) -> np.ndarray:
-    """(c0 + nu + 2 |u_steady|) at the active-edge quadrature nodes."""
-    tr = trace_values(u_steady, params.active_tags)
-    return params.c0 + params.nu + 2.0 * np.abs(tr)
+def _linear_coefficient(steady_trace: np.ndarray, params: ControlParams) -> np.ndarray:
+    """(c0 + nu + 2 |u_steady|) from the steady trace at the active nodes."""
+    return params.c0 + params.nu + 2.0 * np.abs(steady_trace)
+
+
+def _feedback_flux(wq: np.ndarray, coeff: np.ndarray, params: ControlParams) -> np.ndarray:
+    return -(coeff * wq + (2.0 / (9.0 * params.c0)) * wq**3) / params.nu
+
+
+def _boundary_l2(bq, values: np.ndarray) -> float:
+    val = np.sum((values**2 @ bq.weights) * bq.lengths)
+    return float(np.sqrt(max(val, 0.0)))
 
 
 def control_trace(w: FeField, u_steady: FeField, params: ControlParams) -> np.ndarray:
@@ -83,10 +91,9 @@ def control_trace(w: FeField, u_steady: FeField, params: ControlParams) -> np.nd
         raise ValueError("deviation and steady state live on different meshes")
     bq = _active_quadrature(mesh, params)
     wq = trace_values(w, params.active_tags)
-    coeff = _linear_coefficient(u_steady, params)
-    active = -(coeff * wq + (2.0 / (9.0 * params.c0)) * wq**3) / params.nu
+    coeff = _linear_coefficient(trace_values(u_steady, params.active_tags), params)
     full = np.zeros((mesh.num_boundary_edges, wq.shape[1]))
-    full[bq.index] = active
+    full[bq.index] = _feedback_flux(wq, coeff, params)
     return full
 
 
@@ -103,9 +110,8 @@ def control_weak_terms(u_steady: FeField, params: ControlParams, w: FeField):
         raise ValueError("deviation and steady state live on different meshes")
     _active_quadrature(mesh, params)
     scale = 2.0 / (9.0 * params.c0)
-    linear = assemble_boundary_mass(
-        mesh, _linear_coefficient(u_steady, params), params.active_tags
-    )
+    coeff = _linear_coefficient(trace_values(u_steady, params.active_tags), params)
+    linear = assemble_boundary_mass(mesh, coeff, params.active_tags)
     cubic_vector = scale * boundary_cubic_residual(w, params.active_tags)
     cubic_jacobian = scale * boundary_cubic_jacobian(w, params.active_tags)
     return linear, cubic_vector, cubic_jacobian
@@ -113,8 +119,5 @@ def control_weak_terms(u_steady: FeField, params: ControlParams, w: FeField):
 
 def control_boundary_l2(w: FeField, u_steady: FeField, params: ControlParams) -> float:
     """L2 norm of the feedback flux over the active boundary."""
-    mesh = w.mesh
-    bq = _active_quadrature(mesh, params)
-    active = control_trace(w, u_steady, params)[bq.index]
-    val = np.sum((active**2 @ bq.weights) * bq.lengths)
-    return float(np.sqrt(max(val, 0.0)))
+    bq = _active_quadrature(w.mesh, params)
+    return _boundary_l2(bq, control_trace(w, u_steady, params)[bq.index])

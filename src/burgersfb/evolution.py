@@ -13,20 +13,14 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import (
-    FeField,
-    apply_dirichlet,
-    assemble_boundary_mass,
-    assemble_convection_by_gradient,
-    assemble_convection_by_transport,
-    assemble_mass,
-    assemble_stiffness,
-    boundary_cubic_jacobian,
-    boundary_cubic_residual,
-    dirichlet_vertex_indices,
-    trace_values,
+from .assembly import Discretization, FeField, assemble_mass, dirichlet_vertex_indices
+from .control import (
+    ControlParams,
+    NoActiveBoundaryError,
+    _boundary_l2,
+    _feedback_flux,
+    _linear_coefficient,
 )
-from .control import ControlParams, control_boundary_l2, control_weak_terms
 from .mesh import Mesh, friedrichs_constant
 from .sparse import NonconvergenceError, solve_general
 
@@ -90,7 +84,11 @@ class EvolutionConfig:
 
 @dataclass(eq=False)
 class StepOperators:
-    """Matrices that stay constant along a trajectory."""
+    """Matrices that stay constant along a trajectory, on ``disc``'s pattern.
+
+    ``feedback`` is the linear feedback weight at the active-edge quadrature
+    points, ``None`` when uncontrolled.
+    """
 
     mesh: Mesh
     u_steady: FeField
@@ -98,69 +96,61 @@ class StepOperators:
     stiffness: "object"
     constant_matrix: "object"
     cubic_scale: float
-    active_tags: Optional[tuple]
     dirichlet: np.ndarray
+    disc: Discretization
+    feedback: Optional[np.ndarray]
 
 
 def build_operators(mesh: Mesh, u_steady: FeField, cfg: EvolutionConfig) -> StepOperators:
     """Assemble the time-independent part of the implicit system."""
     if u_steady.mesh is not mesh:
         raise ValueError("steady field does not live on the given mesh")
-    mass = assemble_mass(mesh)
-    stiffness = assemble_stiffness(mesh)
+    disc = Discretization(mesh, () if cfg.control is None else cfg.control.active_tags)
     constant = (
-        cfg.nu * stiffness
-        + assemble_convection_by_transport(u_steady)
-        + assemble_convection_by_gradient(u_steady)
+        cfg.nu * disc.stiffness
+        + disc.transport(u_steady.values)
+        + disc.gradient(u_steady.values)
     )
     cubic_scale = 0.0
-    active = None
+    feedback = None
     if cfg.control is not None:
-        linear, _, _ = control_weak_terms(
-            u_steady, cfg.control, FeField(mesh, np.zeros(mesh.num_vertices))
-        )
-        constant = constant + linear
+        if disc.bq.edges.shape[0] == 0:
+            raise NoActiveBoundaryError("no boundary edge carries an active control tag")
+        feedback = _linear_coefficient(disc.traces(u_steady.values), cfg.control)
+        constant = constant + disc.boundary_mass(feedback)
         cubic_scale = 2.0 / (9.0 * cfg.control.c0)
-        active = cfg.control.active_tags
     return StepOperators(
         mesh=mesh,
         u_steady=u_steady,
-        mass=mass,
-        stiffness=stiffness,
-        constant_matrix=constant.tocsr(),
+        mass=disc.matrix(disc.mass),
+        stiffness=disc.matrix(disc.stiffness),
+        constant_matrix=disc.matrix(constant),
         cubic_scale=cubic_scale,
-        active_tags=active,
         dirichlet=dirichlet_vertex_indices(mesh),
+        disc=disc,
+        feedback=feedback,
     )
-
-
-def _cubic_residual_vector(ops: StepOperators, values: np.ndarray) -> np.ndarray:
-    field = FeField(ops.mesh, values)
-    return ops.cubic_scale * boundary_cubic_residual(field, ops.active_tags)
-
-
-def _cubic_jacobian(ops: StepOperators, values: np.ndarray):
-    field = FeField(ops.mesh, values)
-    return ops.cubic_scale * boundary_cubic_jacobian(field, ops.active_tags)
 
 
 def _newton_step(w_prev: np.ndarray, cfg: EvolutionConfig, ops: StepOperators):
     inv_k = 1.0 / cfg.k
+    disc = ops.disc
     dofs = ops.dirichlet
+    base = inv_k * ops.mass.data + ops.constant_matrix.data
     w = w_prev.copy()
     if dofs.size:
         w[dofs] = 0.0
     history = []
     for iteration in range(cfg.newton_max + 1):
-        field = FeField(ops.mesh, w)
-        transport = assemble_convection_by_transport(field)
+        transport = disc.transport(w)
         residual = (
             inv_k * (ops.mass @ (w - w_prev))
             + ops.constant_matrix @ w
-            + transport @ w
+            + disc.matrix(transport) @ w
         )
         if ops.cubic_scale:
-            residual += _cubic_residual_vector(ops, w)
+            tr = disc.traces(w)
+            residual += ops.cubic_scale * disc.boundary_load(tr**3)
         if dofs.size:
             residual[dofs] = w[dofs]
         res_norm = float(np.linalg.norm(residual))
@@ -169,17 +159,11 @@ def _newton_step(w_prev: np.ndarray, cfg: EvolutionConfig, ops: StepOperators):
             return w, iteration
         if iteration == cfg.newton_max:
             break
-        jacobian = (
-            inv_k * ops.mass
-            + ops.constant_matrix
-            + transport
-            + assemble_convection_by_gradient(field)
-        )
+        jacobian = base + transport + disc.gradient(w)
         if ops.cubic_scale:
-            jacobian = jacobian + _cubic_jacobian(ops, w)
-        if dofs.size:
-            jacobian = apply_dirichlet(jacobian.tocsr(), dofs)
-        w = w + solve_general(jacobian.tocsr(), -residual)
+            jacobian += ops.cubic_scale * disc.boundary_mass(3.0 * tr**2)
+        disc.eliminate(jacobian)
+        w = w + solve_general(disc.matrix(jacobian), -residual)
     raise NonconvergenceError(
         f"implicit step Newton stalled after {cfg.newton_max} iterations "
         f"(residual {history[-1]:.3e})",
@@ -189,22 +173,18 @@ def _newton_step(w_prev: np.ndarray, cfg: EvolutionConfig, ops: StepOperators):
 
 def _picard_step(w_prev: np.ndarray, cfg: EvolutionConfig, ops: StepOperators):
     inv_k = 1.0 / cfg.k
+    disc = ops.disc
     dofs = ops.dirichlet
     prev = w_prev.copy()
     if dofs.size:
         prev[dofs] = 0.0
-    field = FeField(ops.mesh, prev)
-    system = inv_k * ops.mass + ops.constant_matrix + assemble_convection_by_transport(field)
+    system = inv_k * ops.mass.data + ops.constant_matrix.data + disc.transport(prev)
     if ops.cubic_scale:
-        tr = trace_values(field, ops.active_tags)
-        system = system + assemble_boundary_mass(
-            ops.mesh, ops.cubic_scale * tr**2, ops.active_tags
-        )
+        system += disc.boundary_mass(ops.cubic_scale * disc.traces(prev) ** 2)
     rhs = inv_k * (ops.mass @ prev)
-    if dofs.size:
-        system = apply_dirichlet(system.tocsr(), dofs)
-        rhs[dofs] = 0.0
-    return solve_general(system.tocsr(), rhs), 1
+    disc.eliminate(system)
+    rhs[dofs] = 0.0
+    return solve_general(disc.matrix(system), rhs), 1
 
 
 def step(w_prev: FeField, cfg: EvolutionConfig, ops: StepOperators) -> FeField:
@@ -293,15 +273,22 @@ def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> Tra
         h1[i] = np.sqrt(max(values @ (ops.stiffness @ values), 0.0))
         energy[i] = 0.5 * float(values @ mw)
         if cfg.control is not None:
-            ctl[i] = control_boundary_l2(
-                FeField(mesh, values), u_steady, cfg.control
-            )
+            flux = _feedback_flux(ops.disc.traces(values), ops.feedback, cfg.control)
+            ctl[i] = _boundary_l2(ops.disc.bq, flux)
         iters[i] = iteration_count
 
     record(0, w, 0)
     advance = _newton_step if cfg.nonlinear == "newton" else _picard_step
     for n in range(1, n_steps + 1):
-        w, count = advance(w, cfg, ops)
+        try:
+            w, count = advance(w, cfg, ops)
+        except NonconvergenceError as exc:
+            raise NonconvergenceError(
+                f"step {n} (t = {n * cfg.k:.6g}): {exc}",
+                exc.residual_history,
+                step=n,
+                time=n * cfg.k,
+            ) from exc
         record(n, w, count)
 
     return TrajectoryRecord(

@@ -41,11 +41,17 @@ class SingularMatrixError(SolverError):
 
 
 class NonconvergenceError(RuntimeError):
-    """Nonlinear iteration ran out of iterations; carries the history."""
+    """Nonlinear iteration ran out of iterations; carries the history.
 
-    def __init__(self, message: str, residual_history=None):
+    Raised from a trajectory, it also names the failing ``step`` index and
+    its ``time``; both are ``None`` otherwise.
+    """
+
+    def __init__(self, message: str, residual_history=None, step=None, time=None):
         super().__init__(message)
         self.residual_history = list(residual_history or [])
+        self.step = step
+        self.time = time
 
 
 def csr_from_triplets(triplets, shape) -> sp.csr_matrix:

@@ -1,7 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burgersfb.assembly import (
+    Discretization,
     FeField,
     NonNestedMeshError,
     assemble_boundary_mass,
@@ -383,3 +389,51 @@ def test_field_shape_validation(unit4):
         FeField(unit4, np.zeros(3))
     with pytest.raises(ValueError):
         FeField(unit4, np.full(unit4.num_vertices, np.nan))
+
+
+def assert_relative_close(actual, expected, rtol=1e-13):
+    if sp.issparse(actual):
+        actual, expected = actual.toarray(), expected.toarray()
+    scale = np.max(np.abs(expected))
+    assert scale > 0.0
+    assert np.max(np.abs(actual - expected)) <= rtol * scale
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n=st.integers(1, 6), pinned=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_pattern_assembly_matches_element_assembly(n, pinned, seed):
+    rng = np.random.default_rng(seed)
+    mesh = build_unit_square_mesh(n)
+    if pinned:
+        mesh = tag_boundary(mesh, RIGHT_SIDE)
+    # jitter interior vertices by less than a sixth of the spacing, which
+    # keeps every triangle counterclockwise
+    vertices = mesh.vertices.copy()
+    interior = np.setdiff1d(np.arange(mesh.num_vertices), mesh.boundary_vertex_indices())
+    vertices[interior] += rng.uniform(-0.15, 0.15, (interior.size, 2)) / n
+    mesh = dataclasses.replace(mesh, vertices=vertices)
+    w = random_field(mesh, rng)
+    for tags in (None, (BoundaryTag.NEUMANN_CONTROL,)):
+        disc = Discretization(mesh, tags)
+        assert_relative_close(disc.matrix(disc.mass), assemble_mass(mesh))
+        assert_relative_close(disc.matrix(disc.stiffness), assemble_stiffness(mesh))
+        assert_relative_close(
+            disc.matrix(disc.transport(w.values)), assemble_convection_by_transport(w)
+        )
+        assert_relative_close(
+            disc.matrix(disc.gradient(w.values)), assemble_convection_by_gradient(w)
+        )
+        tr = disc.traces(w.values)
+        assert_relative_close(tr, trace_values(w, tags))
+        gq = rng.standard_normal(tr.shape)
+        assert_relative_close(
+            disc.matrix(disc.boundary_mass(gq)), assemble_boundary_mass(mesh, gq, tags)
+        )
+        assert_relative_close(disc.boundary_load(tr**3), boundary_cubic_residual(w, tags))
+        assert_relative_close(
+            disc.matrix(disc.boundary_mass(3.0 * tr**2)), boundary_cubic_jacobian(w, tags)
+        )
+    data = disc.transport(w.values) + disc.gradient(w.values) + disc.stiffness
+    expected = apply_dirichlet(disc.matrix(data), dirichlet_vertex_indices(mesh))
+    disc.eliminate(data)
+    assert np.array_equal(disc.matrix(data).toarray(), expected.toarray())

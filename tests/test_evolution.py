@@ -5,15 +5,20 @@ import pytest
 
 from burgersfb.assembly import (
     FeField,
+    apply_dirichlet,
+    assemble_boundary_mass,
     assemble_convection_by_gradient,
     assemble_convection_by_transport,
     assemble_mass,
     assemble_stiffness,
+    boundary_cubic_jacobian,
     boundary_cubic_residual,
+    dirichlet_vertex_indices,
     interpolate,
     l2_norm,
+    trace_values,
 )
-from burgersfb.control import ControlParams, control_weak_terms
+from burgersfb.control import ControlParams, control_boundary_l2, control_weak_terms
 from burgersfb.evolution import (
     DecayReport,
     EvolutionConfig,
@@ -27,7 +32,7 @@ from burgersfb.evolution import (
     step,
 )
 from burgersfb.mesh import build_unit_square_mesh, tag_boundary
-from burgersfb.sparse import NonconvergenceError
+from burgersfb.sparse import NonconvergenceError, solve_general
 
 NU = 0.1
 C0 = 1.0
@@ -140,6 +145,86 @@ def test_newton_nonconvergence_reports_history():
     with pytest.raises(NonconvergenceError) as info:
         step(initial_bump(mesh), cfg, ops)
     assert len(info.value.residual_history) >= 1
+
+
+def reference_step(w_prev, cfg, mesh, u_steady):
+    """One backward Euler step built only from the public element assemblers."""
+    dofs = dirichlet_vertex_indices(mesh)
+    mass = assemble_mass(mesh)
+    constant = (
+        cfg.nu * assemble_stiffness(mesh)
+        + assemble_convection_by_transport(u_steady)
+        + assemble_convection_by_gradient(u_steady)
+    )
+    scale, tags = 0.0, None
+    if cfg.control is not None:
+        linear, _, _ = control_weak_terms(u_steady, cfg.control, u_steady)
+        constant = constant + linear
+        scale, tags = 2.0 / (9.0 * cfg.control.c0), cfg.control.active_tags
+    w = w_prev.copy()
+    w[dofs] = 0.0
+    if cfg.nonlinear == "picard":
+        field = FeField(mesh, w)
+        system = mass / cfg.k + constant + assemble_convection_by_transport(field)
+        if scale:
+            cubic = scale * trace_values(field, tags) ** 2
+            system = system + assemble_boundary_mass(mesh, cubic, tags)
+        rhs = (mass @ w) / cfg.k
+        rhs[dofs] = 0.0
+        return solve_general(apply_dirichlet(system, dofs), rhs), 1
+    for iteration in range(cfg.newton_max + 1):
+        field = FeField(mesh, w)
+        transport = assemble_convection_by_transport(field)
+        residual = (mass @ (w - w_prev)) / cfg.k + constant @ w + transport @ w
+        jacobian = mass / cfg.k + constant + transport
+        jacobian = jacobian + assemble_convection_by_gradient(field)
+        if scale:
+            residual += scale * boundary_cubic_residual(field, tags)
+            jacobian = jacobian + scale * boundary_cubic_jacobian(field, tags)
+        residual[dofs] = w[dofs]
+        if np.linalg.norm(residual) <= cfg.newton_tol:
+            return w, iteration
+        w = w + solve_general(apply_dirichlet(jacobian, dofs), -residual)
+    raise AssertionError("reference Newton did not converge")
+
+
+@pytest.mark.parametrize("nonlinear", ["newton", "picard"])
+@pytest.mark.parametrize(
+    "controlled, pinned", [(True, False), (False, False), (True, True), (False, True)]
+)
+def test_steps_match_element_assembly_reference(nonlinear, controlled, pinned):
+    mesh = build_unit_square_mesh(4)
+    if pinned:
+        mesh = tag_boundary(mesh, RIGHT_SIDE)
+    u_steady = steady_shear(mesh)
+    control = ControlParams(nu=NU, c0=C0) if controlled else None
+    cfg = config(k=0.01, t_end=0.03, nonlinear=nonlinear, control=control)
+    w0 = initial_bump(mesh)
+    record = run(w0, cfg, mesh, u_steady)
+    # run() starts from w0 with the Dirichlet values cleared
+    start = w0.values.copy()
+    start[dirichlet_vertex_indices(mesh)] = 0.0
+    w = start
+    for n in range(1, 4):
+        w, count = reference_step(w, cfg, mesh, u_steady)
+        assert record.newton_iters[n] == count
+    assert np.max(np.abs(record.final_state.values - w)) <= 1e-12
+    if controlled:
+        expected = control_boundary_l2(record.final_state, u_steady, control)
+        assert record.control_l2[-1] == pytest.approx(expected, rel=1e-14, abs=0.0)
+        expected = control_boundary_l2(FeField(mesh, start), u_steady, control)
+        assert record.control_l2[0] == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def test_run_nonconvergence_names_step_and_time():
+    mesh = build_unit_square_mesh(4)
+    cfg = config(k=0.5, t_end=1.0)
+    with pytest.raises(NonconvergenceError) as info:
+        run(interpolate(lambda x, y: 1e3 * x, mesh), cfg, mesh, steady_shear(mesh))
+    assert info.value.step == 1
+    assert info.value.time == 0.5
+    assert "step 1 (t = 0.5)" in str(info.value)
+    assert len(info.value.residual_history) == cfg.newton_max + 1
 
 
 def test_picard_close_to_newton():
