@@ -4,180 +4,25 @@ Piecewise linear elements on nested triangulations of a square, backward
 Euler in time, and a nonlinear Neumann boundary feedback that drives the
 flow to a prescribed nonconstant steady profile.  The harness reproduces
 decay curves and convergence-rate tables for the packaged experiments.
+
+The package namespace holds the names of the README's library example;
+everything else is reached through its submodule, e.g.
+``burgersfb.harness.Study``.
 """
 
-from .assembly import (
-    FeField,
-    FieldNorms,
-    NonNestedMeshError,
-    Quadrature,
-    assemble_boundary_mass,
-    assemble_convection_by_gradient,
-    assemble_convection_by_transport,
-    assemble_mass,
-    assemble_stiffness,
-    boundary_l2_norm,
-    boundary_l4_norm,
-    boundary_quadrature,
-    convection_form,
-    discrete_laplacian,
-    elliptic_projection,
-    h1_seminorm,
-    integrate,
-    interpolate,
-    l2_norm,
-    load_vector,
-    norms,
-    prolong,
-    trace_values,
-)
-from .control import (
-    ControlParams,
-    NoActiveBoundaryError,
-    control_boundary_l2,
-    control_trace,
-    control_weak_terms,
-)
-from .evolution import (
-    DecayReport,
-    EvolutionConfig,
-    TrajectoryRecord,
-    decay_rate_bound,
-    fit_decay_rate,
-    lyapunov,
-    lyapunov_decay_coefficient,
-    run,
-    step,
-)
-from .harness import (
-    Example1Result,
-    Example2Result,
-    ProblemConfig,
-    RateTable,
-    Study,
-    StudyConfig,
-    compute_rates,
-    control_errors,
-    run_example1,
-    run_example2,
-    state_errors,
-)
-from .mesh import (
-    BoundaryTag,
-    InvalidRegionError,
-    Mesh,
-    build_square_mesh,
-    build_unit_square_mesh,
-    dump_mesh,
-    friedrichs_constant,
-    refine_uniform,
-    tag_boundary,
-    validate_mesh,
-)
-from .sparse import (
-    BorderedSystem,
-    NonconvergenceError,
-    SingularMatrixError,
-    SolverError,
-    csr_from_triplets,
-    solve_bordered,
-    solve_general,
-    solve_spd,
-    spmv,
-)
-from .steady import (
-    AnalyticFunction,
-    SmallnessReport,
-    SteadySpec,
-    analytic_from_expression,
-    estimate_convection_constant,
-    manufacture_forcing,
-    manufactured_solve_spec,
-    normal_flux,
-    smallness_report,
-    solve_steady,
-    steady_residual,
-)
+from . import assembly, control, evolution, harness, mesh, steady
+from .assembly import interpolate
+from .control import ControlParams
+from .evolution import EvolutionConfig, fit_decay_rate, run
+from .mesh import build_unit_square_mesh
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticFunction",
-    "BorderedSystem",
-    "BoundaryTag",
     "ControlParams",
-    "DecayReport",
     "EvolutionConfig",
-    "Example1Result",
-    "Example2Result",
-    "FeField",
-    "FieldNorms",
-    "InvalidRegionError",
-    "Mesh",
-    "NoActiveBoundaryError",
-    "NonNestedMeshError",
-    "NonconvergenceError",
-    "ProblemConfig",
-    "Quadrature",
-    "RateTable",
-    "SingularMatrixError",
-    "SmallnessReport",
-    "SolverError",
-    "SteadySpec",
-    "Study",
-    "StudyConfig",
-    "TrajectoryRecord",
-    "analytic_from_expression",
-    "assemble_boundary_mass",
-    "assemble_convection_by_gradient",
-    "assemble_convection_by_transport",
-    "assemble_mass",
-    "assemble_stiffness",
-    "boundary_l2_norm",
-    "boundary_l4_norm",
-    "boundary_quadrature",
-    "build_square_mesh",
     "build_unit_square_mesh",
-    "compute_rates",
-    "control_boundary_l2",
-    "control_errors",
-    "control_trace",
-    "control_weak_terms",
-    "convection_form",
-    "csr_from_triplets",
-    "decay_rate_bound",
-    "discrete_laplacian",
-    "dump_mesh",
-    "elliptic_projection",
-    "estimate_convection_constant",
     "fit_decay_rate",
-    "friedrichs_constant",
-    "h1_seminorm",
-    "integrate",
     "interpolate",
-    "l2_norm",
-    "load_vector",
-    "lyapunov",
-    "lyapunov_decay_coefficient",
-    "manufacture_forcing",
-    "manufactured_solve_spec",
-    "norms",
-    "normal_flux",
-    "prolong",
-    "refine_uniform",
     "run",
-    "run_example1",
-    "run_example2",
-    "smallness_report",
-    "solve_bordered",
-    "solve_general",
-    "solve_spd",
-    "solve_steady",
-    "spmv",
-    "state_errors",
-    "steady_residual",
-    "step",
-    "tag_boundary",
-    "trace_values",
-    "validate_mesh",
 ]

@@ -11,19 +11,17 @@ are assembled cell-by-cell with vectorized numpy and returned as scipy CSR;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .mesh import BoundaryTag, Mesh
-from .sparse import _csr, solve_spd
+from .sparse import _csr, solve_general
 
 __all__ = [
     "BoundaryQuadrature",
     "Discretization",
     "FeField",
-    "FieldNorms",
     "NonNestedMeshError",
     "Quadrature",
     "apply_dirichlet",
@@ -46,7 +44,6 @@ __all__ = [
     "interpolate",
     "l2_norm",
     "load_vector",
-    "norms",
     "prolong",
     "trace_values",
 ]
@@ -118,13 +115,6 @@ class FeField:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("field contains non-finite values")
-
-
-class FieldNorms(NamedTuple):
-    l2: float
-    h1_semi: float
-    boundary_l2: float
-    boundary_l4: float
 
 
 def _geometry(mesh: Mesh):
@@ -429,7 +419,7 @@ def discrete_laplacian(mesh: Mesh, w: FeField, flux=None) -> FeField:
     rhs = -(assemble_stiffness(mesh) @ w.values)
     if flux is not None:
         rhs = rhs + boundary_load(mesh, flux)
-    d = solve_spd(assemble_mass(mesh), rhs, tol=1e-12)
+    d = solve_general(assemble_mass(mesh), rhs)
     return FeField(mesh, d)
 
 
@@ -441,34 +431,6 @@ def l2_norm(w: FeField) -> float:
 def h1_seminorm(w: FeField) -> float:
     k = assemble_stiffness(w.mesh)
     return float(np.sqrt(max(w.values @ (k @ w.values), 0.0)))
-
-
-def boundary_l2_norm(w: FeField, tags=None) -> float:
-    bq = boundary_quadrature(w.mesh, tags)
-    if bq.edges.shape[0] == 0:
-        return 0.0
-    tr = trace_values(w, tags)
-    val = np.sum((tr**2 @ bq.weights) * bq.lengths)
-    return float(np.sqrt(max(val, 0.0)))
-
-
-def boundary_l4_norm(w: FeField, tags=None) -> float:
-    bq = boundary_quadrature(w.mesh, tags)
-    if bq.edges.shape[0] == 0:
-        return 0.0
-    tr = trace_values(w, tags)
-    val = np.sum((tr**4 @ bq.weights) * bq.lengths)
-    return float(max(val, 0.0) ** 0.25)
-
-
-def norms(w: FeField, tags=None) -> FieldNorms:
-    """L2 norm, H1 seminorm, and boundary L2/L4 norms of a nodal field."""
-    return FieldNorms(
-        l2=l2_norm(w),
-        h1_semi=h1_seminorm(w),
-        boundary_l2=boundary_l2_norm(w, tags),
-        boundary_l4=boundary_l4_norm(w, tags),
-    )
 
 
 def interpolate(f, mesh: Mesh) -> FeField:
@@ -507,16 +469,14 @@ def prolong(coarse: FeField, fine_mesh: Mesh) -> FeField:
     return FeField(fine_mesh, values)
 
 
-def elliptic_projection(mesh: Mesh, f, fx, fy, shift: float = 1.0) -> FeField:
+def elliptic_projection(mesh: Mesh, f, fx, fy) -> FeField:
     """Shifted elliptic projection of an analytic function.
 
-    Solves ``(K + shift M) u = b`` with
-    ``b_i = integral of grad f . grad phi_i + shift f phi_i``, using the
-    supplied first derivatives ``fx, fy``.  With ``shift > 0`` the system is
-    positive definite without boundary conditions.
+    Solves ``(K + M) u = b`` with
+    ``b_i = integral of grad f . grad phi_i + f phi_i``, using the supplied
+    first derivatives ``fx, fy``.  The unit shift makes the system positive
+    definite without boundary conditions.
     """
-    if shift <= 0.0:
-        raise ValueError("projection shift must be positive")
     areas, gx, gy = _geometry(mesh)
     lam = _QUADRATURE.interior_points
     wq = _QUADRATURE.interior_weights
@@ -535,11 +495,11 @@ def elliptic_projection(mesh: Mesh, f, fx, fy, shift: float = 1.0) -> FeField:
         gx * ((fxq * wq[None, :]).sum(axis=1) * 2.0 * areas)[:, None]
         + gy * ((fyq * wq[None, :]).sum(axis=1) * 2.0 * areas)[:, None]
     )
-    mass_part = shift * np.einsum("q,eq,qi->ei", wq, fq, lam) * det
+    mass_part = np.einsum("q,eq,qi->ei", wq, fq, lam) * det
     b = np.zeros(mesh.num_vertices)
     np.add.at(b, tri.ravel(), (grad_part + mass_part).ravel())
-    a = assemble_stiffness(mesh) + shift * assemble_mass(mesh)
-    return FeField(mesh, solve_spd(sp.csr_matrix(a), b, tol=1e-12))
+    a = assemble_stiffness(mesh) + assemble_mass(mesh)
+    return FeField(mesh, solve_general(a, b))
 
 
 def dirichlet_vertex_indices(mesh: Mesh) -> np.ndarray:

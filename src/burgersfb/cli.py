@@ -17,7 +17,15 @@ import numpy as np
 
 from .assembly import FeField, interpolate, l2_norm
 from .control import ControlParams
-from .evolution import EvolutionConfig, fit_decay_rate, run
+from .evolution import (
+    _MIN_FIT_SAMPLES,
+    EvolutionConfig,
+    _g,
+    _write_csv,
+    decay_rate_bound,
+    fit_decay_rate,
+    run,
+)
 from .harness import (
     ProblemConfig,
     Study,
@@ -39,10 +47,41 @@ from .steady import (
 
 __all__ = ["main"]
 
+# Every key a config may hold, by section (the README's config table).
+_CONFIG_KEYS = {
+    "domain": {"n", "dirichlet"},
+    "physics": {"nu", "c0"},
+    "steady": {"mode", "u_inf", "f_inf", "mean", "source"},
+    "control": {"c0", "active_region"},
+    "initial": {"w0", "projection"},
+    "time": {"k", "t_end", "nonlinear"},
+    "study": {"levels", "reference", "t_eval"},
+    "output": {"dir"},
+}
+
 
 def _load_config(path: str) -> dict:
+    """Read a JSON config and reject any section or key it does not know."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        config = json.load(handle)
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object")
+    for section, body in config.items():
+        if section not in _CONFIG_KEYS:
+            raise ValueError(f"unknown config key {section!r}")
+        if not isinstance(body, dict):
+            raise ValueError(f"config section {section!r} must be an object")
+        for key in body:
+            if key not in _CONFIG_KEYS[section]:
+                raise ValueError(f"unknown config key '{section}.{key}'")
+    return config
+
+
+def _require(config: dict, section: str, key: str):
+    try:
+        return config[section][key]
+    except KeyError:
+        raise ValueError(f"missing config key '{section}.{key}'") from None
 
 
 def _segment(raw):
@@ -64,7 +103,7 @@ def _build_mesh(config: dict):
 
 
 def _steady_spec(config: dict) -> SteadySpec:
-    nu = float(config["physics"]["nu"])
+    nu = float(_require(config, "physics", "nu"))
     section = config.get("steady", {})
     mean = float(section.get("mean", 0.0))
     mode = section.get("mode")
@@ -104,7 +143,7 @@ def _controlled(config: dict) -> bool:
 
 
 def _problem(config: dict) -> ProblemConfig:
-    nu = float(config["physics"]["nu"])
+    nu = float(_require(config, "physics", "nu"))
     initial = config.get("initial", {})
     domain = config.get("domain", {})
     if "w0" not in initial:
@@ -129,13 +168,6 @@ def _output_dir(config: dict, override) -> str:
 def _emit(payload: dict) -> None:
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
-
-
-def _write_field_csv(path: str, field: FeField) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write("x,y,u\n")
-        for (x, y), value in zip(field.mesh.vertices, field.values):
-            handle.write(f"{x:.17g},{y:.17g},{value:.17g}\n")
 
 
 def _cmd_steady(args) -> int:
@@ -171,7 +203,8 @@ def _cmd_steady(args) -> int:
     }
     out = _output_dir(config, args.output_dir)
     path = os.path.join(out, "steady.csv")
-    _write_field_csv(path, solution)
+    x, y = mesh.vertices.T
+    _write_csv(path, "x,y,u", zip(map(_g, x), map(_g, y), map(_g, solution.values)))
     payload["csv"] = path
     _emit(payload)
     return 0
@@ -180,31 +213,34 @@ def _cmd_steady(args) -> int:
 def _cmd_simulate(args) -> int:
     config = _load_config(args.config)
     problem = _problem(config)
-    time_cfg = config["time"]
+    t_end = float(_require(config, "time", "t_end"))
     mesh = _build_mesh(config)
     controlled = _controlled(config)
     evolution = EvolutionConfig(
         nu=problem.nu,
-        k=float(time_cfg["k"]),
-        t_end=float(time_cfg["t_end"]),
+        k=float(_require(config, "time", "k")),
+        t_end=t_end,
         control=ControlParams(nu=problem.nu, c0=problem.c0) if controlled else None,
-        nonlinear=time_cfg.get("nonlinear", "newton"),
-        coefficient_source=problem.coefficient_source,
-        initial_projection=problem.initial_projection,
+        nonlinear=config["time"].get("nonlinear", "newton"),
     )
     u_steady = _steady_field(mesh, problem)
     record = run(_initial_field(mesh, problem), evolution, mesh, u_steady)
     out = _output_dir(config, args.output_dir)
     path = os.path.join(out, "trajectory.csv")
     record.to_csv(path)
-    decay = fit_decay_rate(record, window=(0.0, float(time_cfg["t_end"])))
+    # a run too short to fit a rate still reports everything else
+    fitted = alpha = None
+    if record.times.shape[0] >= _MIN_FIT_SAMPLES:
+        fitted = fit_decay_rate(record, window=(0.0, t_end)).fitted_rate
+    if record.c0 is not None:
+        alpha = decay_rate_bound(record.nu, record.c0, record.friedrichs)
     payload = {
         "csv": path,
         "l2_final": float(record.l2[-1]),
         "h1_final": float(record.h1_semi[-1]),
         "lyapunov_monotone": bool(np.all(np.diff(record.lyapunov) <= 1e-12)),
-        "fitted_rate": decay.fitted_rate,
-        "predicted_alpha": decay.predicted_alpha,
+        "fitted_rate": fitted,
+        "predicted_alpha": alpha,
     }
     _emit(payload)
     return 0
@@ -213,14 +249,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_study(args) -> int:
     config = _load_config(args.config)
     problem = _problem(config)
-    section = config["study"]
     study = Study(
         StudyConfig(
             problem=problem,
-            levels=tuple(int(n) for n in section["levels"]),
-            reference_level=int(section["reference"]),
-            k=float(config["time"]["k"]),
-            t_eval=float(section.get("t_eval", 1.0)),
+            levels=tuple(int(n) for n in _require(config, "study", "levels")),
+            reference_level=int(_require(config, "study", "reference")),
+            k=float(_require(config, "time", "k")),
+            t_eval=float(config["study"].get("t_eval", 1.0)),
         )
     )
     table = study.rate_table()

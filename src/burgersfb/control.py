@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (
-    FeField,
-    assemble_boundary_mass,
-    boundary_cubic_jacobian,
-    boundary_cubic_residual,
-    boundary_quadrature,
-    trace_values,
-)
+from .assembly import FeField, boundary_quadrature, trace_values
 from .mesh import BoundaryTag, Mesh
 
 __all__ = [
@@ -30,7 +23,6 @@ __all__ = [
     "NoActiveBoundaryError",
     "control_boundary_l2",
     "control_trace",
-    "control_weak_terms",
 ]
 
 
@@ -95,26 +87,6 @@ def control_trace(w: FeField, u_steady: FeField, params: ControlParams) -> np.nd
     full = np.zeros((mesh.num_boundary_edges, wq.shape[1]))
     full[bq.index] = _feedback_flux(wq, coeff, params)
     return full
-
-
-def control_weak_terms(u_steady: FeField, params: ControlParams, w: FeField):
-    """Assembled boundary terms of the feedback in the weak formulation.
-
-    Returns ``(linear_matrix, cubic_vector, cubic_jacobian)``: the boundary
-    mass matrix weighted by ``c0 + nu + 2 |u_steady|``, the assembled cubic
-    residual ``(2 / (9 c0)) integral of w^3 phi_i``, and its derivative.
-    All three are restricted to the active tags.
-    """
-    mesh = w.mesh
-    if u_steady.mesh is not mesh:
-        raise ValueError("deviation and steady state live on different meshes")
-    _active_quadrature(mesh, params)
-    scale = 2.0 / (9.0 * params.c0)
-    coeff = _linear_coefficient(trace_values(u_steady, params.active_tags), params)
-    linear = assemble_boundary_mass(mesh, coeff, params.active_tags)
-    cubic_vector = scale * boundary_cubic_residual(w, params.active_tags)
-    cubic_jacobian = scale * boundary_cubic_jacobian(w, params.active_tags)
-    return linear, cubic_vector, cubic_jacobian
 
 
 def control_boundary_l2(w: FeField, u_steady: FeField, params: ControlParams) -> float:

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import Discretization, FeField, assemble_mass, dirichlet_vertex_indices
+from .assembly import Discretization, FeField, dirichlet_vertex_indices
 from .control import (
     ControlParams,
     NoActiveBoundaryError,
@@ -32,13 +32,13 @@ __all__ = [
     "build_operators",
     "decay_rate_bound",
     "fit_decay_rate",
-    "lyapunov",
     "lyapunov_decay_coefficient",
     "run",
     "step",
 ]
 
 _CSV_HEADER = "time,l2,h1semi,lyapunov,control_l2,newton_iters"
+_MIN_FIT_SAMPLES = 10
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,7 @@ class EvolutionConfig:
     """Time discretization and nonlinear solver choices.
 
     ``control=None`` integrates the uncontrolled dynamics (natural zero-flux
-    boundary).  ``coefficient_source`` records whether the steady field fed
-    to :func:`run` came from a discrete solve or an analytic interpolant;
-    the integrator uses whatever field it receives.
+    boundary).
     """
 
     nu: float
@@ -58,8 +56,6 @@ class EvolutionConfig:
     nonlinear: str = "newton"
     newton_tol: float = 1e-10
     newton_max: int = 20
-    coefficient_source: str = "analytic"
-    initial_projection: str = "interpolate"
 
     def __post_init__(self):
         if self.nu <= 0.0:
@@ -70,14 +66,6 @@ class EvolutionConfig:
             raise ValueError("t_end must cover at least one step")
         if self.nonlinear not in ("newton", "picard"):
             raise ValueError(f"unknown nonlinear solver {self.nonlinear!r}")
-        if self.coefficient_source not in ("analytic", "discrete"):
-            raise ValueError(
-                f"unknown coefficient source {self.coefficient_source!r}"
-            )
-        if self.initial_projection not in ("interpolate", "elliptic"):
-            raise ValueError(
-                f"unknown initial projection {self.initial_projection!r}"
-            )
         if self.control is not None and abs(self.control.nu - self.nu) > 1e-14:
             raise ValueError("control viscosity disagrees with the dynamics")
 
@@ -91,7 +79,6 @@ class StepOperators:
     """
 
     mesh: Mesh
-    u_steady: FeField
     mass: "object"
     stiffness: "object"
     constant_matrix: "object"
@@ -121,7 +108,6 @@ def build_operators(mesh: Mesh, u_steady: FeField, cfg: EvolutionConfig) -> Step
         cubic_scale = 2.0 / (9.0 * cfg.control.c0)
     return StepOperators(
         mesh=mesh,
-        u_steady=u_steady,
         mass=disc.matrix(disc.mass),
         stiffness=disc.matrix(disc.stiffness),
         constant_matrix=disc.matrix(constant),
@@ -219,27 +205,30 @@ class TrajectoryRecord:
 
     def to_csv(self, stream) -> None:
         """Write rows in a reproducible fixed format (17 significant digits)."""
-        close = False
-        if isinstance(stream, (str, bytes)):
-            stream = open(stream, "w", encoding="ascii", newline="\n")
-            close = True
-        try:
-            stream.write(_CSV_HEADER + "\n")
-            for i in range(self.times.shape[0]):
-                stream.write(
-                    f"{self.times[i]:.17g},{self.l2[i]:.17g},"
-                    f"{self.h1_semi[i]:.17g},{self.lyapunov[i]:.17g},"
-                    f"{self.control_l2[i]:.17g},{int(self.newton_iters[i])}\n"
-                )
-        finally:
-            if close:
-                stream.close()
+        rows = zip(
+            map(_g, self.times),
+            map(_g, self.l2),
+            map(_g, self.h1_semi),
+            map(_g, self.lyapunov),
+            map(_g, self.control_l2),
+            map(str, map(int, self.newton_iters)),
+        )
+        _write_csv(stream, _CSV_HEADER, rows)
 
 
-def lyapunov(w: FeField) -> float:
-    """Energy ``0.5 * integral of w^2``."""
-    mass = assemble_mass(w.mesh)
-    return 0.5 * float(w.values @ (mass @ w.values))
+def _g(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def _write_csv(stream, header: str, rows) -> None:
+    """Write ``header`` and the comma-joined string ``rows`` to a path or stream."""
+    if isinstance(stream, (str, bytes)):
+        with open(stream, "w", encoding="ascii", newline="\n") as handle:
+            _write_csv(handle, header, rows)
+        return
+    stream.write(header + "\n")
+    for row in rows:
+        stream.write(",".join(row) + "\n")
 
 
 def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> TrajectoryRecord:
@@ -334,17 +323,18 @@ def fit_decay_rate(record: TrajectoryRecord, window: tuple) -> DecayReport:
     """Least-squares exponential decay rate of the recorded L2 norms.
 
     Fits ``log ||w||`` against time over ``window = (t0, t1)`` and returns
-    the negated slope.  Requires at least 10 samples in the window and
-    strictly positive norms there.
+    the negated slope.  Requires at least ``_MIN_FIT_SAMPLES`` (10) samples
+    in the window and strictly positive norms there.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
         raise ValueError(f"empty fit window ({t0}, {t1})")
     eps = 1e-12 * max(1.0, abs(t1))
     mask = (record.times >= t0 - eps) & (record.times <= t1 + eps)
-    if int(mask.sum()) < 10:
+    if int(mask.sum()) < _MIN_FIT_SAMPLES:
         raise ValueError(
-            f"fit window contains {int(mask.sum())} samples; need at least 10"
+            f"fit window contains {int(mask.sum())} samples; "
+            f"need at least {_MIN_FIT_SAMPLES}"
         )
     values = record.l2[mask]
     if np.any(values <= 0.0):

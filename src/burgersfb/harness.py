@@ -11,8 +11,8 @@ figures and rate tables for the error tables.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -21,26 +21,25 @@ from .assembly import (
     NonNestedMeshError,
     boundary_quadrature,
     elliptic_projection,
+    h1_seminorm,
     interpolate,
+    l2_norm,
     prolong,
 )
-from .control import ControlParams, control_trace
-from .evolution import EvolutionConfig, TrajectoryRecord, run
+from .control import ControlParams, _boundary_l2, control_trace
+from .evolution import EvolutionConfig, TrajectoryRecord, _g, _write_csv, run
 from .mesh import Mesh, build_unit_square_mesh, refine_uniform, tag_boundary
 from .steady import AnalyticFunction, SteadySpec, analytic_from_expression, manufactured_solve_spec, solve_steady
 
 __all__ = [
-    "Example1Result",
-    "Example2Result",
+    "ExampleResult",
     "ProblemConfig",
     "RateTable",
     "Study",
     "StudyConfig",
     "compute_rates",
-    "control_errors",
     "run_example1",
     "run_example2",
-    "state_errors",
 ]
 
 
@@ -50,8 +49,10 @@ class ProblemConfig:
 
     ``w0`` is the closed-form initial deviation.  ``dirichlet_region``
     selects boundary segments pinned to zero (None for pure flux control).
-    ``coefficient_source`` decides whether the steady coefficients come
-    from the closed form or from a discrete steady solve.
+    ``coefficient_source`` (``"analytic"`` or ``"discrete"``) decides
+    whether the steady coefficients come from the closed form or from a
+    discrete steady solve; ``initial_projection`` (``"interpolate"`` or
+    ``"elliptic"``) decides how ``w0`` enters the finite element space.
     """
 
     nu: float
@@ -67,6 +68,10 @@ class ProblemConfig:
             raise ValueError(f"viscosity must be positive, got {self.nu}")
         if self.c0 <= 0.0:
             raise ValueError(f"control gain must be positive, got {self.c0}")
+        if self.coefficient_source not in ("analytic", "discrete"):
+            raise ValueError(f"unknown coefficient source {self.coefficient_source!r}")
+        if self.initial_projection not in ("interpolate", "elliptic"):
+            raise ValueError(f"unknown initial projection {self.initial_projection!r}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,7 @@ def _steady_field(mesh: Mesh, problem: ProblemConfig) -> FeField:
 def _initial_field(mesh: Mesh, problem: ProblemConfig) -> FeField:
     if problem.initial_projection == "elliptic":
         return elliptic_projection(
-            mesh, problem.w0.value, problem.w0.dx, problem.w0.dy, shift=1.0
+            mesh, problem.w0.value, problem.w0.dx, problem.w0.dy
         )
     return interpolate(problem.w0.value, mesh)
 
@@ -143,12 +148,7 @@ class Study:
         self.config = config
         self._meshes: dict = {}
         self._steady: dict = {}
-        self._states: dict = {}
         self._records: dict = {}
-
-    @staticmethod
-    def ensure(study) -> "Study":
-        return study if isinstance(study, Study) else Study(study)
 
     def mesh(self, n: int) -> Mesh:
         if not self._meshes:
@@ -191,22 +191,16 @@ class Study:
                 k=cfg.k,
                 t_end=cfg.t_eval,
                 control=_control_params(problem),
-                coefficient_source=problem.coefficient_source,
-                initial_projection=problem.initial_projection,
             )
             record = run(_initial_field(mesh, problem), evolution, mesh, self.steady_field(n))
             self._records[n] = record
-            self._states[n] = record.final_state
         return self._records[n]
 
     def state(self, n: int) -> FeField:
-        self.record(n)
-        return self._states[n]
+        return self.record(n).final_state
 
     def state_errors(self, n: int):
         """L2 and H1-seminorm errors against the reference at t_eval."""
-        from .assembly import h1_seminorm, l2_norm
-
         cfg = self.config
         ref_mesh = self.mesh(cfg.reference_level)
         coarse = prolong(self.state(n), ref_mesh)
@@ -223,9 +217,7 @@ class Study:
         trace_level = control_trace(coarse, ref_steady, params)
         trace_ref = control_trace(self.state(cfg.reference_level), ref_steady, params)
         bq = boundary_quadrature(ref_mesh, params.active_tags)
-        diff = (trace_level - trace_ref)[bq.index]
-        val = np.sum((diff**2 @ bq.weights) * bq.lengths)
-        return float(np.sqrt(max(val, 0.0)))
+        return _boundary_l2(bq, (trace_level - trace_ref)[bq.index])
 
     def rate_table(self) -> "RateTable":
         cfg = self.config
@@ -245,20 +237,6 @@ class Study:
             control_errors=ctl_errors,
             control_rates=compute_rates(ctl_errors, hs),
         )
-
-
-def state_errors(study, n: int):
-    """Errors of level ``n`` against the study's reference; see :class:`Study`.
-
-    Accepts a :class:`StudyConfig` (runs what it needs) or a :class:`Study`
-    instance (reuses its cache).
-    """
-    return Study.ensure(study).state_errors(n)
-
-
-def control_errors(study, n: int) -> float:
-    """Feedback-trace error of level ``n``; see :func:`state_errors`."""
-    return Study.ensure(study).control_errors(n)
 
 
 @dataclass(frozen=True)
@@ -304,24 +282,6 @@ class RateTable:
         )
 
 
-def _g(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _write_csv(stream, header: str, rows) -> None:
-    close = False
-    if isinstance(stream, (str, bytes)):
-        stream = open(stream, "w", encoding="ascii", newline="\n")
-        close = True
-    try:
-        stream.write(header + "\n")
-        for row in rows:
-            stream.write(",".join(row) + "\n")
-    finally:
-        if close:
-            stream.close()
-
-
 def _control_norm_csv(path: str, record: TrajectoryRecord) -> None:
     rows = [
         (_g(record.times[i]), _g(record.control_l2[i]))
@@ -330,72 +290,53 @@ def _control_norm_csv(path: str, record: TrajectoryRecord) -> None:
     _write_csv(path, "time,control_l2", rows)
 
 
-def example1_problem(nu: float = 0.1, c0: float = 1.0) -> ProblemConfig:
+def _shear_steady() -> SteadySpec:
+    return SteadySpec(nu=0.1, mean_value=-0.1, u_steady=analytic_from_expression("-0.2*x1"))
+
+
+def example1_problem() -> ProblemConfig:
     """Stabilization around the linear shear steady state on the unit square."""
-    steady = SteadySpec(
-        nu=nu, mean_value=-0.1, u_steady=analytic_from_expression("-0.2*x1")
-    )
     return ProblemConfig(
-        nu=nu,
-        c0=c0,
-        steady=steady,
+        nu=0.1,
+        c0=1.0,
+        steady=_shear_steady(),
         w0=analytic_from_expression("sin(pi*x1)*sin(pi*x2) + 0.2*x1"),
     )
 
 
-def example2_problem(
-    nu: float = 0.1, c0: float = 1.0, steady_expr: str = "-0.2*x1"
-) -> ProblemConfig:
+def example2_problem() -> ProblemConfig:
     """Mixed boundary variant: Dirichlet on the right side, control elsewhere."""
-    steady = SteadySpec(
-        nu=nu, mean_value=-0.1, u_steady=analytic_from_expression(steady_expr)
-    )
     return ProblemConfig(
-        nu=nu,
-        c0=c0,
-        steady=steady,
+        nu=0.1,
+        c0=1.0,
+        steady=_shear_steady(),
         w0=analytic_from_expression("sin(pi*x1)*sin(pi*x2)"),
         dirichlet_region=((1.0, 0.0), (1.0, 1.0)),
     )
 
 
 @dataclass(eq=False)
-class Example1Result:
-    controlled: TrajectoryRecord
-    uncontrolled: TrajectoryRecord
-    table: RateTable
-    paths: dict
+class ExampleResult:
+    """Trajectories, CSV paths and, for Example 1, the rate table of one run."""
 
-
-@dataclass(eq=False)
-class Example2Result:
     controlled: TrajectoryRecord
     uncontrolled: TrajectoryRecord
     paths: dict
+    table: Optional[RateTable] = None
 
 
 def _figure_runs(problem: ProblemConfig, n: int, k: float, t_end: float):
     mesh = tag_boundary(build_unit_square_mesh(n), problem.dirichlet_region)
     u_steady = _steady_field(mesh, problem)
     w0 = _initial_field(mesh, problem)
-    controlled_cfg = EvolutionConfig(
+    cfg = EvolutionConfig(
         nu=problem.nu,
         k=k,
         t_end=t_end,
         control=_control_params(problem),
-        coefficient_source=problem.coefficient_source,
-        initial_projection=problem.initial_projection,
     )
-    uncontrolled_cfg = EvolutionConfig(
-        nu=problem.nu,
-        k=k,
-        t_end=t_end,
-        control=None,
-        coefficient_source=problem.coefficient_source,
-        initial_projection=problem.initial_projection,
-    )
-    controlled = run(w0, controlled_cfg, mesh, u_steady)
-    uncontrolled = run(w0, uncontrolled_cfg, mesh, u_steady)
+    controlled = run(w0, cfg, mesh, u_steady)
+    uncontrolled = run(w0, replace(cfg, control=None), mesh, u_steady)
     return controlled, uncontrolled
 
 
@@ -407,9 +348,7 @@ def run_example1(
     t_eval: float = 1.0,
     figure_n: int = 16,
     t_end: float = 5.0,
-    nu: float = 0.1,
-    c0: float = 1.0,
-) -> Example1Result:
+) -> ExampleResult:
     """Decay curves and convergence tables for the flux-controlled square.
 
     Emits the controlled and uncontrolled trajectory series, the feedback
@@ -417,7 +356,7 @@ def run_example1(
     ``output_dir``.
     """
     os.makedirs(output_dir, exist_ok=True)
-    problem = example1_problem(nu=nu, c0=c0)
+    problem = example1_problem()
     controlled, uncontrolled = _figure_runs(problem, figure_n, k, t_end)
     study = Study(
         StudyConfig(
@@ -441,8 +380,8 @@ def run_example1(
     _control_norm_csv(paths["control_norm"], controlled)
     table.write_state_csv(paths["rates_state"])
     table.write_control_csv(paths["rates_control"])
-    return Example1Result(
-        controlled=controlled, uncontrolled=uncontrolled, table=table, paths=paths
+    return ExampleResult(
+        controlled=controlled, uncontrolled=uncontrolled, paths=paths, table=table
     )
 
 
@@ -451,13 +390,10 @@ def run_example2(
     n: int = 16,
     k: float = 0.0005,
     t_end: float = 5.0,
-    nu: float = 0.1,
-    c0: float = 1.0,
-    steady_expr: str = "-0.2*x1",
-) -> Example2Result:
+) -> ExampleResult:
     """Decay curves for the mixed Dirichlet / flux-control variant."""
     os.makedirs(output_dir, exist_ok=True)
-    problem = example2_problem(nu=nu, c0=c0, steady_expr=steady_expr)
+    problem = example2_problem()
     controlled, uncontrolled = _figure_runs(problem, n, k, t_end)
     paths = {
         "controlled": os.path.join(output_dir, "example2_controlled.csv"),
@@ -467,6 +403,4 @@ def run_example2(
     controlled.to_csv(paths["controlled"])
     uncontrolled.to_csv(paths["uncontrolled"])
     _control_norm_csv(paths["control_norm"], controlled)
-    return Example2Result(
-        controlled=controlled, uncontrolled=uncontrolled, paths=paths
-    )
+    return ExampleResult(controlled=controlled, uncontrolled=uncontrolled, paths=paths)

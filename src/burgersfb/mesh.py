@@ -17,9 +17,7 @@ __all__ = [
     "InvalidRegionError",
     "Mesh",
     "RefinementParent",
-    "build_square_mesh",
     "build_unit_square_mesh",
-    "dump_mesh",
     "friedrichs_constant",
     "refine_uniform",
     "tag_boundary",
@@ -110,12 +108,6 @@ class Mesh:
         """Sorted indices of vertices lying on the boundary."""
         return np.unique(self.boundary_edges)
 
-    def edge_lengths(self) -> np.ndarray:
-        """Length of each boundary edge."""
-        a = self.vertices[self.boundary_edges[:, 0]]
-        b = self.vertices[self.boundary_edges[:, 1]]
-        return np.linalg.norm(b - a, axis=1)
-
 
 def _boundary_edges(vertices: np.ndarray, triangles: np.ndarray):
     """Extract boundary edges in deterministic (triangle-traversal) order.
@@ -149,50 +141,19 @@ def _boundary_edges(vertices: np.ndarray, triangles: np.ndarray):
     return edges, tri, normals
 
 
-def _assemble_mesh(vertices, triangles, h, refinement_parent=None, tags=None):
-    edges, tri, normals = _boundary_edges(vertices, triangles)
-    if tags is None:
-        tags = np.full(edges.shape[0], int(BoundaryTag.NEUMANN_CONTROL), dtype=int)
-    mesh = Mesh(
-        vertices=vertices,
-        triangles=triangles,
-        boundary_edges=edges,
-        boundary_tri=tri,
-        boundary_normals=normals,
-        boundary_tags=tags,
-        h=h,
-        refinement_parent=refinement_parent,
-    )
-    validate_mesh(mesh)
-    return mesh
+def build_unit_square_mesh(n: int) -> Mesh:
+    """Structured triangulation of the unit square with grid spacing 1/n.
 
-
-def build_square_mesh(n: int, origin=(0.0, 0.0), side: float = 1.0) -> Mesh:
-    """Structured triangulation of an axis-aligned square.
-
-    Parameters
-    ----------
-    n : int
-        Cells per side; the mesh has (n+1)^2 vertices and 2 n^2 triangles.
-    origin : pair of float
-        Lower-left corner.
-    side : float
-        Edge length of the square.
-
-    Vertices are indexed row-major (x fastest).  Each grid cell is split
-    along its lower-left to upper-right diagonal, giving two
-    counterclockwise triangles.
+    The mesh has (n+1)^2 vertices and 2 n^2 triangles.  Vertices are
+    indexed row-major (x fastest).  Each grid cell is split along its
+    lower-left to upper-right diagonal, giving two counterclockwise
+    triangles.
     """
     if n < 1:
         raise ValueError(f"need at least one cell per side, got n={n}")
-    if side <= 0.0:
-        raise ValueError(f"square side must be positive, got {side}")
-    x0, y0 = float(origin[0]), float(origin[1])
     coords = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(coords, coords, indexing="xy")
-    vertices = np.stack(
-        [x0 + side * xx.ravel(), y0 + side * yy.ravel()], axis=1
-    )
+    vertices = np.stack([xx.ravel(), yy.ravel()], axis=1)
 
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
     v00 = (jj * (n + 1) + ii).ravel()
@@ -205,12 +166,18 @@ def build_square_mesh(n: int, origin=(0.0, 0.0), side: float = 1.0) -> Mesh:
     triangles[0::2] = lower
     triangles[1::2] = upper
 
-    return _assemble_mesh(vertices, triangles, h=side / n)
-
-
-def build_unit_square_mesh(n: int) -> Mesh:
-    """Structured triangulation of the unit square with grid spacing 1/n."""
-    return build_square_mesh(n, origin=(0.0, 0.0), side=1.0)
+    edges, tri, normals = _boundary_edges(vertices, triangles)
+    mesh = Mesh(
+        vertices=vertices,
+        triangles=triangles,
+        boundary_edges=edges,
+        boundary_tri=tri,
+        boundary_normals=normals,
+        boundary_tags=np.full(edges.shape[0], int(BoundaryTag.NEUMANN_CONTROL), dtype=int),
+        h=1.0 / n,
+    )
+    validate_mesh(mesh)
+    return mesh
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
@@ -386,36 +353,3 @@ def validate_mesh(mesh: Mesh, tol: float = 1e-12) -> None:
     valid = {int(t) for t in BoundaryTag}
     if not set(np.unique(mesh.boundary_tags)).issubset(valid):
         raise ValueError("unknown boundary tag value")
-
-
-def dump_mesh(mesh: Mesh, stream) -> None:
-    """Write a plain-text mesh description.
-
-    Format: a ``vertices N`` header followed by N coordinate rows, a
-    ``triangles M`` header followed by M index rows, and a
-    ``boundary_edges B`` header followed by B rows of
-    ``v0 v1 triangle nx ny tag``.
-    """
-    close = False
-    if isinstance(stream, (str, bytes)):
-        stream = open(stream, "w", encoding="ascii")
-        close = True
-    try:
-        stream.write(f"vertices {mesh.num_vertices}\n")
-        for x, y in mesh.vertices:
-            stream.write(f"{x:.17g} {y:.17g}\n")
-        stream.write(f"triangles {mesh.num_triangles}\n")
-        for i, j, k in mesh.triangles:
-            stream.write(f"{i} {j} {k}\n")
-        stream.write(f"boundary_edges {mesh.num_boundary_edges}\n")
-        rows = zip(
-            mesh.boundary_edges,
-            mesh.boundary_tri,
-            mesh.boundary_normals,
-            mesh.boundary_tags,
-        )
-        for (a, b), tri, (nx, ny), tag in rows:
-            stream.write(f"{a} {b} {tri} {nx:.17g} {ny:.17g} {int(tag)}\n")
-    finally:
-        if close:
-            stream.close()

@@ -1,10 +1,9 @@
 """Sparse storage and the linear solvers behind assembly and Newton loops.
 
-Matrices are scipy CSR throughout.  Three solves cover every need of the
-package: conjugate gradients for symmetric positive definite systems (mass
-solves, projections), a sparse LU with partial pivoting for general square
-systems (Newton corrections), and a bordered solve for the mean-constrained
-steady problem.
+Matrices are scipy CSR throughout.  Two solves cover every need of the
+package: a sparse LU with partial pivoting for square systems (mass solves,
+projections, Newton corrections), and a bordered solve for the
+mean-constrained steady problem.
 """
 
 from __future__ import annotations
@@ -20,11 +19,8 @@ __all__ = [
     "NonconvergenceError",
     "SingularMatrixError",
     "SolverError",
-    "csr_from_triplets",
     "solve_bordered",
     "solve_general",
-    "solve_spd",
-    "spmv",
 ]
 
 
@@ -54,25 +50,6 @@ class NonconvergenceError(RuntimeError):
         self.time = time
 
 
-def csr_from_triplets(triplets, shape) -> sp.csr_matrix:
-    """Build a CSR matrix from (row, col, value) entries.
-
-    Duplicate entries are summed.  Indices outside ``shape`` raise
-    ``ValueError``.
-    """
-    rows_cols_vals = np.asarray(list(triplets), dtype=float)
-    if rows_cols_vals.size == 0:
-        rows = cols = np.empty(0, dtype=int)
-        vals = np.empty(0, dtype=float)
-    else:
-        if rows_cols_vals.ndim != 2 or rows_cols_vals.shape[1] != 3:
-            raise ValueError("triplets must be (row, col, value) triples")
-        rows = rows_cols_vals[:, 0].astype(int)
-        cols = rows_cols_vals[:, 1].astype(int)
-        vals = rows_cols_vals[:, 2]
-    return _csr(rows, cols, vals, shape)
-
-
 def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
     """Fast array-based CSR constructor shared with the assembly module."""
     nr, nc = shape
@@ -83,82 +60,6 @@ def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
     out.sum_duplicates()
     out.sort_indices()
     return out
-
-
-def spmv(a: sp.spmatrix, x: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with an explicit dimension check."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or a.shape[1] != x.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix {a.shape} against vector {x.shape}"
-        )
-    return a @ x
-
-
-def solve_spd(a: sp.spmatrix, b: np.ndarray, tol: float = 1e-12,
-              return_iterations: bool = False):
-    """Jacobi-preconditioned conjugate gradients for SPD systems.
-
-    Guarantees ``||a x - b|| <= tol * ||b||`` on the true residual, checked
-    explicitly before returning.  The iteration cap is ``10 n``; hitting it
-    raises :class:`SolverError` carrying the final residual norm.
-    """
-    b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"matrix {a.shape} does not match vector of size {n}")
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        x = np.zeros(n)
-        return (x, 0) if return_iterations else x
-    diag = a.diagonal()
-    if np.any(diag <= 0.0):
-        raise SolverError("matrix has a nonpositive diagonal entry", float("nan"))
-    inv_diag = 1.0 / diag
-
-    x = np.zeros(n)
-    r = b.copy()
-    z = inv_diag * r
-    p = z.copy()
-    rz = float(r @ z)
-    target = tol * bnorm
-    cap = 10 * n
-    iterations = 0
-    resid = bnorm
-    while iterations < cap:
-        if np.linalg.norm(r) <= target:
-            # recurrence residual can drift; certify against the true one
-            r_true = b - a @ x
-            resid = float(np.linalg.norm(r_true))
-            if resid <= target:
-                return (x, iterations) if return_iterations else x
-            r = r_true
-            z = inv_diag * r
-            p = z.copy()
-            rz = float(r @ z)
-        ap = a @ p
-        pap = float(p @ ap)
-        if pap <= 0.0:
-            raise SolverError(
-                "matrix is not positive definite along a search direction",
-                float(np.linalg.norm(b - a @ x)),
-            )
-        alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
-        z = inv_diag * r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-        iterations += 1
-    resid = float(np.linalg.norm(b - a @ x))
-    if resid <= target:
-        return (x, iterations) if return_iterations else x
-    raise SolverError(
-        f"conjugate gradients did not reach {tol:g} relative residual "
-        f"in {cap} iterations (residual {resid:.3e})",
-        resid,
-    )
 
 
 def solve_general(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:

@@ -71,6 +71,19 @@ def test_simulate_controlled(tmp_path, capsys):
         assert len(handle.readlines()) == 11
 
 
+def test_simulate_short_run_reports_no_fitted_rate(tmp_path, capsys):
+    # six samples are too few to fit a rate; everything else is reported
+    config = write_config(tmp_path, {**BASE, "time": {"k": 0.01, "t_end": 0.05}})
+    payload = run_json(
+        capsys, ["simulate", "--config", config, "--output-dir", str(tmp_path)]
+    )
+    assert payload["fitted_rate"] is None
+    assert payload["predicted_alpha"] == pytest.approx(0.0125)
+    assert payload["l2_final"] > 0.0
+    with open(payload["csv"], "r", encoding="ascii") as handle:
+        assert len(handle.readlines()) == 7
+
+
 def test_simulate_uncontrolled(tmp_path, capsys):
     config = write_config(
         tmp_path, {**BASE, "control": {"active_region": "none"}}
@@ -165,6 +178,26 @@ def test_rejects_malformed_configs(tmp_path):
     )
     with pytest.raises(ValueError):
         main(["steady", "--config", no_forcing])
+    typo = write_config(
+        tmp_path, {**BASE, "time": {"k": 0.01, "t_end": 0.1, "nonlinar": "picard"}}, "e.json"
+    )
+    with pytest.raises(ValueError, match="unknown config key 'time.nonlinar'"):
+        main(["simulate", "--config", typo])
+    no_physics = write_config(
+        tmp_path, {key: value for key, value in BASE.items() if key != "physics"}, "f.json"
+    )
+    with pytest.raises(ValueError, match="missing config key 'physics.nu'"):
+        main(["simulate", "--config", no_physics])
+    bad_source = write_config(
+        tmp_path, {**BASE, "steady": {**BASE["steady"], "source": "discrte"}}, "g.json"
+    )
+    with pytest.raises(ValueError, match="coefficient source"):
+        main(["simulate", "--config", bad_source])
+    bad_projection = write_config(
+        tmp_path, {**BASE, "initial": {**BASE["initial"], "projection": "l2"}}, "h.json"
+    )
+    with pytest.raises(ValueError, match="initial projection"):
+        main(["simulate", "--config", bad_projection])
 
 
 def test_requires_subcommand():

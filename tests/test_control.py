@@ -3,6 +3,9 @@ import pytest
 
 from burgersfb.assembly import (
     FeField,
+    assemble_boundary_mass,
+    boundary_cubic_jacobian,
+    boundary_cubic_residual,
     boundary_quadrature,
     interpolate,
     trace_values,
@@ -12,7 +15,6 @@ from burgersfb.control import (
     NoActiveBoundaryError,
     control_boundary_l2,
     control_trace,
-    control_weak_terms,
 )
 from burgersfb.mesh import BoundaryTag, build_unit_square_mesh, tag_boundary
 
@@ -26,6 +28,23 @@ def params():
 
 def constant_field(mesh, value):
     return FeField(mesh, np.full(mesh.num_vertices, value))
+
+
+def weak_terms(u_steady, p, w):
+    """Feedback boundary terms of the weak form, from the public assemblers.
+
+    Returns the boundary mass matrix weighted by ``c0 + nu + 2 |u_steady|``,
+    the cubic load ``(2 / (9 c0)) integral of w^3 phi_i`` and its Jacobian,
+    all on the active tags.
+    """
+    tags = p.active_tags
+    coeff = p.c0 + p.nu + 2.0 * np.abs(trace_values(u_steady, tags))
+    scale = 2.0 / (9.0 * p.c0)
+    return (
+        assemble_boundary_mass(w.mesh, coeff, tags),
+        scale * boundary_cubic_residual(w, tags),
+        scale * boundary_cubic_jacobian(w, tags),
+    )
 
 
 def test_params_validation():
@@ -91,7 +110,7 @@ def test_no_active_boundary_raises(unit4):
 def test_weak_terms_linear_sum(unit4):
     u_steady = constant_field(unit4, 0.0)
     w = constant_field(unit4, 0.0)
-    linear, cubic_vec, cubic_jac = control_weak_terms(u_steady, params(), w)
+    linear, cubic_vec, cubic_jac = weak_terms(u_steady, params(), w)
     # coefficient c0 + nu + 0 over perimeter 4
     assert linear.sum() == pytest.approx(4.4, abs=1e-12)
     assert np.all(cubic_vec == 0.0)
@@ -101,7 +120,7 @@ def test_weak_terms_linear_sum(unit4):
 def test_weak_terms_partial_boundary_locality(mixed8):
     u_steady = constant_field(mixed8, 0.0)
     w = constant_field(mixed8, 1.0)
-    linear, cubic_vec, _ = control_weak_terms(u_steady, params(), w)
+    linear, cubic_vec, _ = weak_terms(u_steady, params(), w)
     on_dirichlet = np.isclose(mixed8.vertices[:, 0], 1.0)
     coo = linear.tocoo()
     # matrix rows/cols live away from the Dirichlet side except its corners
@@ -118,7 +137,7 @@ def test_weak_terms_match_trace_quadrature(unit4, rng):
     # assembled boundary terms = quadrature sums of -nu * trace * basis
     u_steady = interpolate(lambda x, y: -0.2 * x, unit4)
     w = FeField(unit4, rng.standard_normal(unit4.num_vertices))
-    linear, cubic_vec, _ = control_weak_terms(u_steady, params(), w)
+    linear, cubic_vec, _ = weak_terms(u_steady, params(), w)
     assembled = linear @ w.values + cubic_vec
 
     trace = control_trace(w, u_steady, params())
@@ -136,7 +155,7 @@ def test_boundary_power_is_dissipative(unit4, rng):
     u_steady = interpolate(lambda x, y: -0.2 * x, unit4)
     for _ in range(10):
         w = FeField(unit4, rng.standard_normal(unit4.num_vertices))
-        linear, cubic_vec, _ = control_weak_terms(u_steady, params(), w)
+        linear, cubic_vec, _ = weak_terms(u_steady, params(), w)
         power = w.values @ (linear @ w.values) + w.values @ cubic_vec
         assert power >= 0.0
 
@@ -146,7 +165,7 @@ def test_boundary_power_is_dissipative(unit4, rng):
     interior &= ~np.isclose(unit4.vertices, 1.0).any(axis=1)
     interior_bump[interior] = 1.0
     w0 = FeField(unit4, interior_bump)
-    linear, cubic_vec, _ = control_weak_terms(u_steady, params(), w0)
+    linear, cubic_vec, _ = weak_terms(u_steady, params(), w0)
     assert w0.values @ (linear @ w0.values) + w0.values @ cubic_vec == pytest.approx(
         0.0, abs=1e-14
     )

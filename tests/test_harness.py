@@ -16,12 +16,10 @@ from burgersfb.harness import (
     Study,
     StudyConfig,
     compute_rates,
-    control_errors,
     example1_problem,
     example2_problem,
     run_example1,
     run_example2,
-    state_errors,
 )
 from burgersfb.steady import SteadySpec, analytic_from_expression
 
@@ -61,6 +59,10 @@ def test_problem_config_validation():
         ProblemConfig(nu=0.0, c0=1.0, steady=steady, w0=w0)
     with pytest.raises(ValueError):
         ProblemConfig(nu=0.1, c0=-1.0, steady=steady, w0=w0)
+    with pytest.raises(ValueError, match="coefficient source"):
+        ProblemConfig(nu=0.1, c0=1.0, steady=steady, w0=w0, coefficient_source="discrte")
+    with pytest.raises(ValueError, match="initial projection"):
+        ProblemConfig(nu=0.1, c0=1.0, steady=steady, w0=w0, initial_projection="l2")
 
 
 def test_study_config_validation():
@@ -140,13 +142,13 @@ def test_unreachable_level_is_rejected():
         Study(config).mesh(2)
 
 
-def test_module_wrappers_accept_plain_config(small_study):
-    # Wrappers build a fresh study from the config; results must agree.
-    l2, h1 = state_errors(small_study.config, 4)
+def test_fresh_study_agrees_with_cached_one(small_study):
+    fresh = Study(small_study.config)
+    l2, h1 = fresh.state_errors(4)
     l2_cached, h1_cached = small_study.state_errors(4)
     assert abs(l2 - l2_cached) <= 1e-14
     assert abs(h1 - h1_cached) <= 1e-13
-    assert abs(control_errors(small_study.config, 4) - small_study.control_errors(4)) <= 1e-13
+    assert abs(fresh.control_errors(4) - small_study.control_errors(4)) <= 1e-13
 
 
 SAMPLE_TABLE = RateTable(

@@ -1,4 +1,4 @@
-import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +6,7 @@ import pytest
 from burgersfb.mesh import (
     BoundaryTag,
     InvalidRegionError,
-    build_square_mesh,
     build_unit_square_mesh,
-    dump_mesh,
     friedrichs_constant,
     refine_uniform,
     tag_boundary,
@@ -16,6 +14,12 @@ from burgersfb.mesh import (
 )
 
 RIGHT_SIDE = ((1.0, 0.0), (1.0, 1.0))
+
+
+def moved_square(n, origin, side):
+    """Unit square mesh scaled by ``side`` and shifted to ``origin``."""
+    mesh = build_unit_square_mesh(n)
+    return replace(mesh, vertices=np.asarray(origin) + side * mesh.vertices)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
@@ -41,7 +45,7 @@ def test_validate_suite_meshes():
         build_unit_square_mesh(5),
         refine_uniform(build_unit_square_mesh(3)),
         tag_boundary(build_unit_square_mesh(4), RIGHT_SIDE),
-        build_square_mesh(2, origin=(1.0, -0.5), side=2.0),
+        moved_square(2, origin=(1.0, -0.5), side=2.0),
     ):
         validate_mesh(mesh)
 
@@ -112,28 +116,12 @@ def test_tag_boundary_rejects_unmatched_region(unit4):
 def test_friedrichs_constant_values():
     # max over the boundary of max(|x|^2, |x|)
     assert friedrichs_constant(build_unit_square_mesh(4)) == 2.0
-    small = build_square_mesh(2, side=0.5)
+    small = moved_square(2, origin=(0.0, 0.0), side=0.5)
     assert friedrichs_constant(small) == pytest.approx(np.sqrt(0.5), abs=1e-15)
-    shifted = build_square_mesh(2, origin=(1.0, 1.0), side=1.0)
+    shifted = moved_square(2, origin=(1.0, 1.0), side=1.0)
     assert friedrichs_constant(shifted) == 8.0
-
-
-def test_dump_mesh_format_and_determinism(unit4):
-    first = io.StringIO()
-    dump_mesh(unit4, first)
-    text = first.getvalue()
-    lines = text.splitlines()
-    assert lines[0] == f"vertices {unit4.num_vertices}"
-    assert f"triangles {unit4.num_triangles}" in lines
-    assert f"boundary_edges {unit4.num_boundary_edges}" in lines
-
-    second = io.StringIO()
-    dump_mesh(unit4, second)
-    assert second.getvalue() == text
 
 
 def test_build_rejects_bad_n():
     with pytest.raises(ValueError):
         build_unit_square_mesh(0)
-    with pytest.raises(ValueError):
-        build_square_mesh(4, side=-1.0)

@@ -7,89 +7,18 @@ from burgersfb.mesh import build_unit_square_mesh
 from burgersfb.sparse import (
     BorderedSystem,
     SingularMatrixError,
-    SolverError,
-    csr_from_triplets,
     solve_bordered,
     solve_general,
-    solve_spd,
-    spmv,
 )
 
 
-def test_triplets_duplicates_summed():
-    a = csr_from_triplets([(0, 0, 1.0), (0, 0, 2.0)], (1, 1))
-    assert a.shape == (1, 1)
-    assert a[0, 0] == 3.0
-
-
-def test_triplets_empty_gives_zero_matrix():
-    a = csr_from_triplets([], (3, 3))
-    assert a.nnz == 0
-    assert np.array_equal(spmv(a, np.ones(3)), np.zeros(3))
-
-
-def test_triplets_identity_spmv():
-    a = csr_from_triplets([(0, 0, 1.0), (1, 1, 1.0)], (2, 2))
-    x = np.array([3.0, -7.0])
-    assert np.array_equal(spmv(a, x), x)
-
-
-def test_triplets_out_of_range_rejected():
-    with pytest.raises(ValueError):
-        csr_from_triplets([(2, 0, 1.0)], (2, 2))
-    with pytest.raises(ValueError):
-        csr_from_triplets([(0, -1, 1.0)], (2, 2))
-
-
-def test_spmv_hand_case_and_dimension_check():
-    a = csr_from_triplets([(0, 0, 2.0), (0, 1, 1.0), (1, 1, 3.0)], (2, 2))
-    assert np.array_equal(spmv(a, np.array([1.0, 1.0])), np.array([3.0, 3.0]))
-    with pytest.raises(ValueError):
-        spmv(a, np.ones(3))
-
-
-def test_solve_spd_identity_and_diagonal():
-    eye = sp.identity(4, format="csr")
-    b = np.array([1.0, -2.0, 0.5, 9.0])
-    assert np.allclose(solve_spd(eye, b), b, atol=1e-14)
-
-    diag = sp.diags([2.0, 4.0]).tocsr()
-    x = solve_spd(diag, np.array([2.0, 4.0]))
-    assert np.allclose(x, [1.0, 1.0], atol=1e-14)
-
-
-def test_solve_spd_mass_matrix_rhs(unit4):
+def test_solve_general_mass_matrix_rhs(unit4):
     mass = assemble_mass(unit4)
     ones = np.ones(unit4.num_vertices)
-    b = spmv(mass, ones)
-    x = solve_spd(mass, b, tol=1e-12)
-    assert np.linalg.norm(spmv(mass, x) - b) <= 1e-12 * np.linalg.norm(b)
+    b = mass @ ones
+    x = solve_general(mass, b)
+    assert np.linalg.norm(mass @ x - b) <= 1e-12 * np.linalg.norm(b)
     assert np.allclose(x, ones, atol=1e-9)
-
-
-def test_solve_spd_iteration_count_small_matrix(rng):
-    # CG reaches the solution in at most n steps in exact arithmetic
-    n = 25
-    basis = rng.standard_normal((n, n))
-    a = sp.csr_matrix(np.eye(n) + 0.02 * basis @ basis.T)
-    b = rng.standard_normal(n)
-    x, iterations = solve_spd(a, b, tol=1e-12, return_iterations=True)
-    assert iterations <= n
-    assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
-
-
-def test_solve_spd_zero_rhs_shortcut():
-    a = sp.identity(3, format="csr")
-    assert np.array_equal(solve_spd(a, np.zeros(3)), np.zeros(3))
-
-
-def test_solve_spd_rejects_indefinite():
-    bad_diag = sp.diags([1.0, -1.0]).tocsr()
-    with pytest.raises(SolverError):
-        solve_spd(bad_diag, np.ones(2))
-    indefinite = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(SolverError):
-        solve_spd(indefinite, np.array([1.0, -1.0]))
 
 
 def test_solve_general_identity_and_permutation():
@@ -109,7 +38,7 @@ def test_solve_general_recovers_known_solution(rng):
         dense[i, j] += rng.uniform(-1.0, 1.0)
     a = sp.csr_matrix(dense)
     x_star = rng.standard_normal(n)
-    x = solve_general(a, spmv(a, x_star))
+    x = solve_general(a, a @ x_star)
     assert np.linalg.norm(x - x_star) <= 1e-9 * np.linalg.norm(x_star)
 
 
@@ -149,10 +78,10 @@ def test_bordered_poisson_with_zero_mean():
     row = np.asarray(mass.sum(axis=1)).ravel()
     f = interpolate(lambda x, y: np.cos(np.pi * x), mesh).values
     f -= (row @ f) / row.sum()  # zero mass-weighted mean
-    b = spmv(mass, f)
+    b = mass @ f
     x, mu = solve_bordered(BorderedSystem(stiffness, row, b, 0.0))
     # K x + mu c = b exactly; the multiplier should vanish for zero-mean data
-    assert np.linalg.norm(spmv(stiffness, x) + mu * row - b) <= 1e-10
+    assert np.linalg.norm(stiffness @ x + mu * row - b) <= 1e-10
     assert abs(mu) <= 1e-10
     assert abs(row @ x) <= 1e-10
 
