@@ -216,12 +216,15 @@ def _cmd_simulate(args) -> int:
     t_end = float(_require(config, "time", "t_end"))
     mesh = _build_mesh(config)
     controlled = _controlled(config)
+    # EvolutionConfig owns the default solver
+    section = config["time"]
+    solver = {"nonlinear": section["nonlinear"]} if "nonlinear" in section else {}
     evolution = EvolutionConfig(
         nu=problem.nu,
         k=float(_require(config, "time", "k")),
         t_end=t_end,
         control=ControlParams(nu=problem.nu, c0=problem.c0) if controlled else None,
-        nonlinear=config["time"].get("nonlinear", "newton"),
+        **solver,
     )
     u_steady = _steady_field(mesh, problem)
     record = run(_initial_field(mesh, problem), evolution, mesh, u_steady)
@@ -241,6 +244,8 @@ def _cmd_simulate(args) -> int:
         "lyapunov_monotone": bool(np.all(np.diff(record.lyapunov) <= 1e-12)),
         "fitted_rate": fitted,
         "predicted_alpha": alpha,
+        "newton_iters": int(record.newton_iters.sum()),
+        "factorizations": record.factorizations,
     }
     _emit(payload)
     return 0
@@ -320,8 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a bad config exits with 2 and a one-line JSON error."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # includes json.JSONDecodeError
+        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """Sparse storage and the linear solvers behind assembly and Newton loops.
 
-Matrices are scipy CSR throughout.  Two solves cover every need of the
-package: a sparse LU with partial pivoting for square systems (mass solves,
-projections, Newton corrections), and a bordered solve for the
-mean-constrained steady problem.
+Assembly outside the time loop builds scipy CSR; the time loop builds CSC
+on one fixed pattern, which SuperLU takes without conversion.  Two solves
+cover every need of the package: a sparse LU with partial pivoting for
+square systems (mass solves, projections, Newton corrections), kept as a
+:class:`Factorization` when one factor serves several right-hand sides, and
+a bordered solve for the mean-constrained steady problem.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import scipy.sparse.linalg as spla
 
 __all__ = [
     "BorderedSystem",
+    "Factorization",
     "NonconvergenceError",
     "SingularMatrixError",
     "SolverError",
@@ -62,36 +65,51 @@ def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
     return out
 
 
-def solve_general(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """Sparse LU solve with partial pivoting and a certified residual.
+class Factorization:
+    """Sparse LU of a square matrix with partial pivoting; solves certified.
 
-    The solution must satisfy
-    ``||a x - b||_inf <= 1e-10 (||a||_inf ||x||_inf + ||b||_inf)``;
-    a singular factorization or a failed certificate raises
-    :class:`SingularMatrixError`.
+    Every solution must satisfy
+    ``||a x - b||_inf <= 1e-10 (||a||_inf ||x||_inf + ||b||_inf)`` against
+    the factored ``a``; a singular factorization or a failed certificate
+    raises :class:`SingularMatrixError`.
     """
-    b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"matrix {a.shape} does not match vector of size {n}")
-    try:
-        lu = spla.splu(sp.csc_matrix(a))
-        x = lu.solve(b)
-    except RuntimeError as exc:
-        raise SingularMatrixError(f"factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularMatrixError("solution contains non-finite entries")
-    resid = float(np.max(np.abs(a @ x - b))) if n else 0.0
-    a_inf = float(np.max(np.abs(a).sum(axis=1))) if a.nnz else 0.0
-    x_inf = float(np.max(np.abs(x))) if n else 0.0
-    b_inf = float(np.max(np.abs(b))) if n else 0.0
-    bound = 1e-10 * (a_inf * x_inf + b_inf)
-    if resid > bound:
-        raise SingularMatrixError(
-            f"residual {resid:.3e} exceeds certificate bound {bound:.3e}",
-            resid,
-        )
-    return x
+
+    def __init__(self, a: sp.spmatrix):
+        if a.shape[0] != a.shape[1]:
+            raise ValueError(f"matrix {a.shape} is not square")
+        self.matrix = a
+        self.norm_inf = float(np.max(np.abs(a).sum(axis=1))) if a.nnz else 0.0
+        try:
+            self._lu = spla.splu(sp.csc_matrix(a))
+        except RuntimeError as exc:
+            raise SingularMatrixError(f"factorization failed: {exc}") from exc
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        b = np.asarray(b, dtype=float)
+        n = b.shape[0]
+        if self.matrix.shape != (n, n):
+            raise ValueError(f"matrix {self.matrix.shape} does not match vector of size {n}")
+        try:
+            x = self._lu.solve(b)
+        except RuntimeError as exc:
+            raise SingularMatrixError(f"factorization failed: {exc}") from exc
+        if not np.all(np.isfinite(x)):
+            raise SingularMatrixError("solution contains non-finite entries")
+        resid = float(np.max(np.abs(self.matrix @ x - b))) if n else 0.0
+        x_inf = float(np.max(np.abs(x))) if n else 0.0
+        b_inf = float(np.max(np.abs(b))) if n else 0.0
+        bound = 1e-10 * (self.norm_inf * x_inf + b_inf)
+        if resid > bound:
+            raise SingularMatrixError(
+                f"residual {resid:.3e} exceeds certificate bound {bound:.3e}",
+                resid,
+            )
+        return x
+
+
+def solve_general(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
+    """One certified solve with a fresh :class:`Factorization` of ``a``."""
+    return Factorization(a).solve(b)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -38,8 +36,6 @@ from burgersfb.mesh import (
     refine_uniform,
     tag_boundary,
 )
-
-RIGHT_SIDE = ((1.0, 0.0), (1.0, 1.0))
 
 
 def random_field(mesh, rng, scale=1.0):
@@ -397,17 +393,9 @@ def assert_relative_close(actual, expected, rtol=1e-13):
 
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(n=st.integers(1, 6), pinned=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_pattern_assembly_matches_element_assembly(n, pinned, seed):
+def test_pattern_assembly_matches_element_assembly(jittered_mesh, n, pinned, seed):
     rng = np.random.default_rng(seed)
-    mesh = build_unit_square_mesh(n)
-    if pinned:
-        mesh = tag_boundary(mesh, RIGHT_SIDE)
-    # jitter interior vertices by less than a sixth of the spacing, which
-    # keeps every triangle counterclockwise
-    vertices = mesh.vertices.copy()
-    interior = np.setdiff1d(np.arange(mesh.num_vertices), mesh.boundary_vertex_indices())
-    vertices[interior] += rng.uniform(-0.15, 0.15, (interior.size, 2)) / n
-    mesh = dataclasses.replace(mesh, vertices=vertices)
+    mesh = jittered_mesh(n, pinned, rng)
     w = random_field(mesh, rng)
     for tags in (None, (BoundaryTag.NEUMANN_CONTROL,)):
         disc = Discretization(mesh, tags)

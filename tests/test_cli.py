@@ -71,6 +71,24 @@ def test_simulate_controlled(tmp_path, capsys):
         assert len(handle.readlines()) == 11
 
 
+def test_simulate_defaults_to_chord_newton(tmp_path, capsys):
+    # no time.nonlinear: the library default reuses one factorization
+    config = write_config(tmp_path, BASE)
+    payload = run_json(
+        capsys, ["simulate", "--config", config, "--output-dir", str(tmp_path)]
+    )
+    steps = 10
+    assert 1 <= payload["factorizations"] < steps
+    assert payload["newton_iters"] >= steps
+    newton = write_config(
+        tmp_path, {**BASE, "time": {**BASE["time"], "nonlinear": "newton"}}, "newton.json"
+    )
+    payload = run_json(
+        capsys, ["simulate", "--config", newton, "--output-dir", str(tmp_path)]
+    )
+    assert payload["factorizations"] == payload["newton_iters"] >= steps
+
+
 def test_simulate_short_run_reports_no_fitted_rate(tmp_path, capsys):
     # six samples are too few to fit a rate; everything else is reported
     config = write_config(tmp_path, {**BASE, "time": {"k": 0.01, "t_end": 0.05}})
@@ -159,45 +177,54 @@ def test_examples_dispatch(tmp_path, capsys, monkeypatch):
     assert calls[1:] == [("1", str(tmp_path)), ("2", str(tmp_path))]
 
 
-def test_rejects_malformed_configs(tmp_path):
+def run_error(capsys, argv):
+    """Exit code 2 and the message of the one-line JSON error on stderr."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    return json.loads(err)["error"]
+
+
+def test_rejects_malformed_configs(tmp_path, capsys):
     missing_w0 = write_config(tmp_path, {**BASE, "initial": {}}, "a.json")
-    with pytest.raises(ValueError):
-        main(["simulate", "--config", missing_w0])
+    assert "w0" in run_error(capsys, ["simulate", "--config", missing_w0])
     bad_region = write_config(
         tmp_path, {**BASE, "control": {"active_region": "everywhere"}}, "b.json"
     )
-    with pytest.raises(ValueError):
-        main(["simulate", "--config", bad_region])
+    assert "everywhere" in run_error(capsys, ["simulate", "--config", bad_region])
     bad_mode = write_config(
         tmp_path, {**BASE, "steady": {"mode": "lookup", "u_inf": "x1"}}, "c.json"
     )
-    with pytest.raises(ValueError):
-        main(["steady", "--config", bad_mode])
+    assert "lookup" in run_error(capsys, ["steady", "--config", bad_mode])
     no_forcing = write_config(
         tmp_path, {**BASE, "steady": {"mode": "solve", "mean": -0.1}}, "d.json"
     )
-    with pytest.raises(ValueError):
-        main(["steady", "--config", no_forcing])
+    assert "f_inf" in run_error(capsys, ["steady", "--config", no_forcing])
     typo = write_config(
         tmp_path, {**BASE, "time": {"k": 0.01, "t_end": 0.1, "nonlinar": "picard"}}, "e.json"
     )
-    with pytest.raises(ValueError, match="unknown config key 'time.nonlinar'"):
-        main(["simulate", "--config", typo])
+    message = run_error(capsys, ["simulate", "--config", typo])
+    assert "unknown config key 'time.nonlinar'" in message
     no_physics = write_config(
         tmp_path, {key: value for key, value in BASE.items() if key != "physics"}, "f.json"
     )
-    with pytest.raises(ValueError, match="missing config key 'physics.nu'"):
-        main(["simulate", "--config", no_physics])
+    message = run_error(capsys, ["simulate", "--config", no_physics])
+    assert "missing config key 'physics.nu'" in message
     bad_source = write_config(
         tmp_path, {**BASE, "steady": {**BASE["steady"], "source": "discrte"}}, "g.json"
     )
-    with pytest.raises(ValueError, match="coefficient source"):
-        main(["simulate", "--config", bad_source])
+    assert "coefficient source" in run_error(capsys, ["simulate", "--config", bad_source])
     bad_projection = write_config(
         tmp_path, {**BASE, "initial": {**BASE["initial"], "projection": "l2"}}, "h.json"
     )
-    with pytest.raises(ValueError, match="initial projection"):
-        main(["simulate", "--config", bad_projection])
+    assert "initial projection" in run_error(capsys, ["simulate", "--config", bad_projection])
+    not_json = tmp_path / "i.json"
+    not_json.write_text("{", encoding="utf-8")
+    assert "Expecting" in run_error(capsys, ["simulate", "--config", str(not_json)])
+    unknown_solver = write_config(
+        tmp_path, {**BASE, "time": {"k": 0.01, "t_end": 0.1, "nonlinear": "secant"}}, "j.json"
+    )
+    assert "secant" in run_error(capsys, ["simulate", "--config", unknown_solver])
 
 
 def test_requires_subcommand():

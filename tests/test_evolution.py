@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burgersfb.assembly import (
     FeField,
@@ -87,6 +89,11 @@ def test_config_validation():
         EvolutionConfig(nu=NU, k=0.5, t_end=0.25)
     with pytest.raises(ValueError):
         EvolutionConfig(nu=NU, k=0.1, t_end=1.0, nonlinear="broken")
+    with pytest.raises(ValueError):
+        EvolutionConfig(nu=NU, k=0.1, t_end=1.0, nonlinear="Chord")
+    assert EvolutionConfig(nu=NU, k=0.1, t_end=1.0).nonlinear == "chord"
+    for solver in ("chord", "newton", "picard"):
+        EvolutionConfig(nu=NU, k=0.1, t_end=1.0, nonlinear=solver)
     with pytest.raises(ValueError):
         EvolutionConfig(nu=NU, k=0.1, t_end=1.0, control=ControlParams(nu=0.2, c0=1.0))
 
@@ -219,6 +226,73 @@ def test_steps_match_element_assembly_reference(nonlinear, controlled, pinned):
         assert record.control_l2[-1] == pytest.approx(expected, rel=1e-14, abs=0.0)
         expected = control_boundary_l2(FeField(mesh, start), u_steady, control)
         assert record.control_l2[0] == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def reference_residual(w, w_prev, cfg, mesh, u_steady):
+    """Backward Euler step residual from the public element assemblers."""
+    field = FeField(mesh, w)
+    residual = (
+        (assemble_mass(mesh) @ (w - w_prev)) / cfg.k
+        + cfg.nu * (assemble_stiffness(mesh) @ w)
+        + assemble_convection_by_transport(u_steady) @ w
+        + assemble_convection_by_gradient(u_steady) @ w
+        + assemble_convection_by_transport(field) @ w
+    )
+    if cfg.control is not None:
+        tags = cfg.control.active_tags
+        residual += feedback_matrix(u_steady, cfg.control) @ w
+        residual += (2.0 / (9.0 * cfg.control.c0)) * boundary_cubic_residual(field, tags)
+    dofs = dirichlet_vertex_indices(mesh)
+    residual[dofs] = w[dofs]
+    return residual
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(
+    n=st.integers(2, 6),
+    k=st.floats(1e-3, 5e-2),
+    amplitude=st.floats(0.1, 2.0),
+    pinned=st.booleans(),
+    controlled=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chord_matches_full_newton(jittered_mesh, n, k, amplitude, pinned, controlled, seed):
+    mesh = jittered_mesh(n, pinned, np.random.default_rng(seed))
+    u_steady = steady_shear(mesh)
+    # start as run() does, with the Dirichlet values cleared
+    start = amplitude * initial_bump(mesh).values
+    start[dirichlet_vertex_indices(mesh)] = 0.0
+    control = ControlParams(nu=NU, c0=C0) if controlled else None
+    states, factorizations = {}, {}
+    for solver in ("chord", "newton"):
+        cfg = config(k=k, t_end=5 * k, nonlinear=solver, control=control)
+        ops = build_operators(mesh, u_steady, cfg)
+        w = FeField(mesh, start)
+        for _ in range(5):
+            w_prev, w = w, step(w, cfg, ops)
+            if solver == "chord":
+                residual = reference_residual(w.values, w_prev.values, cfg, mesh, u_steady)
+                # the loop's own residual is <= newton_tol; the element
+                # assembly differs from it by rounding only
+                assert np.linalg.norm(residual) <= cfg.newton_tol + 1e-13
+        states[solver] = w.values
+        factorizations[solver] = ops.factorizations
+    assert np.max(np.abs(states["chord"] - states["newton"])) <= 1e-8
+    assert 1 <= factorizations["chord"] <= factorizations["newton"]
+
+
+def test_run_counts_factorizations():
+    mesh = build_unit_square_mesh(4)
+    u_steady = steady_shear(mesh)
+    w0 = initial_bump(mesh)
+    counts = {}
+    for solver in ("chord", "newton", "picard"):
+        record = run(w0, config(k=0.01, t_end=0.1, nonlinear=solver), mesh, u_steady)
+        counts[solver] = record.factorizations
+        if solver == "newton":
+            assert record.factorizations == record.newton_iters.sum()
+    assert counts["picard"] == 10
+    assert 1 <= counts["chord"] < 10
 
 
 def test_run_nonconvergence_names_step_and_time():

@@ -6,6 +6,7 @@ from burgersfb.assembly import assemble_mass, assemble_stiffness, interpolate
 from burgersfb.mesh import build_unit_square_mesh
 from burgersfb.sparse import (
     BorderedSystem,
+    Factorization,
     SingularMatrixError,
     solve_bordered,
     solve_general,
@@ -46,6 +47,47 @@ def test_solve_general_singular_raises():
     singular = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularMatrixError):
         solve_general(singular, np.array([1.0, 0.0]))
+
+
+def random_system(rng, n=50):
+    dense = np.eye(n) * 4.0
+    for _ in range(4 * n):
+        i, j = rng.integers(0, n, size=2)
+        dense[i, j] += rng.uniform(-1.0, 1.0)
+    return sp.csc_matrix(dense)
+
+
+def test_solve_general_is_one_factorization_solve(rng):
+    a = random_system(rng)
+    b = rng.standard_normal(a.shape[0])
+    assert np.array_equal(solve_general(a, b), Factorization(a).solve(b))
+
+
+def test_factorization_serves_several_right_hand_sides(rng):
+    a = random_system(rng)
+    factor = Factorization(a)
+    assert factor.norm_inf == pytest.approx(np.max(np.abs(a.toarray()).sum(axis=1)), rel=1e-14)
+    for _ in range(4):
+        x_star = rng.standard_normal(a.shape[0])
+        x = factor.solve(a @ x_star)
+        assert np.linalg.norm(x - x_star) <= 1e-9 * np.linalg.norm(x_star)
+    with pytest.raises(ValueError):
+        factor.solve(np.ones(a.shape[0] + 1))
+
+
+def test_factorization_certificate_raises(rng):
+    with pytest.raises(SingularMatrixError):
+        Factorization(sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])))
+    # the certificate is checked against the held matrix: a factor that no
+    # longer matches it (here, data changed in place) cannot certify a solve
+    a = random_system(rng)
+    factor = Factorization(a)
+    b = rng.standard_normal(a.shape[0])
+    factor.solve(b)
+    a.data *= 1.001
+    with pytest.raises(SingularMatrixError, match="certificate") as info:
+        factor.solve(b)
+    assert info.value.residual > 0.0
 
 
 def test_bordered_pure_constraint():
