@@ -223,8 +223,6 @@ def convection_form(v: FeField, w: FeField, z: FeField) -> float:
 def _active_mask(mesh: Mesh, tags) -> np.ndarray:
     if tags is None:
         return np.ones(mesh.num_boundary_edges, dtype=bool)
-    if isinstance(tags, BoundaryTag):
-        tags = (tags,)
     wanted = {int(t) for t in tags}
     return np.isin(mesh.boundary_tags, sorted(wanted))
 
@@ -277,17 +275,9 @@ def _trace(values: np.ndarray, bq: BoundaryQuadrature) -> np.ndarray:
     return values[bq.edges[:, 0], None] * (1.0 - t) + values[bq.edges[:, 1], None] * t
 
 
-def _coefficient_at_edge_quadrature(mesh, g, bq: BoundaryQuadrature) -> np.ndarray:
-    """Coerce scalar / FeField / callable / array coefficients to (ne, nq)."""
+def _coefficient_at_edge_quadrature(g, bq: BoundaryQuadrature) -> np.ndarray:
+    """Coerce a scalar or an (ne, nq) array coefficient to (ne, nq)."""
     ne, nq = bq.points.shape[0], bq.points.shape[1]
-    if isinstance(g, FeField):
-        if g.mesh is not mesh:
-            raise ValueError("coefficient field lives on a different mesh")
-        return _trace(g.values, bq)
-    if callable(g):
-        return np.asarray(
-            g(bq.points[:, :, 0], bq.points[:, :, 1]), dtype=float
-        ) * np.ones((ne, nq))
     arr = np.asarray(g, dtype=float)
     if arr.ndim == 0:
         return np.full((ne, nq), float(arr))
@@ -309,17 +299,16 @@ def _edge_triplets(mesh: Mesh, bq: BoundaryQuadrature, blocks: np.ndarray):
 def assemble_boundary_mass(mesh: Mesh, g, tags=None) -> sp.csr_matrix:
     """Boundary matrix of ``integral over tagged edges of g phi_j phi_i``.
 
-    The coefficient ``g`` may be a scalar, a nodal field (traced onto the
-    edges), a callable of coordinates, or precomputed values of shape
-    (active edges, quadrature points).  Evaluation is pointwise at the
-    quadrature nodes, so non-smooth coefficients such as absolute values of
-    a field are supported without edge splitting.
+    The coefficient ``g`` is a scalar or values at the quadrature nodes,
+    shape (active edges, quadrature points).  Evaluation is pointwise at
+    the nodes, so non-smooth coefficients such as absolute values of a
+    field's trace are supported without edge splitting.
     """
     bq = boundary_quadrature(mesh, tags)
     if bq.edges.shape[0] == 0:
         n = mesh.num_vertices
         return sp.csr_matrix((n, n))
-    gq = _coefficient_at_edge_quadrature(mesh, g, bq)
+    gq = _coefficient_at_edge_quadrature(g, bq)
     return _edge_triplets(mesh, bq, _edge_blocks(bq, gq))
 
 
@@ -332,7 +321,8 @@ def _edge_blocks(bq: BoundaryQuadrature, gq: np.ndarray) -> np.ndarray:
 def boundary_load(mesh: Mesh, g, tags=None) -> np.ndarray:
     """Vector of ``integral over tagged edges of g phi_i``.
 
-    Callables receive ``(x, y, nx, ny)`` so normal-dependent fluxes can be
+    ``g`` is a scalar, an (active edges, quadrature points) array, or a
+    callable of ``(x, y, nx, ny)`` so normal-dependent fluxes can be
     expressed directly.
     """
     bq = boundary_quadrature(mesh, tags)
@@ -351,7 +341,7 @@ def boundary_load(mesh: Mesh, g, tags=None) -> np.ndarray:
             dtype=float,
         ) * np.ones((ne, nq))
     else:
-        gq = _coefficient_at_edge_quadrature(mesh, g, bq)
+        gq = _coefficient_at_edge_quadrature(g, bq)
     contrib = np.einsum("q,eq,iq->ei", bq.weights, gq, bq.basis)
     contrib *= bq.lengths[:, None]
     np.add.at(out, bq.edges[:, 0], contrib[:, 0])

@@ -6,12 +6,13 @@ freezes the transported coefficient and the cubic boundary weight at the
 previous state, costing a single linear solve.
 
 Newton comes in two forms that share one loop and one stopping test,
-``||residual|| <= newton_tol``.  ``"chord"`` (the default) keeps one LU
-factorization of the Jacobian across iterations and time steps, and
-refactors at the current iterate only when an iteration contracts the
-residual by less than ``_CHORD_CONTRACTION``; with ``M/k`` dominating the
-Jacobian, one factor usually serves a whole trajectory (Kelley, *Solving
-Nonlinear Equations with Newton's Method*, SIAM 2003, chord method).
+``||residual|| <= _NEWTON_TOL`` within ``_NEWTON_MAX`` iterations.
+``"chord"`` (the default) keeps one LU factorization of the Jacobian
+across iterations and time steps, and refactors at the current iterate
+only when an iteration contracts the residual by less than
+``_CHORD_CONTRACTION``; with ``M/k`` dominating the Jacobian, one factor
+usually serves a whole trajectory (Kelley, *Solving Nonlinear Equations
+with Newton's Method*, SIAM 2003, chord method).
 ``"newton"`` refactors on every iteration and is the reference.
 """
 
@@ -24,6 +25,7 @@ import numpy as np
 
 from .assembly import Discretization, FeField, dirichlet_vertex_indices
 from .control import (
+    ACTIVE_TAGS,
     ControlParams,
     NoActiveBoundaryError,
     _boundary_l2,
@@ -48,6 +50,8 @@ __all__ = [
 
 _CSV_HEADER = "time,l2,h1semi,lyapunov,control_l2,newton_iters"
 _MIN_FIT_SAMPLES = 10
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX = 20
 # chord Newton refactors when ||r_i|| > _CHORD_CONTRACTION * ||r_{i-1}||
 _CHORD_CONTRACTION = 0.1
 
@@ -66,8 +70,6 @@ class EvolutionConfig:
     t_end: float
     control: Optional[ControlParams] = None
     nonlinear: str = "chord"
-    newton_tol: float = 1e-10
-    newton_max: int = 20
 
     def __post_init__(self):
         if self.nu <= 0.0:
@@ -109,7 +111,7 @@ def build_operators(mesh: Mesh, u_steady: FeField, cfg: EvolutionConfig) -> Step
     """Assemble the time-independent part of the implicit system."""
     if u_steady.mesh is not mesh:
         raise ValueError("steady field does not live on the given mesh")
-    disc = Discretization(mesh, () if cfg.control is None else cfg.control.active_tags)
+    disc = Discretization(mesh, () if cfg.control is None else ACTIVE_TAGS)
     constant = (
         cfg.nu * disc.stiffness
         + disc.transport(u_steady.values)
@@ -135,17 +137,22 @@ def build_operators(mesh: Mesh, u_steady: FeField, cfg: EvolutionConfig) -> Step
     )
 
 
+def _pinned_cleared(values: np.ndarray, ops: StepOperators) -> np.ndarray:
+    """Copy of ``values`` with the Dirichlet vertices set to zero."""
+    out = values.copy()
+    out[ops.dirichlet] = 0.0
+    return out
+
+
 def _newton_step(w_prev: np.ndarray, cfg: EvolutionConfig, ops: StepOperators):
     inv_k = 1.0 / cfg.k
     disc = ops.disc
     dofs = ops.dirichlet
     base = inv_k * ops.mass.data + ops.constant_matrix.data
     refresh_always = cfg.nonlinear == "newton"
-    w = w_prev.copy()
-    if dofs.size:
-        w[dofs] = 0.0
+    w = w_prev
     history = []
-    for iteration in range(cfg.newton_max + 1):
+    for iteration in range(_NEWTON_MAX + 1):
         transport = disc.transport(w)
         residual = (
             inv_k * (ops.mass @ (w - w_prev))
@@ -159,9 +166,9 @@ def _newton_step(w_prev: np.ndarray, cfg: EvolutionConfig, ops: StepOperators):
             residual[dofs] = w[dofs]
         res_norm = float(np.linalg.norm(residual))
         history.append(res_norm)
-        if res_norm <= cfg.newton_tol:
+        if res_norm <= _NEWTON_TOL:
             return w, iteration
-        if iteration == cfg.newton_max:
+        if iteration == _NEWTON_MAX:
             break
         if (
             refresh_always
@@ -177,7 +184,7 @@ def _newton_step(w_prev: np.ndarray, cfg: EvolutionConfig, ops: StepOperators):
             ops.factorizations += 1
         w = w + ops.factor.solve(-residual)
     raise NonconvergenceError(
-        f"implicit step Newton stalled after {cfg.newton_max} iterations "
+        f"implicit step Newton stalled after {_NEWTON_MAX} iterations "
         f"(residual {history[-1]:.3e})",
         history,
     )
@@ -186,33 +193,31 @@ def _newton_step(w_prev: np.ndarray, cfg: EvolutionConfig, ops: StepOperators):
 def _picard_step(w_prev: np.ndarray, cfg: EvolutionConfig, ops: StepOperators):
     inv_k = 1.0 / cfg.k
     disc = ops.disc
-    dofs = ops.dirichlet
-    prev = w_prev.copy()
-    if dofs.size:
-        prev[dofs] = 0.0
-    system = inv_k * ops.mass.data + ops.constant_matrix.data + disc.transport(prev)
+    system = inv_k * ops.mass.data + ops.constant_matrix.data + disc.transport(w_prev)
     if ops.cubic_scale:
-        system += disc.boundary_mass(ops.cubic_scale * disc.traces(prev) ** 2)
-    rhs = inv_k * (ops.mass @ prev)
+        system += disc.boundary_mass(ops.cubic_scale * disc.traces(w_prev) ** 2)
+    rhs = inv_k * (ops.mass @ w_prev)
     disc.eliminate(system)
-    rhs[dofs] = 0.0
+    rhs[ops.dirichlet] = 0.0
     ops.factorizations += 1
     return solve_general(disc.matrix(system), rhs), 1
 
 
 def _advance(cfg: EvolutionConfig):
+    """The step function of ``cfg``; it takes ``w_prev`` with its Dirichlet values cleared."""
     return _picard_step if cfg.nonlinear == "picard" else _newton_step
 
 
 def step(w_prev: FeField, cfg: EvolutionConfig, ops: StepOperators) -> FeField:
     """Advance one implicit step from ``w_prev``.
 
+    The Dirichlet values of ``w_prev`` are taken as zero, as in :func:`run`.
     Chord Newton reuses ``ops.factor`` and may replace it, so successive
     calls on the same ``ops`` share one factorization.
     """
     if w_prev.mesh is not ops.mesh:
         raise ValueError("state does not live on the operators' mesh")
-    values, _ = _advance(cfg)(w_prev.values, cfg, ops)
+    values, _ = _advance(cfg)(_pinned_cleared(w_prev.values, ops), cfg, ops)
     return FeField(ops.mesh, values)
 
 
@@ -285,9 +290,7 @@ def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> Tra
     ctl = np.zeros(n_steps + 1)
     iters = np.zeros(n_steps + 1, dtype=int)
 
-    w = w0.values.copy()
-    if ops.dirichlet.size:
-        w[ops.dirichlet] = 0.0
+    w = _pinned_cleared(w0.values, ops)
 
     def record(i, values, iteration_count):
         times[i] = i * cfg.k

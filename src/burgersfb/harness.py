@@ -19,14 +19,13 @@ import numpy as np
 from .assembly import (
     FeField,
     NonNestedMeshError,
-    boundary_quadrature,
     elliptic_projection,
     h1_seminorm,
     interpolate,
     l2_norm,
     prolong,
 )
-from .control import ControlParams, _boundary_l2, control_trace
+from .control import ControlParams, _active_flux, _active_quadrature, _boundary_l2
 from .evolution import EvolutionConfig, TrajectoryRecord, _g, _write_csv, run
 from .mesh import Mesh, build_unit_square_mesh, refine_uniform, tag_boundary
 from .steady import AnalyticFunction, SteadySpec, analytic_from_expression, manufactured_solve_spec, solve_steady
@@ -51,7 +50,8 @@ class ProblemConfig:
     selects boundary segments pinned to zero (None for pure flux control).
     ``coefficient_source`` (``"analytic"`` or ``"discrete"``) decides
     whether the steady coefficients come from the closed form or from a
-    discrete steady solve; ``initial_projection`` (``"interpolate"`` or
+    discrete steady solve, and ``"analytic"`` needs the closed-form state
+    ``steady.u_steady``; ``initial_projection`` (``"interpolate"`` or
     ``"elliptic"``) decides how ``w0`` enters the finite element space.
     """
 
@@ -70,6 +70,8 @@ class ProblemConfig:
             raise ValueError(f"control gain must be positive, got {self.c0}")
         if self.coefficient_source not in ("analytic", "discrete"):
             raise ValueError(f"unknown coefficient source {self.coefficient_source!r}")
+        if self.coefficient_source == "analytic" and self.steady.u_steady is None:
+            raise ValueError("analytic coefficients need a closed-form steady state")
         if self.initial_projection not in ("interpolate", "elliptic"):
             raise ValueError(f"unknown initial projection {self.initial_projection!r}")
 
@@ -116,8 +118,6 @@ def compute_rates(errors, hs) -> np.ndarray:
 def _steady_field(mesh: Mesh, problem: ProblemConfig) -> FeField:
     spec = problem.steady
     if problem.coefficient_source == "analytic":
-        if spec.u_steady is None:
-            raise ValueError("analytic coefficients need a closed-form steady state")
         return interpolate(spec.u_steady.value, mesh)
     if spec.u_steady is not None:
         spec = manufactured_solve_spec(spec.u_steady, spec.nu, spec.mean_value)
@@ -214,10 +214,10 @@ class Study:
         ref_mesh = self.mesh(cfg.reference_level)
         ref_steady = self.steady_field(cfg.reference_level)
         coarse = prolong(self.state(n), ref_mesh)
-        trace_level = control_trace(coarse, ref_steady, params)
-        trace_ref = control_trace(self.state(cfg.reference_level), ref_steady, params)
-        bq = boundary_quadrature(ref_mesh, params.active_tags)
-        return _boundary_l2(bq, (trace_level - trace_ref)[bq.index])
+        bq = _active_quadrature(ref_mesh)
+        level = _active_flux(bq, coarse, ref_steady, params)
+        reference = _active_flux(bq, self.state(cfg.reference_level), ref_steady, params)
+        return _boundary_l2(bq, level - reference)
 
     def rate_table(self) -> "RateTable":
         cfg = self.config

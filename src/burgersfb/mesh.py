@@ -63,8 +63,6 @@ class Mesh:
     boundary_edges : ndarray, shape (nb, 2)
         Vertex index pairs of boundary edges, oriented with the interior on
         the left (the traversal order of the owning triangle).
-    boundary_tri : ndarray, shape (nb,)
-        Index of the unique triangle containing each boundary edge.
     boundary_normals : ndarray, shape (nb, 2)
         Outward unit normal per boundary edge.
     boundary_tags : ndarray, shape (nb,)
@@ -79,7 +77,6 @@ class Mesh:
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
-    boundary_tri: np.ndarray
     boundary_normals: np.ndarray
     boundary_tags: np.ndarray
     h: float
@@ -112,12 +109,11 @@ class Mesh:
 def _boundary_edges(vertices: np.ndarray, triangles: np.ndarray):
     """Extract boundary edges in deterministic (triangle-traversal) order.
 
-    Returns (edges, owner_triangle, outward_normals).  An edge is on the
-    boundary when it appears in exactly one triangle.  Orientation follows
-    the counterclockwise traversal of the owner, so the outward normal is
-    the edge tangent rotated clockwise by 90 degrees.
+    Returns (edges, outward_normals).  An edge is on the boundary when it
+    appears in exactly one triangle.  Orientation follows the
+    counterclockwise traversal of that owner, so the outward normal is the
+    edge tangent rotated clockwise by 90 degrees.
     """
-    nt = triangles.shape[0]
     # local edges 0-1, 1-2, 2-0 for every triangle, in traversal order
     locals_ = np.stack(
         [
@@ -127,18 +123,16 @@ def _boundary_edges(vertices: np.ndarray, triangles: np.ndarray):
         ],
         axis=1,
     ).reshape(-1, 2)
-    owners = np.repeat(np.arange(nt), 3)
     key = np.sort(locals_, axis=1)
     _, inverse, counts = np.unique(
         key, axis=0, return_inverse=True, return_counts=True
     )
     on_boundary = counts[inverse] == 1
     edges = locals_[on_boundary]
-    tri = owners[on_boundary]
     tangent = vertices[edges[:, 1]] - vertices[edges[:, 0]]
     length = np.linalg.norm(tangent, axis=1)
     normals = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1) / length[:, None]
-    return edges, tri, normals
+    return edges, normals
 
 
 def build_unit_square_mesh(n: int) -> Mesh:
@@ -166,12 +160,11 @@ def build_unit_square_mesh(n: int) -> Mesh:
     triangles[0::2] = lower
     triangles[1::2] = upper
 
-    edges, tri, normals = _boundary_edges(vertices, triangles)
+    edges, normals = _boundary_edges(vertices, triangles)
     mesh = Mesh(
         vertices=vertices,
         triangles=triangles,
         boundary_edges=edges,
-        boundary_tri=tri,
         boundary_normals=normals,
         boundary_tags=np.full(edges.shape[0], int(BoundaryTag.NEUMANN_CONTROL), dtype=int),
         h=1.0 / n,
@@ -217,7 +210,7 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     )
     parent = RefinementParent(mesh=mesh, vertex_parents=vertex_parents)
 
-    fine_edges, fine_tri, fine_normals = _boundary_edges(vertices, children)
+    fine_edges, fine_normals = _boundary_edges(vertices, children)
     # each child boundary edge lies inside exactly one parent boundary edge;
     # recover it through the endpoints' parent vertices and copy the tag
     parent_tag = {}
@@ -238,7 +231,6 @@ def refine_uniform(mesh: Mesh) -> Mesh:
         vertices=vertices,
         triangles=children,
         boundary_edges=fine_edges,
-        boundary_tri=fine_tri,
         boundary_normals=fine_normals,
         boundary_tags=tags,
         h=mesh.h / 2.0,

@@ -10,14 +10,11 @@ a bordered solve for the mean-constrained steady problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = [
-    "BorderedSystem",
     "Factorization",
     "NonconvergenceError",
     "SingularMatrixError",
@@ -112,35 +109,28 @@ def solve_general(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     return Factorization(a).solve(b)
 
 
-@dataclass(frozen=True)
-class BorderedSystem:
-    """Square system augmented by one linear constraint.
+def solve_bordered(
+    core: sp.spmatrix, constraint_row: np.ndarray, rhs: np.ndarray, constraint_value: float
+):
+    """Solve a square system augmented by one linear constraint.
 
     Solves ``core x + mu * constraint_row = rhs`` together with
-    ``constraint_row . x = constraint_value`` for ``(x, mu)``.
+    ``constraint_row . x = constraint_value`` as one (n+1) x (n+1) system;
+    returns ``(x, mu)``.
     """
-
-    core: sp.spmatrix
-    constraint_row: np.ndarray
-    rhs: np.ndarray
-    constraint_value: float
-
-
-def solve_bordered(system: BorderedSystem):
-    """Solve the (n+1) x (n+1) augmented system; returns (x, multiplier)."""
-    c = np.asarray(system.constraint_row, dtype=float)
-    rhs = np.asarray(system.rhs, dtype=float)
+    c = np.asarray(constraint_row, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
     n = c.shape[0]
-    if system.core.shape != (n, n) or rhs.shape != (n,):
+    if core.shape != (n, n) or rhs.shape != (n,):
         raise ValueError("bordered system blocks have inconsistent shapes")
     if not np.any(c):
         raise ValueError("constraint row is identically zero")
     aug = sp.bmat(
         [
-            [sp.csr_matrix(system.core), sp.csr_matrix(c[:, None])],
+            [sp.csr_matrix(core), sp.csr_matrix(c[:, None])],
             [sp.csr_matrix(c[None, :]), None],
         ],
         format="csr",
     )
-    y = solve_general(aug, np.concatenate([rhs, [system.constraint_value]]))
+    y = solve_general(aug, np.concatenate([rhs, [constraint_value]]))
     return y[:n], float(y[n])

@@ -32,7 +32,7 @@ from .assembly import (
     load_vector,
 )
 from .mesh import Mesh
-from .sparse import BorderedSystem, NonconvergenceError, solve_bordered
+from .sparse import NonconvergenceError, solve_bordered
 
 __all__ = [
     "AnalyticFunction",
@@ -46,6 +46,9 @@ __all__ = [
     "solve_steady",
     "steady_residual",
 ]
+
+_STEADY_TOL = 1e-10
+_STEADY_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -169,31 +172,25 @@ def _quotient_norm(residual: np.ndarray, unit_constraint: np.ndarray) -> float:
     return float(np.linalg.norm(projected))
 
 
-def solve_steady(
-    mesh: Mesh,
-    spec: SteadySpec,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-    initial=None,
-    full_output: bool = False,
-):
+def solve_steady(mesh: Mesh, spec: SteadySpec, full_output: bool = False):
     """Solve the steady problem with the mean pinned to ``spec.mean_value``.
 
-    Newton's method on the discrete residual, augmented by the mass-weighted
-    mean constraint through a bordered solve.  A full step that increases
-    the residual norm is halved up to 8 times.  Convergence requires the
-    residual norm at or below ``tol`` and the mean constraint met to 1e-10.
-    Residual norms are measured with the constant test direction projected
-    out: that component is the constraint multiplier's, and for general
-    forcing it carries an irreducible quadrature defect.
+    Newton's method from zero on the discrete residual, augmented by the
+    mass-weighted mean constraint through a bordered solve.  A full step
+    that increases the residual norm is halved up to 8 times.  Convergence
+    requires the residual norm at or below ``_STEADY_TOL`` (1e-10) and the
+    mean constraint met to 1e-10.  Residual norms are measured with the
+    constant test direction projected out: that component is the constraint
+    multiplier's, and for general forcing it carries an irreducible
+    quadrature defect.
 
     With ``full_output=True`` returns ``(field, residual_history)``.
 
     Raises
     ------
     NonconvergenceError
-        After ``max_iter`` iterations, or when damping cannot find a
-        decreasing step.  The error carries the residual-norm history.
+        After ``_STEADY_MAX_ITER`` (50) iterations, or when damping cannot
+        find a decreasing step.  The error carries the residual-norm history.
     """
     if spec.u_steady is not None:
         field = interpolate(spec.u_steady.value, mesh)
@@ -204,20 +201,13 @@ def solve_steady(
     constraint = np.asarray(mass.sum(axis=1)).ravel()
     unit_constraint = constraint / np.linalg.norm(constraint)
     load = _steady_load(mesh, spec)
-
-    if initial is None:
-        u = np.zeros(mesh.num_vertices)
-    elif isinstance(initial, FeField):
-        u = initial.values.copy()
-    else:
-        u = np.asarray(initial, dtype=float).copy()
-
+    u = np.zeros(mesh.num_vertices)
     residual = _steady_residual_vector(mesh, u, spec.nu, stiffness, load)
     res_norm = _quotient_norm(residual, unit_constraint)
     history = [res_norm]
-    for _ in range(max_iter):
+    for _ in range(_STEADY_MAX_ITER):
         mean_gap = spec.mean_value - float(constraint @ u)
-        if res_norm <= tol and abs(mean_gap) <= 1e-10:
+        if res_norm <= _STEADY_TOL and abs(mean_gap) <= 1e-10:
             field = FeField(mesh, u)
             return (field, history) if full_output else field
         field = FeField(mesh, u)
@@ -226,14 +216,7 @@ def solve_steady(
             + assemble_convection_by_transport(field)
             + assemble_convection_by_gradient(field)
         )
-        delta, _ = solve_bordered(
-            BorderedSystem(
-                core=jac,
-                constraint_row=constraint,
-                rhs=-residual,
-                constraint_value=mean_gap,
-            )
-        )
+        delta, _ = solve_bordered(jac, constraint, -residual, mean_gap)
         step = 1.0
         for _halving in range(9):
             candidate = u + step * delta
@@ -241,7 +224,7 @@ def solve_steady(
                 mesh, candidate, spec.nu, stiffness, load
             )
             cand_norm = _quotient_norm(cand_residual, unit_constraint)
-            if cand_norm < res_norm or cand_norm <= tol:
+            if cand_norm < res_norm or cand_norm <= _STEADY_TOL:
                 break
             step *= 0.5
         else:
@@ -252,11 +235,11 @@ def solve_steady(
         u, residual, res_norm = candidate, cand_residual, cand_norm
         history.append(res_norm)
     mean_gap = spec.mean_value - float(constraint @ u)
-    if res_norm <= tol and abs(mean_gap) <= 1e-10:
+    if res_norm <= _STEADY_TOL and abs(mean_gap) <= 1e-10:
         field = FeField(mesh, u)
         return (field, history) if full_output else field
     raise NonconvergenceError(
-        f"steady Newton did not converge in {max_iter} iterations "
+        f"steady Newton did not converge in {_STEADY_MAX_ITER} iterations "
         f"(residual {res_norm:.3e})",
         history,
     )
@@ -345,34 +328,23 @@ def smallness_report(
     u_steady: FeField,
     forcing,
     nu: float,
-    samples: int = 64,
-    seed: int = 0,
 ) -> SmallnessReport:
-    """Evaluate the smallness quantities for a computed steady state."""
+    """Evaluate the smallness quantities for a computed steady state.
+
+    ``forcing`` is a callable of (x1, x2), or ``None`` for zero forcing.
+    """
     if u_steady.mesh is not mesh:
         raise ValueError("field does not live on the given mesh")
     if nu <= 0.0:
         raise ValueError(f"viscosity must be positive, got {nu}")
     grad_norm = h1_seminorm(u_steady)
-    constant = estimate_convection_constant(mesh, samples=samples, seed=seed)
+    constant = estimate_convection_constant(mesh)
     bound = nu / (4.0 * constant)
     loose = 3.0 * nu / (4.0 * constant)
-    if forcing is None:
-        forcing_l2 = 0.0
-    elif callable(forcing):
-        forcing_l2 = float(
-            np.sqrt(
-                max(
-                    integrate(
-                        mesh,
-                        lambda x, y: np.asarray(forcing(x, y), dtype=float) ** 2,
-                    ),
-                    0.0,
-                )
-            )
-        )
-    else:
-        forcing_l2 = abs(float(forcing)) * float(np.sqrt(integrate(mesh, 1.0)))
+    forcing_l2 = 0.0
+    if forcing is not None:
+        squared = integrate(mesh, lambda x, y: np.asarray(forcing(x, y), dtype=float) ** 2)
+        forcing_l2 = float(np.sqrt(max(squared, 0.0)))
     laplacian = discrete_laplacian(mesh, u_steady, flux=None)
     return SmallnessReport(
         grad_norm=grad_norm,

@@ -2,10 +2,12 @@
 
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
-from burgersfb.cli import main
+from burgersfb.cli import _CONFIG_KEYS, main
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -100,6 +102,28 @@ def test_simulate_short_run_reports_no_fitted_rate(tmp_path, capsys):
     assert payload["l2_final"] > 0.0
     with open(payload["csv"], "r", encoding="ascii") as handle:
         assert len(handle.readlines()) == 7
+
+
+def test_simulate_discrete_coefficients_and_elliptic_projection(tmp_path, capsys):
+    config = write_config(
+        tmp_path,
+        {
+            **BASE,
+            "steady": {**BASE["steady"], "source": "discrete"},
+            "initial": {**BASE["initial"], "projection": "elliptic"},
+        },
+    )
+    payload = run_json(
+        capsys, ["simulate", "--config", config, "--output-dir", str(tmp_path)]
+    )
+    assert payload["lyapunov_monotone"] is True
+    default = write_config(tmp_path, BASE, "default.json")
+    reference = run_json(
+        capsys, ["simulate", "--config", default, "--output-dir", str(tmp_path)]
+    )
+    # the projected start moves the final norm, but not far
+    assert payload["l2_final"] != reference["l2_final"]
+    assert payload["l2_final"] == pytest.approx(reference["l2_final"], rel=0.1)
 
 
 def test_simulate_uncontrolled(tmp_path, capsys):
@@ -225,6 +249,30 @@ def test_rejects_malformed_configs(tmp_path, capsys):
         tmp_path, {**BASE, "time": {"k": 0.01, "t_end": 0.1, "nonlinear": "secant"}}, "j.json"
     )
     assert "secant" in run_error(capsys, ["simulate", "--config", unknown_solver])
+
+
+def readme_config_table():
+    """Section -> keys of the README's config table (parenthesized notes dropped)."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        row = re.fullmatch(r"\| `(\w+)` \| (.*) \|", line)
+        if row is None:
+            continue
+        depth, outside = 0, ""
+        for char in row.group(2):
+            depth += (char == "(") - (char == ")")
+            if depth == 0 and char != ")":
+                outside += char
+        table[row.group(1)] = set(re.findall(r"`(\w+)`", outside))
+    return table
+
+
+def test_readme_config_table_matches_allow_list():
+    table = readme_config_table()
+    assert set(table) == set(_CONFIG_KEYS)
+    for section, keys in _CONFIG_KEYS.items():
+        assert table[section] == keys, section
 
 
 def test_requires_subcommand():

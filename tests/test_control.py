@@ -11,6 +11,7 @@ from burgersfb.assembly import (
     trace_values,
 )
 from burgersfb.control import (
+    ACTIVE_TAGS,
     ControlParams,
     NoActiveBoundaryError,
     control_boundary_l2,
@@ -37,13 +38,12 @@ def weak_terms(u_steady, p, w):
     the cubic load ``(2 / (9 c0)) integral of w^3 phi_i`` and its Jacobian,
     all on the active tags.
     """
-    tags = p.active_tags
-    coeff = p.c0 + p.nu + 2.0 * np.abs(trace_values(u_steady, tags))
+    coeff = p.c0 + p.nu + 2.0 * np.abs(trace_values(u_steady, ACTIVE_TAGS))
     scale = 2.0 / (9.0 * p.c0)
     return (
-        assemble_boundary_mass(w.mesh, coeff, tags),
-        scale * boundary_cubic_residual(w, tags),
-        scale * boundary_cubic_jacobian(w, tags),
+        assemble_boundary_mass(w.mesh, coeff, ACTIVE_TAGS),
+        scale * boundary_cubic_residual(w, ACTIVE_TAGS),
+        scale * boundary_cubic_jacobian(w, ACTIVE_TAGS),
     )
 
 
@@ -52,8 +52,6 @@ def test_params_validation():
         ControlParams(nu=0.0, c0=1.0)
     with pytest.raises(ValueError):
         ControlParams(nu=0.1, c0=-1.0)
-    with pytest.raises(ValueError):
-        ControlParams(nu=0.1, c0=1.0, active_tags=())
 
 
 def test_trace_vanishes_at_equilibrium(unit4):
@@ -67,7 +65,7 @@ def test_trace_spot_values(unit4):
     u_steady = constant_field(unit4, -0.2)
     w = constant_field(unit4, 0.5)
     trace = control_trace(w, u_steady, params())
-    bq = boundary_quadrature(unit4, params().active_tags)
+    bq = boundary_quadrature(unit4, ACTIVE_TAGS)
     assert np.allclose(trace[bq.index], -70.0 / 9.0, atol=1e-12)
 
     w1 = constant_field(unit4, 1.0)
@@ -141,7 +139,7 @@ def test_weak_terms_match_trace_quadrature(unit4, rng):
     assembled = linear @ w.values + cubic_vec
 
     trace = control_trace(w, u_steady, params())
-    bq = boundary_quadrature(unit4, params().active_tags)
+    bq = boundary_quadrature(unit4, ACTIVE_TAGS)
     expected = np.zeros(unit4.num_vertices)
     contrib = (-NU) * trace[bq.index] * bq.weights[None, :] * bq.lengths[:, None]
     for e, (v0, v1) in enumerate(bq.edges):

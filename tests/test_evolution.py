@@ -20,7 +20,8 @@ from burgersfb.assembly import (
     l2_norm,
     trace_values,
 )
-from burgersfb.control import ControlParams, control_boundary_l2
+from burgersfb import evolution
+from burgersfb.control import ACTIVE_TAGS, ControlParams, control_boundary_l2
 from burgersfb.evolution import (
     DecayReport,
     EvolutionConfig,
@@ -51,9 +52,8 @@ def steady_shear(mesh):
 
 def feedback_matrix(u_steady, control):
     """Boundary mass matrix weighted by the linear feedback coefficient."""
-    tags = control.active_tags
-    coeff = control.c0 + control.nu + 2.0 * np.abs(trace_values(u_steady, tags))
-    return assemble_boundary_mass(u_steady.mesh, coeff, tags)
+    coeff = control.c0 + control.nu + 2.0 * np.abs(trace_values(u_steady, ACTIVE_TAGS))
+    return assemble_boundary_mass(u_steady.mesh, coeff, ACTIVE_TAGS)
 
 
 def initial_bump(mesh):
@@ -132,7 +132,7 @@ def test_step_satisfies_weak_residual():
         + assemble_convection_by_gradient(u_steady) @ w.values
         + assemble_convection_by_transport(w) @ w.values
         + linear @ w.values
-        + (2.0 / (9.0 * C0)) * boundary_cubic_residual(w, cfg.control.active_tags)
+        + (2.0 / (9.0 * C0)) * boundary_cubic_residual(w, ACTIVE_TAGS)
     )
     assert np.linalg.norm(residual) <= 1e-9
 
@@ -151,13 +151,33 @@ def test_step_first_order_increment():
     assert 1.8 <= ratio <= 2.2
 
 
-def test_newton_nonconvergence_reports_history():
+def test_newton_nonconvergence_reports_history(monkeypatch):
+    monkeypatch.setattr(evolution, "_NEWTON_TOL", 1e-300)
+    monkeypatch.setattr(evolution, "_NEWTON_MAX", 2)
     mesh = build_unit_square_mesh(2)
-    cfg = config(k=0.01, t_end=0.01, newton_tol=1e-300, newton_max=2)
+    cfg = config(k=0.01, t_end=0.01)
     ops = build_operators(mesh, steady_shear(mesh), cfg)
     with pytest.raises(NonconvergenceError) as info:
         step(initial_bump(mesh), cfg, ops)
     assert len(info.value.residual_history) >= 1
+
+
+@pytest.mark.parametrize("nonlinear", ["chord", "newton", "picard"])
+def test_step_ignores_pinned_values_of_previous_state(nonlinear):
+    # the step from a state equals the step from that state with its
+    # Dirichlet values cleared, for every solver
+    mesh = tag_boundary(build_unit_square_mesh(4), RIGHT_SIDE)
+    u_steady = steady_shear(mesh)
+    cfg = config(k=0.01, t_end=0.01, nonlinear=nonlinear)
+    raw = initial_bump(mesh)
+    cleared = raw.values.copy()
+    cleared[dirichlet_vertex_indices(mesh)] = 0.0
+    assert np.any(cleared != raw.values)
+    steps = [
+        step(w, cfg, build_operators(mesh, u_steady, cfg)).values
+        for w in (raw, FeField(mesh, cleared))
+    ]
+    assert np.array_equal(steps[0], steps[1])
 
 
 def reference_step(w_prev, cfg, mesh, u_steady):
@@ -172,7 +192,7 @@ def reference_step(w_prev, cfg, mesh, u_steady):
     scale, tags = 0.0, None
     if cfg.control is not None:
         constant = constant + feedback_matrix(u_steady, cfg.control)
-        scale, tags = 2.0 / (9.0 * cfg.control.c0), cfg.control.active_tags
+        scale, tags = 2.0 / (9.0 * cfg.control.c0), ACTIVE_TAGS
     w = w_prev.copy()
     w[dofs] = 0.0
     if cfg.nonlinear == "picard":
@@ -184,7 +204,7 @@ def reference_step(w_prev, cfg, mesh, u_steady):
         rhs = (mass @ w) / cfg.k
         rhs[dofs] = 0.0
         return solve_general(apply_dirichlet(system, dofs), rhs), 1
-    for iteration in range(cfg.newton_max + 1):
+    for iteration in range(evolution._NEWTON_MAX + 1):
         field = FeField(mesh, w)
         transport = assemble_convection_by_transport(field)
         residual = (mass @ (w - w_prev)) / cfg.k + constant @ w + transport @ w
@@ -194,7 +214,7 @@ def reference_step(w_prev, cfg, mesh, u_steady):
             residual += scale * boundary_cubic_residual(field, tags)
             jacobian = jacobian + scale * boundary_cubic_jacobian(field, tags)
         residual[dofs] = w[dofs]
-        if np.linalg.norm(residual) <= cfg.newton_tol:
+        if np.linalg.norm(residual) <= evolution._NEWTON_TOL:
             return w, iteration
         w = w + solve_general(apply_dirichlet(jacobian, dofs), -residual)
     raise AssertionError("reference Newton did not converge")
@@ -239,9 +259,8 @@ def reference_residual(w, w_prev, cfg, mesh, u_steady):
         + assemble_convection_by_transport(field) @ w
     )
     if cfg.control is not None:
-        tags = cfg.control.active_tags
         residual += feedback_matrix(u_steady, cfg.control) @ w
-        residual += (2.0 / (9.0 * cfg.control.c0)) * boundary_cubic_residual(field, tags)
+        residual += (2.0 / (9.0 * cfg.control.c0)) * boundary_cubic_residual(field, ACTIVE_TAGS)
     dofs = dirichlet_vertex_indices(mesh)
     residual[dofs] = w[dofs]
     return residual
@@ -272,9 +291,9 @@ def test_chord_matches_full_newton(jittered_mesh, n, k, amplitude, pinned, contr
             w_prev, w = w, step(w, cfg, ops)
             if solver == "chord":
                 residual = reference_residual(w.values, w_prev.values, cfg, mesh, u_steady)
-                # the loop's own residual is <= newton_tol; the element
+                # the loop's own residual is <= _NEWTON_TOL; the element
                 # assembly differs from it by rounding only
-                assert np.linalg.norm(residual) <= cfg.newton_tol + 1e-13
+                assert np.linalg.norm(residual) <= evolution._NEWTON_TOL + 1e-13
         states[solver] = w.values
         factorizations[solver] = ops.factorizations
     assert np.max(np.abs(states["chord"] - states["newton"])) <= 1e-8
@@ -303,7 +322,7 @@ def test_run_nonconvergence_names_step_and_time():
     assert info.value.step == 1
     assert info.value.time == 0.5
     assert "step 1 (t = 0.5)" in str(info.value)
-    assert len(info.value.residual_history) == cfg.newton_max + 1
+    assert len(info.value.residual_history) == evolution._NEWTON_MAX + 1
 
 
 def test_picard_close_to_newton():

@@ -5,11 +5,18 @@ full-size experiment checks live in the acceptance suite.
 """
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from burgersfb.assembly import NonNestedMeshError
+from burgersfb.assembly import (
+    NonNestedMeshError,
+    elliptic_projection,
+    h1_seminorm,
+    interpolate,
+    l2_norm,
+)
 from burgersfb.harness import (
     ProblemConfig,
     RateTable,
@@ -63,6 +70,10 @@ def test_problem_config_validation():
         ProblemConfig(nu=0.1, c0=1.0, steady=steady, w0=w0, coefficient_source="discrte")
     with pytest.raises(ValueError, match="initial projection"):
         ProblemConfig(nu=0.1, c0=1.0, steady=steady, w0=w0, initial_projection="l2")
+    forcing_only = SteadySpec(nu=0.1, forcing=lambda x, y: 0.04 * x)
+    with pytest.raises(ValueError, match="closed-form steady state"):
+        ProblemConfig(nu=0.1, c0=1.0, steady=forcing_only, w0=w0)
+    ProblemConfig(nu=0.1, c0=1.0, steady=forcing_only, w0=w0, coefficient_source="discrete")
 
 
 def test_study_config_validation():
@@ -149,6 +160,48 @@ def test_fresh_study_agrees_with_cached_one(small_study):
     assert abs(l2 - l2_cached) <= 1e-14
     assert abs(h1 - h1_cached) <= 1e-13
     assert abs(fresh.control_errors(4) - small_study.control_errors(4)) <= 1e-13
+
+
+def shear_study(**problem):
+    """Example 1 study at levels 4 and 8 against 1/16, with ``problem`` overrides."""
+    config = StudyConfig(
+        problem=replace(example1_problem(), **problem),
+        levels=(4, 8),
+        reference_level=16,
+        k=0.01,
+        t_eval=0.1,
+    )
+    return Study(config)
+
+
+def test_discrete_coefficients_reproduce_analytic_errors():
+    # the linear shear lies in the P1 space, so the discrete steady solve
+    # recovers it to solver tolerance (not bit for bit: it did run) and the
+    # errors stay put
+    analytic = shear_study()
+    discrete = shear_study(coefficient_source="discrete")
+    for n in (4, 8, 16):
+        gap = discrete.steady_field(n).values - analytic.steady_field(n).values
+        assert 0.0 < np.max(np.abs(gap)) <= 1e-9
+    for n in (4, 8):
+        assert np.allclose(discrete.state_errors(n), analytic.state_errors(n), rtol=0.0, atol=1e-9)
+        assert abs(discrete.control_errors(n) - analytic.control_errors(n)) <= 1e-9
+
+
+def test_elliptic_initial_projection():
+    study = shear_study(initial_projection="elliptic")
+    w0 = example1_problem().w0
+    for n in (4, 8):
+        mesh = study.mesh(n)
+        projected = elliptic_projection(mesh, w0.value, w0.dx, w0.dy)
+        record = study.record(n)
+        assert record.l2[0] == pytest.approx(l2_norm(projected), rel=1e-12)
+        assert record.h1_semi[0] == pytest.approx(h1_seminorm(projected), rel=1e-12)
+        # distinguishable from the default interpolant
+        assert abs(record.l2[0] - l2_norm(interpolate(w0.value, mesh))) > 1e-6
+    l2_coarse, _ = study.state_errors(4)
+    l2_fine, _ = study.state_errors(8)
+    assert 0.0 < l2_fine < 0.5 * l2_coarse
 
 
 SAMPLE_TABLE = RateTable(

@@ -5,7 +5,6 @@ import scipy.sparse as sp
 from burgersfb.assembly import assemble_mass, assemble_stiffness, interpolate
 from burgersfb.mesh import build_unit_square_mesh
 from burgersfb.sparse import (
-    BorderedSystem,
     Factorization,
     SingularMatrixError,
     solve_bordered,
@@ -91,13 +90,7 @@ def test_factorization_certificate_raises(rng):
 
 
 def test_bordered_pure_constraint():
-    system = BorderedSystem(
-        core=sp.csr_matrix((1, 1)),
-        constraint_row=np.array([1.0]),
-        rhs=np.array([0.0]),
-        constraint_value=5.0,
-    )
-    x, mu = solve_bordered(system)
+    x, mu = solve_bordered(sp.csr_matrix((1, 1)), np.array([1.0]), np.array([0.0]), 5.0)
     assert x[0] == pytest.approx(5.0, abs=1e-12)
     assert mu == pytest.approx(0.0, abs=1e-12)
 
@@ -107,9 +100,7 @@ def test_bordered_stiffness_zero_rhs():
     stiffness = assemble_stiffness(mesh)
     mass = assemble_mass(mesh)
     row = np.asarray(mass.sum(axis=1)).ravel()
-    x, _ = solve_bordered(
-        BorderedSystem(stiffness, row, np.zeros(mesh.num_vertices), 0.0)
-    )
+    x, _ = solve_bordered(stiffness, row, np.zeros(mesh.num_vertices), 0.0)
     assert np.linalg.norm(x) <= 1e-12
 
 
@@ -121,7 +112,7 @@ def test_bordered_poisson_with_zero_mean():
     f = interpolate(lambda x, y: np.cos(np.pi * x), mesh).values
     f -= (row @ f) / row.sum()  # zero mass-weighted mean
     b = mass @ f
-    x, mu = solve_bordered(BorderedSystem(stiffness, row, b, 0.0))
+    x, mu = solve_bordered(stiffness, row, b, 0.0)
     # K x + mu c = b exactly; the multiplier should vanish for zero-mean data
     assert np.linalg.norm(stiffness @ x + mu * row - b) <= 1e-10
     assert abs(mu) <= 1e-10
@@ -130,11 +121,4 @@ def test_bordered_poisson_with_zero_mean():
 
 def test_bordered_rejects_zero_constraint():
     with pytest.raises(ValueError):
-        solve_bordered(
-            BorderedSystem(
-                sp.identity(2, format="csr"),
-                np.zeros(2),
-                np.zeros(2),
-                0.0,
-            )
-        )
+        solve_bordered(sp.identity(2, format="csr"), np.zeros(2), np.zeros(2), 0.0)
