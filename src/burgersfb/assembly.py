@@ -538,6 +538,9 @@ class Discretization:
         self.element_slots = slots.reshape(-1, 3, 3)
         self.mass = self._scatter(self.element_slots, self.geometry[0][:, None, None] * _MASS_PATTERN)
         self.stiffness = self._scatter(self.element_slots, _stiffness_blocks(*self.geometry))
+        lam, areas, gx, gy = _QUADRATURE.interior_points, *self.geometry
+        self._q = lam.T @ (_QUADRATURE.interior_weights[:, None] * lam)  # Q = lam^T diag(wq) lam
+        self._det_s = (2.0 * areas)[:, None] * (gx + gy)
         self.bq = bq = boundary_quadrature(mesh, tags)
         e = bq.edges
         self.edge_slots = np.searchsorted(keys, e[:, None, :] * n + e[:, :, None])
@@ -565,6 +568,12 @@ class Discretization:
     def transport(self, values: np.ndarray) -> np.ndarray:
         blocks = _transport_blocks(*self.geometry, values[self.mesh.triangles])
         return self._scatter(self.element_slots, blocks)
+
+    def convection(self, values: np.ndarray) -> np.ndarray:
+        """``matrix(transport(values)) @ values`` element by element, with no matrix."""
+        wk = values[self.mesh.triangles]
+        element = (wk @ self._q) * np.sum(self._det_s * wk, axis=1)[:, None]
+        return np.bincount(self.mesh.triangles.ravel(), element.ravel(), values.size)
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
         blocks = _gradient_blocks(*self.geometry, values[self.mesh.triangles])

@@ -77,15 +77,26 @@ def _load_config(path: str) -> dict:
     return config
 
 
-def _require(config: dict, section: str, key: str):
-    try:
-        return config[section][key]
-    except KeyError:
-        raise ValueError(f"missing config key '{section}.{key}'") from None
+def _require(config: dict, key: str, default=None):
+    """The value at the dotted ``key``, or ``default``; absent with no default is an error."""
+    section, name = key.split(".")
+    body = config.get(section, {})
+    if name not in body and default is None:
+        raise ValueError(f"missing config key '{key}'")
+    return body.get(name, default)
+
+
+def _number(value, key: str, integer: bool = False):
+    """Every numeric config value is read here, as a float (an int with ``integer``)."""
+    bad = isinstance(value, bool) or not isinstance(value, (int, float))
+    if bad or not abs(value) <= sys.float_info.max or (integer and value != int(value)):
+        kind = "an integer" if integer else "a finite number"
+        raise ValueError(f"config key '{key}' must be {kind}, got {json.dumps(value)}")
+    return int(value) if integer else float(value)
 
 
 def _segment(raw):
-    return (tuple(float(c) for c in raw[0]), tuple(float(c) for c in raw[1]))
+    return tuple(tuple(_number(c, "domain.dirichlet") for c in point) for point in raw)
 
 
 def _dirichlet_region(raw):
@@ -98,14 +109,14 @@ def _dirichlet_region(raw):
 
 def _build_mesh(config: dict):
     domain = config.get("domain", {})
-    n = int(domain.get("n", 16))
+    n = _number(_require(config, "domain.n", 16), "domain.n", integer=True)
     return tag_boundary(build_unit_square_mesh(n), _dirichlet_region(domain.get("dirichlet")))
 
 
 def _steady_spec(config: dict) -> SteadySpec:
-    nu = float(_require(config, "physics", "nu"))
+    nu = _number(_require(config, "physics.nu"), "physics.nu")
     section = config.get("steady", {})
-    mean = float(section.get("mean", 0.0))
+    mean = _number(section.get("mean", 0.0), "steady.mean")
     mode = section.get("mode")
     if mode is None:
         mode = "manufactured" if "u_inf" in section else "solve"
@@ -129,10 +140,8 @@ def _steady_spec(config: dict) -> SteadySpec:
 
 
 def _gain(config: dict) -> float:
-    control = config.get("control", {})
-    if "c0" in control:
-        return float(control["c0"])
-    return float(config.get("physics", {}).get("c0", 1.0))
+    key = "control.c0" if "c0" in config.get("control", {}) else "physics.c0"
+    return _number(_require(config, key, 1.0), key)
 
 
 def _controlled(config: dict) -> bool:
@@ -143,7 +152,7 @@ def _controlled(config: dict) -> bool:
 
 
 def _problem(config: dict) -> ProblemConfig:
-    nu = float(_require(config, "physics", "nu"))
+    nu = _number(_require(config, "physics.nu"), "physics.nu")
     initial = config.get("initial", {})
     domain = config.get("domain", {})
     if "w0" not in initial:
@@ -213,7 +222,7 @@ def _cmd_steady(args) -> int:
 def _cmd_simulate(args) -> int:
     config = _load_config(args.config)
     problem = _problem(config)
-    t_end = float(_require(config, "time", "t_end"))
+    t_end = _number(_require(config, "time.t_end"), "time.t_end")
     mesh = _build_mesh(config)
     controlled = _controlled(config)
     # EvolutionConfig owns the default solver
@@ -221,7 +230,7 @@ def _cmd_simulate(args) -> int:
     solver = {"nonlinear": section["nonlinear"]} if "nonlinear" in section else {}
     evolution = EvolutionConfig(
         nu=problem.nu,
-        k=float(_require(config, "time", "k")),
+        k=_number(_require(config, "time.k"), "time.k"),
         t_end=t_end,
         control=ControlParams(nu=problem.nu, c0=problem.c0) if controlled else None,
         **solver,
@@ -254,13 +263,16 @@ def _cmd_simulate(args) -> int:
 def _cmd_study(args) -> int:
     config = _load_config(args.config)
     problem = _problem(config)
+    levels = _require(config, "study.levels")
+    if not isinstance(levels, list):
+        raise ValueError("config key 'study.levels' must be a list of integers")
     study = Study(
         StudyConfig(
             problem=problem,
-            levels=tuple(int(n) for n in _require(config, "study", "levels")),
-            reference_level=int(_require(config, "study", "reference")),
-            k=float(_require(config, "time", "k")),
-            t_eval=float(config["study"].get("t_eval", 1.0)),
+            levels=tuple(_number(n, "study.levels", integer=True) for n in levels),
+            reference_level=_number(_require(config, "study.reference"), "study.reference", True),
+            k=_number(_require(config, "time.k"), "time.k"),
+            t_eval=_number(_require(config, "study.t_eval", 1.0), "study.t_eval"),
         )
     )
     table = study.rate_table()

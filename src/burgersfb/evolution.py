@@ -88,6 +88,7 @@ class EvolutionConfig:
 class StepOperators:
     """Matrices that stay constant along a trajectory, on ``disc``'s pattern.
 
+    ``step_matrix`` is ``mass / k`` plus the linear part of the step.
     ``feedback`` is the linear feedback weight at the active-edge quadrature
     points, ``None`` when uncontrolled.  ``factor`` is the one Jacobian
     factorization the Newton steps of the trajectory share (``None`` until
@@ -98,13 +99,19 @@ class StepOperators:
     mesh: Mesh
     mass: "object"
     stiffness: "object"
-    constant_matrix: "object"
+    step_matrix: "object"
+    k: float
     cubic_scale: float
     dirichlet: np.ndarray
     disc: Discretization
     feedback: Optional[np.ndarray]
     factor: Optional[Factorization] = None
     factorizations: int = 0
+
+    @property
+    def constant_matrix(self):
+        """The linear part of the step, ``step_matrix - mass / k``; no step uses it."""
+        return self.step_matrix - self.mass / self.k
 
 
 def build_operators(mesh: Mesh, u_steady: FeField, cfg: EvolutionConfig) -> StepOperators:
@@ -129,7 +136,8 @@ def build_operators(mesh: Mesh, u_steady: FeField, cfg: EvolutionConfig) -> Step
         mesh=mesh,
         mass=disc.matrix(disc.mass),
         stiffness=disc.matrix(disc.stiffness),
-        constant_matrix=disc.matrix(constant),
+        step_matrix=disc.matrix(1.0 / cfg.k * disc.mass + constant),
+        k=cfg.k,
         cubic_scale=cubic_scale,
         dirichlet=dirichlet_vertex_indices(mesh),
         disc=disc,
@@ -144,21 +152,15 @@ def _pinned_cleared(values: np.ndarray, ops: StepOperators) -> np.ndarray:
     return out
 
 
-def _newton_step(w_prev: np.ndarray, cfg: EvolutionConfig, ops: StepOperators):
-    inv_k = 1.0 / cfg.k
+def _newton_step(w_prev, w_before, cfg: EvolutionConfig, ops: StepOperators):
     disc = ops.disc
     dofs = ops.dirichlet
-    base = inv_k * ops.mass.data + ops.constant_matrix.data
+    inertia = (1.0 / ops.k) * (ops.mass @ w_prev)
     refresh_always = cfg.nonlinear == "newton"
-    w = w_prev
+    w = 2.0 * w_prev - w_before
     history = []
     for iteration in range(_NEWTON_MAX + 1):
-        transport = disc.transport(w)
-        residual = (
-            inv_k * (ops.mass @ (w - w_prev))
-            + ops.constant_matrix @ w
-            + disc.matrix(transport) @ w
-        )
+        residual = ops.step_matrix @ w - inertia + disc.convection(w)
         if ops.cubic_scale:
             tr = disc.traces(w)
             residual += ops.cubic_scale * disc.boundary_load(tr**3)
@@ -175,7 +177,7 @@ def _newton_step(w_prev: np.ndarray, cfg: EvolutionConfig, ops: StepOperators):
             or ops.factor is None
             or (iteration and res_norm > _CHORD_CONTRACTION * history[-2])
         ):
-            jacobian = base + transport + disc.gradient(w)
+            jacobian = ops.step_matrix.data + disc.transport(w) + disc.gradient(w)
             if ops.cubic_scale:
                 jacobian += ops.cubic_scale * disc.boundary_mass(3.0 * tr**2)
             disc.eliminate(jacobian)
@@ -190,13 +192,12 @@ def _newton_step(w_prev: np.ndarray, cfg: EvolutionConfig, ops: StepOperators):
     )
 
 
-def _picard_step(w_prev: np.ndarray, cfg: EvolutionConfig, ops: StepOperators):
-    inv_k = 1.0 / cfg.k
+def _picard_step(w_prev, w_before, cfg: EvolutionConfig, ops: StepOperators):
     disc = ops.disc
-    system = inv_k * ops.mass.data + ops.constant_matrix.data + disc.transport(w_prev)
+    system = ops.step_matrix.data + disc.transport(w_prev)
     if ops.cubic_scale:
         system += disc.boundary_mass(ops.cubic_scale * disc.traces(w_prev) ** 2)
-    rhs = inv_k * (ops.mass @ w_prev)
+    rhs = (1.0 / ops.k) * (ops.mass @ w_prev)
     disc.eliminate(system)
     rhs[ops.dirichlet] = 0.0
     ops.factorizations += 1
@@ -204,7 +205,8 @@ def _picard_step(w_prev: np.ndarray, cfg: EvolutionConfig, ops: StepOperators):
 
 
 def _advance(cfg: EvolutionConfig):
-    """The step function of ``cfg``; it takes ``w_prev`` with its Dirichlet values cleared."""
+    """The step function of ``cfg``, taking ``w_prev`` (Dirichlet values cleared) and the
+    state before it; Newton starts from ``2 w_prev - w_before``, Picard ignores ``w_before``."""
     return _picard_step if cfg.nonlinear == "picard" else _newton_step
 
 
@@ -212,13 +214,16 @@ def step(w_prev: FeField, cfg: EvolutionConfig, ops: StepOperators) -> FeField:
     """Advance one implicit step from ``w_prev``.
 
     The Dirichlet values of ``w_prev`` are taken as zero, as in :func:`run`.
-    Chord Newton reuses ``ops.factor`` and may replace it, so successive
-    calls on the same ``ops`` share one factorization.
+    With no earlier state, Newton starts from ``w_prev`` itself.  Chord Newton
+    reuses ``ops.factor`` and may replace it, so successive calls on the same
+    ``ops`` share one factorization.
     """
     if w_prev.mesh is not ops.mesh:
         raise ValueError("state does not live on the operators' mesh")
-    values, _ = _advance(cfg)(_pinned_cleared(w_prev.values, ops), cfg, ops)
-    return FeField(ops.mesh, values)
+    if cfg.k != ops.k:
+        raise ValueError("operators were built for another step size")
+    w = _pinned_cleared(w_prev.values, ops)
+    return FeField(ops.mesh, _advance(cfg)(w, w, cfg, ops)[0])
 
 
 @dataclass(eq=False)
@@ -305,9 +310,10 @@ def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> Tra
 
     record(0, w, 0)
     advance = _advance(cfg)
+    w_before = w
     for n in range(1, n_steps + 1):
         try:
-            w, count = advance(w, cfg, ops)
+            w_before, (w, count) = w, advance(w, w_before, cfg, ops)
         except NonconvergenceError as exc:
             raise NonconvergenceError(
                 f"step {n} (t = {n * cfg.k:.6g}): {exc}",

@@ -404,6 +404,10 @@ def test_pattern_assembly_matches_element_assembly(jittered_mesh, n, pinned, see
         assert_relative_close(
             disc.matrix(disc.transport(w.values)), assemble_convection_by_transport(w)
         )
+        # the matrix-free kernel of the Newton residual
+        assert_relative_close(
+            disc.convection(w.values), assemble_convection_by_transport(w) @ w.values
+        )
         assert_relative_close(
             disc.matrix(disc.gradient(w.values)), assemble_convection_by_gradient(w)
         )

@@ -249,6 +249,25 @@ def test_rejects_malformed_configs(tmp_path, capsys):
         tmp_path, {**BASE, "time": {"k": 0.01, "t_end": 0.1, "nonlinear": "secant"}}, "j.json"
     )
     assert "secant" in run_error(capsys, ["simulate", "--config", unknown_solver])
+    # numbers are never coerced: bools, strings and non-integral sizes name their key
+    study = {"levels": [2, 4], "reference": 8, "t_eval": 0.05}
+    segment = [[1, 0], [1, "1"]]
+    for command, key, payload in (
+        ("simulate", "domain.n", {**BASE, "domain": {"n": 4.7}}),
+        ("simulate", "physics.nu", {**BASE, "physics": {"nu": True, "c0": 1.0}}),
+        ("simulate", "physics.c0", {**BASE, "physics": {"nu": 0.1, "c0": float("inf")}}),
+        ("simulate", "time.k", {**BASE, "time": {"k": "abc", "t_end": 0.1}}),
+        ("simulate", "domain.dirichlet", {**BASE, "domain": {"n": 4, "dirichlet": segment}}),
+        ("simulate", "time.t_end", {**BASE, "time": {"k": 0.01, "t_end": None}}),
+        ("steady", "steady.mean", {**BASE, "steady": {**BASE["steady"], "mean": None}}),
+        ("study", "study.levels", {**BASE, "study": {**study, "levels": [2, 4.5]}}),
+        ("study", "study.reference", {**BASE, "study": {**study, "reference": 8.5}}),
+        ("study", "study.t_eval", {**BASE, "study": {**study, "t_eval": False}}),
+    ):
+        path = write_config(tmp_path, payload, f"{key}.json")
+        assert f"config key '{key}' must be" in run_error(capsys, [command, "--config", path])
+    not_a_list = write_config(tmp_path, {**BASE, "study": {**study, "levels": 4}}, "k.json")
+    assert "'study.levels' must be a list" in run_error(capsys, ["study", "--config", not_a_list])
 
 
 def readme_config_table():

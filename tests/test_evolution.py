@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burgersfb.assembly import (
+    Discretization,
     FeField,
     apply_dirichlet,
     assemble_boundary_mass,
@@ -180,8 +181,10 @@ def test_step_ignores_pinned_values_of_previous_state(nonlinear):
     assert np.array_equal(steps[0], steps[1])
 
 
-def reference_step(w_prev, cfg, mesh, u_steady):
-    """One backward Euler step built only from the public element assemblers."""
+def reference_step(w_prev, cfg, mesh, u_steady, start=None):
+    """One backward Euler step built only from the public element assemblers.
+
+    Newton starts from ``start`` (``w_prev`` when omitted)."""
     dofs = dirichlet_vertex_indices(mesh)
     mass = assemble_mass(mesh)
     constant = (
@@ -193,7 +196,7 @@ def reference_step(w_prev, cfg, mesh, u_steady):
     if cfg.control is not None:
         constant = constant + feedback_matrix(u_steady, cfg.control)
         scale, tags = 2.0 / (9.0 * cfg.control.c0), ACTIVE_TAGS
-    w = w_prev.copy()
+    w = (w_prev if start is None else start).copy()
     w[dofs] = 0.0
     if cfg.nonlinear == "picard":
         field = FeField(mesh, w)
@@ -236,9 +239,11 @@ def test_steps_match_element_assembly_reference(nonlinear, controlled, pinned):
     # run() starts from w0 with the Dirichlet values cleared
     start = w0.values.copy()
     start[dirichlet_vertex_indices(mesh)] = 0.0
-    w = start
+    w_before = w = start
     for n in range(1, 4):
-        w, count = reference_step(w, cfg, mesh, u_steady)
+        # run() starts Newton from the extrapolation 2 w_n - w_{n-1}
+        first = None if nonlinear == "picard" else 2.0 * w - w_before
+        w_before, (w, count) = w, reference_step(w, cfg, mesh, u_steady, first)
         assert record.newton_iters[n] == count
     assert np.max(np.abs(record.final_state.values - w)) <= 1e-12
     if controlled:
@@ -298,6 +303,62 @@ def test_chord_matches_full_newton(jittered_mesh, n, k, amplitude, pinned, contr
         factorizations[solver] = ops.factorizations
     assert np.max(np.abs(states["chord"] - states["newton"])) <= 1e-8
     assert 1 <= factorizations["chord"] <= factorizations["newton"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    n=st.integers(2, 6),
+    k=st.floats(1e-3, 5e-2),
+    amplitude=st.floats(0.01, 0.5),
+    pinned=st.booleans(),
+    controlled=st.booleans(),
+    solver=st.sampled_from(["chord", "newton"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_extrapolated_run_matches_chained_steps(
+    jittered_mesh, n, k, amplitude, pinned, controlled, solver, seed
+):
+    # run() starts Newton from 2 w_n - w_{n-1}; step() has no history and
+    # starts from w_n.  Both converge to the same step.
+    mesh = jittered_mesh(n, pinned, np.random.default_rng(seed))
+    u_steady = steady_shear(mesh)
+    control = ControlParams(nu=NU, c0=C0) if controlled else None
+    cfg = config(k=k, t_end=6 * k, nonlinear=solver, control=control)
+    w0 = FeField(mesh, amplitude * initial_bump(mesh).values)
+    record = run(w0, cfg, mesh, u_steady)
+    ops = build_operators(mesh, u_steady, cfg)
+    w = w0
+    for _ in range(6):
+        w = step(w, cfg, ops)
+    assert np.max(np.abs(record.final_state.values - w.values)) <= 1e-8
+    assert np.all(record.final_state.values[dirichlet_vertex_indices(mesh)] == 0.0)
+    if controlled:
+        # the paper's Lyapunov claim at the discrete level: V_n <= V_{n-1}
+        assert np.all(np.diff(record.lyapunov) <= 0.0)
+
+
+@pytest.mark.parametrize("solver", ["chord", "newton"])
+def test_jacobian_data_built_only_on_refactor(monkeypatch, solver):
+    # the residual is matrix-free: transport and gradient data are built once
+    # per factorization, and no sparse matrix is built per iteration
+    calls = {"transport": [], "gradient": [], "matrix": []}
+    for name in calls:
+        def counted(self, values, _name=name, _original=getattr(Discretization, name)):
+            calls[_name].append(values)
+            return _original(self, values)
+
+        monkeypatch.setattr(Discretization, name, counted)
+    mesh = build_unit_square_mesh(4)
+    u_steady = steady_shear(mesh)
+    record = run(initial_bump(mesh), config(nonlinear=solver), mesh, u_steady)
+    for name in ("transport", "gradient"):
+        # build_operators' convection by the steady state comes first
+        assert calls[name][0] is u_steady.values
+        assert len(calls[name]) - 1 == record.factorizations
+    # mass, stiffness and step matrix, then one Jacobian per factorization
+    assert len(calls["matrix"]) == 3 + record.factorizations
+    if solver == "chord":
+        assert len(calls["matrix"]) < record.newton_iters.sum()
 
 
 def test_run_counts_factorizations():
@@ -386,6 +447,10 @@ def test_run_input_validation():
             mesh,
             steady_shear(mesh),
         )
+    # the step matrix folds in the step size the operators were built for
+    ops = build_operators(mesh, steady_shear(mesh), config(k=0.01))
+    with pytest.raises(ValueError, match="step size"):
+        step(initial_bump(mesh), config(k=0.02), ops)
 
 
 def test_lyapunov_values(unit4):
