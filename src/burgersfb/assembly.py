@@ -24,7 +24,6 @@ __all__ = [
     "FeField",
     "NonNestedMeshError",
     "Quadrature",
-    "apply_dirichlet",
     "assemble_boundary_mass",
     "assemble_convection_by_gradient",
     "assemble_convection_by_transport",
@@ -35,7 +34,6 @@ __all__ = [
     "boundary_load",
     "boundary_quadrature",
     "convection_form",
-    "default_quadrature",
     "dirichlet_vertex_indices",
     "discrete_laplacian",
     "elliptic_projection",
@@ -91,11 +89,6 @@ def _default_quadrature() -> Quadrature:
 
 
 _QUADRATURE = _default_quadrature()
-
-
-def default_quadrature() -> Quadrature:
-    """The rule pair used by every assembly routine in this module."""
-    return _QUADRATURE
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,41 +353,34 @@ def boundary_cubic_jacobian(w: FeField, tags=None) -> sp.csr_matrix:
     return assemble_boundary_mass(w.mesh, 3.0 * tr**2, tags)
 
 
+def _at_interior_points(mesh: Mesh, f) -> np.ndarray:
+    """A callable (or constant) at the interior quadrature points, shape (triangles, points)."""
+    lam = _QUADRATURE.interior_points
+    shape = (mesh.triangles.shape[0], lam.shape[0])
+    if not callable(f):
+        return np.full(shape, float(f))
+    corners = mesh.vertices[mesh.triangles]
+    values = f(corners[:, :, 0] @ lam.T, corners[:, :, 1] @ lam.T)
+    return np.asarray(values, dtype=float) * np.ones(shape)
+
+
 def load_vector(mesh: Mesh, f) -> np.ndarray:
     """Vector of ``integral of f phi_i`` by the interior rule."""
     areas, _, _ = _geometry(mesh)
+    fq = _at_interior_points(mesh, f)
     lam = _QUADRATURE.interior_points
-    wq = _QUADRATURE.interior_weights
-    tri = mesh.triangles
-    v = mesh.vertices
-    nt, nq = tri.shape[0], lam.shape[0]
-    px = v[tri][:, :, 0] @ lam.T
-    py = v[tri][:, :, 1] @ lam.T
-    if callable(f):
-        fq = np.asarray(f(px, py), dtype=float) * np.ones((nt, nq))
-    else:
-        fq = np.full((nt, nq), float(f))
-    contrib = np.einsum("q,eq,qi->ei", wq, fq, lam) * (2.0 * areas)[:, None]
+    contrib = np.einsum("q,eq,qi->ei", _QUADRATURE.interior_weights, fq, lam)
+    contrib *= (2.0 * areas)[:, None]
     out = np.zeros(mesh.num_vertices)
-    np.add.at(out, tri.ravel(), contrib.ravel())
+    np.add.at(out, mesh.triangles.ravel(), contrib.ravel())
     return out
 
 
 def integrate(mesh: Mesh, f) -> float:
     """Integral of a callable (or constant) over the mesh by the interior rule."""
     areas, _, _ = _geometry(mesh)
-    lam = _QUADRATURE.interior_points
-    wq = _QUADRATURE.interior_weights
-    tri = mesh.triangles
-    v = mesh.vertices
-    nt, nq = tri.shape[0], lam.shape[0]
-    if callable(f):
-        px = v[tri][:, :, 0] @ lam.T
-        py = v[tri][:, :, 1] @ lam.T
-        fq = np.asarray(f(px, py), dtype=float) * np.ones((nt, nq))
-    else:
-        fq = np.full((nt, nq), float(f))
-    return float(np.sum((fq @ wq) * 2.0 * areas))
+    fq = _at_interior_points(mesh, f)
+    return float(np.sum((fq @ _QUADRATURE.interior_weights) * 2.0 * areas))
 
 
 def discrete_laplacian(mesh: Mesh, w: FeField, flux=None) -> FeField:
@@ -468,26 +454,17 @@ def elliptic_projection(mesh: Mesh, f, fx, fy) -> FeField:
     definite without boundary conditions.
     """
     areas, gx, gy = _geometry(mesh)
-    lam = _QUADRATURE.interior_points
     wq = _QUADRATURE.interior_weights
-    tri = mesh.triangles
-    v = mesh.vertices
-    nt, nq = tri.shape[0], lam.shape[0]
-    px = v[tri][:, :, 0] @ lam.T
-    py = v[tri][:, :, 1] @ lam.T
-    ones = np.ones((nt, nq))
-    fq = np.asarray(f(px, py), dtype=float) * ones
-    fxq = np.asarray(fx(px, py), dtype=float) * ones
-    fyq = np.asarray(fy(px, py), dtype=float) * ones
-    det = (2.0 * areas)[:, None]
+    fq, fxq, fyq = (_at_interior_points(mesh, g) for g in (f, fx, fy))
     # gradient part: grad phi_i constant per element
     grad_part = (
         gx * ((fxq * wq[None, :]).sum(axis=1) * 2.0 * areas)[:, None]
         + gy * ((fyq * wq[None, :]).sum(axis=1) * 2.0 * areas)[:, None]
     )
-    mass_part = np.einsum("q,eq,qi->ei", wq, fq, lam) * det
+    mass_part = np.einsum("q,eq,qi->ei", wq, fq, _QUADRATURE.interior_points)
+    mass_part *= (2.0 * areas)[:, None]
     b = np.zeros(mesh.num_vertices)
-    np.add.at(b, tri.ravel(), (grad_part + mass_part).ravel())
+    np.add.at(b, mesh.triangles.ravel(), (grad_part + mass_part).ravel())
     a = assemble_stiffness(mesh) + assemble_mass(mesh)
     return FeField(mesh, solve_general(a, b))
 
@@ -498,21 +475,6 @@ def dirichlet_vertex_indices(mesh: Mesh) -> np.ndarray:
     return np.unique(mesh.boundary_edges[mask])
 
 
-def apply_dirichlet(matrix: sp.spmatrix, dofs: np.ndarray) -> sp.csr_matrix:
-    """Eliminate rows and columns of constrained dofs, placing unit diagonals."""
-    n = matrix.shape[0]
-    dofs = np.asarray(dofs, dtype=int)
-    if dofs.size == 0:
-        return sp.csr_matrix(matrix)
-    keep = np.ones(n)
-    keep[dofs] = 0.0
-    selector = sp.diags(keep)
-    pinned = np.zeros(n)
-    pinned[dofs] = 1.0
-    out = selector @ matrix @ selector + sp.diags(pinned)
-    return sp.csr_matrix(out)
-
-
 class Discretization:
     """Fixed CSC sparsity pattern of one mesh and the maps onto it.
 
@@ -521,8 +483,9 @@ class Discretization:
     2, 2) give the data position of each local matrix entry, so assembly is
     one ``np.bincount``; ``mass`` and ``stiffness`` are data on the pattern.
     ``trace`` maps nodal values to the active-edge quadrature points, one row
-    per (edge, point).  ``dirichlet_zero`` and ``dirichlet_diag`` are the
-    slots that :meth:`eliminate` clears and sets to one.
+    per (edge, point).  ``dirichlet`` holds the pinned vertices, and
+    ``dirichlet_zero`` and ``dirichlet_diag`` are the slots that
+    :meth:`eliminate` clears and sets to one.
     """
 
     def __init__(self, mesh: Mesh, tags=None):
@@ -553,8 +516,9 @@ class Discretization:
             ),
             shape=(points, n),
         )
+        self.dirichlet = dirichlet_vertex_indices(mesh)
         pinned = np.zeros(n, dtype=bool)
-        pinned[dirichlet_vertex_indices(mesh)] = True
+        pinned[self.dirichlet] = True
         self.dirichlet_zero = np.flatnonzero(pinned[rows] | pinned[columns])
         self.dirichlet_diag = np.flatnonzero(pinned[rows] & (rows == columns))
 
@@ -592,6 +556,6 @@ class Discretization:
         return self.trace.T @ (gq * self.bq.lengths[:, None] * self.bq.weights).ravel()
 
     def eliminate(self, data: np.ndarray) -> None:
-        """In place, what :func:`apply_dirichlet` does to the matrix."""
+        """Eliminate the Dirichlet rows and columns in place, with unit diagonals."""
         data[self.dirichlet_zero] = 0.0
         data[self.dirichlet_diag] = 1.0

@@ -95,16 +95,22 @@ def _number(value, key: str, integer: bool = False):
     return int(value) if integer else float(value)
 
 
-def _segment(raw):
-    return tuple(tuple(_number(c, "domain.dirichlet") for c in point) for point in raw)
-
-
 def _dirichlet_region(raw):
+    """A segment, two points of two numbers, or a non-empty list of segments."""
     if raw is None:
         return None
-    if isinstance(raw[0][0], (list, tuple)):
-        return [_segment(seg) for seg in raw]
-    return _segment(raw)
+    first = raw[0] if isinstance(raw, list) and raw else None
+    nested = isinstance(first, list) and first and isinstance(first[0], list)
+    segments = raw if nested else [raw]
+    for seg in segments:
+        if not (isinstance(seg, list) and len(seg) == 2
+                and all(isinstance(point, list) and len(point) == 2 for point in seg)):
+            raise ValueError(
+                "config key 'domain.dirichlet' must be a segment [[x0, y0], [x1, y1]] "
+                f"or a non-empty list of segments, got {json.dumps(raw)}"
+            )
+    return [tuple(tuple(_number(c, "domain.dirichlet") for c in point) for point in seg)
+            for seg in segments]
 
 
 def _build_mesh(config: dict):

@@ -23,8 +23,6 @@ __all__ = [
     "ACTIVE_TAGS",
     "ControlParams",
     "NoActiveBoundaryError",
-    "control_boundary_l2",
-    "control_trace",
 ]
 
 # the boundary tags the feedback acts on
@@ -78,21 +76,3 @@ def _active_flux(bq, w: FeField, u_steady: FeField, params: ControlParams) -> np
 def _boundary_l2(bq, values: np.ndarray) -> float:
     val = np.sum((values**2 @ bq.weights) * bq.lengths)
     return float(np.sqrt(max(val, 0.0)))
-
-
-def control_trace(w: FeField, u_steady: FeField, params: ControlParams) -> np.ndarray:
-    """Feedback flux at every boundary quadrature node.
-
-    Returns an array of shape (boundary edges, quadrature points); rows of
-    inactive edges are zero.
-    """
-    bq = _active_quadrature(w.mesh)
-    full = np.zeros((w.mesh.num_boundary_edges, bq.weights.size))
-    full[bq.index] = _active_flux(bq, w, u_steady, params)
-    return full
-
-
-def control_boundary_l2(w: FeField, u_steady: FeField, params: ControlParams) -> float:
-    """L2 norm of the feedback flux over the active boundary."""
-    bq = _active_quadrature(w.mesh)
-    return _boundary_l2(bq, _active_flux(bq, w, u_steady, params))

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import Discretization, FeField, dirichlet_vertex_indices
+from .assembly import Discretization, FeField
 from .control import (
     ACTIVE_TAGS,
     ControlParams,
@@ -96,13 +96,11 @@ class StepOperators:
     the steps have made.
     """
 
-    mesh: Mesh
     mass: "object"
     stiffness: "object"
     step_matrix: "object"
     k: float
     cubic_scale: float
-    dirichlet: np.ndarray
     disc: Discretization
     feedback: Optional[np.ndarray]
     factor: Optional[Factorization] = None
@@ -133,13 +131,11 @@ def build_operators(mesh: Mesh, u_steady: FeField, cfg: EvolutionConfig) -> Step
         constant = constant + disc.boundary_mass(feedback)
         cubic_scale = 2.0 / (9.0 * cfg.control.c0)
     return StepOperators(
-        mesh=mesh,
         mass=disc.matrix(disc.mass),
         stiffness=disc.matrix(disc.stiffness),
         step_matrix=disc.matrix(1.0 / cfg.k * disc.mass + constant),
         k=cfg.k,
         cubic_scale=cubic_scale,
-        dirichlet=dirichlet_vertex_indices(mesh),
         disc=disc,
         feedback=feedback,
     )
@@ -148,13 +144,13 @@ def build_operators(mesh: Mesh, u_steady: FeField, cfg: EvolutionConfig) -> Step
 def _pinned_cleared(values: np.ndarray, ops: StepOperators) -> np.ndarray:
     """Copy of ``values`` with the Dirichlet vertices set to zero."""
     out = values.copy()
-    out[ops.dirichlet] = 0.0
+    out[ops.disc.dirichlet] = 0.0
     return out
 
 
 def _newton_step(w_prev, w_before, cfg: EvolutionConfig, ops: StepOperators):
     disc = ops.disc
-    dofs = ops.dirichlet
+    dofs = disc.dirichlet
     inertia = (1.0 / ops.k) * (ops.mass @ w_prev)
     refresh_always = cfg.nonlinear == "newton"
     w = 2.0 * w_prev - w_before
@@ -199,7 +195,7 @@ def _picard_step(w_prev, w_before, cfg: EvolutionConfig, ops: StepOperators):
         system += disc.boundary_mass(ops.cubic_scale * disc.traces(w_prev) ** 2)
     rhs = (1.0 / ops.k) * (ops.mass @ w_prev)
     disc.eliminate(system)
-    rhs[ops.dirichlet] = 0.0
+    rhs[disc.dirichlet] = 0.0
     ops.factorizations += 1
     return solve_general(disc.matrix(system), rhs), 1
 
@@ -218,12 +214,12 @@ def step(w_prev: FeField, cfg: EvolutionConfig, ops: StepOperators) -> FeField:
     reuses ``ops.factor`` and may replace it, so successive calls on the same
     ``ops`` share one factorization.
     """
-    if w_prev.mesh is not ops.mesh:
+    if w_prev.mesh is not ops.disc.mesh:
         raise ValueError("state does not live on the operators' mesh")
     if cfg.k != ops.k:
         raise ValueError("operators were built for another step size")
     w = _pinned_cleared(w_prev.values, ops)
-    return FeField(ops.mesh, _advance(cfg)(w, w, cfg, ops)[0])
+    return FeField(w_prev.mesh, _advance(cfg)(w, w, cfg, ops)[0])
 
 
 @dataclass(eq=False)

@@ -17,9 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .assembly import (
+    Discretization,
     FeField,
-    assemble_convection_by_gradient,
-    assemble_convection_by_transport,
     assemble_mass,
     assemble_stiffness,
     boundary_load,
@@ -41,6 +40,7 @@ __all__ = [
     "analytic_from_expression",
     "estimate_convection_constant",
     "manufacture_forcing",
+    "manufactured_solve_spec",
     "normal_flux",
     "smallness_report",
     "solve_steady",
@@ -158,10 +158,17 @@ def _steady_load(mesh: Mesh, spec: SteadySpec) -> np.ndarray:
     return load
 
 
-def _steady_residual_vector(mesh, values, nu, stiffness, load):
-    field = FeField(mesh, values)
-    transport = assemble_convection_by_transport(field)
-    return nu * (stiffness @ values) + transport @ values - load
+def _steady_system(mesh: Mesh, spec: SteadySpec):
+    """``(disc, residual, constraint)`` on one fixed pattern: ``residual(u)`` is
+    ``nu K u + T(u) u - load`` and ``constraint`` the mass row sums."""
+    disc = Discretization(mesh, ())
+    viscous = disc.matrix(spec.nu * disc.stiffness)
+    load = _steady_load(mesh, spec)
+
+    def residual(u: np.ndarray) -> np.ndarray:
+        return viscous @ u + disc.convection(u) - load
+
+    return disc, residual, np.bincount(disc.indices, disc.mass, mesh.num_vertices)
 
 
 def _quotient_norm(residual: np.ndarray, unit_constraint: np.ndarray) -> float:
@@ -196,33 +203,25 @@ def solve_steady(mesh: Mesh, spec: SteadySpec, full_output: bool = False):
         field = interpolate(spec.u_steady.value, mesh)
         return (field, [0.0]) if full_output else field
 
-    mass = assemble_mass(mesh)
-    stiffness = assemble_stiffness(mesh)
-    constraint = np.asarray(mass.sum(axis=1)).ravel()
+    disc, residual_at, constraint = _steady_system(mesh, spec)
     unit_constraint = constraint / np.linalg.norm(constraint)
-    load = _steady_load(mesh, spec)
     u = np.zeros(mesh.num_vertices)
-    residual = _steady_residual_vector(mesh, u, spec.nu, stiffness, load)
+    residual = residual_at(u)
     res_norm = _quotient_norm(residual, unit_constraint)
     history = [res_norm]
-    for _ in range(_STEADY_MAX_ITER):
+    for iteration in range(_STEADY_MAX_ITER + 1):
         mean_gap = spec.mean_value - float(constraint @ u)
         if res_norm <= _STEADY_TOL and abs(mean_gap) <= 1e-10:
             field = FeField(mesh, u)
             return (field, history) if full_output else field
-        field = FeField(mesh, u)
-        jac = (
-            spec.nu * stiffness
-            + assemble_convection_by_transport(field)
-            + assemble_convection_by_gradient(field)
-        )
+        if iteration == _STEADY_MAX_ITER:
+            break
+        jac = disc.matrix(spec.nu * disc.stiffness + disc.transport(u) + disc.gradient(u))
         delta, _ = solve_bordered(jac, constraint, -residual, mean_gap)
         step = 1.0
         for _halving in range(9):
             candidate = u + step * delta
-            cand_residual = _steady_residual_vector(
-                mesh, candidate, spec.nu, stiffness, load
-            )
+            cand_residual = residual_at(candidate)
             cand_norm = _quotient_norm(cand_residual, unit_constraint)
             if cand_norm < res_norm or cand_norm <= _STEADY_TOL:
                 break
@@ -234,10 +233,6 @@ def solve_steady(mesh: Mesh, spec: SteadySpec, full_output: bool = False):
             )
         u, residual, res_norm = candidate, cand_residual, cand_norm
         history.append(res_norm)
-    mean_gap = spec.mean_value - float(constraint @ u)
-    if res_norm <= _STEADY_TOL and abs(mean_gap) <= 1e-10:
-        field = FeField(mesh, u)
-        return (field, history) if full_output else field
     raise NonconvergenceError(
         f"steady Newton did not converge in {_STEADY_MAX_ITER} iterations "
         f"(residual {res_norm:.3e})",
@@ -256,12 +251,8 @@ def steady_residual(mesh: Mesh, u: FeField, forcing, nu: float,
     if u.mesh is not mesh:
         raise ValueError("field does not live on the given mesh")
     spec = SteadySpec(nu=nu, forcing=forcing, neumann_flux=neumann_flux)
-    load = _steady_load(mesh, spec)
-    constraint = np.asarray(assemble_mass(mesh).sum(axis=1)).ravel()
-    residual = _steady_residual_vector(
-        mesh, u.values, nu, assemble_stiffness(mesh), load
-    )
-    return _quotient_norm(residual, constraint / np.linalg.norm(constraint))
+    _, residual, constraint = _steady_system(mesh, spec)
+    return _quotient_norm(residual(u.values), constraint / np.linalg.norm(constraint))
 
 
 def estimate_convection_constant(mesh: Mesh, samples: int = 64, seed: int = 0) -> float:

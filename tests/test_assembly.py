@@ -17,9 +17,7 @@ from burgersfb.assembly import (
     boundary_cubic_residual,
     boundary_quadrature,
     convection_form,
-    default_quadrature,
     dirichlet_vertex_indices,
-    apply_dirichlet,
     discrete_laplacian,
     elliptic_projection,
     h1_seminorm,
@@ -36,6 +34,7 @@ from burgersfb.mesh import (
     refine_uniform,
     tag_boundary,
 )
+from oracles import apply_dirichlet, default_quadrature
 
 
 def random_field(mesh, rng, scale=1.0):

@@ -268,6 +268,13 @@ def test_rejects_malformed_configs(tmp_path, capsys):
         assert f"config key '{key}' must be" in run_error(capsys, [command, "--config", path])
     not_a_list = write_config(tmp_path, {**BASE, "study": {**study, "levels": 4}}, "k.json")
     assert "'study.levels' must be a list" in run_error(capsys, ["study", "--config", not_a_list])
+    # a Dirichlet region is one segment or a non-empty list of segments
+    shapes = (5, [5], [], [[]], [[0, 0]], [[1, 0], [1, 1], [0, 1]], [[[1, 0]]])
+    for i, region in enumerate(shapes):
+        payload = {**BASE, "domain": {"n": 4, "dirichlet": region}}
+        path = write_config(tmp_path, payload, f"region{i}.json")
+        message = run_error(capsys, ["simulate", "--config", path])
+        assert "config key 'domain.dirichlet' must be" in message
 
 
 def readme_config_table():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from burgersfb.assembly import (
     Discretization,
     FeField,
-    apply_dirichlet,
     assemble_boundary_mass,
     assemble_convection_by_gradient,
     assemble_convection_by_transport,
@@ -22,7 +21,7 @@ from burgersfb.assembly import (
     trace_values,
 )
 from burgersfb import evolution
-from burgersfb.control import ACTIVE_TAGS, ControlParams, control_boundary_l2
+from burgersfb.control import ACTIVE_TAGS, ControlParams
 from burgersfb.evolution import (
     DecayReport,
     EvolutionConfig,
@@ -36,6 +35,7 @@ from burgersfb.evolution import (
 )
 from burgersfb.mesh import build_unit_square_mesh, tag_boundary
 from burgersfb.sparse import NonconvergenceError, solve_general
+from oracles import apply_dirichlet, control_boundary_l2
 
 NU = 0.1
 C0 = 1.0

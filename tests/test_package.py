@@ -1,5 +1,8 @@
 """The package namespace the benchmark and the README rely on."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 
 import burgersfb
@@ -24,3 +27,19 @@ def test_package_exposes_submodules_and_runs_readme_example():
     rate = fit_decay_rate(record, window=(0.0, 0.1)).fitted_rate
     assert 0.0 < record.l2[-1] < record.l2[0]
     assert rate > 0.0
+
+
+def test_every_listed_name_exists_and_test_oracles_are_not_listed():
+    for info in pkgutil.iter_modules(burgersfb.__path__):
+        module = importlib.import_module(f"burgersfb.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{info.name}.{name}"
+    assert "manufactured_solve_spec" in burgersfb.steady.__all__
+    # reference code the tests compare against lives in tests/oracles.py
+    for module, name in (
+        (burgersfb.assembly, "apply_dirichlet"),
+        (burgersfb.assembly, "default_quadrature"),
+        (burgersfb.control, "control_trace"),
+        (burgersfb.control, "control_boundary_l2"),
+    ):
+        assert not hasattr(module, name), name

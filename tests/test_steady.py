@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from burgersfb import steady
+from burgersfb import assembly, steady
 from burgersfb.assembly import FeField, interpolate, l2_norm
 from burgersfb.mesh import build_unit_square_mesh
 from burgersfb.sparse import NonconvergenceError
 from burgersfb.steady import (
+    AnalyticFunction,
     SteadySpec,
     analytic_from_expression,
     estimate_convection_constant,
@@ -16,6 +19,7 @@ from burgersfb.steady import (
     solve_steady,
     steady_residual,
 )
+from oracles import steady_residual_and_gap
 
 NU = 0.1
 
@@ -126,6 +130,54 @@ def test_steady_residual_values(unit4):
         unit4, field, spec.forcing, NU, neumann_flux=spec.neumann_flux
     )
     assert got <= 1e-10
+
+
+def test_steady_solve_runs_on_one_fixed_pattern(monkeypatch, mixed8):
+    def element_assembly(*args):
+        raise AssertionError("element assembly on the steady path")
+
+    built = []
+
+    class Counted(assembly.Discretization):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(assembly, "_element_triplets", element_assembly)
+    monkeypatch.setattr(steady, "Discretization", Counted)
+    spec = manufactured_solve_spec(shear(), NU, -0.1)
+    field = solve_steady(mixed8, spec)
+    assert len(built) == 1
+    built.clear()
+    assert steady_residual(mixed8, field, spec.forcing, NU, spec.neumann_flux) <= 1e-10
+    assert len(built) == 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    n=st.integers(1, 6),
+    pinned=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    a=st.floats(-0.5, 0.5),
+    b=st.floats(-0.5, 0.5),
+    c=st.floats(-0.5, 0.5),
+)
+def test_steady_solve_meets_element_assembled_residual(jittered_mesh, n, pinned, seed, a, b, c):
+    # For a + b < 0 the smallness condition can fail and the solve may land on
+    # another discrete solution, so only the residual and the mean are checked.
+    mesh = jittered_mesh(n, pinned, np.random.default_rng(seed))
+    state = AnalyticFunction(
+        value=lambda x, y: a * x + b * y + c,
+        dx=lambda x, y: a,
+        dy=lambda x, y: b,
+        laplacian=lambda x, y: 0.0,
+    )
+    weights = np.asarray(assembly.assemble_mass(mesh).sum(axis=1)).ravel()
+    mean = float(weights @ interpolate(state.value, mesh).values)
+    spec = manufactured_solve_spec(state, NU, mean)
+    residual, gap = steady_residual_and_gap(solve_steady(mesh, spec), spec)
+    assert residual <= 1e-10 + 1e-13
+    assert abs(gap) <= 1e-10
 
 
 def test_steady_residual_decreases_under_refinement():
