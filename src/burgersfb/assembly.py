@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import BoundaryTag, Mesh
-from .sparse import _csr, solve_general
+from .sparse import Factorization, _csr, solve_general
 
 __all__ = [
     "BoundaryQuadrature",
@@ -485,7 +485,11 @@ class Discretization:
     ``trace`` maps nodal values to the active-edge quadrature points, one row
     per (edge, point).  ``dirichlet`` holds the pinned vertices, and
     ``dirichlet_zero`` and ``dirichlet_diag`` are the slots that
-    :meth:`eliminate` clears and sets to one.
+    :meth:`eliminate` clears and sets to one.  :meth:`factor` is the time
+    loop's band LU: ``order`` numbers the vertices row by row (by ``y``,
+    then ``x``), which keeps the unit-square meshes and their refinements
+    within ``bandwidth = n + 2`` of the diagonal, and ``band_slots`` is each
+    slot's flat index in the band array.  Other solves stay on SuperLU.
     """
 
     def __init__(self, mesh: Mesh, tags=None):
@@ -521,10 +525,20 @@ class Discretization:
         pinned[self.dirichlet] = True
         self.dirichlet_zero = np.flatnonzero(pinned[rows] | pinned[columns])
         self.dirichlet_diag = np.flatnonzero(pinned[rows] & (rows == columns))
+        # np.lexsort takes its last key, y, as the primary one
+        self.order = np.lexsort(mesh.vertices.T)
+        rank = np.argsort(self.order)
+        offset = rank[rows] - rank[columns]
+        self.bandwidth = int(np.max(np.abs(offset)))
+        self.band_slots = 2 * self.bandwidth + offset + (3 * self.bandwidth + 1) * rank[columns]
 
     def matrix(self, data: np.ndarray) -> sp.csc_matrix:
         n = self.mesh.num_vertices
         return sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+    def factor(self, data: np.ndarray) -> Factorization:
+        """Certified band LU of ``matrix(data)`` in the vertex order ``order``."""
+        return Factorization(self.matrix(data), (self.order, self.bandwidth, self.band_slots))
 
     def _scatter(self, slots, blocks):
         return np.bincount(slots.ravel(), blocks.ravel(), self.indices.size)

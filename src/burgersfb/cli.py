@@ -35,7 +35,7 @@ from .harness import (
     run_example1,
     run_example2,
 )
-from .mesh import build_unit_square_mesh, tag_boundary
+from .mesh import InvalidRegionError, build_unit_square_mesh, tag_boundary
 from .steady import (
     SteadySpec,
     analytic_from_expression,
@@ -348,7 +348,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:  # includes json.JSONDecodeError
-        sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
+        # only the Dirichlet region reaches tag_boundary, which raises InvalidRegionError
+        key = "config key 'domain.dirichlet': " if isinstance(exc, InvalidRegionError) else ""
+        sys.stderr.write(json.dumps({"error": key + str(exc)}) + "\n")
         return 2
 
 

@@ -33,7 +33,7 @@ from .control import (
     _linear_coefficient,
 )
 from .mesh import Mesh, friedrichs_constant
-from .sparse import Factorization, NonconvergenceError, solve_general
+from .sparse import Factorization, NonconvergenceError
 
 __all__ = [
     "DecayReport",
@@ -178,7 +178,7 @@ def _newton_step(w_prev, w_before, cfg: EvolutionConfig, ops: StepOperators):
                 jacobian += ops.cubic_scale * disc.boundary_mass(3.0 * tr**2)
             disc.eliminate(jacobian)
             ops.factor = None  # never hold two factorizations at once
-            ops.factor = Factorization(disc.matrix(jacobian))
+            ops.factor = disc.factor(jacobian)
             ops.factorizations += 1
         w = w + ops.factor.solve(-residual)
     raise NonconvergenceError(
@@ -197,7 +197,7 @@ def _picard_step(w_prev, w_before, cfg: EvolutionConfig, ops: StepOperators):
     disc.eliminate(system)
     rhs[disc.dirichlet] = 0.0
     ops.factorizations += 1
-    return solve_general(disc.matrix(system), rhs), 1
+    return disc.factor(system).solve(rhs), 1
 
 
 def _advance(cfg: EvolutionConfig):

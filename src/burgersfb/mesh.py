@@ -49,6 +49,9 @@ class RefinementParent:
     mesh: "Mesh"
     vertex_parents: np.ndarray
 
+    def __post_init__(self):
+        self.vertex_parents.setflags(write=False)
+
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
@@ -72,6 +75,8 @@ class Mesh:
         the unit square builders; halved by uniform refinement).
     refinement_parent : RefinementParent or None
         Set on meshes produced by :func:`refine_uniform`.
+
+    The arrays are read-only: a ``Discretization`` caches maps derived from them.
     """
 
     vertices: np.ndarray
@@ -81,6 +86,11 @@ class Mesh:
     boundary_tags: np.ndarray
     h: float
     refinement_parent: RefinementParent | None = None
+
+    def __post_init__(self):
+        for array in (self.vertices, self.triangles, self.boundary_edges,
+                      self.boundary_normals, self.boundary_tags):
+            array.setflags(write=False)
 
     @property
     def num_vertices(self) -> int:

@@ -1,11 +1,14 @@
 """Sparse storage and the linear solvers behind assembly and Newton loops.
 
 Assembly outside the time loop builds scipy CSR; the time loop builds CSC
-on one fixed pattern, which SuperLU takes without conversion.  Two solves
-cover every need of the package: a sparse LU with partial pivoting for
-square systems (mass solves, projections, Newton corrections), kept as a
-:class:`Factorization` when one factor serves several right-hand sides, and
-a bordered solve for the mean-constrained steady problem.
+on one fixed pattern.  Every square solve is a certified
+:class:`Factorization` with partial pivoting, kept when one factor serves
+several right-hand sides.  The time loop's step and Jacobian matrices are
+factored by LAPACK band LU (``dgbtrf``/``dgbtrs``) in the vertex order of
+their :class:`~burgersfb.assembly.Discretization`; SuperLU serves the
+bordered solve of the mean-constrained steady problem, the one-off mass
+and projection solves, and :func:`solve_general`, the reference the tests
+compare the band path against.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 __all__ = [
     "Factorization",
@@ -63,21 +67,27 @@ def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
 
 
 class Factorization:
-    """Sparse LU of a square matrix with partial pivoting; solves certified.
+    """LU of a square matrix with partial pivoting; solves certified.
 
     Every solution must satisfy
     ``||a x - b||_inf <= 1e-10 (||a||_inf ||x||_inf + ||b||_inf)`` against
     the factored ``a``; a singular factorization or a failed certificate
-    raises :class:`SingularMatrixError`.
+    raises :class:`SingularMatrixError`.  The factor is SuperLU's, or with
+    ``band = (order, width, slots)`` LAPACK band LU of the CSC ``a`` permuted
+    to half-bandwidth ``width`` by ``order``; ``slots`` are the flat indices
+    of ``a.data`` in the Fortran-ordered ``(3 width + 1, n)`` band array.
     """
 
-    def __init__(self, a: sp.spmatrix):
+    def __init__(self, a: sp.spmatrix, band=None):
         if a.shape[0] != a.shape[1]:
             raise ValueError(f"matrix {a.shape} is not square")
         self.matrix = a
         self.norm_inf = float(np.max(np.abs(a).sum(axis=1))) if a.nnz else 0.0
+        if band is not None:
+            self._solve = _band_lu(a.data, *band)
+            return
         try:
-            self._lu = spla.splu(sp.csc_matrix(a))
+            self._solve = spla.splu(sp.csc_matrix(a)).solve
         except RuntimeError as exc:
             raise SingularMatrixError(f"factorization failed: {exc}") from exc
 
@@ -87,7 +97,7 @@ class Factorization:
         if self.matrix.shape != (n, n):
             raise ValueError(f"matrix {self.matrix.shape} does not match vector of size {n}")
         try:
-            x = self._lu.solve(b)
+            x = self._solve(b)
         except RuntimeError as exc:
             raise SingularMatrixError(f"factorization failed: {exc}") from exc
         if not np.all(np.isfinite(x)):
@@ -102,6 +112,23 @@ class Factorization:
                 resid,
             )
         return x
+
+
+def _band_lu(data, order, width, slots):
+    """``dgbtrf`` of CSC ``data`` placed at ``slots``; returns a solve in the unpermuted order."""
+    n = order.size
+    ab = np.zeros((3 * width + 1) * n)
+    ab[slots] = data
+    lu, piv, info = dgbtrf(ab.reshape(3 * width + 1, n, order="F"), width, width, overwrite_ab=1)
+    if info:
+        raise SingularMatrixError(f"factorization failed: dgbtrf info {info}")
+
+    def solve(b):
+        x = np.empty_like(b)
+        x[order] = dgbtrs(lu, width, width, b[order], piv, overwrite_b=1)[0]
+        return x
+
+    return solve
 
 
 def solve_general(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:

@@ -336,6 +336,31 @@ def test_prolong_exactness_and_norm_preservation(rng):
     assert h1_seminorm(lifted) == pytest.approx(h1_seminorm(w), abs=1e-12)
 
 
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    n=st.integers(1, 6),
+    refinements=st.integers(1, 2),
+    pinned=st.booleans(),
+    coefficients=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prolong_equals_interpolation_on_nested_pairs(
+    jittered_mesh, n, refinements, pinned, coefficients, seed
+):
+    coarse = jittered_mesh(n, pinned, np.random.default_rng(seed))
+    fine = coarse
+    for _ in range(refinements):
+        fine = refine_uniform(fine)
+    a, b, c = coefficients
+    f = lambda x, y: a * x + b * y + c  # noqa: E731
+    coarse_field = interpolate(f, coarse)
+    lifted = prolong(coarse_field, fine).values
+    gap = np.max(np.abs(lifted - interpolate(f, fine).values))
+    assert gap <= 1e-14 * (1.0 + abs(a) + abs(b) + abs(c))
+    # refinement keeps the coarse vertices first, under their own indices
+    assert np.array_equal(lifted[: coarse.num_vertices], coarse_field.values)
+
+
 def test_prolong_rejects_unrelated_meshes():
     a = build_unit_square_mesh(2)
     b = build_unit_square_mesh(4)  # same vertices, not a refinement descendant

@@ -275,6 +275,12 @@ def test_rejects_malformed_configs(tmp_path, capsys):
         path = write_config(tmp_path, payload, f"region{i}.json")
         message = run_error(capsys, ["simulate", "--config", path])
         assert "config key 'domain.dirichlet' must be" in message
+    # a well-shaped segment that is not axis-aligned, or that misses every boundary edge
+    for i, region in enumerate(([[1, 0], [0.5, 0.5]], [[2, 0], [2, 1]])):
+        payload = {**BASE, "domain": {"n": 4, "dirichlet": region}}
+        path = write_config(tmp_path, payload, f"edge{i}.json")
+        for command in ("simulate", "steady"):
+            assert "config key 'domain.dirichlet'" in run_error(capsys, [command, "--config", path])
 
 
 def readme_config_table():

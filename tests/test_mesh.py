@@ -114,6 +114,20 @@ def test_tag_boundary_rejects_unmatched_region(unit4):
         tag_boundary(unit4, ((2.0, 0.0), (2.0, 1.0)))  # off the boundary
 
 
+def test_mesh_arrays_are_read_only():
+    mesh = refine_uniform(tag_boundary(build_unit_square_mesh(2), RIGHT_SIDE))
+    for array in (
+        mesh.vertices,
+        mesh.triangles,
+        mesh.boundary_edges,
+        mesh.boundary_normals,
+        mesh.boundary_tags,
+        mesh.refinement_parent.vertex_parents,
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
 def test_friedrichs_constant_values():
     # max over the boundary of max(|x|^2, |x|)
     assert friedrichs_constant(build_unit_square_mesh(4)) == 2.0

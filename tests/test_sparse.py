@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from burgersfb.assembly import assemble_mass, assemble_stiffness, interpolate
-from burgersfb.mesh import build_unit_square_mesh
+from burgersfb.assembly import Discretization, assemble_mass, assemble_stiffness, interpolate
+from burgersfb.mesh import BoundaryTag, build_unit_square_mesh, refine_uniform
 from burgersfb.sparse import (
     Factorization,
     SingularMatrixError,
@@ -122,3 +124,49 @@ def test_bordered_poisson_with_zero_mean():
 def test_bordered_rejects_zero_constraint():
     with pytest.raises(ValueError):
         solve_bordered(sp.identity(2, format="csr"), np.zeros(2), np.zeros(2), 0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    n=st.integers(1, 6),
+    pinned=st.booleans(),
+    k=st.floats(1e-3, 5e-2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_band_factor_matches_superlu(jittered_mesh, n, pinned, k, seed):
+    rng = np.random.default_rng(seed)
+    mesh = jittered_mesh(n, pinned, rng)
+    disc = Discretization(mesh, (BoundaryTag.NEUMANN_CONTROL,))
+    u, w = rng.standard_normal((2, mesh.num_vertices))
+    feedback = rng.uniform(0.0, 2.0, disc.bq.points.shape[:2])
+    step = (
+        disc.mass / k
+        + 0.1 * disc.stiffness
+        + disc.transport(u)
+        + disc.gradient(u)
+        + disc.boundary_mass(feedback)
+    )
+    jacobian = step + disc.transport(w) + disc.gradient(w) + disc.boundary_mass(feedback**2)
+    for data in (step, jacobian):
+        disc.eliminate(data)
+        b = rng.standard_normal(mesh.num_vertices)
+        expected = solve_general(disc.matrix(data), b)
+        x = disc.factor(data).solve(b)
+        assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_band_factor_rejects_a_zero_column(unit4):
+    disc = Discretization(unit4)
+    data = disc.mass.copy()
+    data[disc.indptr[7] : disc.indptr[8]] = 0.0
+    with pytest.raises(SingularMatrixError, match="factorization failed"):
+        disc.factor(data)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_band_is_one_grid_row_wide(n):
+    # a renumbering that widened the band would grow every factor's memory
+    mesh = build_unit_square_mesh(n)
+    for level in range(3):
+        assert Discretization(mesh).bandwidth == n * 2**level + 2
+        mesh = refine_uniform(mesh)
