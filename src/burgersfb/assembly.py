@@ -4,8 +4,9 @@ Element integrals use a six-point interior rule exact to degree 4 and a
 three-point Gauss rule on boundary edges exact to degree 5, so every
 polynomial integrand appearing in the discrete forms (quadratic convection
 terms, cubic and quartic boundary traces) is integrated exactly.  Matrices
-are assembled cell-by-cell with vectorized numpy and returned as scipy CSR;
+are assembled cell-by-cell (triangles or edges) and returned as scipy CSR;
 :class:`Discretization` assembles the same forms onto one fixed CSC pattern.
+Both share one edge trace, :func:`_trace`, and one edge load, :func:`_edge_load`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import BoundaryTag, Mesh
-from .sparse import Factorization, _csr, solve_general
+from .sparse import Factorization, solve_general
 
 __all__ = [
     "BoundaryQuadrature",
@@ -93,13 +94,14 @@ _QUADRATURE = _default_quadrature()
 
 @dataclass(frozen=True, eq=False)
 class FeField:
-    """Nodal P1 field: one value per mesh vertex."""
+    """Nodal P1 field: one value per mesh vertex, held in a read-only view."""
 
     mesh: Mesh
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.asarray(self.values, dtype=float).view()
+        values.setflags(write=False)
         object.__setattr__(self, "values", values)
         if values.shape != (self.mesh.num_vertices,):
             raise ValueError(
@@ -128,13 +130,12 @@ def _geometry(mesh: Mesh):
     return areas, gx / det[:, None], gy / det[:, None]
 
 
-def _element_triplets(mesh: Mesh, element_matrices: np.ndarray):
-    t = mesh.triangles
-    nt = t.shape[0]
-    rows = np.broadcast_to(t[:, :, None], (nt, 3, 3)).ravel()
-    cols = np.broadcast_to(t[:, None, :], (nt, 3, 3)).ravel()
-    n = mesh.num_vertices
-    return _csr(rows, cols, element_matrices.ravel(), (n, n))
+def _element_triplets(mesh: Mesh, cells: np.ndarray, blocks: np.ndarray) -> sp.csr_matrix:
+    """Sum of the local ``blocks`` (cells, k, k) on the vertex tuples ``cells`` (cells, k)."""
+    m, k = cells.shape
+    rows = np.broadcast_to(cells[:, :, None], (m, k, k)).ravel()
+    cols = np.broadcast_to(cells[:, None, :], (m, k, k)).ravel()
+    return sp.csr_matrix((blocks.ravel(), (rows, cols)), shape=(mesh.num_vertices,) * 2)
 
 
 _MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -168,13 +169,12 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     Each element block is ``area / 12 * [[2, 1, 1], [1, 2, 1], [1, 1, 2]]``.
     """
     areas, _, _ = _geometry(mesh)
-    elements = areas[:, None, None] * _MASS_PATTERN[None, :, :]
-    return _element_triplets(mesh, elements)
+    return _element_triplets(mesh, mesh.triangles, areas[:, None, None] * _MASS_PATTERN)
 
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """Stiffness matrix of gradient inner products; constants span its kernel."""
-    return _element_triplets(mesh, _stiffness_blocks(*_geometry(mesh)))
+    return _element_triplets(mesh, mesh.triangles, _stiffness_blocks(*_geometry(mesh)))
 
 
 def assemble_convection_by_transport(v: FeField) -> sp.csr_matrix:
@@ -184,7 +184,7 @@ def assemble_convection_by_transport(v: FeField) -> sp.csr_matrix:
     integrand is quadratic per element, so the interior rule is exact.
     """
     blocks = _transport_blocks(*_geometry(v.mesh), v.values[v.mesh.triangles])
-    return _element_triplets(v.mesh, blocks)
+    return _element_triplets(v.mesh, v.mesh.triangles, blocks)
 
 
 def assemble_convection_by_gradient(v: FeField) -> sp.csr_matrix:
@@ -194,7 +194,7 @@ def assemble_convection_by_gradient(v: FeField) -> sp.csr_matrix:
     block is that constant times the element mass block.
     """
     blocks = _gradient_blocks(*_geometry(v.mesh), v.values[v.mesh.triangles])
-    return _element_triplets(v.mesh, blocks)
+    return _element_triplets(v.mesh, v.mesh.triangles, blocks)
 
 
 def convection_form(v: FeField, w: FeField, z: FeField) -> float:
@@ -264,29 +264,19 @@ def trace_values(w: FeField, tags=None) -> np.ndarray:
 
 
 def _trace(values: np.ndarray, bq: BoundaryQuadrature) -> np.ndarray:
-    t = _QUADRATURE.edge_points
-    return values[bq.edges[:, 0], None] * (1.0 - t) + values[bq.edges[:, 1], None] * t
+    v = values[bq.edges]
+    return v[:, :1] * bq.basis[0] + v[:, 1:] * bq.basis[1]
 
 
 def _coefficient_at_edge_quadrature(g, bq: BoundaryQuadrature) -> np.ndarray:
     """Coerce a scalar or an (ne, nq) array coefficient to (ne, nq)."""
-    ne, nq = bq.points.shape[0], bq.points.shape[1]
+    shape = bq.points.shape[:2]
     arr = np.asarray(g, dtype=float)
     if arr.ndim == 0:
-        return np.full((ne, nq), float(arr))
-    if arr.shape != (ne, nq):
-        raise ValueError(
-            f"coefficient array has shape {arr.shape}, expected ({ne}, {nq})"
-        )
+        return np.full(shape, float(arr))
+    if arr.shape != shape:
+        raise ValueError(f"coefficient array has shape {arr.shape}, expected {shape}")
     return arr
-
-
-def _edge_triplets(mesh: Mesh, bq: BoundaryQuadrature, blocks: np.ndarray):
-    ne = bq.edges.shape[0]
-    rows = np.broadcast_to(bq.edges[:, :, None], (ne, 2, 2)).ravel()
-    cols = np.broadcast_to(bq.edges[:, None, :], (ne, 2, 2)).ravel()
-    n = mesh.num_vertices
-    return _csr(rows, cols, blocks.ravel(), (n, n))
 
 
 def assemble_boundary_mass(mesh: Mesh, g, tags=None) -> sp.csr_matrix:
@@ -298,11 +288,8 @@ def assemble_boundary_mass(mesh: Mesh, g, tags=None) -> sp.csr_matrix:
     field's trace are supported without edge splitting.
     """
     bq = boundary_quadrature(mesh, tags)
-    if bq.edges.shape[0] == 0:
-        n = mesh.num_vertices
-        return sp.csr_matrix((n, n))
     gq = _coefficient_at_edge_quadrature(g, bq)
-    return _edge_triplets(mesh, bq, _edge_blocks(bq, gq))
+    return _element_triplets(mesh, bq.edges, _edge_blocks(bq, gq))
 
 
 def _edge_blocks(bq: BoundaryQuadrature, gq: np.ndarray) -> np.ndarray:
@@ -319,27 +306,21 @@ def boundary_load(mesh: Mesh, g, tags=None) -> np.ndarray:
     expressed directly.
     """
     bq = boundary_quadrature(mesh, tags)
-    out = np.zeros(mesh.num_vertices)
-    if bq.edges.shape[0] == 0:
-        return out
     if callable(g):
-        ne, nq = bq.points.shape[0], bq.points.shape[1]
-        gq = np.asarray(
-            g(
-                bq.points[:, :, 0],
-                bq.points[:, :, 1],
-                np.broadcast_to(bq.normals[:, None, 0], (ne, nq)),
-                np.broadcast_to(bq.normals[:, None, 1], (ne, nq)),
-            ),
-            dtype=float,
-        ) * np.ones((ne, nq))
-    else:
-        gq = _coefficient_at_edge_quadrature(g, bq)
-    contrib = np.einsum("q,eq,iq->ei", bq.weights, gq, bq.basis)
-    contrib *= bq.lengths[:, None]
-    np.add.at(out, bq.edges[:, 0], contrib[:, 0])
-    np.add.at(out, bq.edges[:, 1], contrib[:, 1])
-    return out
+        shape = bq.points.shape[:2]
+        g = g(
+            bq.points[:, :, 0],
+            bq.points[:, :, 1],
+            np.broadcast_to(bq.normals[:, None, 0], shape),
+            np.broadcast_to(bq.normals[:, None, 1], shape),
+        )
+    return _edge_load(bq, _coefficient_at_edge_quadrature(g, bq), mesh.num_vertices)
+
+
+def _edge_load(bq: BoundaryQuadrature, gq: np.ndarray, n: int) -> np.ndarray:
+    """Length-``n`` vector of ``integral over the edges of bq of g phi_i``, ``gq`` at the points."""
+    weights = (gq * bq.lengths[:, None] * bq.weights)[:, :, None] * bq.basis.T
+    return np.bincount(np.repeat(bq.edges, bq.weights.size, axis=0).ravel(), weights.ravel(), n)
 
 
 def boundary_cubic_residual(w: FeField, tags=None) -> np.ndarray:
@@ -349,8 +330,7 @@ def boundary_cubic_residual(w: FeField, tags=None) -> np.ndarray:
 
 def boundary_cubic_jacobian(w: FeField, tags=None) -> sp.csr_matrix:
     """Derivative of :func:`boundary_cubic_residual`: entries 3 w^2 phi_j phi_i."""
-    tr = trace_values(w, tags)
-    return assemble_boundary_mass(w.mesh, 3.0 * tr**2, tags)
+    return assemble_boundary_mass(w.mesh, 3.0 * trace_values(w, tags) ** 2, tags)
 
 
 def _at_interior_points(mesh: Mesh, f) -> np.ndarray:
@@ -371,9 +351,7 @@ def load_vector(mesh: Mesh, f) -> np.ndarray:
     lam = _QUADRATURE.interior_points
     contrib = np.einsum("q,eq,qi->ei", _QUADRATURE.interior_weights, fq, lam)
     contrib *= (2.0 * areas)[:, None]
-    out = np.zeros(mesh.num_vertices)
-    np.add.at(out, mesh.triangles.ravel(), contrib.ravel())
-    return out
+    return np.bincount(mesh.triangles.ravel(), contrib.ravel(), mesh.num_vertices)
 
 
 def integrate(mesh: Mesh, f) -> float:
@@ -455,16 +433,14 @@ def elliptic_projection(mesh: Mesh, f, fx, fy) -> FeField:
     """
     areas, gx, gy = _geometry(mesh)
     wq = _QUADRATURE.interior_weights
-    fq, fxq, fyq = (_at_interior_points(mesh, g) for g in (f, fx, fy))
+    fxq, fyq = (_at_interior_points(mesh, g) for g in (fx, fy))
     # gradient part: grad phi_i constant per element
     grad_part = (
         gx * ((fxq * wq[None, :]).sum(axis=1) * 2.0 * areas)[:, None]
         + gy * ((fyq * wq[None, :]).sum(axis=1) * 2.0 * areas)[:, None]
     )
-    mass_part = np.einsum("q,eq,qi->ei", wq, fq, _QUADRATURE.interior_points)
-    mass_part *= (2.0 * areas)[:, None]
-    b = np.zeros(mesh.num_vertices)
-    np.add.at(b, mesh.triangles.ravel(), (grad_part + mass_part).ravel())
+    b = np.bincount(mesh.triangles.ravel(), grad_part.ravel(), mesh.num_vertices)
+    b += load_vector(mesh, f)
     a = assemble_stiffness(mesh) + assemble_mass(mesh)
     return FeField(mesh, solve_general(a, b))
 
@@ -482,8 +458,9 @@ class Discretization:
     ``element_slots`` (triangles, 3, 3) and ``edge_slots`` (active edges,
     2, 2) give the data position of each local matrix entry, so assembly is
     one ``np.bincount``; ``mass`` and ``stiffness`` are data on the pattern.
-    ``trace`` maps nodal values to the active-edge quadrature points, one row
-    per (edge, point).  ``dirichlet`` holds the pinned vertices, and
+    ``bq`` is the active-edge quadrature; :meth:`traces` and
+    :meth:`boundary_load` use the same :func:`_trace` and :func:`_edge_load`
+    as the free functions.  ``dirichlet`` holds the pinned vertices, and
     ``dirichlet_zero`` and ``dirichlet_diag`` are the slots that
     :meth:`eliminate` clears and sets to one.  :meth:`factor` is the time
     loop's band LU: ``order`` numbers the vertices row by row (by ``y``,
@@ -508,18 +485,9 @@ class Discretization:
         lam, areas, gx, gy = _QUADRATURE.interior_points, *self.geometry
         self._q = lam.T @ (_QUADRATURE.interior_weights[:, None] * lam)  # Q = lam^T diag(wq) lam
         self._det_s = (2.0 * areas)[:, None] * (gx + gy)
-        self.bq = bq = boundary_quadrature(mesh, tags)
-        e = bq.edges
+        self.bq = boundary_quadrature(mesh, tags)
+        e = self.bq.edges
         self.edge_slots = np.searchsorted(keys, e[:, None, :] * n + e[:, :, None])
-        points = e.shape[0] * bq.weights.size
-        self.trace = sp.csr_matrix(
-            (
-                np.tile(bq.basis.T, (e.shape[0], 1)).ravel(),
-                np.repeat(e, bq.weights.size, axis=0).ravel(),
-                np.arange(0, 2 * points + 1, 2),
-            ),
-            shape=(points, n),
-        )
         self.dirichlet = dirichlet_vertex_indices(mesh)
         pinned = np.zeros(n, dtype=bool)
         pinned[self.dirichlet] = True
@@ -559,7 +527,7 @@ class Discretization:
 
     def traces(self, values: np.ndarray) -> np.ndarray:
         """Values at the active-edge quadrature points, shape (edges, points)."""
-        return (self.trace @ values).reshape(self.bq.points.shape[:2])
+        return _trace(values, self.bq)
 
     def boundary_mass(self, gq: np.ndarray) -> np.ndarray:
         """Boundary mass data for coefficient values ``gq`` of shape (edges, points)."""
@@ -567,7 +535,7 @@ class Discretization:
 
     def boundary_load(self, gq: np.ndarray) -> np.ndarray:
         """Vector of ``integral over active edges of g phi_i``."""
-        return self.trace.T @ (gq * self.bq.lengths[:, None] * self.bq.weights).ravel()
+        return _edge_load(self.bq, gq, self.mesh.num_vertices)
 
     def eliminate(self, data: np.ndarray) -> None:
         """Eliminate the Dirichlet rows and columns in place, with unit diagonals."""

@@ -47,13 +47,15 @@ class ControlParams:
             raise ValueError(f"control gain must be positive, got {self.c0}")
 
 
-def _active_quadrature(mesh: Mesh):
-    bq = boundary_quadrature(mesh, ACTIVE_TAGS)
+def _check_active(bq):
+    """Return the active-edge quadrature ``bq``; raise if it has no edge."""
     if bq.edges.shape[0] == 0:
-        raise NoActiveBoundaryError(
-            "no boundary edge carries an active control tag"
-        )
+        raise NoActiveBoundaryError("no boundary edge carries an active control tag")
     return bq
+
+
+def _active_quadrature(mesh: Mesh):
+    return _check_active(boundary_quadrature(mesh, ACTIVE_TAGS))
 
 
 def _linear_coefficient(steady_trace: np.ndarray, params: ControlParams) -> np.ndarray:

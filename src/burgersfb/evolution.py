@@ -27,8 +27,8 @@ from .assembly import Discretization, FeField
 from .control import (
     ACTIVE_TAGS,
     ControlParams,
-    NoActiveBoundaryError,
     _boundary_l2,
+    _check_active,
     _feedback_flux,
     _linear_coefficient,
 )
@@ -125,8 +125,7 @@ def build_operators(mesh: Mesh, u_steady: FeField, cfg: EvolutionConfig) -> Step
     cubic_scale = 0.0
     feedback = None
     if cfg.control is not None:
-        if disc.bq.edges.shape[0] == 0:
-            raise NoActiveBoundaryError("no boundary edge carries an active control tag")
+        _check_active(disc.bq)
         feedback = _linear_coefficient(disc.traces(u_steady.values), cfg.control)
         constant = constant + disc.boundary_mass(feedback)
         cubic_scale = 2.0 / (9.0 * cfg.control.c0)

@@ -54,20 +54,8 @@ class NonconvergenceError(RuntimeError):
         self.time = time
 
 
-def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
-    """Fast array-based CSR constructor shared with the assembly module."""
-    nr, nc = shape
-    if len(rows):
-        if rows.min() < 0 or rows.max() >= nr or cols.min() < 0 or cols.max() >= nc:
-            raise ValueError("triplet index outside matrix dimensions")
-    out = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-    out.sum_duplicates()
-    out.sort_indices()
-    return out
-
-
 class Factorization:
-    """LU of a square matrix with partial pivoting; solves certified.
+    """LU of a square CSR or CSC matrix with partial pivoting; solves certified.
 
     Every solution must satisfy
     ``||a x - b||_inf <= 1e-10 (||a||_inf ||x||_inf + ||b||_inf)`` against
@@ -79,10 +67,13 @@ class Factorization:
     """
 
     def __init__(self, a: sp.spmatrix, band=None):
-        if a.shape[0] != a.shape[1]:
+        n, m = a.shape
+        if n != m:
             raise ValueError(f"matrix {a.shape} is not square")
         self.matrix = a
-        self.norm_inf = float(np.max(np.abs(a).sum(axis=1))) if a.nnz else 0.0
+        # row sums of |a|: CSC stores the row of each entry, CSR the extent of each row
+        rows = a.indices if a.format == "csc" else np.repeat(np.arange(n), np.diff(a.indptr))
+        self.norm_inf = float(np.max(np.bincount(rows, np.abs(a.data), n), initial=0.0))
         if band is not None:
             self._solve = _band_lu(a.data, *band)
             return

@@ -407,6 +407,15 @@ def test_field_shape_validation(unit4):
         FeField(unit4, np.full(unit4.num_vertices, np.nan))
 
 
+def test_field_values_are_read_only(unit4):
+    values = np.zeros(unit4.num_vertices)
+    field = FeField(unit4, values)
+    with pytest.raises(ValueError):
+        field.values[0] = 1.0
+    assert values.flags.writeable
+    values[0] = 1.0
+
+
 def assert_relative_close(actual, expected, rtol=1e-13):
     if sp.issparse(actual):
         actual, expected = actual.toarray(), expected.toarray()
@@ -442,6 +451,16 @@ def test_pattern_assembly_matches_element_assembly(jittered_mesh, n, pinned, see
             disc.matrix(disc.boundary_mass(gq)), assemble_boundary_mass(mesh, gq, tags)
         )
         assert_relative_close(disc.boundary_load(tr**3), boundary_cubic_residual(w, tags))
+        # references that bypass _trace and _edge_load: the two edge basis
+        # functions sum to one, and the trace of a linear field is exact
+        ones = np.ones(mesh.num_vertices)
+        assert_relative_close(disc.boundary_load(gq), disc.matrix(disc.boundary_mass(gq)) @ ones)
+        a, b, c = rng.standard_normal(3)
+        linear = a * mesh.vertices[:, 0] + b * mesh.vertices[:, 1] + c
+        points = disc.bq.points
+        assert_relative_close(
+            disc.traces(linear), a * points[..., 0] + b * points[..., 1] + c, rtol=1e-14
+        )
         assert_relative_close(
             disc.matrix(disc.boundary_mass(3.0 * tr**2)), boundary_cubic_jacobian(w, tags)
         )

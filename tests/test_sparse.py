@@ -76,6 +76,13 @@ def test_factorization_serves_several_right_hand_sides(rng):
         factor.solve(np.ones(a.shape[0] + 1))
 
 
+def test_norm_inf_sums_rows_in_either_format():
+    # row sums 6, 2, 3.5 and column sums 1.5, 7, 3: a column sum would read 7
+    dense = np.array([[1.0, -5.0, 0.0], [0.0, 2.0, 0.0], [0.5, 0.0, -3.0]])
+    for a in (sp.csr_matrix(dense), sp.csc_matrix(dense)):
+        assert Factorization(a).norm_inf == abs(a).toarray().sum(axis=1).max() == 6.0
+
+
 def test_factorization_certificate_raises(rng):
     with pytest.raises(SingularMatrixError):
         Factorization(sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])))
@@ -112,7 +119,7 @@ def test_bordered_poisson_with_zero_mean():
     mass = assemble_mass(mesh)
     row = np.asarray(mass.sum(axis=1)).ravel()
     f = interpolate(lambda x, y: np.cos(np.pi * x), mesh).values
-    f -= (row @ f) / row.sum()  # zero mass-weighted mean
+    f = f - (row @ f) / row.sum()  # zero mass-weighted mean
     b = mass @ f
     x, mu = solve_bordered(stiffness, row, b, 0.0)
     # K x + mu c = b exactly; the multiplier should vanish for zero-mean data
