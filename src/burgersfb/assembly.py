@@ -1,10 +1,10 @@
 """P1 finite element assembly on triangulations.
 
-Element integrals use a six-point interior rule exact to degree 4 and a
-three-point Gauss rule on boundary edges exact to degree 5, so every
-polynomial integrand appearing in the discrete forms (quadratic convection
-terms, cubic and quartic boundary traces) is integrated exactly.  Matrices
-are assembled cell-by-cell (triangles or edges) and returned as scipy CSR;
+Convection is exact on the P1 mass pattern, as ``(d/dx1 + d/dx2) w`` is
+constant per triangle.  A six-point interior rule exact to degree 4 only
+samples callables, and a three-point Gauss rule on boundary edges exact to
+degree 5 integrates the cubic and quartic traces exactly.  Matrices are
+assembled cell-by-cell (triangles or edges) and returned as scipy CSR;
 :class:`Discretization` assembles the same forms onto one fixed CSC pattern.
 Both share one edge trace, :func:`_trace`, and one edge load, :func:`_edge_load`.
 """
@@ -147,20 +147,18 @@ def _stiffness_blocks(areas, gx, gy):
     )
 
 
-def _transport_blocks(areas, gx, gy, vk):
-    # vk: coefficient values at the element vertices, shape (triangles, 3)
-    lam = _QUADRATURE.interior_points
-    wq = _QUADRATURE.interior_weights
-    vq = vk @ lam.T
-    s = gx + gy
-    det = 2.0 * areas
-    coeff = (vq * wq[None, :]) @ lam
-    return det[:, None, None] * coeff[:, :, None] * s[:, None, :]
+def _slopes(areas, gx, gy):
+    """Integral over each triangle of ``(d/dx1 + d/dx2) phi_j``, shape (triangles, 3)."""
+    return areas[:, None] * (gx + gy)
 
 
-def _gradient_blocks(areas, gx, gy, vk):
-    sv = np.sum(vk * (gx + gy), axis=1)
-    return (sv * areas)[:, None, None] * _MASS_PATTERN[None, :, :]
+def _transport_blocks(ds, vk):
+    # ds from _slopes; vk: coefficient values at the element vertices, shape (triangles, 3)
+    return (vk @ _MASS_PATTERN)[:, :, None] * ds[:, None, :]
+
+
+def _gradient_blocks(ds, vk):
+    return np.sum(ds * vk, axis=1)[:, None, None] * _MASS_PATTERN
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
@@ -180,10 +178,11 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
 def assemble_convection_by_transport(v: FeField) -> sp.csr_matrix:
     """Matrix of ``integral of v (d/dx1 + d/dx2) phi_j phi_i``.
 
-    The coefficient ``v`` multiplies the transported basis function; the
-    integrand is quadratic per element, so the interior rule is exact.
+    The coefficient ``v`` multiplies the transported basis function, whose
+    derivative is constant per element, so each block is that slope times
+    the mass-pattern image of ``v``.
     """
-    blocks = _transport_blocks(*_geometry(v.mesh), v.values[v.mesh.triangles])
+    blocks = _transport_blocks(_slopes(*_geometry(v.mesh)), v.values[v.mesh.triangles])
     return _element_triplets(v.mesh, v.mesh.triangles, blocks)
 
 
@@ -193,7 +192,7 @@ def assemble_convection_by_gradient(v: FeField) -> sp.csr_matrix:
     The directional derivative of ``v`` is constant per element, so each
     block is that constant times the element mass block.
     """
-    blocks = _gradient_blocks(*_geometry(v.mesh), v.values[v.mesh.triangles])
+    blocks = _gradient_blocks(_slopes(*_geometry(v.mesh)), v.values[v.mesh.triangles])
     return _element_triplets(v.mesh, v.mesh.triangles, blocks)
 
 
@@ -201,16 +200,9 @@ def convection_form(v: FeField, w: FeField, z: FeField) -> float:
     """Trilinear convection pairing ``integral of v (dw/dx1 + dw/dx2) z``."""
     if w.mesh is not v.mesh or z.mesh is not v.mesh:
         raise ValueError("convection_form requires fields on one mesh")
-    mesh = v.mesh
-    areas, gx, gy = _geometry(mesh)
-    lam = _QUADRATURE.interior_points
-    wq = _QUADRATURE.interior_weights
-    tri = mesh.triangles
-    vq = v.values[tri] @ lam.T
-    zq = z.values[tri] @ lam.T
-    sw = np.sum(w.values[tri] * (gx + gy), axis=1)
-    per_element = ((vq * zq) @ wq) * sw * (2.0 * areas)
-    return float(np.sum(per_element))
+    tri = v.mesh.triangles
+    vz = np.sum((v.values[tri] @ _MASS_PATTERN) * z.values[tri], axis=1)
+    return float(vz @ np.sum(_slopes(*_geometry(v.mesh)) * w.values[tri], axis=1))
 
 
 def _active_mask(mesh: Mesh, tags) -> np.ndarray:
@@ -457,7 +449,8 @@ class Discretization:
     Built once per mesh and set of active boundary ``tags``.
     ``element_slots`` (triangles, 3, 3) and ``edge_slots`` (active edges,
     2, 2) give the data position of each local matrix entry, so assembly is
-    one ``np.bincount``; ``mass`` and ``stiffness`` are data on the pattern.
+    one ``np.bincount``; ``mass`` and ``stiffness`` are data on the pattern,
+    and ``slopes`` (triangles, 3) feeds the convection kernels.
     ``bq`` is the active-edge quadrature; :meth:`traces` and
     :meth:`boundary_load` use the same :func:`_trace` and :func:`_edge_load`
     as the free functions.  ``dirichlet`` holds the pinned vertices, and
@@ -476,15 +469,13 @@ class Discretization:
         keys, slots = np.unique(tri[:, None, :] * n + tri[:, :, None], return_inverse=True)
         rows, columns = keys % n, keys // n
         self.mesh = mesh
-        self.geometry = _geometry(mesh)
+        geometry = _geometry(mesh)
         self.indices = rows.astype(np.int32)
         self.indptr = np.searchsorted(columns, np.arange(n + 1)).astype(np.int32)
         self.element_slots = slots.reshape(-1, 3, 3)
-        self.mass = self._scatter(self.element_slots, self.geometry[0][:, None, None] * _MASS_PATTERN)
-        self.stiffness = self._scatter(self.element_slots, _stiffness_blocks(*self.geometry))
-        lam, areas, gx, gy = _QUADRATURE.interior_points, *self.geometry
-        self._q = lam.T @ (_QUADRATURE.interior_weights[:, None] * lam)  # Q = lam^T diag(wq) lam
-        self._det_s = (2.0 * areas)[:, None] * (gx + gy)
+        self.mass = self._scatter(self.element_slots, geometry[0][:, None, None] * _MASS_PATTERN)
+        self.stiffness = self._scatter(self.element_slots, _stiffness_blocks(*geometry))
+        self.slopes = _slopes(*geometry)
         self.bq = boundary_quadrature(mesh, tags)
         e = self.bq.edges
         self.edge_slots = np.searchsorted(keys, e[:, None, :] * n + e[:, :, None])
@@ -512,17 +503,17 @@ class Discretization:
         return np.bincount(slots.ravel(), blocks.ravel(), self.indices.size)
 
     def transport(self, values: np.ndarray) -> np.ndarray:
-        blocks = _transport_blocks(*self.geometry, values[self.mesh.triangles])
+        blocks = _transport_blocks(self.slopes, values[self.mesh.triangles])
         return self._scatter(self.element_slots, blocks)
 
     def convection(self, values: np.ndarray) -> np.ndarray:
         """``matrix(transport(values)) @ values`` element by element, with no matrix."""
         wk = values[self.mesh.triangles]
-        element = (wk @ self._q) * np.sum(self._det_s * wk, axis=1)[:, None]
+        element = (wk @ _MASS_PATTERN) * np.sum(self.slopes * wk, axis=1)[:, None]
         return np.bincount(self.mesh.triangles.ravel(), element.ravel(), values.size)
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
-        blocks = _gradient_blocks(*self.geometry, values[self.mesh.triangles])
+        blocks = _gradient_blocks(self.slopes, values[self.mesh.triangles])
         return self._scatter(self.element_slots, blocks)
 
     def traces(self, values: np.ndarray) -> np.ndarray:

@@ -12,14 +12,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .assembly import FeField, interpolate, l2_norm
-from .control import ControlParams
 from .evolution import (
     _MIN_FIT_SAMPLES,
-    EvolutionConfig,
     _g,
     _write_csv,
     decay_rate_bound,
@@ -30,8 +29,10 @@ from .harness import (
     ProblemConfig,
     Study,
     StudyConfig,
+    _evolution,
     _initial_field,
     _steady_field,
+    _write_rates,
     run_example1,
     run_example2,
 )
@@ -95,6 +96,16 @@ def _number(value, key: str, integer: bool = False):
     return int(value) if integer else float(value)
 
 
+def _expression(value, key: str):
+    """Every closed-form config value is read here, as an ``AnalyticFunction``."""
+    if not isinstance(value, str):
+        raise ValueError(f"config key '{key}' must be a string, got {json.dumps(value)}")
+    try:
+        return analytic_from_expression(value)
+    except ValueError as exc:
+        raise ValueError(f"config key '{key}': {exc}") from None
+
+
 def _dirichlet_region(raw):
     """A segment, two points of two numbers, or a non-empty list of segments."""
     if raw is None:
@@ -132,7 +143,7 @@ def _steady_spec(config: dict) -> SteadySpec:
         return SteadySpec(
             nu=nu,
             mean_value=mean,
-            u_steady=analytic_from_expression(section["u_inf"]),
+            u_steady=_expression(section["u_inf"], "steady.u_inf"),
         )
     if mode == "solve":
         if "f_inf" not in section:
@@ -140,7 +151,7 @@ def _steady_spec(config: dict) -> SteadySpec:
         return SteadySpec(
             nu=nu,
             mean_value=mean,
-            forcing=analytic_from_expression(section["f_inf"]).value,
+            forcing=_expression(section["f_inf"], "steady.f_inf").value,
         )
     raise ValueError(f"unknown steady mode {mode!r}")
 
@@ -167,7 +178,7 @@ def _problem(config: dict) -> ProblemConfig:
         nu=nu,
         c0=_gain(config),
         steady=_steady_spec(config),
-        w0=analytic_from_expression(initial["w0"]),
+        w0=_expression(initial["w0"], "initial.w0"),
         dirichlet_region=_dirichlet_region(domain.get("dirichlet")),
         coefficient_source=config.get("steady", {}).get("source", "analytic"),
         initial_projection=initial.get("projection", "interpolate"),
@@ -230,17 +241,12 @@ def _cmd_simulate(args) -> int:
     problem = _problem(config)
     t_end = _number(_require(config, "time.t_end"), "time.t_end")
     mesh = _build_mesh(config)
-    controlled = _controlled(config)
+    evolution = _evolution(problem, _number(_require(config, "time.k"), "time.k"), t_end)
     # EvolutionConfig owns the default solver
-    section = config["time"]
-    solver = {"nonlinear": section["nonlinear"]} if "nonlinear" in section else {}
-    evolution = EvolutionConfig(
-        nu=problem.nu,
-        k=_number(_require(config, "time.k"), "time.k"),
-        t_end=t_end,
-        control=ControlParams(nu=problem.nu, c0=problem.c0) if controlled else None,
-        **solver,
-    )
+    if "nonlinear" in config["time"]:
+        evolution = replace(evolution, nonlinear=config["time"]["nonlinear"])
+    if not _controlled(config):
+        evolution = replace(evolution, control=None)
     u_steady = _steady_field(mesh, problem)
     record = run(_initial_field(mesh, problem), evolution, mesh, u_steady)
     out = _output_dir(config, args.output_dir)
@@ -282,15 +288,9 @@ def _cmd_study(args) -> int:
         )
     )
     table = study.rate_table()
-    out = _output_dir(config, args.output_dir)
-    state_path = os.path.join(out, "rates_state.csv")
-    control_path = os.path.join(out, "rates_control.csv")
-    table.write_state_csv(state_path)
-    table.write_control_csv(control_path)
     _emit(
         {
-            "rates_state": state_path,
-            "rates_control": control_path,
+            **_write_rates(table, _output_dir(config, args.output_dir)),
             "l2_rates": [float(r) for r in table.l2_rates],
             "h1_rates": [float(r) for r in table.h1_rates],
             "control_rates": [float(r) for r in table.control_rates],

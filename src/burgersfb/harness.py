@@ -68,6 +68,8 @@ class ProblemConfig:
             raise ValueError(f"viscosity must be positive, got {self.nu}")
         if self.c0 <= 0.0:
             raise ValueError(f"control gain must be positive, got {self.c0}")
+        if abs(self.steady.nu - self.nu) > 1e-14:
+            raise ValueError("steady viscosity disagrees with the dynamics")
         if self.coefficient_source not in ("analytic", "discrete"):
             raise ValueError(f"unknown coefficient source {self.coefficient_source!r}")
         if self.coefficient_source == "analytic" and self.steady.u_steady is None:
@@ -132,8 +134,10 @@ def _initial_field(mesh: Mesh, problem: ProblemConfig) -> FeField:
     return interpolate(problem.w0.value, mesh)
 
 
-def _control_params(problem: ProblemConfig) -> ControlParams:
-    return ControlParams(nu=problem.nu, c0=problem.c0)
+def _evolution(problem: ProblemConfig, k: float, t_end: float) -> EvolutionConfig:
+    """The problem's controlled dynamics with step ``k`` up to ``t_end``."""
+    control = ControlParams(nu=problem.nu, c0=problem.c0)
+    return EvolutionConfig(nu=problem.nu, k=k, t_end=t_end, control=control)
 
 
 class Study:
@@ -146,6 +150,7 @@ class Study:
 
     def __init__(self, config: StudyConfig):
         self.config = config
+        self._dynamics = _evolution(config.problem, config.k, config.t_eval)
         self._meshes: dict = {}
         self._steady: dict = {}
         self._records: dict = {}
@@ -183,17 +188,9 @@ class Study:
 
     def record(self, n: int) -> TrajectoryRecord:
         if n not in self._records:
-            cfg = self.config
-            problem = cfg.problem
             mesh = self.mesh(n)
-            evolution = EvolutionConfig(
-                nu=problem.nu,
-                k=cfg.k,
-                t_end=cfg.t_eval,
-                control=_control_params(problem),
-            )
-            record = run(_initial_field(mesh, problem), evolution, mesh, self.steady_field(n))
-            self._records[n] = record
+            w0 = _initial_field(mesh, self.config.problem)
+            self._records[n] = run(w0, self._dynamics, mesh, self.steady_field(n))
         return self._records[n]
 
     def state(self, n: int) -> FeField:
@@ -210,7 +207,7 @@ class Study:
     def control_errors(self, n: int) -> float:
         """Boundary L2 error of the feedback trace against the reference."""
         cfg = self.config
-        params = _control_params(cfg.problem)
+        params = self._dynamics.control
         ref_mesh = self.mesh(cfg.reference_level)
         ref_steady = self.steady_field(cfg.reference_level)
         coarse = prolong(self.state(n), ref_mesh)
@@ -251,43 +248,41 @@ class RateTable:
     control_errors: np.ndarray
     control_rates: np.ndarray
 
+    def _rows(self, *columns):
+        """``h``, then each (errors, rates) pair; the first row has no rates."""
+        for i, h in enumerate(self.hs):
+            row = [_g(h)]
+            for errors, rates in columns:
+                row += [_g(errors[i]), "" if i == 0 else _g(rates[i - 1])]
+            yield row
+
     def write_state_csv(self, stream) -> None:
-        _write_csv(
-            stream,
-            "h,error_l2,rate_l2,error_h1,rate_h1",
-            [
-                (
-                    _g(self.hs[i]),
-                    _g(self.l2_errors[i]),
-                    "" if i == 0 else _g(self.l2_rates[i - 1]),
-                    _g(self.h1_errors[i]),
-                    "" if i == 0 else _g(self.h1_rates[i - 1]),
-                )
-                for i in range(self.hs.shape[0])
-            ],
-        )
+        columns = (self.l2_errors, self.l2_rates), (self.h1_errors, self.h1_rates)
+        _write_csv(stream, "h,error_l2,rate_l2,error_h1,rate_h1", self._rows(*columns))
 
     def write_control_csv(self, stream) -> None:
-        _write_csv(
-            stream,
-            "h,error_control,rate_control",
-            [
-                (
-                    _g(self.hs[i]),
-                    _g(self.control_errors[i]),
-                    "" if i == 0 else _g(self.control_rates[i - 1]),
-                )
-                for i in range(self.hs.shape[0])
-            ],
-        )
+        columns = (self.control_errors, self.control_rates)
+        _write_csv(stream, "h,error_control,rate_control", self._rows(columns))
 
 
-def _control_norm_csv(path: str, record: TrajectoryRecord) -> None:
-    rows = [
-        (_g(record.times[i]), _g(record.control_l2[i]))
-        for i in range(record.times.shape[0])
-    ]
-    _write_csv(path, "time,control_l2", rows)
+def _write_rates(table: RateTable, output_dir: str) -> dict:
+    """``rates_state.csv`` and ``rates_control.csv`` in ``output_dir``, by key."""
+    keys = ("rates_state", "rates_control")
+    paths = {key: os.path.join(output_dir, key + ".csv") for key in keys}
+    table.write_state_csv(paths["rates_state"])
+    table.write_control_csv(paths["rates_control"])
+    return paths
+
+
+def _write_series(output_dir: str, prefix: str, controlled, uncontrolled) -> dict:
+    """The decay pair's series and the controlled feedback norm as ``<prefix>_*.csv``."""
+    names = {"controlled": "controlled", "uncontrolled": "uncontrolled", "control_norm": "control"}
+    paths = {key: os.path.join(output_dir, f"{prefix}_{name}.csv") for key, name in names.items()}
+    controlled.to_csv(paths["controlled"])
+    uncontrolled.to_csv(paths["uncontrolled"])
+    rows = zip(map(_g, controlled.times), map(_g, controlled.control_l2))
+    _write_csv(paths["control_norm"], "time,control_l2", rows)
+    return paths
 
 
 def _shear_steady() -> SteadySpec:
@@ -329,12 +324,7 @@ def _figure_runs(problem: ProblemConfig, n: int, k: float, t_end: float):
     mesh = tag_boundary(build_unit_square_mesh(n), problem.dirichlet_region)
     u_steady = _steady_field(mesh, problem)
     w0 = _initial_field(mesh, problem)
-    cfg = EvolutionConfig(
-        nu=problem.nu,
-        k=k,
-        t_end=t_end,
-        control=_control_params(problem),
-    )
+    cfg = _evolution(problem, k, t_end)
     controlled = run(w0, cfg, mesh, u_steady)
     uncontrolled = run(w0, replace(cfg, control=None), mesh, u_steady)
     return controlled, uncontrolled
@@ -368,18 +358,8 @@ def run_example1(
         )
     )
     table = study.rate_table()
-    paths = {
-        "controlled": os.path.join(output_dir, "example1_controlled.csv"),
-        "uncontrolled": os.path.join(output_dir, "example1_uncontrolled.csv"),
-        "control_norm": os.path.join(output_dir, "example1_control.csv"),
-        "rates_state": os.path.join(output_dir, "rates_state.csv"),
-        "rates_control": os.path.join(output_dir, "rates_control.csv"),
-    }
-    controlled.to_csv(paths["controlled"])
-    uncontrolled.to_csv(paths["uncontrolled"])
-    _control_norm_csv(paths["control_norm"], controlled)
-    table.write_state_csv(paths["rates_state"])
-    table.write_control_csv(paths["rates_control"])
+    paths = _write_series(output_dir, "example1", controlled, uncontrolled)
+    paths.update(_write_rates(table, output_dir))
     return ExampleResult(
         controlled=controlled, uncontrolled=uncontrolled, paths=paths, table=table
     )
@@ -395,12 +375,5 @@ def run_example2(
     os.makedirs(output_dir, exist_ok=True)
     problem = example2_problem()
     controlled, uncontrolled = _figure_runs(problem, n, k, t_end)
-    paths = {
-        "controlled": os.path.join(output_dir, "example2_controlled.csv"),
-        "uncontrolled": os.path.join(output_dir, "example2_uncontrolled.csv"),
-        "control_norm": os.path.join(output_dir, "example2_control.csv"),
-    }
-    controlled.to_csv(paths["controlled"])
-    uncontrolled.to_csv(paths["uncontrolled"])
-    _control_norm_csv(paths["control_norm"], controlled)
+    paths = _write_series(output_dir, "example2", controlled, uncontrolled)
     return ExampleResult(controlled=controlled, uncontrolled=uncontrolled, paths=paths)

@@ -65,12 +65,17 @@ def analytic_from_expression(expr: str) -> AnalyticFunction:
     """Parse an expression in x1, x2 and differentiate it symbolically.
 
     Accepts the usual scientific vocabulary (sin, cos, exp, pi, ...).  The
-    returned callables are numpy-vectorized.
+    returned callables are numpy-vectorized.  Malformed text raises ``ValueError``.
     """
     import sympy
 
     x1, x2 = sympy.symbols("x1 x2")
-    parsed = sympy.sympify(expr, locals={"x1": x1, "x2": x2})
+    try:
+        parsed = sympy.sympify(expr, locals={"x1": x1, "x2": x2})
+    except (sympy.SympifyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"cannot parse expression {expr!r}: {exc}") from None
+    if not isinstance(parsed, sympy.Expr) or parsed.has(sympy.zoo, sympy.oo, -sympy.oo, sympy.nan):
+        raise ValueError(f"expression {expr!r} is not a scalar expression with finite constants")
     extra = parsed.free_symbols - {x1, x2}
     if extra:
         raise ValueError(f"expression uses unknown symbols {sorted(map(str, extra))}")

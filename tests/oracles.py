@@ -12,6 +12,7 @@ from burgersfb.assembly import (
     _QUADRATURE,
     FeField,
     Quadrature,
+    _geometry,
     assemble_convection_by_transport,
     assemble_mass,
     assemble_stiffness,
@@ -39,6 +40,21 @@ def apply_dirichlet(matrix: sp.spmatrix, dofs: np.ndarray) -> sp.csr_matrix:
     pinned[dofs] = 1.0
     out = selector @ matrix @ selector + sp.diags(pinned)
     return sp.csr_matrix(out)
+
+
+def convection_by_quadrature(v: FeField, w: FeField, z: FeField) -> float:
+    """``integral of v (dw/dx1 + dw/dx2) z`` by the six-point interior rule.
+
+    The integrand is quadratic per triangle, so the degree-4 rule is exact;
+    the package computes the same form on the P1 mass pattern instead.
+    """
+    areas, gx, gy = _geometry(v.mesh)
+    lam = _QUADRATURE.interior_points
+    tri = v.mesh.triangles
+    vq = v.values[tri] @ lam.T
+    zq = z.values[tri] @ lam.T
+    sw = np.sum(w.values[tri] * (gx + gy), axis=1)
+    return float(np.sum(((vq * zq) @ _QUADRATURE.interior_weights) * sw * (2.0 * areas)))
 
 
 def control_trace(w: FeField, u_steady: FeField, params: ControlParams) -> np.ndarray:

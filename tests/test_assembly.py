@@ -34,7 +34,7 @@ from burgersfb.mesh import (
     refine_uniform,
     tag_boundary,
 )
-from oracles import apply_dirichlet, default_quadrature
+from oracles import apply_dirichlet, convection_by_quadrature, default_quadrature
 
 
 def random_field(mesh, rng, scale=1.0):
@@ -422,6 +422,25 @@ def assert_relative_close(actual, expected, rtol=1e-13):
     scale = np.max(np.abs(expected))
     assert scale > 0.0
     assert np.max(np.abs(actual - expected)) <= rtol * scale
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_convection_kernels_match_quadrature(jittered_mesh, n, seed):
+    rng = np.random.default_rng(seed)
+    mesh = jittered_mesh(n, False, rng)
+    v, w, z = (random_field(mesh, rng) for _ in range(3))
+
+    def close(got, want):
+        # random nodal values make the form O(1) up to cancellation
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    want = convection_by_quadrature(v, w, z)
+    close(convection_form(v, w, z), want)
+    close(z.values @ (assemble_convection_by_transport(v) @ w.values), want)
+    close(z.values @ (assemble_convection_by_gradient(w) @ v.values), want)
+    disc = Discretization(mesh)
+    close(z.values @ disc.convection(w.values), convection_by_quadrature(w, w, z))
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

@@ -268,6 +268,17 @@ def test_rejects_malformed_configs(tmp_path, capsys):
         assert f"config key '{key}' must be" in run_error(capsys, [command, "--config", path])
     not_a_list = write_config(tmp_path, {**BASE, "study": {**study, "levels": 4}}, "k.json")
     assert "'study.levels' must be a list" in run_error(capsys, ["study", "--config", not_a_list])
+    # every closed-form value is a string that parses to a finite scalar expression
+    for i, (key, text) in enumerate(
+        [("steady.u_inf", [1, 2]), ("steady.u_inf", "x3"), ("initial.w0", "sin(")]
+        + [("steady.f_inf", t) for t in ("sin(x1, x2)", "x1 == 1", "True", "1/0", "zoo*x1")]
+    ):
+        section, name = key.split(".")
+        body = {"mode": "solve", "mean": -0.1} if name == "f_inf" else dict(BASE[section])
+        payload = {**BASE, section: {**body, name: text}}
+        path = write_config(tmp_path, payload, f"expression{i}.json")
+        for command in ("simulate", "steady") if section == "steady" else ("simulate",):
+            assert f"config key '{key}'" in run_error(capsys, [command, "--config", path])
     # a Dirichlet region is one segment or a non-empty list of segments
     shapes = (5, [5], [], [[]], [[0, 0]], [[1, 0], [1, 1], [0, 1]], [[[1, 0]]])
     for i, region in enumerate(shapes):

@@ -74,6 +74,9 @@ def test_problem_config_validation():
     with pytest.raises(ValueError, match="closed-form steady state"):
         ProblemConfig(nu=0.1, c0=1.0, steady=forcing_only, w0=w0)
     ProblemConfig(nu=0.1, c0=1.0, steady=forcing_only, w0=w0, coefficient_source="discrete")
+    # the steady state must be the equilibrium of the same dynamics
+    with pytest.raises(ValueError, match="steady viscosity"):
+        ProblemConfig(nu=0.2, c0=1.0, steady=forcing_only, w0=w0, coefficient_source="discrete")
 
 
 def test_study_config_validation():

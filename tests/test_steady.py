@@ -47,6 +47,25 @@ def test_analytic_expression_rejects_unknown_symbols():
         analytic_from_expression("x1 + t")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("sin(", "cannot parse"),
+        ("sin(x1, x2)", "cannot parse"),
+        ([1, 2], "not a scalar expression"),
+        ("x1 == 1", "not a scalar expression"),
+        ("True", "not a scalar expression"),
+        ("1/0", "finite constants"),
+        ("zoo*x1", "finite constants"),
+        ("x1 - oo", "finite constants"),
+        ("nan*x2", "finite constants"),
+    ],
+)
+def test_analytic_expression_rejects_malformed_text(text, message):
+    with pytest.raises(ValueError, match=message):
+        analytic_from_expression(text)
+
+
 def test_manufacture_forcing_cases():
     f = manufacture_forcing(shear(), NU)
     for x, y in ((0.0, 0.0), (0.5, 0.25), (1.0, 1.0)):
