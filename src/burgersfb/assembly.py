@@ -6,7 +6,7 @@ samples callables, and a three-point Gauss rule on boundary edges exact to
 degree 5 integrates the cubic and quartic traces exactly.  Matrices are
 assembled cell-by-cell (triangles or edges) and returned as scipy CSR;
 :class:`Discretization` assembles the same forms onto one fixed CSC pattern.
-Both share one edge trace, :func:`_trace`, and one edge load, :func:`_edge_load`.
+Both share the edge helpers :func:`_trace`, :func:`_edge_load` and :func:`_edge_blocks`.
 """
 
 from __future__ import annotations
@@ -90,6 +90,11 @@ def _default_quadrature() -> Quadrature:
 
 
 _QUADRATURE = _default_quadrature()
+# the edge basis at the edge points (2, points) and the weighted products all edges
+# share: w_q phi_i(t_q) in column i of _EDGE_LOAD, w_q phi_i phi_j in column 2i+j of _EDGE_PAIRS
+_EDGE_BASIS = np.stack([1.0 - _QUADRATURE.edge_points, _QUADRATURE.edge_points])
+_EDGE_LOAD = (_QUADRATURE.edge_weights * _EDGE_BASIS).T
+_EDGE_PAIRS = (_QUADRATURE.edge_weights * _EDGE_BASIS[:, None] * _EDGE_BASIS).reshape(4, -1).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,15 +157,6 @@ def _slopes(areas, gx, gy):
     return areas[:, None] * (gx + gy)
 
 
-def _transport_blocks(ds, vk):
-    # ds from _slopes; vk: coefficient values at the element vertices, shape (triangles, 3)
-    return (vk @ _MASS_PATTERN)[:, :, None] * ds[:, None, :]
-
-
-def _gradient_blocks(ds, vk):
-    return np.sum(ds * vk, axis=1)[:, None, None] * _MASS_PATTERN
-
-
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Mass matrix: entries are exact integrals of basis products.
 
@@ -182,7 +178,8 @@ def assemble_convection_by_transport(v: FeField) -> sp.csr_matrix:
     derivative is constant per element, so each block is that slope times
     the mass-pattern image of ``v``.
     """
-    blocks = _transport_blocks(_slopes(*_geometry(v.mesh)), v.values[v.mesh.triangles])
+    vp = v.values[v.mesh.triangles] @ _MASS_PATTERN
+    blocks = vp[:, :, None] * _slopes(*_geometry(v.mesh))[:, None, :]
     return _element_triplets(v.mesh, v.mesh.triangles, blocks)
 
 
@@ -192,8 +189,8 @@ def assemble_convection_by_gradient(v: FeField) -> sp.csr_matrix:
     The directional derivative of ``v`` is constant per element, so each
     block is that constant times the element mass block.
     """
-    blocks = _gradient_blocks(_slopes(*_geometry(v.mesh)), v.values[v.mesh.triangles])
-    return _element_triplets(v.mesh, v.mesh.triangles, blocks)
+    g = np.sum(_slopes(*_geometry(v.mesh)) * v.values[v.mesh.triangles], axis=1)
+    return _element_triplets(v.mesh, v.mesh.triangles, g[:, None, None] * _MASS_PATTERN)
 
 
 def convection_form(v: FeField, w: FeField, z: FeField) -> float:
@@ -238,13 +235,12 @@ def boundary_quadrature(mesh: Mesh, tags=None) -> BoundaryQuadrature:
     b = mesh.vertices[edges[:, 1]]
     t = _QUADRATURE.edge_points
     points = a[:, None, :] * (1.0 - t)[None, :, None] + b[:, None, :] * t[None, :, None]
-    basis = np.stack([1.0 - t, t], axis=0)
     return BoundaryQuadrature(
         edges=edges,
         lengths=np.linalg.norm(b - a, axis=1),
         normals=mesh.boundary_normals[idx],
         points=points,
-        basis=basis,
+        basis=_EDGE_BASIS,
         weights=_QUADRATURE.edge_weights,
         index=idx,
     )
@@ -256,8 +252,7 @@ def trace_values(w: FeField, tags=None) -> np.ndarray:
 
 
 def _trace(values: np.ndarray, bq: BoundaryQuadrature) -> np.ndarray:
-    v = values[bq.edges]
-    return v[:, :1] * bq.basis[0] + v[:, 1:] * bq.basis[1]
+    return values[bq.edges] @ bq.basis
 
 
 def _coefficient_at_edge_quadrature(g, bq: BoundaryQuadrature) -> np.ndarray:
@@ -285,9 +280,8 @@ def assemble_boundary_mass(mesh: Mesh, g, tags=None) -> sp.csr_matrix:
 
 
 def _edge_blocks(bq: BoundaryQuadrature, gq: np.ndarray) -> np.ndarray:
-    blocks = np.einsum("q,eq,iq,jq->eij", bq.weights, gq, bq.basis, bq.basis)
-    blocks *= bq.lengths[:, None, None]
-    return blocks
+    """Blocks of ``integral of g phi_j phi_i`` per edge, (edges, 4); column 2i+j is (i, j)."""
+    return (gq @ _EDGE_PAIRS) * bq.lengths[:, None]
 
 
 def boundary_load(mesh: Mesh, g, tags=None) -> np.ndarray:
@@ -306,13 +300,13 @@ def boundary_load(mesh: Mesh, g, tags=None) -> np.ndarray:
             np.broadcast_to(bq.normals[:, None, 0], shape),
             np.broadcast_to(bq.normals[:, None, 1], shape),
         )
-    return _edge_load(bq, _coefficient_at_edge_quadrature(g, bq), mesh.num_vertices)
+    load = _edge_load(bq, _coefficient_at_edge_quadrature(g, bq))
+    return np.bincount(bq.edges.ravel(), load.ravel(), mesh.num_vertices)
 
 
-def _edge_load(bq: BoundaryQuadrature, gq: np.ndarray, n: int) -> np.ndarray:
-    """Length-``n`` vector of ``integral over the edges of bq of g phi_i``, ``gq`` at the points."""
-    weights = (gq * bq.lengths[:, None] * bq.weights)[:, :, None] * bq.basis.T
-    return np.bincount(np.repeat(bq.edges, bq.weights.size, axis=0).ravel(), weights.ravel(), n)
+def _edge_load(bq: BoundaryQuadrature, gq: np.ndarray) -> np.ndarray:
+    """``integral of g phi_i`` per edge and endpoint ``i``, (edges, 2); ``gq`` at the points."""
+    return (gq @ _EDGE_LOAD) * bq.lengths[:, None]
 
 
 def boundary_cubic_residual(w: FeField, tags=None) -> np.ndarray:
@@ -444,41 +438,47 @@ def dirichlet_vertex_indices(mesh: Mesh) -> np.ndarray:
 
 
 class Discretization:
-    """Fixed CSC sparsity pattern of one mesh and the maps onto it.
+    """Fixed CSC sparsity pattern of one mesh, and the time loop's kernels on it.
 
-    Built once per mesh and set of active boundary ``tags``.
-    ``element_slots`` (triangles, 3, 3) and ``edge_slots`` (active edges,
-    2, 2) give the data position of each local matrix entry, so assembly is
-    one ``np.bincount``; ``mass`` and ``stiffness`` are data on the pattern,
-    and ``slopes`` (triangles, 3) feeds the convection kernels.
-    ``bq`` is the active-edge quadrature; :meth:`traces` and
-    :meth:`boundary_load` use the same :func:`_trace` and :func:`_edge_load`
-    as the free functions.  ``dirichlet`` holds the pinned vertices, and
-    ``dirichlet_zero`` and ``dirichlet_diag`` are the slots that
-    :meth:`eliminate` clears and sets to one.  :meth:`factor` is the time
-    loop's band LU: ``order`` numbers the vertices row by row (by ``y``,
-    then ``x``), which keeps the unit-square meshes and their refinements
-    within ``bandwidth = n + 2`` of the diagonal, and ``band_slots`` is each
-    slot's flat index in the band array.  Other solves stay on SuperLU.
+    Built once per mesh and set of active boundary ``tags``.  Per-triangle
+    arrays put the triangles last: ``corners`` and ``slopes`` (3, triangles)
+    hold each corner's vertex and the integral of ``(d/dx1 + d/dx2)`` of its
+    basis function.  ``element_slots`` (3, 3, triangles) and ``edge_slots``
+    (active edges, 2, 2), views into ``slots``, give each local entry's data
+    position; ``load_index`` lists the corners, then the active-edge
+    endpoints (``bq``).  An iterate is gathered once (:meth:`gather`), and
+    :meth:`residual` and :meth:`jacobian` each turn a gather into one
+    ``np.bincount``.  ``dirichlet`` holds the pinned vertices, whose slots
+    :meth:`eliminate` clears.  :meth:`factor` is the time loop's band LU:
+    ``order`` numbers the vertices row by row (by ``y``, then ``x``), which
+    keeps the unit-square meshes and their refinements within
+    ``bandwidth = n + 2`` of the diagonal, and ``band_slots`` is each slot's
+    flat index in the band array.  Other solves stay on SuperLU.
     """
 
     def __init__(self, mesh: Mesh, tags=None):
         n = mesh.num_vertices
-        tri = mesh.triangles
-        # column-major keys order the pattern as CSC
-        keys, slots = np.unique(tri[:, None, :] * n + tri[:, :, None], return_inverse=True)
+        # triangles last: numpy broadcasts and reduces fastest along the long axis
+        corners = np.ascontiguousarray(mesh.triangles.T)
+        # column-major keys order the pattern as CSC; key [i, j, e] is entry (i, j) of triangle e
+        keys, slots = np.unique(corners * n + corners[:, None], return_inverse=True)
         rows, columns = keys % n, keys // n
         self.mesh = mesh
-        geometry = _geometry(mesh)
+        self.corners = corners
+        areas, gx, gy = _geometry(mesh)
         self.indices = rows.astype(np.int32)
         self.indptr = np.searchsorted(columns, np.arange(n + 1)).astype(np.int32)
-        self.element_slots = slots.reshape(-1, 3, 3)
-        self.mass = self._scatter(self.element_slots, geometry[0][:, None, None] * _MASS_PATTERN)
-        self.stiffness = self._scatter(self.element_slots, _stiffness_blocks(*geometry))
-        self.slopes = _slopes(*geometry)
         self.bq = boundary_quadrature(mesh, tags)
         e = self.bq.edges
-        self.edge_slots = np.searchsorted(keys, e[:, None, :] * n + e[:, :, None])
+        edge_slots = np.searchsorted(keys, e[:, None, :] * n + e[:, :, None])
+        self.slots = np.concatenate([slots.ravel(), edge_slots.ravel()])
+        self.element_slots = self.slots[: slots.size].reshape(3, 3, -1)
+        self.edge_slots = self.slots[slots.size :].reshape(-1, 2, 2)
+        self.load_index = np.concatenate([corners.ravel(), e.ravel()])
+        self.mass = self._scatter(self.element_slots, _MASS_PATTERN[:, :, None] * areas)
+        stiffness = _stiffness_blocks(areas, gx, gy).transpose(1, 2, 0)
+        self.stiffness = self._scatter(self.element_slots, stiffness)
+        self.slopes = np.ascontiguousarray(_slopes(areas, gx, gy).T)
         self.dirichlet = dirichlet_vertex_indices(mesh)
         pinned = np.zeros(n, dtype=bool)
         pinned[self.dirichlet] = True
@@ -502,31 +502,38 @@ class Discretization:
     def _scatter(self, slots, blocks):
         return np.bincount(slots.ravel(), blocks.ravel(), self.indices.size)
 
-    def transport(self, values: np.ndarray) -> np.ndarray:
-        blocks = _transport_blocks(self.slopes, values[self.mesh.triangles])
-        return self._scatter(self.element_slots, blocks)
-
-    def convection(self, values: np.ndarray) -> np.ndarray:
-        """``matrix(transport(values)) @ values`` element by element, with no matrix."""
-        wk = values[self.mesh.triangles]
-        element = (wk @ _MASS_PATTERN) * np.sum(self.slopes * wk, axis=1)[:, None]
-        return np.bincount(self.mesh.triangles.ravel(), element.ravel(), values.size)
-
-    def gradient(self, values: np.ndarray) -> np.ndarray:
-        blocks = _gradient_blocks(self.slopes, values[self.mesh.triangles])
-        return self._scatter(self.element_slots, blocks)
-
     def traces(self, values: np.ndarray) -> np.ndarray:
         """Values at the active-edge quadrature points, shape (edges, points)."""
         return _trace(values, self.bq)
 
-    def boundary_mass(self, gq: np.ndarray) -> np.ndarray:
-        """Boundary mass data for coefficient values ``gq`` of shape (edges, points)."""
-        return self._scatter(self.edge_slots, _edge_blocks(self.bq, gq))
+    def gather(self, values: np.ndarray, traced: bool = False):
+        """``(vp, g, tr)`` of the field ``v``: its mass-pattern image ``vp`` (3, triangles),
+        the integral ``g`` of ``(d/dx1 + d/dx2) v`` per triangle, and, if ``traced``,
+        its active-edge traces ``tr`` (else ``None``)."""
+        vk = values[self.corners]
+        tr = self.traces(values) if traced else None
+        return _MASS_PATTERN @ vk, (self.slopes * vk).sum(axis=0), tr
 
-    def boundary_load(self, gq: np.ndarray) -> np.ndarray:
-        """Vector of ``integral over active edges of g phi_i``."""
-        return _edge_load(self.bq, gq, self.mesh.num_vertices)
+    def residual(self, values: np.ndarray, cubic_scale: float = 0.0):
+        """``(load, gather(values))``: the load is ``integral of v (dv/dx1 + dv/dx2) phi_i``
+        plus, if nonzero, ``cubic_scale`` times ``integral over active edges of v^3 phi_i``."""
+        gathered = vp, g, tr = self.gather(values, bool(cubic_scale))
+        weights = (vp * g).ravel()
+        if tr is not None:
+            weights = np.concatenate([weights, _edge_load(self.bq, cubic_scale * tr**3).ravel()])
+        return np.bincount(self.load_index[: weights.size], weights, values.size), gathered
+
+    def jacobian(self, vp: np.ndarray, g=None, gq=None) -> np.ndarray:
+        """Data of the transport ``integral of v (d/dx1 + d/dx2) phi_j phi_i`` from ``vp``,
+        plus the gradient ``integral of (d/dx1 + d/dx2) v phi_j phi_i`` from ``g`` and the
+        boundary mass of the values ``gq`` at the active-edge points, unless ``None``."""
+        blocks = vp[:, None] * self.slopes
+        if g is not None:
+            blocks += _MASS_PATTERN[:, :, None] * g
+        if gq is None:
+            return self._scatter(self.element_slots, blocks)
+        data = np.concatenate([blocks.ravel(), _edge_blocks(self.bq, gq).ravel()])
+        return np.bincount(self.slots, data, self.indices.size)
 
     def eliminate(self, data: np.ndarray) -> None:
         """Eliminate the Dirichlet rows and columns in place, with unit diagonals."""

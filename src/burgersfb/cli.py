@@ -96,14 +96,20 @@ def _number(value, key: str, integer: bool = False):
     return int(value) if integer else float(value)
 
 
-def _expression(value, key: str):
-    """Every closed-form config value is read here, as an ``AnalyticFunction``."""
+def _expression(value, key: str, mesh):
+    """Every closed-form config value is read here, as an ``AnalyticFunction``; its value
+    must be finite at every vertex of ``mesh``."""
     if not isinstance(value, str):
         raise ValueError(f"config key '{key}' must be a string, got {json.dumps(value)}")
     try:
-        return analytic_from_expression(value)
+        function = analytic_from_expression(value)
+        with np.errstate(all="ignore"):
+            finite = np.all(np.isfinite(function.value(*mesh.vertices.T)))
+        if not finite:
+            raise ValueError(f"expression {value!r} is not finite at every mesh vertex")
     except ValueError as exc:
         raise ValueError(f"config key '{key}': {exc}") from None
+    return function
 
 
 def _dirichlet_region(raw):
@@ -130,7 +136,7 @@ def _build_mesh(config: dict):
     return tag_boundary(build_unit_square_mesh(n), _dirichlet_region(domain.get("dirichlet")))
 
 
-def _steady_spec(config: dict) -> SteadySpec:
+def _steady_spec(config: dict, mesh) -> SteadySpec:
     nu = _number(_require(config, "physics.nu"), "physics.nu")
     section = config.get("steady", {})
     mean = _number(section.get("mean", 0.0), "steady.mean")
@@ -143,7 +149,7 @@ def _steady_spec(config: dict) -> SteadySpec:
         return SteadySpec(
             nu=nu,
             mean_value=mean,
-            u_steady=_expression(section["u_inf"], "steady.u_inf"),
+            u_steady=_expression(section["u_inf"], "steady.u_inf", mesh),
         )
     if mode == "solve":
         if "f_inf" not in section:
@@ -151,7 +157,7 @@ def _steady_spec(config: dict) -> SteadySpec:
         return SteadySpec(
             nu=nu,
             mean_value=mean,
-            forcing=_expression(section["f_inf"], "steady.f_inf").value,
+            forcing=_expression(section["f_inf"], "steady.f_inf", mesh).value,
         )
     raise ValueError(f"unknown steady mode {mode!r}")
 
@@ -168,7 +174,8 @@ def _controlled(config: dict) -> bool:
     return region == "neumann"
 
 
-def _problem(config: dict) -> ProblemConfig:
+def _problem(config: dict, mesh) -> ProblemConfig:
+    """The problem of ``config``; its expressions are checked at ``mesh``'s vertices."""
     nu = _number(_require(config, "physics.nu"), "physics.nu")
     initial = config.get("initial", {})
     domain = config.get("domain", {})
@@ -177,8 +184,8 @@ def _problem(config: dict) -> ProblemConfig:
     return ProblemConfig(
         nu=nu,
         c0=_gain(config),
-        steady=_steady_spec(config),
-        w0=_expression(initial["w0"], "initial.w0"),
+        steady=_steady_spec(config, mesh),
+        w0=_expression(initial["w0"], "initial.w0", mesh),
         dirichlet_region=_dirichlet_region(domain.get("dirichlet")),
         coefficient_source=config.get("steady", {}).get("source", "analytic"),
         initial_projection=initial.get("projection", "interpolate"),
@@ -199,7 +206,7 @@ def _emit(payload: dict) -> None:
 def _cmd_steady(args) -> int:
     config = _load_config(args.config)
     mesh = _build_mesh(config)
-    spec = _steady_spec(config)
+    spec = _steady_spec(config, mesh)
     nu = spec.nu
     if spec.u_steady is not None:
         solve_spec = manufactured_solve_spec(spec.u_steady, nu, spec.mean_value)
@@ -238,9 +245,9 @@ def _cmd_steady(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = _load_config(args.config)
-    problem = _problem(config)
-    t_end = _number(_require(config, "time.t_end"), "time.t_end")
     mesh = _build_mesh(config)
+    problem = _problem(config, mesh)
+    t_end = _number(_require(config, "time.t_end"), "time.t_end")
     evolution = _evolution(problem, _number(_require(config, "time.k"), "time.k"), t_end)
     # EvolutionConfig owns the default solver
     if "nonlinear" in config["time"]:
@@ -274,15 +281,17 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_study(args) -> int:
     config = _load_config(args.config)
-    problem = _problem(config)
     levels = _require(config, "study.levels")
     if not isinstance(levels, list):
         raise ValueError("config key 'study.levels' must be a list of integers")
+    reference = _number(_require(config, "study.reference"), "study.reference", True)
+    # the reference level's vertices hold those of every nested level
+    problem = _problem(config, build_unit_square_mesh(reference))
     study = Study(
         StudyConfig(
             problem=problem,
             levels=tuple(_number(n, "study.levels", integer=True) for n in levels),
-            reference_level=_number(_require(config, "study.reference"), "study.reference", True),
+            reference_level=reference,
             k=_number(_require(config, "time.k"), "time.k"),
             t_eval=_number(_require(config, "study.t_eval", 1.0), "study.t_eval"),
         )

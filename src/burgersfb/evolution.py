@@ -14,6 +14,9 @@ only when an iteration contracts the residual by less than
 usually serves a whole trajectory (Kelley, *Solving Nonlinear Equations
 with Newton's Method*, SIAM 2003, chord method).
 ``"newton"`` refactors on every iteration and is the reference.
+An iteration gathers its iterate once, for the load and for a refactor's
+Jacobian; a step hands its mass product (the next inertia) and its edge
+traces (the control norm) on to the record and the next step.
 """
 
 from __future__ import annotations
@@ -106,35 +109,24 @@ class StepOperators:
     factor: Optional[Factorization] = None
     factorizations: int = 0
 
-    @property
-    def constant_matrix(self):
-        """The linear part of the step, ``step_matrix - mass / k``; no step uses it."""
-        return self.step_matrix - self.mass / self.k
-
 
 def build_operators(mesh: Mesh, u_steady: FeField, cfg: EvolutionConfig) -> StepOperators:
     """Assemble the time-independent part of the implicit system."""
     if u_steady.mesh is not mesh:
         raise ValueError("steady field does not live on the given mesh")
-    disc = Discretization(mesh, () if cfg.control is None else ACTIVE_TAGS)
-    constant = (
-        cfg.nu * disc.stiffness
-        + disc.transport(u_steady.values)
-        + disc.gradient(u_steady.values)
-    )
-    cubic_scale = 0.0
-    feedback = None
-    if cfg.control is not None:
+    controlled = cfg.control is not None
+    disc = Discretization(mesh, ACTIVE_TAGS if controlled else ())
+    if controlled:
         _check_active(disc.bq)
-        feedback = _linear_coefficient(disc.traces(u_steady.values), cfg.control)
-        constant = constant + disc.boundary_mass(feedback)
-        cubic_scale = 2.0 / (9.0 * cfg.control.c0)
+    vp, g, tr = disc.gather(u_steady.values, controlled)
+    feedback = _linear_coefficient(tr, cfg.control) if controlled else None
+    constant = cfg.nu * disc.stiffness + disc.jacobian(vp, g, feedback)
     return StepOperators(
         mass=disc.matrix(disc.mass),
         stiffness=disc.matrix(disc.stiffness),
         step_matrix=disc.matrix(1.0 / cfg.k * disc.mass + constant),
         k=cfg.k,
-        cubic_scale=cubic_scale,
+        cubic_scale=2.0 / (9.0 * cfg.control.c0) if controlled else 0.0,
         disc=disc,
         feedback=feedback,
     )
@@ -147,24 +139,22 @@ def _pinned_cleared(values: np.ndarray, ops: StepOperators) -> np.ndarray:
     return out
 
 
-def _newton_step(w_prev, w_before, cfg: EvolutionConfig, ops: StepOperators):
+def _newton_step(w_prev, w_before, mass_w, cfg: EvolutionConfig, ops: StepOperators):
     disc = ops.disc
     dofs = disc.dirichlet
-    inertia = (1.0 / ops.k) * (ops.mass @ w_prev)
+    inertia = (1.0 / ops.k) * mass_w
     refresh_always = cfg.nonlinear == "newton"
     w = 2.0 * w_prev - w_before
     history = []
     for iteration in range(_NEWTON_MAX + 1):
-        residual = ops.step_matrix @ w - inertia + disc.convection(w)
-        if ops.cubic_scale:
-            tr = disc.traces(w)
-            residual += ops.cubic_scale * disc.boundary_load(tr**3)
+        load, (vp, g, tr) = disc.residual(w, ops.cubic_scale)
+        residual = ops.step_matrix @ w - inertia + load
         if dofs.size:
             residual[dofs] = w[dofs]
         res_norm = float(np.linalg.norm(residual))
         history.append(res_norm)
         if res_norm <= _NEWTON_TOL:
-            return w, iteration
+            return w, iteration, tr
         if iteration == _NEWTON_MAX:
             break
         if (
@@ -172,9 +162,8 @@ def _newton_step(w_prev, w_before, cfg: EvolutionConfig, ops: StepOperators):
             or ops.factor is None
             or (iteration and res_norm > _CHORD_CONTRACTION * history[-2])
         ):
-            jacobian = ops.step_matrix.data + disc.transport(w) + disc.gradient(w)
-            if ops.cubic_scale:
-                jacobian += ops.cubic_scale * disc.boundary_mass(3.0 * tr**2)
+            gq = None if tr is None else 3.0 * ops.cubic_scale * tr**2
+            jacobian = ops.step_matrix.data + disc.jacobian(vp, g, gq)
             disc.eliminate(jacobian)
             ops.factor = None  # never hold two factorizations at once
             ops.factor = disc.factor(jacobian)
@@ -187,21 +176,22 @@ def _newton_step(w_prev, w_before, cfg: EvolutionConfig, ops: StepOperators):
     )
 
 
-def _picard_step(w_prev, w_before, cfg: EvolutionConfig, ops: StepOperators):
+def _picard_step(w_prev, w_before, mass_w, cfg: EvolutionConfig, ops: StepOperators):
     disc = ops.disc
-    system = ops.step_matrix.data + disc.transport(w_prev)
-    if ops.cubic_scale:
-        system += disc.boundary_mass(ops.cubic_scale * disc.traces(w_prev) ** 2)
-    rhs = (1.0 / ops.k) * (ops.mass @ w_prev)
+    vp, _, tr = disc.gather(w_prev, bool(ops.cubic_scale))
+    gq = None if tr is None else ops.cubic_scale * tr**2
+    system = ops.step_matrix.data + disc.jacobian(vp, gq=gq)
+    rhs = (1.0 / ops.k) * mass_w
     disc.eliminate(system)
     rhs[disc.dirichlet] = 0.0
     ops.factorizations += 1
-    return disc.factor(system).solve(rhs), 1
+    return disc.factor(system).solve(rhs), 1, None
 
 
 def _advance(cfg: EvolutionConfig):
-    """The step function of ``cfg``, taking ``w_prev`` (Dirichlet values cleared) and the
-    state before it; Newton starts from ``2 w_prev - w_before``, Picard ignores ``w_before``."""
+    """The step function of ``cfg``: from ``w_prev`` (Dirichlet values cleared), the state
+    before it and ``mass @ w_prev`` to the new state, the iteration count and the new
+    state's edge traces or ``None``; Newton starts from ``2 w_prev - w_before``."""
     return _picard_step if cfg.nonlinear == "picard" else _newton_step
 
 
@@ -218,7 +208,7 @@ def step(w_prev: FeField, cfg: EvolutionConfig, ops: StepOperators) -> FeField:
     if cfg.k != ops.k:
         raise ValueError("operators were built for another step size")
     w = _pinned_cleared(w_prev.values, ops)
-    return FeField(w_prev.mesh, _advance(cfg)(w, w, cfg, ops)[0])
+    return FeField(w_prev.mesh, _advance(cfg)(w, w, ops.mass @ w, cfg, ops)[0])
 
 
 @dataclass(eq=False)
@@ -292,23 +282,26 @@ def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> Tra
 
     w = _pinned_cleared(w0.values, ops)
 
-    def record(i, values, iteration_count):
+    def record(i, values, iteration_count, traces):
+        """Diagnostics of step ``i``; returns ``mass @ values``, the next step's inertia."""
         times[i] = i * cfg.k
         mw = ops.mass @ values
         l2[i] = np.sqrt(max(values @ mw, 0.0))
         h1[i] = np.sqrt(max(values @ (ops.stiffness @ values), 0.0))
         energy[i] = 0.5 * float(values @ mw)
         if cfg.control is not None:
-            flux = _feedback_flux(ops.disc.traces(values), ops.feedback, cfg.control)
-            ctl[i] = _boundary_l2(ops.disc.bq, flux)
+            if traces is None:
+                traces = ops.disc.traces(values)
+            ctl[i] = _boundary_l2(ops.disc.bq, _feedback_flux(traces, ops.feedback, cfg.control))
         iters[i] = iteration_count
+        return mw
 
-    record(0, w, 0)
+    mass_w = record(0, w, 0, None)
     advance = _advance(cfg)
     w_before = w
     for n in range(1, n_steps + 1):
         try:
-            w_before, (w, count) = w, advance(w, w_before, cfg, ops)
+            w_before, (w, count, traces) = w, advance(w, w_before, mass_w, cfg, ops)
         except NonconvergenceError as exc:
             raise NonconvergenceError(
                 f"step {n} (t = {n * cfg.k:.6g}): {exc}",
@@ -316,7 +309,7 @@ def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> Tra
                 step=n,
                 time=n * cfg.k,
             ) from exc
-        record(n, w, count)
+        mass_w = record(n, w, count, traces)
 
     return TrajectoryRecord(
         times=times,

@@ -59,9 +59,11 @@ class Factorization:
 
     Every solution must satisfy
     ``||a x - b||_inf <= 1e-10 (||a||_inf ||x||_inf + ||b||_inf)`` against
-    the factored ``a``; a singular factorization or a failed certificate
-    raises :class:`SingularMatrixError`.  The factor is SuperLU's, or with
-    ``band = (order, width, slots)`` LAPACK band LU of the CSC ``a`` permuted
+    the factored ``a``.  The three norms come from one reduction; a
+    non-finite ``x``, a residual that fails the bound (NaN included) or a
+    singular factorization raises :class:`SingularMatrixError`.  The factor
+    is SuperLU's, or with ``band = (order, width, slots)`` LAPACK band LU of
+    the CSC ``a`` permuted
     to half-bandwidth ``width`` by ``order``; ``slots`` are the flat indices
     of ``a.data`` in the Fortran-ordered ``(3 width + 1, n)`` band array.
     """
@@ -91,16 +93,16 @@ class Factorization:
             x = self._solve(b)
         except RuntimeError as exc:
             raise SingularMatrixError(f"factorization failed: {exc}") from exc
-        if not np.all(np.isfinite(x)):
+        # one pass for the three norms; NaN or inf in x makes x_inf non-finite
+        r, x_inf, b_inf = np.abs((self.matrix @ x - b, x, b)).reshape(3, -1).max(1, initial=0.0)
+        if not np.isfinite(x_inf):
             raise SingularMatrixError("solution contains non-finite entries")
-        resid = float(np.max(np.abs(self.matrix @ x - b))) if n else 0.0
-        x_inf = float(np.max(np.abs(x))) if n else 0.0
-        b_inf = float(np.max(np.abs(b))) if n else 0.0
         bound = 1e-10 * (self.norm_inf * x_inf + b_inf)
-        if resid > bound:
+        # written so that a NaN residual fails too
+        if not r <= bound:
             raise SingularMatrixError(
-                f"residual {resid:.3e} exceeds certificate bound {bound:.3e}",
-                resid,
+                f"residual {r:.3e} exceeds certificate bound {bound:.3e}",
+                float(r),
             )
         return x
 

@@ -65,7 +65,8 @@ def analytic_from_expression(expr: str) -> AnalyticFunction:
     """Parse an expression in x1, x2 and differentiate it symbolically.
 
     Accepts the usual scientific vocabulary (sin, cos, exp, pi, ...).  The
-    returned callables are numpy-vectorized.  Malformed text raises ``ValueError``.
+    returned callables are numpy-vectorized.  Malformed text, and an
+    expression with an imaginary part, raise ``ValueError``.
     """
     import sympy
 
@@ -79,6 +80,8 @@ def analytic_from_expression(expr: str) -> AnalyticFunction:
     extra = parsed.free_symbols - {x1, x2}
     if extra:
         raise ValueError(f"expression uses unknown symbols {sorted(map(str, extra))}")
+    if parsed.has(sympy.I):
+        raise ValueError(f"expression {expr!r} is not real")
 
     def lamb(e):
         fn = sympy.lambdify((x1, x2), e, modules="numpy")
@@ -165,13 +168,14 @@ def _steady_load(mesh: Mesh, spec: SteadySpec) -> np.ndarray:
 
 def _steady_system(mesh: Mesh, spec: SteadySpec):
     """``(disc, residual, constraint)`` on one fixed pattern: ``residual(u)`` is
-    ``nu K u + T(u) u - load`` and ``constraint`` the mass row sums."""
+    ``(nu K u + T(u) u - load, disc.gather(u))``, ``constraint`` the mass row sums."""
     disc = Discretization(mesh, ())
     viscous = disc.matrix(spec.nu * disc.stiffness)
     load = _steady_load(mesh, spec)
 
-    def residual(u: np.ndarray) -> np.ndarray:
-        return viscous @ u + disc.convection(u) - load
+    def residual(u: np.ndarray):
+        convection, gathered = disc.residual(u)
+        return viscous @ u + convection - load, gathered
 
     return disc, residual, np.bincount(disc.indices, disc.mass, mesh.num_vertices)
 
@@ -211,7 +215,7 @@ def solve_steady(mesh: Mesh, spec: SteadySpec, full_output: bool = False):
     disc, residual_at, constraint = _steady_system(mesh, spec)
     unit_constraint = constraint / np.linalg.norm(constraint)
     u = np.zeros(mesh.num_vertices)
-    residual = residual_at(u)
+    residual, gathered = residual_at(u)
     res_norm = _quotient_norm(residual, unit_constraint)
     history = [res_norm]
     for iteration in range(_STEADY_MAX_ITER + 1):
@@ -221,12 +225,12 @@ def solve_steady(mesh: Mesh, spec: SteadySpec, full_output: bool = False):
             return (field, history) if full_output else field
         if iteration == _STEADY_MAX_ITER:
             break
-        jac = disc.matrix(spec.nu * disc.stiffness + disc.transport(u) + disc.gradient(u))
+        jac = disc.matrix(spec.nu * disc.stiffness + disc.jacobian(*gathered[:2]))
         delta, _ = solve_bordered(jac, constraint, -residual, mean_gap)
         step = 1.0
         for _halving in range(9):
             candidate = u + step * delta
-            cand_residual = residual_at(candidate)
+            cand_residual, cand_gathered = residual_at(candidate)
             cand_norm = _quotient_norm(cand_residual, unit_constraint)
             if cand_norm < res_norm or cand_norm <= _STEADY_TOL:
                 break
@@ -236,7 +240,7 @@ def solve_steady(mesh: Mesh, spec: SteadySpec, full_output: bool = False):
                 "steady Newton step increased the residual through 8 halvings",
                 history,
             )
-        u, residual, res_norm = candidate, cand_residual, cand_norm
+        u, residual, gathered, res_norm = candidate, cand_residual, cand_gathered, cand_norm
         history.append(res_norm)
     raise NonconvergenceError(
         f"steady Newton did not converge in {_STEADY_MAX_ITER} iterations "
@@ -257,7 +261,7 @@ def steady_residual(mesh: Mesh, u: FeField, forcing, nu: float,
         raise ValueError("field does not live on the given mesh")
     spec = SteadySpec(nu=nu, forcing=forcing, neumann_flux=neumann_flux)
     _, residual, constraint = _steady_system(mesh, spec)
-    return _quotient_norm(residual(u.values), constraint / np.linalg.norm(constraint))
+    return _quotient_norm(residual(u.values)[0], constraint / np.linalg.norm(constraint))
 
 
 def estimate_convection_constant(mesh: Mesh, samples: int = 64, seed: int = 0) -> float:

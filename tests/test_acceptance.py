@@ -20,8 +20,6 @@ from burgersfb.assembly import (
     assemble_convection_by_transport,
     assemble_mass,
     assemble_stiffness,
-    boundary_cubic_jacobian,
-    boundary_cubic_residual,
     boundary_quadrature,
     convection_form,
     interpolate,
@@ -263,29 +261,21 @@ def test_criterion_6_structural_properties(announce, tmp_path):
     point = 0.1 * rng.standard_normal(small.num_vertices)
     steady_gap = fd_jacobian_gap(steady_residual_at, steady_jacobian_at, point, rng)
 
-    # Implicit-step Newton Jacobian, feedback terms included.
+    # Implicit-step Newton Jacobian, feedback terms included, from the time
+    # loop's own residual and Jacobian kernels.
     cfg = EvolutionConfig(nu=NU, k=0.01, t_end=0.1, control=ControlParams(nu=NU, c0=C0))
     ops = build_operators(small, interpolate(lambda x, y: -0.2 * x, small), cfg)
+    disc = ops.disc
     w_prev = 0.1 * rng.standard_normal(small.num_vertices)
 
     def step_residual_at(values):
-        field = FeField(small, values)
-        return (
-            (ops.mass @ (values - w_prev)) / cfg.k
-            + ops.constant_matrix @ values
-            + assemble_convection_by_transport(field) @ values
-            + ops.cubic_scale * boundary_cubic_residual(field)
-        )
+        load, _ = disc.residual(values, ops.cubic_scale)
+        return ops.step_matrix @ values - (ops.mass @ w_prev) / cfg.k + load
 
     def step_jacobian_at(values):
-        field = FeField(small, values)
-        return (
-            ops.mass / cfg.k
-            + ops.constant_matrix
-            + assemble_convection_by_transport(field)
-            + assemble_convection_by_gradient(field)
-            + ops.cubic_scale * boundary_cubic_jacobian(field)
-        )
+        _, (vp, g, tr) = disc.residual(values, ops.cubic_scale)
+        cubic = 3.0 * ops.cubic_scale * tr**2
+        return disc.matrix(ops.step_matrix.data + disc.jacobian(vp, g, cubic))
 
     step_gap = fd_jacobian_gap(step_residual_at, step_jacobian_at, w_prev, rng)
     jacobians_ok = steady_gap <= 1e-6 and step_gap <= 1e-6

@@ -15,6 +15,7 @@ from burgersfb.assembly import (
     assemble_stiffness,
     boundary_cubic_jacobian,
     boundary_cubic_residual,
+    boundary_load,
     boundary_quadrature,
     convection_form,
     dirichlet_vertex_indices,
@@ -440,7 +441,7 @@ def test_convection_kernels_match_quadrature(jittered_mesh, n, seed):
     close(z.values @ (assemble_convection_by_transport(v) @ w.values), want)
     close(z.values @ (assemble_convection_by_gradient(w) @ v.values), want)
     disc = Discretization(mesh)
-    close(z.values @ disc.convection(w.values), convection_by_quadrature(w, w, z))
+    close(z.values @ disc.residual(w.values)[0], convection_by_quadrature(w, w, z))
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -453,37 +454,61 @@ def test_pattern_assembly_matches_element_assembly(jittered_mesh, n, pinned, see
         disc = Discretization(mesh, tags)
         assert_relative_close(disc.matrix(disc.mass), assemble_mass(mesh))
         assert_relative_close(disc.matrix(disc.stiffness), assemble_stiffness(mesh))
-        assert_relative_close(
-            disc.matrix(disc.transport(w.values)), assemble_convection_by_transport(w)
-        )
-        # the matrix-free kernel of the Newton residual
-        assert_relative_close(
-            disc.convection(w.values), assemble_convection_by_transport(w) @ w.values
-        )
-        assert_relative_close(
-            disc.matrix(disc.gradient(w.values)), assemble_convection_by_gradient(w)
-        )
         tr = disc.traces(w.values)
         assert_relative_close(tr, trace_values(w, tags))
+        # the edge load against the edge blocks (the two edge basis functions
+        # sum to one), and the trace of a linear field, which is exact
         gq = rng.standard_normal(tr.shape)
-        assert_relative_close(
-            disc.matrix(disc.boundary_mass(gq)), assemble_boundary_mass(mesh, gq, tags)
-        )
-        assert_relative_close(disc.boundary_load(tr**3), boundary_cubic_residual(w, tags))
-        # references that bypass _trace and _edge_load: the two edge basis
-        # functions sum to one, and the trace of a linear field is exact
         ones = np.ones(mesh.num_vertices)
-        assert_relative_close(disc.boundary_load(gq), disc.matrix(disc.boundary_mass(gq)) @ ones)
+        assert_relative_close(
+            boundary_load(mesh, gq, tags), assemble_boundary_mass(mesh, gq, tags) @ ones
+        )
         a, b, c = rng.standard_normal(3)
         linear = a * mesh.vertices[:, 0] + b * mesh.vertices[:, 1] + c
         points = disc.bq.points
         assert_relative_close(
             disc.traces(linear), a * points[..., 0] + b * points[..., 1] + c, rtol=1e-14
         )
-        assert_relative_close(
-            disc.matrix(disc.boundary_mass(3.0 * tr**2)), boundary_cubic_jacobian(w, tags)
-        )
-    data = disc.transport(w.values) + disc.gradient(w.values) + disc.stiffness
+    vp, g, _ = disc.gather(w.values)
+    data = disc.jacobian(vp, g) + disc.stiffness
     expected = apply_dirichlet(disc.matrix(data), dirichlet_vertex_indices(mesh))
     disc.eliminate(data)
     assert np.array_equal(disc.matrix(data).toarray(), expected.toarray())
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    n=st.integers(1, 6),
+    pinned=st.booleans(),
+    controlled=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_kernels_match_element_assembly(jittered_mesh, n, pinned, controlled, seed):
+    # the time loop's residual and Jacobian kernels, as build_operators sets them up
+    rng = np.random.default_rng(seed)
+    mesh = jittered_mesh(n, pinned, rng)
+    w = random_field(mesh, rng)
+    tags = (BoundaryTag.NEUMANN_CONTROL,) if controlled else ()
+    cubic = rng.uniform(0.1, 2.0) if controlled else 0.0
+    disc = Discretization(mesh, tags)
+
+    def close(got, want):
+        if sp.issparse(want):
+            got, want = disc.matrix(got).toarray(), want.toarray()
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    load, (vp, g, tr) = disc.residual(w.values, cubic)
+    transport = assemble_convection_by_transport(w)
+    gradient = assemble_convection_by_gradient(w)
+    if not controlled:
+        assert tr is None
+        close(load, transport @ w.values)
+        close(disc.jacobian(vp, g), transport + gradient)
+        close(disc.jacobian(vp), transport)
+        return
+    assert np.array_equal(tr, disc.traces(w.values))
+    close(load, transport @ w.values + cubic * boundary_cubic_residual(w, tags))
+    newton = transport + gradient + cubic * boundary_cubic_jacobian(w, tags)
+    close(disc.jacobian(vp, g, 3.0 * cubic * tr**2), newton)
+    picard = transport + assemble_boundary_mass(mesh, cubic * trace_values(w, tags) ** 2, tags)
+    close(disc.jacobian(vp, gq=cubic * tr**2), picard)

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -272,6 +273,7 @@ def test_rejects_malformed_configs(tmp_path, capsys):
     for i, (key, text) in enumerate(
         [("steady.u_inf", [1, 2]), ("steady.u_inf", "x3"), ("initial.w0", "sin(")]
         + [("steady.f_inf", t) for t in ("sin(x1, x2)", "x1 == 1", "True", "1/0", "zoo*x1")]
+        + [("initial.w0", "I*x1"), ("steady.u_inf", "sqrt(-1) + x2")]
     ):
         section, name = key.split(".")
         body = {"mode": "solve", "mean": -0.1} if name == "f_inf" else dict(BASE[section])
@@ -279,6 +281,23 @@ def test_rejects_malformed_configs(tmp_path, capsys):
         path = write_config(tmp_path, payload, f"expression{i}.json")
         for command in ("simulate", "steady") if section == "steady" else ("simulate",):
             assert f"config key '{key}'" in run_error(capsys, [command, "--config", path])
+    # an expression that is not finite at a mesh vertex names its key, and
+    # evaluating it there lets no warning escape
+    for i, (key, text) in enumerate(
+        [("initial.w0", "sqrt(x1 - 2)"), ("steady.u_inf", "log(x2)")]
+        + [("steady.f_inf", "1/(x1 - 0.5)")]
+    ):
+        section, name = key.split(".")
+        body = {"mode": "solve", "mean": -0.1} if name == "f_inf" else dict(BASE[section])
+        payload = {**BASE, "study": study, section: {**body, name: text}}
+        path = write_config(tmp_path, payload, f"nonfinite{i}.json")
+        commands = ("simulate", "study") + (("steady",) if section == "steady" else ())
+        for command in commands:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                message = run_error(capsys, [command, "--config", path])
+            assert not caught
+            assert message.startswith(f"config key '{key}'") and "not finite" in message
     # a Dirichlet region is one segment or a non-empty list of segments
     shapes = (5, [5], [], [[]], [[0, 0]], [[1, 0], [1, 1], [0, 1]], [[[1, 0]]])
     for i, region in enumerate(shapes):

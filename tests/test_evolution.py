@@ -339,22 +339,22 @@ def test_extrapolated_run_matches_chained_steps(
 
 @pytest.mark.parametrize("solver", ["chord", "newton"])
 def test_jacobian_data_built_only_on_refactor(monkeypatch, solver):
-    # the residual is matrix-free: transport and gradient data are built once
-    # per factorization, and no sparse matrix is built per iteration
-    calls = {"transport": [], "gradient": [], "matrix": []}
+    # the residual is matrix-free: Jacobian data is built once per
+    # factorization, and no sparse matrix is built per iteration
+    calls = {"jacobian": [], "matrix": []}
     for name in calls:
-        def counted(self, values, _name=name, _original=getattr(Discretization, name)):
-            calls[_name].append(values)
-            return _original(self, values)
+        def counted(self, *args, _name=name, _original=getattr(Discretization, name), **kw):
+            calls[_name].append(args)
+            return _original(self, *args, **kw)
 
         monkeypatch.setattr(Discretization, name, counted)
     mesh = build_unit_square_mesh(4)
     u_steady = steady_shear(mesh)
     record = run(initial_bump(mesh), config(nonlinear=solver), mesh, u_steady)
-    for name in ("transport", "gradient"):
-        # build_operators' convection by the steady state comes first
-        assert calls[name][0] is u_steady.values
-        assert len(calls[name]) - 1 == record.factorizations
+    # build_operators' linearization at the steady state comes first
+    steady_vp = Discretization(mesh).gather(u_steady.values)[0]
+    assert np.array_equal(calls["jacobian"][0][0], steady_vp)
+    assert len(calls["jacobian"]) - 1 == record.factorizations
     # mass, stiffness and step matrix, then one Jacobian per factorization
     assert len(calls["matrix"]) == 3 + record.factorizations
     if solver == "chord":

@@ -72,6 +72,9 @@ def test_factorization_serves_several_right_hand_sides(rng):
         x_star = rng.standard_normal(a.shape[0])
         x = factor.solve(a @ x_star)
         assert np.linalg.norm(x - x_star) <= 1e-9 * np.linalg.norm(x_star)
+    # or several at once, as the columns of one array
+    x_star = rng.standard_normal((a.shape[0], 3))
+    assert np.linalg.norm(factor.solve(a @ x_star) - x_star) <= 1e-9 * np.linalg.norm(x_star)
     with pytest.raises(ValueError):
         factor.solve(np.ones(a.shape[0] + 1))
 
@@ -96,6 +99,48 @@ def test_factorization_certificate_raises(rng):
     with pytest.raises(SingularMatrixError, match="certificate") as info:
         factor.solve(b)
     assert info.value.residual > 0.0
+    # a NaN entry makes the residual NaN from a finite solution; it fails the bound too
+    a.data[0] = np.nan
+    with pytest.raises(SingularMatrixError, match="exceeds certificate bound"):
+        factor.solve(b)
+
+
+def test_band_certificate_rejects_non_finite_solutions(unit4):
+    disc = Discretization(unit4)
+    n = unit4.num_vertices
+    with pytest.raises(SingularMatrixError, match="non-finite"):
+        disc.factor(disc.mass).solve(np.full(n, np.nan))
+    # a unit diagonal but for 1e-300 at the vertex the band solve ends on:
+    # that entry of the solution overflows to inf, and no other is touched
+    diagonal = np.ones(n)
+    diagonal[disc.order[0]] = 1e-300
+    on_diagonal = disc.indices == np.repeat(np.arange(n), np.diff(disc.indptr))
+    factor = disc.factor(np.where(on_diagonal, diagonal[disc.indices], 0.0))
+    x = factor._solve(np.full(n, 1e10))
+    assert np.isinf(x[disc.order[0]]) and np.sum(np.isfinite(x)) == n - 1
+    with pytest.raises(SingularMatrixError, match="non-finite"):
+        factor.solve(np.full(n, 1e10))
+
+
+def test_certificate_bound_weighs_solution_and_right_hand_side(rng, monkeypatch):
+    # scaled by 1e-4, the solution is about 1e4 times the right-hand side, so
+    # the bound 1e-10 (||a|| ||x|| + ||b||) is far from 1e-10 (||a|| ||b|| + ||x||)
+    a = 1e-4 * random_system(rng)
+    factor = Factorization(a)
+    b = rng.standard_normal(a.shape[0])
+    x = factor.solve(b)
+    bound = 1e-10 * (factor.norm_inf * np.max(np.abs(x)) + np.max(np.abs(b)))
+    # a @ shift has unit entries, so x + t bound shift misses b by about t bound
+    shift = solve_general(a, np.ones(a.shape[0]))
+    solve = factor._solve
+    for t in (0.5, 2.0):
+        monkeypatch.setattr(factor, "_solve", lambda rhs, t=t: solve(rhs) + t * bound * shift)
+        if t < 1.0:
+            factor.solve(b)
+            continue
+        with pytest.raises(SingularMatrixError, match="exceeds certificate bound") as info:
+            factor.solve(b)
+        assert info.value.residual == pytest.approx(t * bound, rel=1e-3)
 
 
 def test_bordered_pure_constraint():
@@ -146,14 +191,10 @@ def test_band_factor_matches_superlu(jittered_mesh, n, pinned, k, seed):
     disc = Discretization(mesh, (BoundaryTag.NEUMANN_CONTROL,))
     u, w = rng.standard_normal((2, mesh.num_vertices))
     feedback = rng.uniform(0.0, 2.0, disc.bq.points.shape[:2])
-    step = (
-        disc.mass / k
-        + 0.1 * disc.stiffness
-        + disc.transport(u)
-        + disc.gradient(u)
-        + disc.boundary_mass(feedback)
-    )
-    jacobian = step + disc.transport(w) + disc.gradient(w) + disc.boundary_mass(feedback**2)
+    vp, g, _ = disc.gather(u)
+    step = disc.mass / k + 0.1 * disc.stiffness + disc.jacobian(vp, g, feedback)
+    vp, g, _ = disc.gather(w)
+    jacobian = step + disc.jacobian(vp, g, feedback**2)
     for data in (step, jacobian):
         disc.eliminate(data)
         b = rng.standard_normal(mesh.num_vertices)

@@ -59,6 +59,9 @@ def test_analytic_expression_rejects_unknown_symbols():
         ("zoo*x1", "finite constants"),
         ("x1 - oo", "finite constants"),
         ("nan*x2", "finite constants"),
+        ("I*x1", "not real"),
+        ("sqrt(-2)*x2", "not real"),
+        ("log(-1)*x1", "not real"),
     ],
 )
 def test_analytic_expression_rejects_malformed_text(text, message):
