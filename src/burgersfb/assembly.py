@@ -3,10 +3,11 @@
 Convection is exact on the P1 mass pattern, as ``(d/dx1 + d/dx2) w`` is
 constant per triangle.  A six-point interior rule exact to degree 4 only
 samples callables, and a three-point Gauss rule on boundary edges exact to
-degree 5 integrates the cubic and quartic traces exactly.  Matrices are
-assembled cell-by-cell (triangles or edges) and returned as scipy CSR;
-:class:`Discretization` assembles the same forms onto one fixed CSC pattern.
-Both share the edge helpers :func:`_trace`, :func:`_edge_load` and :func:`_edge_blocks`.
+degree 5 integrates the cubic and quartic traces exactly.  Mass and
+stiffness are assembled triangle by triangle and returned as scipy CSR;
+:class:`Discretization` assembles the time loop's forms onto one fixed CSC
+pattern, on the edge helpers :func:`_trace`, :func:`_edge_load` and
+:func:`_edge_blocks`.
 """
 
 from __future__ import annotations
@@ -25,13 +26,8 @@ __all__ = [
     "FeField",
     "NonNestedMeshError",
     "Quadrature",
-    "assemble_boundary_mass",
-    "assemble_convection_by_gradient",
-    "assemble_convection_by_transport",
     "assemble_mass",
     "assemble_stiffness",
-    "boundary_cubic_jacobian",
-    "boundary_cubic_residual",
     "boundary_load",
     "boundary_quadrature",
     "convection_form",
@@ -44,7 +40,6 @@ __all__ = [
     "l2_norm",
     "load_vector",
     "prolong",
-    "trace_values",
 ]
 
 
@@ -171,28 +166,6 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     return _element_triplets(mesh, mesh.triangles, _stiffness_blocks(*_geometry(mesh)))
 
 
-def assemble_convection_by_transport(v: FeField) -> sp.csr_matrix:
-    """Matrix of ``integral of v (d/dx1 + d/dx2) phi_j phi_i``.
-
-    The coefficient ``v`` multiplies the transported basis function, whose
-    derivative is constant per element, so each block is that slope times
-    the mass-pattern image of ``v``.
-    """
-    vp = v.values[v.mesh.triangles] @ _MASS_PATTERN
-    blocks = vp[:, :, None] * _slopes(*_geometry(v.mesh))[:, None, :]
-    return _element_triplets(v.mesh, v.mesh.triangles, blocks)
-
-
-def assemble_convection_by_gradient(v: FeField) -> sp.csr_matrix:
-    """Matrix of ``integral of (d/dx1 + d/dx2) v phi_j phi_i``.
-
-    The directional derivative of ``v`` is constant per element, so each
-    block is that constant times the element mass block.
-    """
-    g = np.sum(_slopes(*_geometry(v.mesh)) * v.values[v.mesh.triangles], axis=1)
-    return _element_triplets(v.mesh, v.mesh.triangles, g[:, None, None] * _MASS_PATTERN)
-
-
 def convection_form(v: FeField, w: FeField, z: FeField) -> float:
     """Trilinear convection pairing ``integral of v (dw/dx1 + dw/dx2) z``."""
     if w.mesh is not v.mesh or z.mesh is not v.mesh:
@@ -246,11 +219,6 @@ def boundary_quadrature(mesh: Mesh, tags=None) -> BoundaryQuadrature:
     )
 
 
-def trace_values(w: FeField, tags=None) -> np.ndarray:
-    """Field values at the edge quadrature points, shape (edges, points)."""
-    return _trace(w.values, boundary_quadrature(w.mesh, tags))
-
-
 def _trace(values: np.ndarray, bq: BoundaryQuadrature) -> np.ndarray:
     return values[bq.edges] @ bq.basis
 
@@ -264,19 +232,6 @@ def _coefficient_at_edge_quadrature(g, bq: BoundaryQuadrature) -> np.ndarray:
     if arr.shape != shape:
         raise ValueError(f"coefficient array has shape {arr.shape}, expected {shape}")
     return arr
-
-
-def assemble_boundary_mass(mesh: Mesh, g, tags=None) -> sp.csr_matrix:
-    """Boundary matrix of ``integral over tagged edges of g phi_j phi_i``.
-
-    The coefficient ``g`` is a scalar or values at the quadrature nodes,
-    shape (active edges, quadrature points).  Evaluation is pointwise at
-    the nodes, so non-smooth coefficients such as absolute values of a
-    field's trace are supported without edge splitting.
-    """
-    bq = boundary_quadrature(mesh, tags)
-    gq = _coefficient_at_edge_quadrature(g, bq)
-    return _element_triplets(mesh, bq.edges, _edge_blocks(bq, gq))
 
 
 def _edge_blocks(bq: BoundaryQuadrature, gq: np.ndarray) -> np.ndarray:
@@ -307,16 +262,6 @@ def boundary_load(mesh: Mesh, g, tags=None) -> np.ndarray:
 def _edge_load(bq: BoundaryQuadrature, gq: np.ndarray) -> np.ndarray:
     """``integral of g phi_i`` per edge and endpoint ``i``, (edges, 2); ``gq`` at the points."""
     return (gq @ _EDGE_LOAD) * bq.lengths[:, None]
-
-
-def boundary_cubic_residual(w: FeField, tags=None) -> np.ndarray:
-    """Vector of ``integral over tagged edges of w^3 phi_i`` (exact)."""
-    return boundary_load(w.mesh, trace_values(w, tags) ** 3, tags)
-
-
-def boundary_cubic_jacobian(w: FeField, tags=None) -> sp.csr_matrix:
-    """Derivative of :func:`boundary_cubic_residual`: entries 3 w^2 phi_j phi_i."""
-    return assemble_boundary_mass(w.mesh, 3.0 * trace_values(w, tags) ** 2, tags)
 
 
 def _at_interior_points(mesh: Mesh, f) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 from .assembly import FeField, interpolate, l2_norm
 from .evolution import (
     _MIN_FIT_SAMPLES,
+    _SOLVERS,
     _g,
     _write_csv,
     decay_rate_bound,
@@ -26,6 +27,8 @@ from .evolution import (
     run,
 )
 from .harness import (
+    _PROJECTIONS,
+    _SOURCES,
     ProblemConfig,
     Study,
     StudyConfig,
@@ -43,7 +46,6 @@ from .steady import (
     manufactured_solve_spec,
     smallness_report,
     solve_steady,
-    steady_residual,
 )
 
 __all__ = ["main"]
@@ -52,8 +54,8 @@ __all__ = ["main"]
 _CONFIG_KEYS = {
     "domain": {"n", "dirichlet"},
     "physics": {"nu", "c0"},
-    "steady": {"mode", "u_inf", "f_inf", "mean", "source"},
-    "control": {"c0", "active_region"},
+    "steady": {"u_inf", "f_inf", "mean", "source"},
+    "control": {"active_region"},
     "initial": {"w0", "projection"},
     "time": {"k", "t_end", "nonlinear"},
     "study": {"levels", "reference", "t_eval"},
@@ -94,6 +96,14 @@ def _number(value, key: str, integer: bool = False):
         kind = "an integer" if integer else "a finite number"
         raise ValueError(f"config key '{key}' must be {kind}, got {json.dumps(value)}")
     return int(value) if integer else float(value)
+
+
+def _choice(value, key: str, choices: tuple):
+    """Every enumerated config value is read here; it must be one of ``choices``."""
+    if value not in choices:
+        options = ", ".join(json.dumps(choice) for choice in choices)
+        raise ValueError(f"config key '{key}' must be one of {options}, got {json.dumps(value)}")
+    return value
 
 
 def _expression(value, key: str, mesh):
@@ -140,38 +150,25 @@ def _steady_spec(config: dict, mesh) -> SteadySpec:
     nu = _number(_require(config, "physics.nu"), "physics.nu")
     section = config.get("steady", {})
     mean = _number(section.get("mean", 0.0), "steady.mean")
-    mode = section.get("mode")
-    if mode is None:
-        mode = "manufactured" if "u_inf" in section else "solve"
-    if mode == "manufactured":
-        if "u_inf" not in section:
-            raise ValueError("manufactured steady mode needs a 'u_inf' expression")
+    # a closed-form state is manufactured; a closed-form forcing is solved for
+    if ("u_inf" in section) == ("f_inf" in section):
+        raise ValueError("config needs exactly one of 'steady.u_inf' and 'steady.f_inf'")
+    if "u_inf" in section:
         return SteadySpec(
             nu=nu,
             mean_value=mean,
             u_steady=_expression(section["u_inf"], "steady.u_inf", mesh),
         )
-    if mode == "solve":
-        if "f_inf" not in section:
-            raise ValueError("solve steady mode needs an 'f_inf' expression")
-        return SteadySpec(
-            nu=nu,
-            mean_value=mean,
-            forcing=_expression(section["f_inf"], "steady.f_inf", mesh).value,
-        )
-    raise ValueError(f"unknown steady mode {mode!r}")
-
-
-def _gain(config: dict) -> float:
-    key = "control.c0" if "c0" in config.get("control", {}) else "physics.c0"
-    return _number(_require(config, key, 1.0), key)
+    return SteadySpec(
+        nu=nu,
+        mean_value=mean,
+        forcing=_expression(section["f_inf"], "steady.f_inf", mesh).value,
+    )
 
 
 def _controlled(config: dict) -> bool:
     region = config.get("control", {}).get("active_region", "neumann")
-    if region not in ("neumann", "none"):
-        raise ValueError(f"unknown active_region {region!r}")
-    return region == "neumann"
+    return _choice(region, "control.active_region", ("neumann", "none")) == "neumann"
 
 
 def _problem(config: dict, mesh) -> ProblemConfig:
@@ -183,12 +180,16 @@ def _problem(config: dict, mesh) -> ProblemConfig:
         raise ValueError("initial section needs a 'w0' expression")
     return ProblemConfig(
         nu=nu,
-        c0=_gain(config),
+        c0=_number(_require(config, "physics.c0", 1.0), "physics.c0"),
         steady=_steady_spec(config, mesh),
         w0=_expression(initial["w0"], "initial.w0", mesh),
         dirichlet_region=_dirichlet_region(domain.get("dirichlet")),
-        coefficient_source=config.get("steady", {}).get("source", "analytic"),
-        initial_projection=initial.get("projection", "interpolate"),
+        coefficient_source=_choice(
+            config.get("steady", {}).get("source", "analytic"), "steady.source", _SOURCES
+        ),
+        initial_projection=_choice(
+            initial.get("projection", "interpolate"), "initial.projection", _PROJECTIONS
+        ),
     )
 
 
@@ -213,13 +214,10 @@ def _cmd_steady(args) -> int:
     else:
         solve_spec = spec
     solution, history = solve_steady(mesh, solve_spec, full_output=True)
-    residual = steady_residual(
-        mesh, solution, solve_spec.forcing, nu, neumann_flux=solve_spec.neumann_flux
-    )
     payload = {
         "n": int(round(1.0 / mesh.h)),
         "newton_iterations": len(history) - 1,
-        "residual_norm": residual,
+        "residual_norm": history[-1],
     }
     if spec.u_steady is not None:
         exact = interpolate(spec.u_steady.value, mesh)
@@ -251,7 +249,8 @@ def _cmd_simulate(args) -> int:
     evolution = _evolution(problem, _number(_require(config, "time.k"), "time.k"), t_end)
     # EvolutionConfig owns the default solver
     if "nonlinear" in config["time"]:
-        evolution = replace(evolution, nonlinear=config["time"]["nonlinear"])
+        nonlinear = _choice(config["time"]["nonlinear"], "time.nonlinear", _SOLVERS)
+        evolution = replace(evolution, nonlinear=nonlinear)
     if not _controlled(config):
         evolution = replace(evolution, control=None)
     u_steady = _steady_field(mesh, problem)

@@ -57,6 +57,7 @@ _NEWTON_TOL = 1e-10
 _NEWTON_MAX = 20
 # chord Newton refactors when ||r_i|| > _CHORD_CONTRACTION * ||r_{i-1}||
 _CHORD_CONTRACTION = 0.1
+_SOLVERS = ("chord", "newton", "picard")
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,7 @@ class EvolutionConfig:
             raise ValueError(f"time step must lie in (0, 1), got {self.k}")
         if self.t_end < self.k:
             raise ValueError("t_end must cover at least one step")
-        if self.nonlinear not in ("chord", "newton", "picard"):
+        if self.nonlinear not in _SOLVERS:
             raise ValueError(f"unknown nonlinear solver {self.nonlinear!r}")
         if self.control is not None and abs(self.control.nu - self.nu) > 1e-14:
             raise ValueError("control viscosity disagrees with the dynamics")

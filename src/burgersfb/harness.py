@@ -41,6 +41,9 @@ __all__ = [
     "run_example2",
 ]
 
+_SOURCES = ("analytic", "discrete")
+_PROJECTIONS = ("interpolate", "elliptic")
+
 
 @dataclass(frozen=True)
 class ProblemConfig:
@@ -70,11 +73,11 @@ class ProblemConfig:
             raise ValueError(f"control gain must be positive, got {self.c0}")
         if abs(self.steady.nu - self.nu) > 1e-14:
             raise ValueError("steady viscosity disagrees with the dynamics")
-        if self.coefficient_source not in ("analytic", "discrete"):
+        if self.coefficient_source not in _SOURCES:
             raise ValueError(f"unknown coefficient source {self.coefficient_source!r}")
         if self.coefficient_source == "analytic" and self.steady.u_steady is None:
             raise ValueError("analytic coefficients need a closed-form steady state")
-        if self.initial_projection not in ("interpolate", "elliptic"):
+        if self.initial_projection not in _PROJECTIONS:
             raise ValueError(f"unknown initial projection {self.initial_projection!r}")
 
 

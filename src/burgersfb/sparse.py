@@ -22,22 +22,20 @@ __all__ = [
     "Factorization",
     "NonconvergenceError",
     "SingularMatrixError",
-    "SolverError",
     "solve_bordered",
     "solve_general",
 ]
 
 
-class SolverError(RuntimeError):
-    """Linear solve failed; carries the final residual norm."""
+class SingularMatrixError(RuntimeError):
+    """Factorization failed or could not certify the solution.
+
+    Carries the final residual norm, NaN when no residual was formed.
+    """
 
     def __init__(self, message: str, residual: float = float("nan")):
         super().__init__(message)
         self.residual = residual
-
-
-class SingularMatrixError(SolverError):
-    """Factorization failed or could not certify the solution."""
 
 
 class NonconvergenceError(RuntimeError):

@@ -1,25 +1,34 @@
 """Reference code the tests compare the package against; nothing in ``src/`` calls it.
 
-The element assemblers that ``tests/test_acceptance.py`` imports stay in
-``burgersfb.assembly``; :func:`steady_residual_and_gap` builds the steady
-residual from them.
+The element-by-element assemblers (convection by transport and by gradient,
+boundary mass, traces and the cubic boundary terms) build scipy CSR matrices
+cell by cell on the package's private kernels; the fused
+:class:`~burgersfb.assembly.Discretization` kernels are checked against them,
+and :func:`steady_residual_and_gap` builds the steady residual from them.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from burgersfb.assembly import (
+    _MASS_PATTERN,
     _QUADRATURE,
     FeField,
     Quadrature,
+    _coefficient_at_edge_quadrature,
+    _edge_blocks,
+    _element_triplets,
     _geometry,
-    assemble_convection_by_transport,
+    _slopes,
+    _trace,
     assemble_mass,
     assemble_stiffness,
     boundary_load,
+    boundary_quadrature,
     load_vector,
 )
 from burgersfb.control import ControlParams, _active_flux, _active_quadrature, _boundary_l2
+from burgersfb.mesh import Mesh
 
 
 def default_quadrature() -> Quadrature:
@@ -55,6 +64,56 @@ def convection_by_quadrature(v: FeField, w: FeField, z: FeField) -> float:
     zq = z.values[tri] @ lam.T
     sw = np.sum(w.values[tri] * (gx + gy), axis=1)
     return float(np.sum(((vq * zq) @ _QUADRATURE.interior_weights) * sw * (2.0 * areas)))
+
+
+def assemble_convection_by_transport(v: FeField) -> sp.csr_matrix:
+    """Matrix of ``integral of v (d/dx1 + d/dx2) phi_j phi_i``.
+
+    The coefficient ``v`` multiplies the transported basis function, whose
+    derivative is constant per element, so each block is that slope times
+    the mass-pattern image of ``v``.
+    """
+    vp = v.values[v.mesh.triangles] @ _MASS_PATTERN
+    blocks = vp[:, :, None] * _slopes(*_geometry(v.mesh))[:, None, :]
+    return _element_triplets(v.mesh, v.mesh.triangles, blocks)
+
+
+def assemble_convection_by_gradient(v: FeField) -> sp.csr_matrix:
+    """Matrix of ``integral of (d/dx1 + d/dx2) v phi_j phi_i``.
+
+    The directional derivative of ``v`` is constant per element, so each
+    block is that constant times the element mass block.
+    """
+    g = np.sum(_slopes(*_geometry(v.mesh)) * v.values[v.mesh.triangles], axis=1)
+    return _element_triplets(v.mesh, v.mesh.triangles, g[:, None, None] * _MASS_PATTERN)
+
+
+def trace_values(w: FeField, tags=None) -> np.ndarray:
+    """Field values at the edge quadrature points, shape (edges, points)."""
+    return _trace(w.values, boundary_quadrature(w.mesh, tags))
+
+
+def assemble_boundary_mass(mesh: Mesh, g, tags=None) -> sp.csr_matrix:
+    """Boundary matrix of ``integral over tagged edges of g phi_j phi_i``.
+
+    The coefficient ``g`` is a scalar or values at the quadrature nodes,
+    shape (active edges, quadrature points).  Evaluation is pointwise at
+    the nodes, so non-smooth coefficients such as absolute values of a
+    field's trace are supported without edge splitting.
+    """
+    bq = boundary_quadrature(mesh, tags)
+    gq = _coefficient_at_edge_quadrature(g, bq)
+    return _element_triplets(mesh, bq.edges, _edge_blocks(bq, gq))
+
+
+def boundary_cubic_residual(w: FeField, tags=None) -> np.ndarray:
+    """Vector of ``integral over tagged edges of w^3 phi_i`` (exact)."""
+    return boundary_load(w.mesh, trace_values(w, tags) ** 3, tags)
+
+
+def boundary_cubic_jacobian(w: FeField, tags=None) -> sp.csr_matrix:
+    """Derivative of :func:`boundary_cubic_residual`: entries 3 w^2 phi_j phi_i."""
+    return assemble_boundary_mass(w.mesh, 3.0 * trace_values(w, tags) ** 2, tags)
 
 
 def control_trace(w: FeField, u_steady: FeField, params: ControlParams) -> np.ndarray:

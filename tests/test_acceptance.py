@@ -16,15 +16,12 @@ import pytest
 
 from burgersfb.assembly import (
     FeField,
-    assemble_convection_by_gradient,
-    assemble_convection_by_transport,
     assemble_mass,
     assemble_stiffness,
     boundary_quadrature,
     convection_form,
     interpolate,
     l2_norm,
-    trace_values,
 )
 from burgersfb.cli import main
 from burgersfb.control import ControlParams
@@ -42,6 +39,11 @@ from burgersfb.steady import (
     analytic_from_expression,
     manufactured_solve_spec,
     solve_steady,
+)
+from oracles import (
+    assemble_convection_by_gradient,
+    assemble_convection_by_transport,
+    trace_values,
 )
 
 NU = 0.1

@@ -8,13 +8,8 @@ from burgersfb.assembly import (
     Discretization,
     FeField,
     NonNestedMeshError,
-    assemble_boundary_mass,
-    assemble_convection_by_gradient,
-    assemble_convection_by_transport,
     assemble_mass,
     assemble_stiffness,
-    boundary_cubic_jacobian,
-    boundary_cubic_residual,
     boundary_load,
     boundary_quadrature,
     convection_form,
@@ -27,7 +22,6 @@ from burgersfb.assembly import (
     l2_norm,
     load_vector,
     prolong,
-    trace_values,
 )
 from burgersfb.mesh import (
     BoundaryTag,
@@ -35,7 +29,17 @@ from burgersfb.mesh import (
     refine_uniform,
     tag_boundary,
 )
-from oracles import apply_dirichlet, convection_by_quadrature, default_quadrature
+from oracles import (
+    apply_dirichlet,
+    assemble_boundary_mass,
+    assemble_convection_by_gradient,
+    assemble_convection_by_transport,
+    boundary_cubic_jacobian,
+    boundary_cubic_residual,
+    convection_by_quadrature,
+    default_quadrature,
+    trace_values,
+)
 
 
 def random_field(mesh, rng, scale=1.0):

@@ -3,12 +3,8 @@ import pytest
 
 from burgersfb.assembly import (
     FeField,
-    assemble_boundary_mass,
-    boundary_cubic_jacobian,
-    boundary_cubic_residual,
     boundary_quadrature,
     interpolate,
-    trace_values,
 )
 from burgersfb.control import (
     ACTIVE_TAGS,
@@ -16,7 +12,14 @@ from burgersfb.control import (
     NoActiveBoundaryError,
 )
 from burgersfb.mesh import BoundaryTag, build_unit_square_mesh, tag_boundary
-from oracles import control_boundary_l2, control_trace
+from oracles import (
+    assemble_boundary_mass,
+    boundary_cubic_jacobian,
+    boundary_cubic_residual,
+    control_boundary_l2,
+    control_trace,
+    trace_values,
+)
 
 NU = 0.1
 C0 = 1.0

@@ -8,17 +8,11 @@ from hypothesis import strategies as st
 from burgersfb.assembly import (
     Discretization,
     FeField,
-    assemble_boundary_mass,
-    assemble_convection_by_gradient,
-    assemble_convection_by_transport,
     assemble_mass,
     assemble_stiffness,
-    boundary_cubic_jacobian,
-    boundary_cubic_residual,
     dirichlet_vertex_indices,
     interpolate,
     l2_norm,
-    trace_values,
 )
 from burgersfb import evolution
 from burgersfb.control import ACTIVE_TAGS, ControlParams
@@ -35,7 +29,16 @@ from burgersfb.evolution import (
 )
 from burgersfb.mesh import build_unit_square_mesh, tag_boundary
 from burgersfb.sparse import NonconvergenceError, solve_general
-from oracles import apply_dirichlet, control_boundary_l2
+from oracles import (
+    apply_dirichlet,
+    assemble_boundary_mass,
+    assemble_convection_by_gradient,
+    assemble_convection_by_transport,
+    boundary_cubic_jacobian,
+    boundary_cubic_residual,
+    control_boundary_l2,
+    trace_values,
+)
 
 NU = 0.1
 C0 = 1.0
