@@ -3,11 +3,11 @@
 Convection is exact on the P1 mass pattern, as ``(d/dx1 + d/dx2) w`` is
 constant per triangle.  A six-point interior rule exact to degree 4 only
 samples callables, and a three-point Gauss rule on boundary edges exact to
-degree 5 integrates the cubic and quartic traces exactly.  Mass and
-stiffness are assembled triangle by triangle and returned as scipy CSR;
-:class:`Discretization` assembles the time loop's forms onto one fixed CSC
-pattern, on the edge helpers :func:`_trace`, :func:`_edge_load` and
-:func:`_edge_blocks`.
+degree 5 integrates the cubic and quartic traces exactly.
+:class:`Discretization` is the one matrix assembler: mass, stiffness and
+the time loop's forms go onto its fixed CSC pattern, on the edge helpers
+:func:`_trace`, :func:`_edge_load` and :func:`_edge_blocks`.  The norms
+sum per triangle and assemble nothing.
 """
 
 from __future__ import annotations
@@ -85,6 +85,8 @@ def _default_quadrature() -> Quadrature:
 
 
 _QUADRATURE = _default_quadrature()
+# the boundary tags the feedback acts on
+ACTIVE_TAGS = (BoundaryTag.NEUMANN_CONTROL,)
 # the edge basis at the edge points (2, points) and the weighted products all edges
 # share: w_q phi_i(t_q) in column i of _EDGE_LOAD, w_q phi_i phi_j in column 2i+j of _EDGE_PAIRS
 _EDGE_BASIS = np.stack([1.0 - _QUADRATURE.edge_points, _QUADRATURE.edge_points])
@@ -130,14 +132,6 @@ def _geometry(mesh: Mesh):
     return areas, gx / det[:, None], gy / det[:, None]
 
 
-def _element_triplets(mesh: Mesh, cells: np.ndarray, blocks: np.ndarray) -> sp.csr_matrix:
-    """Sum of the local ``blocks`` (cells, k, k) on the vertex tuples ``cells`` (cells, k)."""
-    m, k = cells.shape
-    rows = np.broadcast_to(cells[:, :, None], (m, k, k)).ravel()
-    cols = np.broadcast_to(cells[:, None, :], (m, k, k)).ravel()
-    return sp.csr_matrix((blocks.ravel(), (rows, cols)), shape=(mesh.num_vertices,) * 2)
-
-
 _MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
@@ -152,18 +146,19 @@ def _slopes(areas, gx, gy):
     return areas[:, None] * (gx + gy)
 
 
-def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
+def assemble_mass(mesh: Mesh) -> sp.csc_matrix:
     """Mass matrix: entries are exact integrals of basis products.
 
     Each element block is ``area / 12 * [[2, 1, 1], [1, 2, 1], [1, 1, 2]]``.
     """
-    areas, _, _ = _geometry(mesh)
-    return _element_triplets(mesh, mesh.triangles, areas[:, None, None] * _MASS_PATTERN)
+    disc = Discretization(mesh)
+    return disc.matrix(disc.mass)
 
 
-def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
+def assemble_stiffness(mesh: Mesh) -> sp.csc_matrix:
     """Stiffness matrix of gradient inner products; constants span its kernel."""
-    return _element_triplets(mesh, mesh.triangles, _stiffness_blocks(*_geometry(mesh)))
+    disc = Discretization(mesh)
+    return disc.matrix(disc.stiffness)
 
 
 def convection_form(v: FeField, w: FeField, z: FeField) -> float:
@@ -301,21 +296,27 @@ def discrete_laplacian(mesh: Mesh, w: FeField, flux=None) -> FeField:
     """
     if w.mesh is not mesh:
         raise ValueError("field does not live on the given mesh")
-    rhs = -(assemble_stiffness(mesh) @ w.values)
+    disc = Discretization(mesh)
+    rhs = -(disc.matrix(disc.stiffness) @ w.values)
     if flux is not None:
         rhs = rhs + boundary_load(mesh, flux)
-    d = solve_general(assemble_mass(mesh), rhs)
+    d = solve_general(disc.matrix(disc.mass), rhs)
     return FeField(mesh, d)
 
 
 def l2_norm(w: FeField) -> float:
-    m = assemble_mass(w.mesh)
-    return float(np.sqrt(max(w.values @ (m @ w.values), 0.0)))
+    """``sqrt(w^T M w)``, summed per triangle as ``|K| v_K^T P v_K`` on the mass pattern."""
+    areas, _, _ = _geometry(w.mesh)
+    vk = w.values[w.mesh.triangles]
+    return float(np.sqrt(max(areas @ np.sum((vk @ _MASS_PATTERN) * vk, axis=1), 0.0)))
 
 
 def h1_seminorm(w: FeField) -> float:
-    k = assemble_stiffness(w.mesh)
-    return float(np.sqrt(max(w.values @ (k @ w.values), 0.0)))
+    """``sqrt(w^T K w)``, summed per triangle as ``|K| |grad w_K|^2``."""
+    areas, gx, gy = _geometry(w.mesh)
+    vk = w.values[w.mesh.triangles]
+    dx, dy = np.sum(gx * vk, axis=1), np.sum(gy * vk, axis=1)
+    return float(np.sqrt(areas @ (dx * dx + dy * dy)))
 
 
 def interpolate(f, mesh: Mesh) -> FeField:
@@ -372,8 +373,8 @@ def elliptic_projection(mesh: Mesh, f, fx, fy) -> FeField:
     )
     b = np.bincount(mesh.triangles.ravel(), grad_part.ravel(), mesh.num_vertices)
     b += load_vector(mesh, f)
-    a = assemble_stiffness(mesh) + assemble_mass(mesh)
-    return FeField(mesh, solve_general(a, b))
+    disc = Discretization(mesh)
+    return FeField(mesh, solve_general(disc.matrix(disc.stiffness + disc.mass), b))
 
 
 def dirichlet_vertex_indices(mesh: Mesh) -> np.ndarray:
@@ -383,15 +384,19 @@ def dirichlet_vertex_indices(mesh: Mesh) -> np.ndarray:
 
 
 class Discretization:
-    """Fixed CSC sparsity pattern of one mesh, and the time loop's kernels on it.
+    """The one matrix assembler: the fixed CSC sparsity pattern of a mesh and its kernels.
 
-    Built once per mesh and set of active boundary ``tags``.  Per-triangle
+    Built once per mesh.  ``mass`` and ``stiffness`` hold the data of the P1
+    matrices, and :meth:`matrix` wraps any data on the pattern as CSC.  The
+    active edges ``bq`` are those tagged ``ACTIVE_TAGS``; a kernel touches
+    them only when asked for traces or edge blocks, so uncontrolled runs and
+    the steady solve use the same object.  Per-triangle
     arrays put the triangles last: ``corners`` and ``slopes`` (3, triangles)
     hold each corner's vertex and the integral of ``(d/dx1 + d/dx2)`` of its
     basis function.  ``element_slots`` (3, 3, triangles) and ``edge_slots``
     (active edges, 2, 2), views into ``slots``, give each local entry's data
     position; ``load_index`` lists the corners, then the active-edge
-    endpoints (``bq``).  An iterate is gathered once (:meth:`gather`), and
+    endpoints.  An iterate is gathered once (:meth:`gather`), and
     :meth:`residual` and :meth:`jacobian` each turn a gather into one
     ``np.bincount``.  ``dirichlet`` holds the pinned vertices, whose slots
     :meth:`eliminate` clears.  :meth:`factor` is the time loop's band LU:
@@ -401,7 +406,7 @@ class Discretization:
     flat index in the band array.  Other solves stay on SuperLU.
     """
 
-    def __init__(self, mesh: Mesh, tags=None):
+    def __init__(self, mesh: Mesh):
         n = mesh.num_vertices
         # triangles last: numpy broadcasts and reduces fastest along the long axis
         corners = np.ascontiguousarray(mesh.triangles.T)
@@ -413,7 +418,7 @@ class Discretization:
         areas, gx, gy = _geometry(mesh)
         self.indices = rows.astype(np.int32)
         self.indptr = np.searchsorted(columns, np.arange(n + 1)).astype(np.int32)
-        self.bq = boundary_quadrature(mesh, tags)
+        self.bq = boundary_quadrature(mesh, ACTIVE_TAGS)
         e = self.bq.edges
         edge_slots = np.searchsorted(keys, e[:, None, :] * n + e[:, :, None])
         self.slots = np.concatenate([slots.ravel(), edge_slots.ravel()])

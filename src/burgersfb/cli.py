@@ -178,15 +178,20 @@ def _problem(config: dict, mesh) -> ProblemConfig:
     domain = config.get("domain", {})
     if "w0" not in initial:
         raise ValueError("initial section needs a 'w0' expression")
+    spec = _steady_spec(config, mesh)
+    source = _choice(config.get("steady", {}).get("source", "analytic"), "steady.source", _SOURCES)
+    if source == "analytic" and spec.u_steady is None:
+        raise ValueError(
+            "config key 'steady.source' is \"analytic\" (the default), which needs "
+            "'steady.u_inf'; with 'steady.f_inf' set it to \"discrete\""
+        )
     return ProblemConfig(
         nu=nu,
         c0=_number(_require(config, "physics.c0", 1.0), "physics.c0"),
-        steady=_steady_spec(config, mesh),
+        steady=spec,
         w0=_expression(initial["w0"], "initial.w0", mesh),
         dirichlet_region=_dirichlet_region(domain.get("dirichlet")),
-        coefficient_source=_choice(
-            config.get("steady", {}).get("source", "analytic"), "steady.source", _SOURCES
-        ),
+        coefficient_source=source,
         initial_projection=_choice(
             initial.get("projection", "interpolate"), "initial.projection", _PROJECTIONS
         ),
@@ -231,6 +236,8 @@ def _cmd_steady(args) -> int:
         "bound": report.smallness_bound,
         "bound_loose": report.smallness_bound_loose,
         "satisfied": report.satisfied,
+        "laplacian_norm": report.laplacian_norm,
+        "forcing_l2": report.forcing_l2,
     }
     out = _output_dir(config, args.output_dir)
     path = os.path.join(out, "steady.csv")
@@ -278,8 +285,19 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+# keys a study cannot honour: every level runs controlled, with the default solver
+_NOT_IN_STUDY = ("time.nonlinear", "control.active_region")
+
+
 def _cmd_study(args) -> int:
     config = _load_config(args.config)
+    for key in _NOT_IN_STUDY:
+        section, name = key.split(".")
+        if name in config.get(section, {}):
+            raise ValueError(
+                f"config key '{key}' is not read by study, which runs every level "
+                "controlled with the default solver"
+            )
     levels = _require(config, "study.levels")
     if not isinstance(levels, list):
         raise ValueError("config key 'study.levels' must be a list of integers")

@@ -16,18 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import FeField, _trace, boundary_quadrature
-from .mesh import BoundaryTag, Mesh
+from .assembly import ACTIVE_TAGS, FeField, _trace, boundary_quadrature
+from .mesh import Mesh
 
 __all__ = [
     "ACTIVE_TAGS",
     "ControlParams",
     "NoActiveBoundaryError",
 ]
-
-# the boundary tags the feedback acts on
-ACTIVE_TAGS = (BoundaryTag.NEUMANN_CONTROL,)
-
 
 class NoActiveBoundaryError(ValueError):
     """Raised when the feedback has no boundary edge to act on."""

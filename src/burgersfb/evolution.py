@@ -28,7 +28,6 @@ import numpy as np
 
 from .assembly import Discretization, FeField
 from .control import (
-    ACTIVE_TAGS,
     ControlParams,
     _boundary_l2,
     _check_active,
@@ -116,7 +115,7 @@ def build_operators(mesh: Mesh, u_steady: FeField, cfg: EvolutionConfig) -> Step
     if u_steady.mesh is not mesh:
         raise ValueError("steady field does not live on the given mesh")
     controlled = cfg.control is not None
-    disc = Discretization(mesh, ACTIVE_TAGS if controlled else ())
+    disc = Discretization(mesh)
     if controlled:
         _check_active(disc.bq)
     vp, g, tr = disc.gather(u_steady.values, controlled)

@@ -1,7 +1,8 @@
 """Sparse storage and the linear solvers behind assembly and Newton loops.
 
-Assembly outside the time loop builds scipy CSR; the time loop builds CSC
-on one fixed pattern.  Every square solve is a certified
+Every matrix the package assembles is CSC on the fixed pattern of a
+:class:`~burgersfb.assembly.Discretization`; only the bordered steady
+system is built as CSR.  Every square solve is a certified
 :class:`Factorization` with partial pivoting, kept when one factor serves
 several right-hand sides.  The time loop's step and Jacobian matrices are
 factored by LAPACK band LU (``dgbtrf``/``dgbtrs``) in the vertex order of
@@ -53,7 +54,7 @@ class NonconvergenceError(RuntimeError):
 
 
 class Factorization:
-    """LU of a square CSR or CSC matrix with partial pivoting; solves certified.
+    """LU of a square CSC matrix (or CSR, as the bordered system) with partial pivoting.
 
     Every solution must satisfy
     ``||a x - b||_inf <= 1e-10 (||a||_inf ||x||_inf + ||b||_inf)`` against

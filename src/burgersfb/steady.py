@@ -19,8 +19,6 @@ import numpy as np
 from .assembly import (
     Discretization,
     FeField,
-    assemble_mass,
-    assemble_stiffness,
     boundary_load,
     convection_form,
     discrete_laplacian,
@@ -169,7 +167,7 @@ def _steady_load(mesh: Mesh, spec: SteadySpec) -> np.ndarray:
 def _steady_system(mesh: Mesh, spec: SteadySpec):
     """``(disc, residual, constraint)`` on one fixed pattern: ``residual(u)`` is
     ``(nu K u + T(u) u - load, disc.gather(u))``, ``constraint`` the mass row sums."""
-    disc = Discretization(mesh, ())
+    disc = Discretization(mesh)
     viscous = disc.matrix(spec.nu * disc.stiffness)
     load = _steady_load(mesh, spec)
 
@@ -276,9 +274,9 @@ def estimate_convection_constant(mesh: Mesh, samples: int = 64, seed: int = 0) -
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
-    mass = assemble_mass(mesh)
-    stiffness = assemble_stiffness(mesh)
-    weights = np.asarray(mass.sum(axis=1)).ravel()
+    disc = Discretization(mesh)
+    stiffness = disc.matrix(disc.stiffness)
+    weights = np.bincount(disc.indices, disc.mass, mesh.num_vertices)
     volume = float(weights.sum())
     best = 0.0
     valid = 0

@@ -1,10 +1,11 @@
 """Reference code the tests compare the package against; nothing in ``src/`` calls it.
 
-The element-by-element assemblers (convection by transport and by gradient,
-boundary mass, traces and the cubic boundary terms) build scipy CSR matrices
-cell by cell on the package's private kernels; the fused
-:class:`~burgersfb.assembly.Discretization` kernels are checked against them,
-and :func:`steady_residual_and_gap` builds the steady residual from them.
+The element-by-element assemblers (mass, stiffness, convection by transport
+and by gradient, boundary mass, traces and the cubic boundary terms) build
+scipy CSR matrices cell by cell from COO triplets on the package's private
+kernels.  :class:`~burgersfb.assembly.Discretization`, the package's one
+matrix assembler, is checked against them, and
+:func:`steady_residual_and_gap` builds the steady residual from them.
 """
 
 import numpy as np
@@ -17,12 +18,10 @@ from burgersfb.assembly import (
     Quadrature,
     _coefficient_at_edge_quadrature,
     _edge_blocks,
-    _element_triplets,
     _geometry,
     _slopes,
+    _stiffness_blocks,
     _trace,
-    assemble_mass,
-    assemble_stiffness,
     boundary_load,
     boundary_quadrature,
     load_vector,
@@ -34,6 +33,25 @@ from burgersfb.mesh import Mesh
 def default_quadrature() -> Quadrature:
     """The rule pair used by every assembly routine in this module."""
     return _QUADRATURE
+
+
+def _element_triplets(mesh: Mesh, cells: np.ndarray, blocks: np.ndarray) -> sp.csr_matrix:
+    """Sum of the local ``blocks`` (cells, k, k) on the vertex tuples ``cells`` (cells, k)."""
+    m, k = cells.shape
+    rows = np.broadcast_to(cells[:, :, None], (m, k, k)).ravel()
+    cols = np.broadcast_to(cells[:, None, :], (m, k, k)).ravel()
+    return sp.csr_matrix((blocks.ravel(), (rows, cols)), shape=(mesh.num_vertices,) * 2)
+
+
+def assemble_mass_by_element(mesh: Mesh) -> sp.csr_matrix:
+    """Mass matrix from the blocks ``area / 12 * [[2, 1, 1], [1, 2, 1], [1, 1, 2]]``."""
+    areas, _, _ = _geometry(mesh)
+    return _element_triplets(mesh, mesh.triangles, areas[:, None, None] * _MASS_PATTERN)
+
+
+def assemble_stiffness_by_element(mesh: Mesh) -> sp.csr_matrix:
+    """Stiffness matrix from the blocks ``area * grad phi_i . grad phi_j``."""
+    return _element_triplets(mesh, mesh.triangles, _stiffness_blocks(*_geometry(mesh)))
 
 
 def apply_dirichlet(matrix: sp.spmatrix, dofs: np.ndarray) -> sp.csr_matrix:
@@ -147,11 +165,11 @@ def steady_residual_and_gap(field: FeField, spec) -> tuple:
     if spec.neumann_flux is not None:
         load = load + spec.nu * boundary_load(mesh, spec.neumann_flux)
     residual = (
-        spec.nu * (assemble_stiffness(mesh) @ u)
+        spec.nu * (assemble_stiffness_by_element(mesh) @ u)
         + assemble_convection_by_transport(field) @ u
         - load
     )
-    weights = np.asarray(assemble_mass(mesh).sum(axis=1)).ravel()
+    weights = np.asarray(assemble_mass_by_element(mesh).sum(axis=1)).ravel()
     unit = weights / np.linalg.norm(weights)
     norm = float(np.linalg.norm(residual - (unit @ residual) * unit))
     return norm, spec.mean_value - float(weights @ u)

@@ -29,11 +29,15 @@ from burgersfb.mesh import (
     refine_uniform,
     tag_boundary,
 )
+from burgersfb import assembly
+from burgersfb.control import ACTIVE_TAGS
 from oracles import (
     apply_dirichlet,
     assemble_boundary_mass,
     assemble_convection_by_gradient,
     assemble_convection_by_transport,
+    assemble_mass_by_element,
+    assemble_stiffness_by_element,
     boundary_cubic_jacobian,
     boundary_cubic_residual,
     convection_by_quadrature,
@@ -293,6 +297,29 @@ def test_norms_values(unit4):
     assert (l2_norm(zero), h1_seminorm(zero)) == (0.0, 0.0)
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n=st.integers(1, 6), pinned=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_norms_assemble_no_matrix(jittered_mesh, n, pinned, seed):
+    rng = np.random.default_rng(seed)
+    mesh = jittered_mesh(n, pinned, rng)
+    w = random_field(mesh, rng)
+    references = [
+        np.sqrt(w.values @ (matrix(mesh) @ w.values))
+        for matrix in (assemble_mass_by_element, assemble_stiffness_by_element)
+    ]
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a norm built a matrix")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(assembly, "Discretization", no_matrix)
+        patch.setattr(sp, "csr_matrix", no_matrix)
+        patch.setattr(sp, "csc_matrix", no_matrix)
+        norms = [l2_norm(w), h1_seminorm(w)]
+    for norm, reference in zip(norms, references):
+        assert abs(norm - reference) <= 1e-13 * max(1.0, reference)
+
+
 def test_norms_converge_for_sine_product():
     # |sin sin|_L2 = 1/2; interpolation error is O(h^2)
     errors = []
@@ -448,31 +475,60 @@ def test_convection_kernels_match_quadrature(jittered_mesh, n, seed):
     close(z.values @ disc.residual(w.values)[0], convection_by_quadrature(w, w, z))
 
 
+PATTERN_AND_ELEMENT = (
+    (assemble_mass, assemble_mass_by_element),
+    (assemble_stiffness, assemble_stiffness_by_element),
+)
+
+
+@pytest.mark.parametrize("n, pinned, levels", [(16, False, 0), (32, False, 1), (8, True, 2)])
+def test_pattern_matrices_equal_element_assembly_on_the_study_meshes(n, pinned, levels):
+    # on uniform meshes and their refinements the element terms at a vertex are
+    # equal (mass) or 1/2 and 1 (stiffness), so the order of the sums cannot
+    # show: the CSC matrices are identical
+    mesh = build_unit_square_mesh(n)
+    if pinned:
+        mesh = tag_boundary(mesh, ((1.0, 0.0), (1.0, 1.0)))
+    for _ in range(levels):
+        mesh = refine_uniform(mesh)
+    for pattern, element in PATTERN_AND_ELEMENT:
+        got, want = pattern(mesh), element(mesh).tocsc()
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(n=st.integers(1, 6), pinned=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_pattern_assembly_matches_element_assembly(jittered_mesh, n, pinned, seed):
     rng = np.random.default_rng(seed)
     mesh = jittered_mesh(n, pinned, rng)
     w = random_field(mesh, rng)
-    for tags in (None, (BoundaryTag.NEUMANN_CONTROL,)):
-        disc = Discretization(mesh, tags)
-        assert_relative_close(disc.matrix(disc.mass), assemble_mass(mesh))
-        assert_relative_close(disc.matrix(disc.stiffness), assemble_stiffness(mesh))
-        tr = disc.traces(w.values)
-        assert_relative_close(tr, trace_values(w, tags))
-        # the edge load against the edge blocks (the two edge basis functions
-        # sum to one), and the trace of a linear field, which is exact
-        gq = rng.standard_normal(tr.shape)
+    # the package's mass and stiffness come from the pattern.  An off-diagonal entry
+    # sums at most two element terms, so it equals the element sum bit for bit; a
+    # diagonal entry sums up to six positive terms, which COO-to-CSR adds in another
+    # order, so the two sums differ by at most five roundings
+    for pattern, element in PATTERN_AND_ELEMENT:
+        got, want = pattern(mesh).toarray(), element(mesh).toarray()
+        diagonal = np.eye(mesh.num_vertices, dtype=bool)
+        assert np.array_equal(got[~diagonal], want[~diagonal])
+        bound = 5 * np.finfo(float).eps * want[diagonal]
+        assert np.all(np.abs(got - want)[diagonal] <= bound)
+    disc = Discretization(mesh)
+    assert_relative_close(disc.traces(w.values), trace_values(w, ACTIVE_TAGS))
+    # the edge load against the edge blocks (the two edge basis functions sum to one)
+    for tags in (None, ACTIVE_TAGS):
+        gq = rng.standard_normal(boundary_quadrature(mesh, tags).points.shape[:2])
         ones = np.ones(mesh.num_vertices)
         assert_relative_close(
             boundary_load(mesh, gq, tags), assemble_boundary_mass(mesh, gq, tags) @ ones
         )
-        a, b, c = rng.standard_normal(3)
-        linear = a * mesh.vertices[:, 0] + b * mesh.vertices[:, 1] + c
-        points = disc.bq.points
-        assert_relative_close(
-            disc.traces(linear), a * points[..., 0] + b * points[..., 1] + c, rtol=1e-14
-        )
+    # the trace of a linear field, which is exact
+    a, b, c = rng.standard_normal(3)
+    linear = a * mesh.vertices[:, 0] + b * mesh.vertices[:, 1] + c
+    points = disc.bq.points
+    assert_relative_close(
+        disc.traces(linear), a * points[..., 0] + b * points[..., 1] + c, rtol=1e-14
+    )
     vp, g, _ = disc.gather(w.values)
     data = disc.jacobian(vp, g) + disc.stiffness
     expected = apply_dirichlet(disc.matrix(data), dirichlet_vertex_indices(mesh))
@@ -492,9 +548,8 @@ def test_fused_kernels_match_element_assembly(jittered_mesh, n, pinned, controll
     rng = np.random.default_rng(seed)
     mesh = jittered_mesh(n, pinned, rng)
     w = random_field(mesh, rng)
-    tags = (BoundaryTag.NEUMANN_CONTROL,) if controlled else ()
     cubic = rng.uniform(0.1, 2.0) if controlled else 0.0
-    disc = Discretization(mesh, tags)
+    disc = Discretization(mesh)
 
     def close(got, want):
         if sp.issparse(want):
@@ -511,8 +566,9 @@ def test_fused_kernels_match_element_assembly(jittered_mesh, n, pinned, controll
         close(disc.jacobian(vp), transport)
         return
     assert np.array_equal(tr, disc.traces(w.values))
-    close(load, transport @ w.values + cubic * boundary_cubic_residual(w, tags))
-    newton = transport + gradient + cubic * boundary_cubic_jacobian(w, tags)
+    close(load, transport @ w.values + cubic * boundary_cubic_residual(w, ACTIVE_TAGS))
+    newton = transport + gradient + cubic * boundary_cubic_jacobian(w, ACTIVE_TAGS)
     close(disc.jacobian(vp, g, 3.0 * cubic * tr**2), newton)
-    picard = transport + assemble_boundary_mass(mesh, cubic * trace_values(w, tags) ** 2, tags)
+    boundary = cubic * trace_values(w, ACTIVE_TAGS) ** 2
+    picard = transport + assemble_boundary_mass(mesh, boundary, ACTIVE_TAGS)
     close(disc.jacobian(vp, gq=cubic * tr**2), picard)

@@ -6,8 +6,10 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from burgersfb.assembly import FeField, discrete_laplacian, l2_norm
 from burgersfb.cli import _CONFIG_KEYS, main
 from burgersfb.mesh import build_unit_square_mesh, tag_boundary
 from burgersfb.steady import (
@@ -49,6 +51,14 @@ def test_steady_manufactured(tmp_path, capsys):
     assert payload["smallness"]["satisfied"] is True
     with open(payload["csv"], "r", encoding="ascii") as handle:
         assert handle.readline().rstrip("\n") == "x,y,u"
+        # 17 significant digits give back the solution's doubles
+        solution = np.array([float(line.split(",")[2]) for line in handle])
+    # the manufactured forcing of -0.2 x1 is 0.04 x1, whose L2 norm is 0.04 / sqrt(3)
+    assert payload["smallness"]["forcing_l2"] == pytest.approx(0.04 / np.sqrt(3.0), rel=1e-12)
+    mesh = build_unit_square_mesh(4)
+    laplacian = discrete_laplacian(mesh, FeField(mesh, solution))
+    assert payload["smallness"]["laplacian_norm"] == pytest.approx(l2_norm(laplacian), rel=1e-12)
+    assert payload["smallness"]["laplacian_norm"] > 0.0
 
 
 def test_steady_solve_mode(tmp_path, capsys):
@@ -357,6 +367,40 @@ def test_steady_state_and_gain_each_have_one_key(tmp_path, capsys, section, mess
     config = write_config(tmp_path, {**BASE, **section})
     for command in ("steady", "simulate"):
         assert message in run_error(capsys, [command, "--config", config])
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("time", "nonlinear", "picard"),
+        ("time", "nonlinear", "chord"),
+        ("control", "active_region", "none"),
+        ("control", "active_region", "neumann"),
+    ],
+)
+def test_study_rejects_keys_it_cannot_honour(tmp_path, capsys, section, key, value):
+    # a study runs every level controlled with the default solver; the keys it
+    # shares with simulate (domain.n, time.t_end) stay accepted, as test_study_rates runs them
+    study = {"levels": [2, 4], "reference": 8, "t_eval": 0.05}
+    payload = {**BASE, "study": study, section: {**BASE.get(section, {}), key: value}}
+    config = write_config(tmp_path, payload)
+    message = run_error(capsys, ["study", "--config", config, "--output-dir", str(tmp_path)])
+    assert message.startswith(f"config key '{section}.{key}' is not read by study")
+    assert not os.path.exists(tmp_path / "rates_state.csv")
+
+
+@pytest.mark.parametrize("command", ["simulate", "study"])
+def test_forcing_with_analytic_coefficients_names_both_keys(tmp_path, capsys, command):
+    study = {"levels": [2, 4], "reference": 8, "t_eval": 0.05}
+    config = write_config(tmp_path, {**BASE, "study": study, "steady": {"f_inf": "0.04*x1"}})
+    message = run_error(capsys, [command, "--config", config])
+    assert message.startswith("config key 'steady.source'")
+    assert "'steady.f_inf'" in message
+    # with discrete coefficients the same steady section runs
+    discrete = {"f_inf": "0.04*x1", "mean": -0.1, "source": "discrete"}
+    config = write_config(tmp_path, {**BASE, "steady": discrete}, "discrete.json")
+    payload = run_json(capsys, ["simulate", "--config", config, "--output-dir", str(tmp_path)])
+    assert payload["l2_final"] > 0.0
 
 
 def readme_config_table():

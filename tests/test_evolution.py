@@ -34,6 +34,8 @@ from oracles import (
     assemble_boundary_mass,
     assemble_convection_by_gradient,
     assemble_convection_by_transport,
+    assemble_mass_by_element,
+    assemble_stiffness_by_element,
     boundary_cubic_jacobian,
     boundary_cubic_residual,
     control_boundary_l2,
@@ -185,13 +187,13 @@ def test_step_ignores_pinned_values_of_previous_state(nonlinear):
 
 
 def reference_step(w_prev, cfg, mesh, u_steady, start=None):
-    """One backward Euler step built only from the public element assemblers.
+    """One backward Euler step built only from the element assemblers.
 
     Newton starts from ``start`` (``w_prev`` when omitted)."""
     dofs = dirichlet_vertex_indices(mesh)
-    mass = assemble_mass(mesh)
+    mass = assemble_mass_by_element(mesh)
     constant = (
-        cfg.nu * assemble_stiffness(mesh)
+        cfg.nu * assemble_stiffness_by_element(mesh)
         + assemble_convection_by_transport(u_steady)
         + assemble_convection_by_gradient(u_steady)
     )
@@ -257,11 +259,11 @@ def test_steps_match_element_assembly_reference(nonlinear, controlled, pinned):
 
 
 def reference_residual(w, w_prev, cfg, mesh, u_steady):
-    """Backward Euler step residual from the public element assemblers."""
+    """Backward Euler step residual from the element assemblers."""
     field = FeField(mesh, w)
     residual = (
-        (assemble_mass(mesh) @ (w - w_prev)) / cfg.k
-        + cfg.nu * (assemble_stiffness(mesh) @ w)
+        (assemble_mass_by_element(mesh) @ (w - w_prev)) / cfg.k
+        + cfg.nu * (assemble_stiffness_by_element(mesh) @ w)
         + assemble_convection_by_transport(u_steady) @ w
         + assemble_convection_by_gradient(u_steady) @ w
         + assemble_convection_by_transport(field) @ w
@@ -306,6 +308,48 @@ def test_chord_matches_full_newton(jittered_mesh, n, k, amplitude, pinned, contr
         factorizations[solver] = ops.factorizations
     assert np.max(np.abs(states["chord"] - states["newton"])) <= 1e-8
     assert 1 <= factorizations["chord"] <= factorizations["newton"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    n=st.integers(1, 6),
+    k=st.floats(1e-3, 5e-2),
+    pinned=st.booleans(),
+    controlled=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_eliminated_step_jacobian_matches_finite_differences(
+    jittered_mesh, n, k, pinned, controlled, seed
+):
+    # the matrix _newton_step factors, against central differences of its residual
+    rng = np.random.default_rng(seed)
+    mesh = jittered_mesh(n, pinned, rng)
+    control = ControlParams(nu=NU, c0=C0) if controlled else None
+    cfg = config(k=k, t_end=k, control=control)
+    ops = build_operators(mesh, steady_shear(mesh), cfg)
+    disc = ops.disc
+    dofs = disc.dirichlet
+    w_prev, point, direction = rng.standard_normal((3, mesh.num_vertices))
+    inertia = (ops.mass @ w_prev) / k
+    # Newton iterates and corrections vanish at the pinned vertices, which is
+    # why elimination may clear the pinned columns
+    point[dofs] = direction[dofs] = 0.0
+
+    def residual_at(w):
+        load, _ = disc.residual(w, ops.cubic_scale)
+        residual = ops.step_matrix @ w - inertia + load
+        residual[dofs] = w[dofs]
+        return residual
+
+    _, (vp, g, tr) = disc.residual(point, ops.cubic_scale)
+    gq = None if tr is None else 3.0 * ops.cubic_scale * tr**2
+    jacobian = ops.step_matrix.data + disc.jacobian(vp, g, gq)
+    disc.eliminate(jacobian)
+    eps = 1e-7
+    fd = (residual_at(point + eps * direction) - residual_at(point - eps * direction)) / (2 * eps)
+    jd = disc.matrix(jacobian) @ direction
+    # criterion 6's bound
+    assert np.linalg.norm(fd - jd) <= 1e-6 * np.linalg.norm(jd)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

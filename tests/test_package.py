@@ -1,6 +1,7 @@
 """The package namespace the benchmark and the README rely on."""
 
 import importlib
+import inspect
 import pkgutil
 
 import numpy as np
@@ -45,8 +46,13 @@ def test_every_listed_name_exists_and_test_oracles_are_not_listed():
         (burgersfb.assembly, "boundary_cubic_residual"),
         (burgersfb.assembly, "boundary_cubic_jacobian"),
         (burgersfb.assembly, "trace_values"),
+        (burgersfb.assembly, "_element_triplets"),
         (burgersfb.control, "control_trace"),
         (burgersfb.control, "control_boundary_l2"),
         (burgersfb.sparse, "SolverError"),
     ):
         assert not hasattr(module, name), name
+    # one assembler, built from the mesh alone
+    parameters = inspect.signature(burgersfb.assembly.Discretization).parameters
+    assert list(parameters) == ["mesh"]
+    assert burgersfb.control.ACTIVE_TAGS is burgersfb.assembly.ACTIVE_TAGS
