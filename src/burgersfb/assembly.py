@@ -25,7 +25,6 @@ __all__ = [
     "Discretization",
     "FeField",
     "NonNestedMeshError",
-    "Quadrature",
     "assemble_mass",
     "assemble_stiffness",
     "boundary_load",
@@ -47,51 +46,25 @@ class NonNestedMeshError(ValueError):
     """Raised when a field transfer is requested between unrelated meshes."""
 
 
-@dataclass(frozen=True)
-class Quadrature:
-    """Interior and edge quadrature rules on reference elements.
-
-    ``interior_points`` holds barycentric coordinates on the reference
-    triangle and ``interior_weights`` sums to its measure 1/2.
-    ``edge_points`` are parameters on [0, 1] and ``edge_weights`` sums to 1.
-    """
-
-    interior_points: np.ndarray
-    interior_weights: np.ndarray
-    edge_points: np.ndarray
-    edge_weights: np.ndarray
-
-
-def _default_quadrature() -> Quadrature:
-    # degree-4 six-point triangle rule (two symmetric orbits)
-    a1, b1, w1 = 0.81684757298045851308, 0.09157621350977074346, 0.10995174365532186764
-    a2, b2, w2 = 0.10810301816807022736, 0.44594849091596488632, 0.22338158967801146570
-    pts = np.array(
-        [
-            [a1, b1, b1],
-            [b1, a1, b1],
-            [b1, b1, a1],
-            [a2, b2, b2],
-            [b2, a2, b2],
-            [b2, b2, a2],
-        ]
-    )
-    wts = 0.5 * np.array([w1, w1, w1, w2, w2, w2])
-    # degree-5 three-point Gauss rule mapped to [0, 1]
-    off = 0.5 * np.sqrt(0.6)
-    edge_pts = np.array([0.5 - off, 0.5, 0.5 + off])
-    edge_wts = np.array([5.0, 8.0, 5.0]) / 18.0
-    return Quadrature(pts, wts, edge_pts, edge_wts)
-
-
-_QUADRATURE = _default_quadrature()
+# degree-4 six-point triangle rule (two symmetric orbits): barycentric points on the
+# reference triangle, weights summing to its measure 1/2
+_A1, _B1, _W1 = 0.81684757298045851308, 0.09157621350977074346, 0.10995174365532186764
+_A2, _B2, _W2 = 0.10810301816807022736, 0.44594849091596488632, 0.22338158967801146570
+_INTERIOR_POINTS = np.array(
+    [[_A1, _B1, _B1], [_B1, _A1, _B1], [_B1, _B1, _A1],
+     [_A2, _B2, _B2], [_B2, _A2, _B2], [_B2, _B2, _A2]]
+)
+_INTERIOR_WEIGHTS = 0.5 * np.array([_W1, _W1, _W1, _W2, _W2, _W2])
+# degree-5 three-point Gauss rule mapped to [0, 1], weights summing to 1
+_EDGE_POINTS = np.array([0.5 - 0.5 * np.sqrt(0.6), 0.5, 0.5 + 0.5 * np.sqrt(0.6)])
+_EDGE_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 # the boundary tags the feedback acts on
 ACTIVE_TAGS = (BoundaryTag.NEUMANN_CONTROL,)
 # the edge basis at the edge points (2, points) and the weighted products all edges
 # share: w_q phi_i(t_q) in column i of _EDGE_LOAD, w_q phi_i phi_j in column 2i+j of _EDGE_PAIRS
-_EDGE_BASIS = np.stack([1.0 - _QUADRATURE.edge_points, _QUADRATURE.edge_points])
-_EDGE_LOAD = (_QUADRATURE.edge_weights * _EDGE_BASIS).T
-_EDGE_PAIRS = (_QUADRATURE.edge_weights * _EDGE_BASIS[:, None] * _EDGE_BASIS).reshape(4, -1).T
+_EDGE_BASIS = np.stack([1.0 - _EDGE_POINTS, _EDGE_POINTS])
+_EDGE_LOAD = (_EDGE_WEIGHTS * _EDGE_BASIS).T
+_EDGE_PAIRS = (_EDGE_WEIGHTS * _EDGE_BASIS[:, None] * _EDGE_BASIS).reshape(4, -1).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,63 +143,37 @@ def convection_form(v: FeField, w: FeField, z: FeField) -> float:
     return float(vz @ np.sum(_slopes(*_geometry(v.mesh)) * w.values[tri], axis=1))
 
 
-def _active_mask(mesh: Mesh, tags) -> np.ndarray:
-    if tags is None:
-        return np.ones(mesh.num_boundary_edges, dtype=bool)
-    wanted = {int(t) for t in tags}
-    return np.isin(mesh.boundary_tags, sorted(wanted))
-
-
 @dataclass(frozen=True, eq=False)
 class BoundaryQuadrature:
-    """Edge quadrature data restricted to a tag subset.
-
-    ``basis`` holds the two endpoint basis functions evaluated at the edge
-    quadrature parameters, shape (2, points); ``index`` maps rows back into
-    the mesh's full boundary edge list.
-    """
+    """Per-mesh edge quadrature data of a tag subset: the edges, their lengths and
+    outward normals, and the edge quadrature points, shape (edges, points, 2)."""
 
     edges: np.ndarray
     lengths: np.ndarray
     normals: np.ndarray
     points: np.ndarray
-    basis: np.ndarray
-    weights: np.ndarray
-    index: np.ndarray
 
 
 def boundary_quadrature(mesh: Mesh, tags=None) -> BoundaryQuadrature:
-    mask = _active_mask(mesh, tags)
-    idx = np.flatnonzero(mask)
-    edges = mesh.boundary_edges[idx]
+    """Edge quadrature on the boundary edges tagged ``tags``, all of them when ``None``."""
+    if tags is None:
+        keep = np.ones(mesh.num_boundary_edges, dtype=bool)
+    else:
+        keep = np.isin(mesh.boundary_tags, [int(t) for t in tags])
+    edges = mesh.boundary_edges[keep]
     a = mesh.vertices[edges[:, 0]]
     b = mesh.vertices[edges[:, 1]]
-    t = _QUADRATURE.edge_points
-    points = a[:, None, :] * (1.0 - t)[None, :, None] + b[:, None, :] * t[None, :, None]
+    t = _EDGE_POINTS[None, :, None]
     return BoundaryQuadrature(
         edges=edges,
         lengths=np.linalg.norm(b - a, axis=1),
-        normals=mesh.boundary_normals[idx],
-        points=points,
-        basis=_EDGE_BASIS,
-        weights=_QUADRATURE.edge_weights,
-        index=idx,
+        normals=mesh.boundary_normals[keep],
+        points=a[:, None, :] * (1.0 - t) + b[:, None, :] * t,
     )
 
 
 def _trace(values: np.ndarray, bq: BoundaryQuadrature) -> np.ndarray:
-    return values[bq.edges] @ bq.basis
-
-
-def _coefficient_at_edge_quadrature(g, bq: BoundaryQuadrature) -> np.ndarray:
-    """Coerce a scalar or an (ne, nq) array coefficient to (ne, nq)."""
-    shape = bq.points.shape[:2]
-    arr = np.asarray(g, dtype=float)
-    if arr.ndim == 0:
-        return np.full(shape, float(arr))
-    if arr.shape != shape:
-        raise ValueError(f"coefficient array has shape {arr.shape}, expected {shape}")
-    return arr
+    return values[bq.edges] @ _EDGE_BASIS
 
 
 def _edge_blocks(bq: BoundaryQuadrature, gq: np.ndarray) -> np.ndarray:
@@ -234,23 +181,17 @@ def _edge_blocks(bq: BoundaryQuadrature, gq: np.ndarray) -> np.ndarray:
     return (gq @ _EDGE_PAIRS) * bq.lengths[:, None]
 
 
-def boundary_load(mesh: Mesh, g, tags=None) -> np.ndarray:
-    """Vector of ``integral over tagged edges of g phi_i``.
+def boundary_load(mesh: Mesh, flux) -> np.ndarray:
+    """Vector of ``integral over the boundary of flux phi_i``.
 
-    ``g`` is a scalar, an (active edges, quadrature points) array, or a
-    callable of ``(x, y, nx, ny)`` so normal-dependent fluxes can be
-    expressed directly.
+    ``flux`` is a callable of ``(x, y, nx, ny)``, so normal-dependent fluxes
+    can be expressed directly; it may return a scalar.
     """
-    bq = boundary_quadrature(mesh, tags)
-    if callable(g):
-        shape = bq.points.shape[:2]
-        g = g(
-            bq.points[:, :, 0],
-            bq.points[:, :, 1],
-            np.broadcast_to(bq.normals[:, None, 0], shape),
-            np.broadcast_to(bq.normals[:, None, 1], shape),
-        )
-    load = _edge_load(bq, _coefficient_at_edge_quadrature(g, bq))
+    bq = boundary_quadrature(mesh)
+    shape = bq.points.shape[:2]
+    nx, ny = (np.broadcast_to(bq.normals[:, None, i], shape) for i in (0, 1))
+    gq = np.asarray(flux(bq.points[:, :, 0], bq.points[:, :, 1], nx, ny), dtype=float)
+    load = _edge_load(bq, gq * np.ones(shape))
     return np.bincount(bq.edges.ravel(), load.ravel(), mesh.num_vertices)
 
 
@@ -260,48 +201,40 @@ def _edge_load(bq: BoundaryQuadrature, gq: np.ndarray) -> np.ndarray:
 
 
 def _at_interior_points(mesh: Mesh, f) -> np.ndarray:
-    """A callable (or constant) at the interior quadrature points, shape (triangles, points)."""
-    lam = _QUADRATURE.interior_points
-    shape = (mesh.triangles.shape[0], lam.shape[0])
-    if not callable(f):
-        return np.full(shape, float(f))
+    """A callable, which may return a scalar, at the interior quadrature points,
+    shape (triangles, points)."""
+    lam = _INTERIOR_POINTS
     corners = mesh.vertices[mesh.triangles]
     values = f(corners[:, :, 0] @ lam.T, corners[:, :, 1] @ lam.T)
-    return np.asarray(values, dtype=float) * np.ones(shape)
+    return np.asarray(values, dtype=float) * np.ones((mesh.num_triangles, lam.shape[0]))
 
 
 def load_vector(mesh: Mesh, f) -> np.ndarray:
-    """Vector of ``integral of f phi_i`` by the interior rule."""
+    """Vector of ``integral of f phi_i`` for a callable ``f`` by the interior rule."""
     areas, _, _ = _geometry(mesh)
     fq = _at_interior_points(mesh, f)
-    lam = _QUADRATURE.interior_points
-    contrib = np.einsum("q,eq,qi->ei", _QUADRATURE.interior_weights, fq, lam)
+    contrib = np.einsum("q,eq,qi->ei", _INTERIOR_WEIGHTS, fq, _INTERIOR_POINTS)
     contrib *= (2.0 * areas)[:, None]
     return np.bincount(mesh.triangles.ravel(), contrib.ravel(), mesh.num_vertices)
 
 
 def integrate(mesh: Mesh, f) -> float:
-    """Integral of a callable (or constant) over the mesh by the interior rule."""
+    """Integral of a callable over the mesh by the interior rule."""
     areas, _, _ = _geometry(mesh)
     fq = _at_interior_points(mesh, f)
-    return float(np.sum((fq @ _QUADRATURE.interior_weights) * 2.0 * areas))
+    return float(np.sum((fq @ _INTERIOR_WEIGHTS) * 2.0 * areas))
 
 
-def discrete_laplacian(mesh: Mesh, w: FeField, flux=None) -> FeField:
-    """Mass-inverted Laplacian with a prescribed normal flux.
+def discrete_laplacian(disc: Discretization, w: FeField) -> FeField:
+    """Mass-inverted Laplacian with zero normal flux on the mesh of ``disc``.
 
-    Returns the nodal field ``d`` solving ``M d = flux load - K w``, the
-    variational image of the Laplacian when the normal derivative of ``w``
-    equals ``flux`` (zero when omitted).
+    Returns the nodal field ``d`` solving ``M d = -K w``, the variational
+    image of the Laplacian of ``w`` when its normal derivative vanishes.
     """
-    if w.mesh is not mesh:
+    if w.mesh is not disc.mesh:
         raise ValueError("field does not live on the given mesh")
-    disc = Discretization(mesh)
     rhs = -(disc.matrix(disc.stiffness) @ w.values)
-    if flux is not None:
-        rhs = rhs + boundary_load(mesh, flux)
-    d = solve_general(disc.matrix(disc.mass), rhs)
-    return FeField(mesh, d)
+    return FeField(disc.mesh, solve_general(disc.matrix(disc.mass), rhs))
 
 
 def l2_norm(w: FeField) -> float:
@@ -364,7 +297,7 @@ def elliptic_projection(mesh: Mesh, f, fx, fy) -> FeField:
     definite without boundary conditions.
     """
     areas, gx, gy = _geometry(mesh)
-    wq = _QUADRATURE.interior_weights
+    wq = _INTERIOR_WEIGHTS
     fxq, fyq = (_at_interior_points(mesh, g) for g in (fx, fy))
     # gradient part: grad phi_i constant per element
     grad_part = (

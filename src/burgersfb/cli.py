@@ -265,9 +265,10 @@ def _cmd_simulate(args) -> int:
     out = _output_dir(config, args.output_dir)
     path = os.path.join(out, "trajectory.csv")
     record.to_csv(path)
-    # a run too short to fit a rate still reports everything else
+    # a run too short to fit a rate, or one resting at the steady state (a zero
+    # norm has no logarithm), still reports everything else
     fitted = alpha = None
-    if record.times.shape[0] >= _MIN_FIT_SAMPLES:
+    if record.times.shape[0] >= _MIN_FIT_SAMPLES and np.all(record.l2 > 0.0):
         fitted = fit_decay_rate(record, window=(0.0, t_end)).fitted_rate
     if record.c0 is not None:
         alpha = decay_rate_bound(record.nu, record.c0, record.friedrichs)

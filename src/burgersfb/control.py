@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import ACTIVE_TAGS, FeField, _trace, boundary_quadrature
+from .assembly import _EDGE_WEIGHTS, ACTIVE_TAGS, FeField, _trace, boundary_quadrature
 from .mesh import Mesh
 
 __all__ = [
@@ -72,5 +72,5 @@ def _active_flux(bq, w: FeField, u_steady: FeField, params: ControlParams) -> np
 
 
 def _boundary_l2(bq, values: np.ndarray) -> float:
-    val = np.sum((values**2 @ bq.weights) * bq.lengths)
+    val = np.sum((values**2 @ _EDGE_WEIGHTS) * bq.lengths)
     return float(np.sqrt(max(val, 0.0)))

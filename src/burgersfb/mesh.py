@@ -65,7 +65,9 @@ class Mesh:
         Vertex indices per triangle, counterclockwise.
     boundary_edges : ndarray, shape (nb, 2)
         Vertex index pairs of boundary edges, oriented with the interior on
-        the left (the traversal order of the owning triangle).
+        the left (the traversal order of the owning triangle).  A mesh from
+        :func:`refine_uniform` lists them in parent order, two children per
+        parent edge.
     boundary_normals : ndarray, shape (nb, 2)
         Outward unit normal per boundary edge.
     boundary_tags : ndarray, shape (nb,)
@@ -187,27 +189,24 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     """Refine every triangle into four by connecting edge midpoints.
 
     The refined mesh keeps the parent's vertices (same indices) followed by
-    one new vertex per parent edge.  Boundary tags are inherited from the
-    parent edge containing each child edge, and the returned mesh records a
-    :class:`RefinementParent` so nodal fields can be prolonged exactly.
+    one new vertex per parent edge.  Each parent boundary edge ``(a, b)``
+    splits at its midpoint ``m`` into ``(a, m)`` and ``(m, b)``, listed in
+    parent order; both children keep the parent's orientation, outward
+    normal and tag.  The returned mesh records a :class:`RefinementParent`
+    so nodal fields can be prolonged exactly.
     """
     nv = mesh.num_vertices
     tris = mesh.triangles
-    # unique undirected edges; lexicographic order makes midpoint indices
-    # reproducible run to run
-    all_edges = np.sort(
-        np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]),
-        axis=1,
-    )
-    edges, inverse = np.unique(all_edges, axis=0, return_inverse=True)
-    mid_index = nv + np.arange(edges.shape[0])
+    # unique undirected edges as keys lo * nv + hi; their sorted order makes
+    # midpoint indices reproducible run to run
+    local = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1)
+    keys, inverse = np.unique(local[:, 0] * nv + local[:, 1], return_inverse=True)
+    edges = np.stack([keys // nv, keys % nv], axis=1)
     midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     vertices = np.concatenate([mesh.vertices, midpoints])
 
     nt = tris.shape[0]
-    m01 = mid_index[inverse[0 * nt : 1 * nt]]
-    m12 = mid_index[inverse[1 * nt : 2 * nt]]
-    m20 = mid_index[inverse[2 * nt : 3 * nt]]
+    m01, m12, m20 = nv + inverse.reshape(3, nt)
     v0, v1, v2 = tris[:, 0], tris[:, 1], tris[:, 2]
     children = np.empty((4 * nt, 3), dtype=int)
     children[0::4] = np.stack([v0, m01, m20], axis=1)
@@ -220,29 +219,14 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     )
     parent = RefinementParent(mesh=mesh, vertex_parents=vertex_parents)
 
-    fine_edges, fine_normals = _boundary_edges(vertices, children)
-    # each child boundary edge lies inside exactly one parent boundary edge;
-    # recover it through the endpoints' parent vertices and copy the tag
-    parent_tag = {}
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        parent_tag[(min(a, b), max(a, b))] = int(tag)
-    tags = np.empty(fine_edges.shape[0], dtype=int)
-    for row, (a, b) in enumerate(fine_edges):
-        owners = set(vertex_parents[a]) | set(vertex_parents[b])
-        key = (min(owners), max(owners))
-        try:
-            tags[row] = parent_tag[key]
-        except KeyError:
-            raise RuntimeError(
-                "refined boundary edge has no parent boundary edge"
-            ) from None
-
+    a, b = mesh.boundary_edges.T
+    m = nv + np.searchsorted(keys, np.minimum(a, b) * nv + np.maximum(a, b))
     refined = Mesh(
         vertices=vertices,
         triangles=children,
-        boundary_edges=fine_edges,
-        boundary_normals=fine_normals,
-        boundary_tags=tags,
+        boundary_edges=np.stack([a, m, m, b], axis=1).reshape(-1, 2),
+        boundary_normals=np.repeat(mesh.boundary_normals, 2, axis=0),
+        boundary_tags=np.repeat(mesh.boundary_tags, 2),
         h=mesh.h / 2.0,
         refinement_parent=parent,
     )

@@ -262,19 +262,19 @@ def steady_residual(mesh: Mesh, u: FeField, forcing, nu: float,
     return _quotient_norm(residual(u.values)[0], constraint / np.linalg.norm(constraint))
 
 
-def estimate_convection_constant(mesh: Mesh, samples: int = 64, seed: int = 0) -> float:
+def estimate_convection_constant(disc: Discretization, samples: int = 64, seed: int = 0) -> float:
     """Sampled lower bound on the continuity constant of the convection form.
 
-    Draws ``samples`` random triples of zero-mean nodal fields and maximizes
-    ``|c(v; w, z)| / (|v|_1 |w|_1 |z|_1)`` over them, where ``|.|_1`` is the
-    H1 seminorm.  One rng stream is used, so for a fixed seed the estimate
-    is nondecreasing in ``samples``.  Triples containing a numerically
-    constant field are skipped.
+    Draws ``samples`` random triples of zero-mean nodal fields on the mesh of
+    ``disc`` and maximizes ``|c(v; w, z)| / (|v|_1 |w|_1 |z|_1)`` over them,
+    where ``|.|_1`` is the H1 seminorm.  One rng stream is used, so for a
+    fixed seed the estimate is nondecreasing in ``samples``.  Triples
+    containing a numerically constant field are skipped.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
-    disc = Discretization(mesh)
+    mesh = disc.mesh
     stiffness = disc.matrix(disc.stiffness)
     weights = np.bincount(disc.indices, disc.mass, mesh.num_vertices)
     volume = float(weights.sum())
@@ -336,14 +336,15 @@ def smallness_report(
     if nu <= 0.0:
         raise ValueError(f"viscosity must be positive, got {nu}")
     grad_norm = h1_seminorm(u_steady)
-    constant = estimate_convection_constant(mesh)
+    disc = Discretization(mesh)
+    constant = estimate_convection_constant(disc)
     bound = nu / (4.0 * constant)
     loose = 3.0 * nu / (4.0 * constant)
     forcing_l2 = 0.0
     if forcing is not None:
         squared = integrate(mesh, lambda x, y: np.asarray(forcing(x, y), dtype=float) ** 2)
         forcing_l2 = float(np.sqrt(max(squared, 0.0)))
-    laplacian = discrete_laplacian(mesh, u_steady, flux=None)
+    laplacian = discrete_laplacian(disc, u_steady)
     return SmallnessReport(
         grad_norm=grad_norm,
         convection_constant=constant,

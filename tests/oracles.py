@@ -6,18 +6,21 @@ scipy CSR matrices cell by cell from COO triplets on the package's private
 kernels.  :class:`~burgersfb.assembly.Discretization`, the package's one
 matrix assembler, is checked against them, and
 :func:`steady_residual_and_gap` builds the steady residual from them.
+:func:`refined_boundary_by_rescan` finds a refined mesh's boundary from its
+children, where ``refine_uniform`` inherits it from the parent.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from burgersfb.assembly import (
+    _INTERIOR_POINTS,
+    _INTERIOR_WEIGHTS,
     _MASS_PATTERN,
-    _QUADRATURE,
+    ACTIVE_TAGS,
     FeField,
-    Quadrature,
-    _coefficient_at_edge_quadrature,
     _edge_blocks,
+    _edge_load,
     _geometry,
     _slopes,
     _stiffness_blocks,
@@ -27,12 +30,7 @@ from burgersfb.assembly import (
     load_vector,
 )
 from burgersfb.control import ControlParams, _active_flux, _active_quadrature, _boundary_l2
-from burgersfb.mesh import Mesh
-
-
-def default_quadrature() -> Quadrature:
-    """The rule pair used by every assembly routine in this module."""
-    return _QUADRATURE
+from burgersfb.mesh import Mesh, _boundary_edges
 
 
 def _element_triplets(mesh: Mesh, cells: np.ndarray, blocks: np.ndarray) -> sp.csr_matrix:
@@ -76,12 +74,12 @@ def convection_by_quadrature(v: FeField, w: FeField, z: FeField) -> float:
     the package computes the same form on the P1 mass pattern instead.
     """
     areas, gx, gy = _geometry(v.mesh)
-    lam = _QUADRATURE.interior_points
+    lam = _INTERIOR_POINTS
     tri = v.mesh.triangles
     vq = v.values[tri] @ lam.T
     zq = z.values[tri] @ lam.T
     sw = np.sum(w.values[tri] * (gx + gy), axis=1)
-    return float(np.sum(((vq * zq) @ _QUADRATURE.interior_weights) * sw * (2.0 * areas)))
+    return float(np.sum(((vq * zq) @ _INTERIOR_WEIGHTS) * sw * (2.0 * areas)))
 
 
 def assemble_convection_by_transport(v: FeField) -> sp.csr_matrix:
@@ -120,13 +118,15 @@ def assemble_boundary_mass(mesh: Mesh, g, tags=None) -> sp.csr_matrix:
     field's trace are supported without edge splitting.
     """
     bq = boundary_quadrature(mesh, tags)
-    gq = _coefficient_at_edge_quadrature(g, bq)
+    gq = np.broadcast_to(np.asarray(g, dtype=float), bq.points.shape[:2])
     return _element_triplets(mesh, bq.edges, _edge_blocks(bq, gq))
 
 
 def boundary_cubic_residual(w: FeField, tags=None) -> np.ndarray:
     """Vector of ``integral over tagged edges of w^3 phi_i`` (exact)."""
-    return boundary_load(w.mesh, trace_values(w, tags) ** 3, tags)
+    bq = boundary_quadrature(w.mesh, tags)
+    load = _edge_load(bq, _trace(w.values, bq) ** 3)
+    return np.bincount(bq.edges.ravel(), load.ravel(), w.mesh.num_vertices)
 
 
 def boundary_cubic_jacobian(w: FeField, tags=None) -> sp.csr_matrix:
@@ -141,8 +141,8 @@ def control_trace(w: FeField, u_steady: FeField, params: ControlParams) -> np.nd
     inactive edges are zero.
     """
     bq = _active_quadrature(w.mesh)
-    full = np.zeros((w.mesh.num_boundary_edges, bq.weights.size))
-    full[bq.index] = _active_flux(bq, w, u_steady, params)
+    full = np.zeros((w.mesh.num_boundary_edges, bq.points.shape[1]))
+    full[np.isin(w.mesh.boundary_tags, ACTIVE_TAGS)] = _active_flux(bq, w, u_steady, params)
     return full
 
 
@@ -150,6 +150,26 @@ def control_boundary_l2(w: FeField, u_steady: FeField, params: ControlParams) ->
     """L2 norm of the feedback flux over the active boundary."""
     bq = _active_quadrature(w.mesh)
     return _boundary_l2(bq, _active_flux(bq, w, u_steady, params))
+
+
+def refined_boundary_by_rescan(fine: Mesh) -> tuple:
+    """Boundary ``(edges, normals, tags)`` of a refined mesh, derived from its children.
+
+    An edge of exactly one child triangle is a boundary edge, oriented by
+    that child; its tag is that of the parent boundary edge holding the
+    parent vertices of both endpoints.
+    """
+    parent = fine.refinement_parent
+    edges, normals = _boundary_edges(fine.vertices, fine.triangles)
+    parent_tag = {
+        (min(a, b), max(a, b)): int(tag)
+        for (a, b), tag in zip(parent.mesh.boundary_edges.tolist(), parent.mesh.boundary_tags)
+    }
+    tags = []
+    for a, b in edges:
+        owners = set(parent.vertex_parents[a].tolist()) | set(parent.vertex_parents[b].tolist())
+        tags.append(parent_tag[(min(owners), max(owners))])
+    return edges, normals, np.array(tags, dtype=int)
 
 
 def steady_residual_and_gap(field: FeField, spec) -> tuple:

@@ -41,7 +41,6 @@ from oracles import (
     boundary_cubic_jacobian,
     boundary_cubic_residual,
     convection_by_quadrature,
-    default_quadrature,
     trace_values,
 )
 
@@ -122,12 +121,13 @@ def oracle_boundary_cubic_integral(w):
 
 
 def test_quadrature_rules_are_sane():
-    quad = default_quadrature()
-    assert np.all(quad.interior_weights > 0.0)
-    assert abs(quad.interior_weights.sum() - 0.5) <= 1e-15
-    assert np.all(quad.edge_weights > 0.0)
-    assert abs(quad.edge_weights.sum() - 1.0) <= 1e-15
-    assert np.all((quad.edge_points > 0.0) & (quad.edge_points < 1.0))
+    assert np.all(assembly._INTERIOR_WEIGHTS > 0.0)
+    assert abs(assembly._INTERIOR_WEIGHTS.sum() - 0.5) <= 1e-15
+    assert np.allclose(assembly._INTERIOR_POINTS.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+    assert np.all(assembly._EDGE_WEIGHTS > 0.0)
+    assert abs(assembly._EDGE_WEIGHTS.sum() - 1.0) <= 1e-15
+    edge_points = assembly._EDGE_POINTS
+    assert np.all((edge_points > 0.0) & (edge_points < 1.0))
 
 
 def test_mass_matrix_against_oracle(unit4):
@@ -206,7 +206,7 @@ def test_product_rule_identity(unit8, rng):
         traces = [trace_values(f, None) for f in (v, w, z)]
         integrand = traces[0] * traces[1] * traces[2]
         rhs = float(
-            np.sum((integrand @ bq.weights) * bq.lengths * bq.normals.sum(axis=1))
+            np.sum((integrand @ assembly._EDGE_WEIGHTS) * bq.lengths * bq.normals.sum(axis=1))
         )
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
@@ -273,17 +273,13 @@ def test_boundary_cubic_jacobian_cases(unit4, rng):
 
 
 def test_discrete_laplacian_cases(unit4, rng):
+    disc = Discretization(unit4)
     const = FeField(unit4, np.full(unit4.num_vertices, 3.5))
-    assert np.max(np.abs(discrete_laplacian(unit4, const).values)) <= 1e-10
-
-    # harmonic linear field with its exact flux: laplacian vanishes
-    x1 = interpolate(lambda x, y: x, unit4)
-    lap = discrete_laplacian(unit4, x1, flux=lambda x, y, nx, ny: nx)
-    assert np.max(np.abs(lap.values)) <= 1e-10
+    assert np.max(np.abs(discrete_laplacian(disc, const).values)) <= 1e-10
 
     w = random_field(unit4, rng)
     mass = assemble_mass(unit4)
-    d = discrete_laplacian(unit4, w).values
+    d = discrete_laplacian(disc, w).values
     # integral of the zero-flux discrete laplacian vanishes
     assert abs(np.ones_like(d) @ (mass @ d)) <= 1e-10
 
@@ -405,7 +401,8 @@ def test_load_vector_and_integrate(unit4):
     load = load_vector(unit4, lambda x, y: 1.0)
     assert load.sum() == pytest.approx(1.0, abs=1e-13)
     assert integrate(unit4, lambda x, y: x) == pytest.approx(0.5, abs=1e-13)
-    assert integrate(unit4, 2.0) == pytest.approx(2.0, abs=1e-13)
+    # a flux callable may return a scalar too: the load sums to the perimeter
+    assert boundary_load(unit4, lambda x, y, nx, ny: 1.0).sum() == pytest.approx(4.0, abs=1e-13)
 
 
 def test_elliptic_projection_reproduces_linears(unit4):
@@ -515,13 +512,17 @@ def test_pattern_assembly_matches_element_assembly(jittered_mesh, n, pinned, see
         assert np.all(np.abs(got - want)[diagonal] <= bound)
     disc = Discretization(mesh)
     assert_relative_close(disc.traces(w.values), trace_values(w, ACTIVE_TAGS))
-    # the edge load against the edge blocks (the two edge basis functions sum to one)
-    for tags in (None, ACTIVE_TAGS):
-        gq = rng.standard_normal(boundary_quadrature(mesh, tags).points.shape[:2])
-        ones = np.ones(mesh.num_vertices)
-        assert_relative_close(
-            boundary_load(mesh, gq, tags), assemble_boundary_mass(mesh, gq, tags) @ ones
-        )
+    # the edge load of a normal-dependent flux against the edge blocks (the two
+    # edge basis functions sum to one)
+    c = rng.standard_normal(3)
+
+    def flux(x, y, nx, ny):
+        return np.sin(c[0] * x + y) * nx + c[1] * y * ny + c[2]
+
+    bq = boundary_quadrature(mesh)
+    gq = flux(bq.points[..., 0], bq.points[..., 1], bq.normals[:, None, 0], bq.normals[:, None, 1])
+    ones = np.ones(mesh.num_vertices)
+    assert_relative_close(boundary_load(mesh, flux), assemble_boundary_mass(mesh, gq) @ ones)
     # the trace of a linear field, which is exact
     a, b, c = rng.standard_normal(3)
     linear = a * mesh.vertices[:, 0] + b * mesh.vertices[:, 1] + c

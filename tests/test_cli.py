@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from burgersfb.assembly import FeField, discrete_laplacian, l2_norm
+from burgersfb import assembly
+from burgersfb.assembly import Discretization, FeField, discrete_laplacian, l2_norm
 from burgersfb.cli import _CONFIG_KEYS, main
 from burgersfb.mesh import build_unit_square_mesh, tag_boundary
 from burgersfb.steady import (
@@ -56,9 +57,25 @@ def test_steady_manufactured(tmp_path, capsys):
     # the manufactured forcing of -0.2 x1 is 0.04 x1, whose L2 norm is 0.04 / sqrt(3)
     assert payload["smallness"]["forcing_l2"] == pytest.approx(0.04 / np.sqrt(3.0), rel=1e-12)
     mesh = build_unit_square_mesh(4)
-    laplacian = discrete_laplacian(mesh, FeField(mesh, solution))
+    laplacian = discrete_laplacian(Discretization(mesh), FeField(mesh, solution))
     assert payload["smallness"]["laplacian_norm"] == pytest.approx(l2_norm(laplacian), rel=1e-12)
     assert payload["smallness"]["laplacian_norm"] > 0.0
+
+
+def test_steady_builds_one_discretization_per_consumer(tmp_path, capsys, monkeypatch):
+    # the steady solve builds one, and the smallness report shares one between
+    # the convection constant and the discrete Laplacian
+    built = []
+    init = Discretization.__init__
+
+    def counting(self, mesh):
+        built.append(mesh)
+        init(self, mesh)
+
+    monkeypatch.setattr(assembly.Discretization, "__init__", counting)
+    config = write_config(tmp_path, {**BASE, "domain": {"n": 8}})
+    run_json(capsys, ["steady", "--config", config, "--output-dir", str(tmp_path)])
+    assert len(built) == 2 and built[0] is built[1]
 
 
 def test_steady_solve_mode(tmp_path, capsys):
@@ -145,6 +162,19 @@ def test_simulate_short_run_reports_no_fitted_rate(tmp_path, capsys):
     assert payload["l2_final"] > 0.0
     with open(payload["csv"], "r", encoding="ascii") as handle:
         assert len(handle.readlines()) == 7
+
+
+def test_simulate_at_the_steady_state_reports_no_fitted_rate(tmp_path, capsys):
+    # w0 = 0 is the equilibrium: every norm is zero, which has no logarithm to fit
+    config = write_config(tmp_path, {**BASE, "initial": {"w0": "0"}})
+    payload = run_json(
+        capsys, ["simulate", "--config", config, "--output-dir", str(tmp_path)]
+    )
+    assert payload["fitted_rate"] is None
+    assert payload["l2_final"] == 0.0
+    assert payload["predicted_alpha"] == pytest.approx(0.0125)
+    with open(payload["csv"], "r", encoding="ascii") as handle:
+        assert len(handle.readlines()) == 12
 
 
 def test_simulate_discrete_coefficients_and_elliptic_projection(tmp_path, capsys):

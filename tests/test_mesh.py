@@ -12,6 +12,7 @@ from burgersfb.mesh import (
     tag_boundary,
     validate_mesh,
 )
+from oracles import refined_boundary_by_rescan
 
 RIGHT_SIDE = ((1.0, 0.0), (1.0, 1.0))
 
@@ -96,6 +97,34 @@ def test_refine_inherits_boundary_tags():
         on_right = np.allclose(fine.vertices[[v0, v1], 0], 1.0)
         expected = BoundaryTag.DIRICHLET_ZERO if on_right else BoundaryTag.NEUMANN_CONTROL
         assert tag == expected
+
+
+@pytest.mark.parametrize(
+    "n, region, levels",
+    [
+        (1, None, 3),
+        (2, RIGHT_SIDE, 3),
+        (3, [((0.0, 0.0), (0.0, 1.0)), ((0.0, 1.0), (1.0, 1.0))], 2),
+        (4, RIGHT_SIDE, 1),
+    ],
+)
+def test_refined_boundary_matches_a_rescan_of_the_children(n, region, levels):
+    mesh = tag_boundary(build_unit_square_mesh(n), region)
+    for _ in range(levels):
+        coarse, mesh = mesh, refine_uniform(mesh)
+        # two children per parent edge, in parent order
+        assert mesh.num_boundary_edges == 2 * coarse.num_boundary_edges
+        assert np.array_equal(mesh.boundary_edges[0::2, 0], coarse.boundary_edges[:, 0])
+        assert np.array_equal(mesh.boundary_edges[1::2, 1], coarse.boundary_edges[:, 1])
+        got = (mesh.boundary_edges, mesh.boundary_normals, mesh.boundary_tags)
+        want = refined_boundary_by_rescan(mesh)
+        # the same oriented edges, in another order
+        order_got = np.lexsort(got[0].T[::-1])
+        order_want = np.lexsort(want[0].T[::-1])
+        for mine, theirs in zip(got, want):
+            assert np.array_equal(mine[order_got], theirs[order_want])
+    if region is not None:
+        assert set(mesh.boundary_tags.tolist()) == {int(tag) for tag in BoundaryTag}
 
 
 def test_tag_boundary_region_variants(unit4):

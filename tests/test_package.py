@@ -1,5 +1,6 @@
 """The package namespace the benchmark and the README rely on."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -40,6 +41,8 @@ def test_every_listed_name_exists_and_test_oracles_are_not_listed():
     for module, name in (
         (burgersfb.assembly, "apply_dirichlet"),
         (burgersfb.assembly, "default_quadrature"),
+        (burgersfb.assembly, "Quadrature"),
+        (burgersfb.assembly, "_default_quadrature"),
         (burgersfb.assembly, "assemble_convection_by_transport"),
         (burgersfb.assembly, "assemble_convection_by_gradient"),
         (burgersfb.assembly, "assemble_boundary_mass"),
@@ -55,4 +58,14 @@ def test_every_listed_name_exists_and_test_oracles_are_not_listed():
     # one assembler, built from the mesh alone
     parameters = inspect.signature(burgersfb.assembly.Discretization).parameters
     assert list(parameters) == ["mesh"]
+    # the edge and interior helpers take one input form each
+    assembly = burgersfb.assembly
+    for function, names in (
+        (assembly.boundary_load, ["mesh", "flux"]),
+        (assembly.boundary_quadrature, ["mesh", "tags"]),
+        (assembly.discrete_laplacian, ["disc", "w"]),
+    ):
+        assert list(inspect.signature(function).parameters) == names, function.__name__
+    fields = [field.name for field in dataclasses.fields(assembly.BoundaryQuadrature)]
+    assert fields == ["edges", "lengths", "normals", "points"]
     assert burgersfb.control.ACTIVE_TAGS is burgersfb.assembly.ACTIVE_TAGS
