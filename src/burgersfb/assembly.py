@@ -320,7 +320,8 @@ class Discretization:
     """The one matrix assembler: the fixed CSC sparsity pattern of a mesh and its kernels.
 
     Built once per mesh.  ``mass`` and ``stiffness`` hold the data of the P1
-    matrices, and :meth:`matrix` wraps any data on the pattern as CSC.  The
+    matrices, and :meth:`matrix` wraps any data on the pattern as CSC that
+    shares the read-only ``indices`` and ``indptr``.  The
     active edges ``bq`` are those tagged ``ACTIVE_TAGS``; a kernel touches
     them only when asked for traces or edge blocks, so uncontrolled runs and
     the steady solve use the same object.  Per-triangle
@@ -351,6 +352,9 @@ class Discretization:
         areas, gx, gy = _geometry(mesh)
         self.indices = rows.astype(np.int32)
         self.indptr = np.searchsorted(columns, np.arange(n + 1)).astype(np.int32)
+        # every matrix shares the index arrays, so nothing may write to them
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
+        self._pattern = sp.csc_matrix((np.zeros(keys.size), self.indices, self.indptr), shape=(n, n))
         self.bq = boundary_quadrature(mesh, ACTIVE_TAGS)
         e = self.bq.edges
         edge_slots = np.searchsorted(keys, e[:, None, :] * n + e[:, :, None])
@@ -375,8 +379,10 @@ class Discretization:
         self.band_slots = 2 * self.bandwidth + offset + (3 * self.bandwidth + 1) * rank[columns]
 
     def matrix(self, data: np.ndarray) -> sp.csc_matrix:
-        n = self.mesh.num_vertices
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(n, n))
+        # a shallow copy of the pattern shares its index arrays and skips the format check
+        matrix = sp.csc_matrix(self._pattern)
+        matrix.data = data
+        return matrix
 
     def factor(self, data: np.ndarray) -> Factorization:
         """Certified band LU of ``matrix(data)`` in the vertex order ``order``."""

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import Discretization, FeField
+from .assembly import _MASS_PATTERN, Discretization, FeField
 from .control import (
     ControlParams,
     _boundary_l2,
@@ -178,8 +178,8 @@ def _newton_step(w_prev, w_before, mass_w, cfg: EvolutionConfig, ops: StepOperat
 
 def _picard_step(w_prev, w_before, mass_w, cfg: EvolutionConfig, ops: StepOperators):
     disc = ops.disc
-    vp, _, tr = disc.gather(w_prev, bool(ops.cubic_scale))
-    gq = None if tr is None else ops.cubic_scale * tr**2
+    vp = _MASS_PATTERN @ w_prev[disc.corners]
+    gq = ops.cubic_scale * disc.traces(w_prev) ** 2 if ops.cubic_scale else None
     system = ops.step_matrix.data + disc.jacobian(vp, gq=gq)
     rhs = (1.0 / ops.k) * mass_w
     disc.eliminate(system)

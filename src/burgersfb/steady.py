@@ -2,15 +2,19 @@
 
 The steady problem is pure Neumann, so its solution is fixed only up to the
 choice of mean; the solver pins the mass-weighted mean through a bordered
-Newton iteration.  Manufactured states are supported two ways: closed-form
-states are interpolated directly, and closed-form forcing (optionally with
-the matching boundary flux) is solved for.  The module also estimates the
+Newton iteration.  Closed-form data is text in x1 and x2, which
+:func:`analytic_from_expression` parses and differentiates symbolically.
+Manufactured states are supported two ways: closed-form states are
+interpolated directly, and closed-form forcing (optionally with the
+matching boundary flux) is solved for.  The module also estimates the
 continuity constant of the convection form by random sampling and reports
 the smallness quantities the stabilization analysis relies on.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -59,44 +63,153 @@ class AnalyticFunction:
     laplacian: Callable
 
 
+# An expression node is ("const", value), ("x", name) for a variable, or (op, *operands)
+# with op a key of _RULES: its numpy function and its derivative in the operands a, b
+# and their derivatives da, db.  _node folds variable-free operations to constants.
+_RULES = {
+    "+": (operator.add, "da + db"),
+    "-": (operator.sub, "da - db"),
+    "*": (operator.mul, "da*b + a*db"),
+    "/": (operator.truediv, "da/b - a*db/b**2"),
+    "**": (operator.pow, "b*a**(b - 1)*da + a**b*log(a)*db"),
+    "sin": (np.sin, "cos(a)*da"),
+    "cos": (np.cos, "-sin(a)*da"),
+    "tan": (np.tan, "(1 + tan(a)**2)*da"),
+    "exp": (np.exp, "exp(a)*da"),
+    "log": (np.log, "da/a"),
+    "sqrt": (np.sqrt, "0.5/sqrt(a)*da"),
+    "sinh": (np.sinh, "cosh(a)*da"),
+    "cosh": (np.cosh, "sinh(a)*da"),
+    "tanh": (np.tanh, "(1 - tanh(a)**2)*da"),
+    "asin": (np.arcsin, "da/sqrt(1 - a**2)"),
+    "acos": (np.arccos, "-da/sqrt(1 - a**2)"),
+    "atan": (np.arctan, "da/(1 + a**2)"),
+}
+_SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "**"}
+_FUNCTIONS = _RULES.keys() - _SYMBOLS.values()
+_NOT_FINITE = "is not a scalar expression with finite constants"
+# pi and E; sympy's infinities and nan are rejected as not finite, its I as not real
+_CONSTANTS = {"pi": np.pi, "E": np.e, "oo": np.inf, "zoo": np.inf, "nan": np.inf, "I": 1j}
+_ZERO, _ONE = ("const", 0.0), ("const", 1.0)
+
+
+def _const(value) -> tuple:
+    """A constant node; a NaN or complex value is not real, an infinite one not finite."""
+    value = complex(value)
+    if value.imag or np.isnan(value.real):
+        raise ValueError("is not real")
+    if np.isinf(value.real):
+        raise ValueError(_NOT_FINITE)
+    return ("const", np.float64(value.real))
+
+
+def _node(op: str, *args) -> tuple:
+    """``op`` of ``args``: folded to a constant if every operand is one, and with the
+    identities of 0 and 1 applied."""
+    if all(arg[0] == "const" for arg in args):
+        with np.errstate(all="ignore"):
+            return _const(_RULES[op][0](*(arg[1] for arg in args)))
+    if len(args) == 2:
+        a, b = args
+        if b == _ZERO and op in ("+", "-") or b == _ONE and op in ("*", "/", "**"):
+            return a
+        if a == _ZERO and op == "+" or a == _ONE and op == "*":
+            return b
+        if _ZERO in (a, b) and op == "*" or a == _ZERO and op == "/":
+            return _ZERO
+        if b == _ZERO and op == "**":
+            return _ONE
+    return (op, *args)
+
+
+def _build(node: ast.AST, variables) -> tuple:
+    """The expression node of a parsed ``ast`` node; ``SyntaxError`` outside the grammar."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float, complex):
+        return _const(node.value)
+    if isinstance(node, ast.Name) and node.id in variables:
+        return ("x", node.id)
+    if isinstance(node, ast.Name) and node.id in _CONSTANTS:
+        return _const(_CONSTANTS[node.id])
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        operand = _build(node.operand, variables)
+        return operand if isinstance(node.op, ast.UAdd) else _node("*", ("const", -1.0), operand)
+    if isinstance(node, ast.BinOp) and type(node.op) in _SYMBOLS:
+        left, right = _build(node.left, variables), _build(node.right, variables)
+        return _node(_SYMBOLS[type(node.op)], left, right)
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in _FUNCTIONS:
+        if len(node.args) != 1 or node.keywords or isinstance(node.args[0], ast.Starred):
+            raise SyntaxError(f"{node.func.id} takes one argument")
+        return _node(node.func.id, _build(node.args[0], variables))
+    if isinstance(node, (ast.Constant, ast.Compare, ast.BoolOp, ast.Tuple, ast.List, ast.Set,
+                         ast.Dict, ast.UnaryOp)):
+        raise ValueError(_NOT_FINITE)
+    raise SyntaxError(f"{ast.unparse(node)!r} is not a sum, product, quotient, power or call")
+
+
+def _parse(text: str, variables=("x1", "x2")) -> tuple:
+    tree = ast.parse(text.replace("^", "**"), mode="eval")
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unknown = names - set(variables) - _CONSTANTS.keys() - _FUNCTIONS
+    if unknown:
+        raise ValueError(f"uses unknown symbols {sorted(unknown)}")
+    return _build(tree.body, variables)
+
+
+_DERIVATIVES = {op: _parse(rule, ("a", "b", "da", "db")) for op, (_, rule) in _RULES.items()}
+
+
+def _substitute(node: tuple, variables: dict) -> tuple:
+    if node[0] == "const":
+        return node
+    if node[0] == "x":
+        return variables[node[1]]
+    return _node(node[0], *(_substitute(arg, variables) for arg in node[1:]))
+
+
+def _derivative(node: tuple, variable: str) -> tuple:
+    """The derivative of ``node`` in ``variable``, by the rules of ``_RULES``."""
+    if node[0] in ("const", "x"):
+        return _ONE if node == ("x", variable) else _ZERO
+    operands = dict(zip(("a", "b"), node[1:]))
+    operands.update({"d" + name: _derivative(arg, variable) for name, arg in operands.items()})
+    return _substitute(_DERIVATIVES[node[0]], operands)
+
+
+def _evaluate(node: tuple, point: dict):
+    if node[0] in ("const", "x"):
+        return node[1] if node[0] == "const" else point[node[1]]
+    return _RULES[node[0]][0](*(_evaluate(arg, point) for arg in node[1:]))
+
+
+def _callable(node: tuple) -> Callable:
+    def wrapped(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        return np.asarray(_evaluate(node, {"x1": x, "x2": y}), dtype=float) * np.ones_like(x)
+
+    return wrapped
+
+
 def analytic_from_expression(expr: str) -> AnalyticFunction:
     """Parse an expression in x1, x2 and differentiate it symbolically.
 
-    Accepts the usual scientific vocabulary (sin, cos, exp, pi, ...).  The
-    returned callables are numpy-vectorized.  Malformed text, and an
-    expression with an imaginary part, raise ``ValueError``.
+    The grammar: numbers, ``x1``, ``x2``, ``pi``, ``E``, unary ``+``/``-``,
+    ``+ - * / **`` (``^`` means ``**``) and one-argument calls to the
+    functions of ``_RULES``.  Variable-free subexpressions are folded to
+    constants once.  The returned callables are numpy-vectorized.
+    Malformed text, a name outside the grammar, a non-finite constant and
+    an expression with an imaginary part raise ``ValueError``.
     """
-    import sympy
-
-    x1, x2 = sympy.symbols("x1 x2")
+    if not isinstance(expr, str):
+        raise ValueError(f"expression {expr!r} {_NOT_FINITE}")
     try:
-        parsed = sympy.sympify(expr, locals={"x1": x1, "x2": x2})
-    except (sympy.SympifyError, TypeError, AttributeError) as exc:
+        value = _parse(expr)
+        dx, dy = _derivative(value, "x1"), _derivative(value, "x2")
+        laplacian = _node("+", _derivative(dx, "x1"), _derivative(dy, "x2"))
+    except (SyntaxError, RecursionError) as exc:
         raise ValueError(f"cannot parse expression {expr!r}: {exc}") from None
-    if not isinstance(parsed, sympy.Expr) or parsed.has(sympy.zoo, sympy.oo, -sympy.oo, sympy.nan):
-        raise ValueError(f"expression {expr!r} is not a scalar expression with finite constants")
-    extra = parsed.free_symbols - {x1, x2}
-    if extra:
-        raise ValueError(f"expression uses unknown symbols {sorted(map(str, extra))}")
-    if parsed.has(sympy.I):
-        raise ValueError(f"expression {expr!r} is not real")
-
-    def lamb(e):
-        fn = sympy.lambdify((x1, x2), e, modules="numpy")
-
-        def wrapped(x, y, _fn=fn):
-            return np.asarray(_fn(x, y), dtype=float) * np.ones_like(
-                np.asarray(x, dtype=float)
-            )
-
-        return wrapped
-
-    return AnalyticFunction(
-        value=lamb(parsed),
-        dx=lamb(sympy.diff(parsed, x1)),
-        dy=lamb(sympy.diff(parsed, x2)),
-        laplacian=lamb(sympy.diff(parsed, x1, 2) + sympy.diff(parsed, x2, 2)),
-    )
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"expression {expr!r} {exc}") from None
+    return AnalyticFunction(*map(_callable, (value, dx, dy, laplacian)))
 
 
 def manufacture_forcing(u: AnalyticFunction, nu: float) -> Callable:

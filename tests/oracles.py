@@ -8,6 +8,8 @@ matrix assembler, is checked against them, and
 :func:`steady_residual_and_gap` builds the steady residual from them.
 :func:`refined_boundary_by_rescan` finds a refined mesh's boundary from its
 children, where ``refine_uniform`` inherits it from the parent.
+:func:`analytic_from_expression_by_sympy` parses and differentiates
+closed-form data with sympy, the reference for the package's own parser.
 """
 
 import numpy as np
@@ -31,6 +33,7 @@ from burgersfb.assembly import (
 )
 from burgersfb.control import ControlParams, _active_flux, _active_quadrature, _boundary_l2
 from burgersfb.mesh import Mesh, _boundary_edges
+from burgersfb.steady import AnalyticFunction
 
 
 def _element_triplets(mesh: Mesh, cells: np.ndarray, blocks: np.ndarray) -> sp.csr_matrix:
@@ -193,3 +196,43 @@ def steady_residual_and_gap(field: FeField, spec) -> tuple:
     unit = weights / np.linalg.norm(weights)
     norm = float(np.linalg.norm(residual - (unit @ residual) * unit))
     return norm, spec.mean_value - float(weights @ u)
+
+
+def analytic_from_expression_by_sympy(expr: str) -> AnalyticFunction:
+    """Parse an expression in x1, x2 and differentiate it symbolically.
+
+    Accepts the usual scientific vocabulary (sin, cos, exp, pi, ...).  The
+    returned callables are numpy-vectorized.  Malformed text, and an
+    expression with an imaginary part, raise ``ValueError``.
+    """
+    import sympy
+
+    x1, x2 = sympy.symbols("x1 x2")
+    try:
+        parsed = sympy.sympify(expr, locals={"x1": x1, "x2": x2})
+    except (sympy.SympifyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"cannot parse expression {expr!r}: {exc}") from None
+    if not isinstance(parsed, sympy.Expr) or parsed.has(sympy.zoo, sympy.oo, -sympy.oo, sympy.nan):
+        raise ValueError(f"expression {expr!r} is not a scalar expression with finite constants")
+    extra = parsed.free_symbols - {x1, x2}
+    if extra:
+        raise ValueError(f"expression uses unknown symbols {sorted(map(str, extra))}")
+    if parsed.has(sympy.I):
+        raise ValueError(f"expression {expr!r} is not real")
+
+    def lamb(e):
+        fn = sympy.lambdify((x1, x2), e, modules="numpy")
+
+        def wrapped(x, y, _fn=fn):
+            return np.asarray(_fn(x, y), dtype=float) * np.ones_like(
+                np.asarray(x, dtype=float)
+            )
+
+        return wrapped
+
+    return AnalyticFunction(
+        value=lamb(parsed),
+        dx=lamb(sympy.diff(parsed, x1)),
+        dy=lamb(sympy.diff(parsed, x2)),
+        laplacian=lamb(sympy.diff(parsed, x1, 2) + sympy.diff(parsed, x2, 2)),
+    )

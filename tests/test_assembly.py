@@ -31,6 +31,7 @@ from burgersfb.mesh import (
 )
 from burgersfb import assembly
 from burgersfb.control import ACTIVE_TAGS
+from burgersfb.sparse import Factorization
 from oracles import (
     apply_dirichlet,
     assemble_boundary_mass,
@@ -573,3 +574,22 @@ def test_fused_kernels_match_element_assembly(jittered_mesh, n, pinned, controll
     boundary = cubic * trace_values(w, ACTIVE_TAGS) ** 2
     picard = transport + assemble_boundary_mass(mesh, boundary, ACTIVE_TAGS)
     close(disc.jacobian(vp, gq=cubic * tr**2), picard)
+
+
+def test_matrices_share_one_read_only_pattern(unit4):
+    disc = Discretization(unit4)
+    indices, indptr = disc.indices.copy(), disc.indptr.copy()
+    data = disc.stiffness + disc.mass
+    matrix = disc.matrix(data)
+    assert matrix.data is data
+    assert np.shares_memory(matrix.indices, disc.indices)
+    assert np.shares_memory(matrix.indptr, disc.indptr)
+    with pytest.raises(ValueError):
+        matrix.indices[0] = 0
+    b = np.ones(unit4.num_vertices)
+    # the band LU, SuperLU and their certificates only read the pattern
+    for factorization in (disc.factor(data), Factorization(matrix)):
+        factorization.solve(b)
+    assert np.array_equal(disc.indices, indices) and np.array_equal(disc.indptr, indptr)
+    reference = sp.csc_matrix((data, indices, indptr), shape=matrix.shape)
+    assert (matrix != reference).nnz == 0

@@ -3,7 +3,11 @@
 import dataclasses
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 
 import numpy as np
 
@@ -69,3 +73,28 @@ def test_every_listed_name_exists_and_test_oracles_are_not_listed():
     fields = [field.name for field in dataclasses.fields(assembly.BoundaryQuadrature)]
     assert fields == ["edges", "lengths", "normals", "points"]
     assert burgersfb.control.ACTIVE_TAGS is burgersfb.assembly.ACTIVE_TAGS
+
+
+def test_parsing_and_simulating_never_import_sympy(tmp_path):
+    # sympy is a test-only dependency: the reference the parser is checked against
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "domain": {"n": 4},
+        "physics": {"nu": 0.1, "c0": 1.0},
+        "steady": {"u_inf": "-0.2*x1", "mean": -0.1},
+        "initial": {"w0": "sin(pi*x1)*sin(pi*x2) + 0.2*x1"},
+        "time": {"k": 0.01, "t_end": 0.05},
+    }))
+    script = (
+        "import sys\n"
+        "import burgersfb\n"
+        "from burgersfb.cli import main\n"
+        "burgersfb.steady.analytic_from_expression('sin(pi*x1)*sin(pi*x2) + 0.2*x1')\n"
+        "assert main(['simulate', '--config', sys.argv[1], '--output-dir', sys.argv[2]]) == 0\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(burgersfb.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script, str(config), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from burgersfb import assembly, steady
@@ -19,7 +19,7 @@ from burgersfb.steady import (
     solve_steady,
     steady_residual,
 )
-from oracles import assemble_mass_by_element, steady_residual_and_gap
+from oracles import analytic_from_expression_by_sympy, assemble_mass_by_element, steady_residual_and_gap
 
 NU = 0.1
 
@@ -45,6 +45,70 @@ def test_analytic_expression_derivatives():
 def test_analytic_expression_rejects_unknown_symbols():
     with pytest.raises(ValueError):
         analytic_from_expression("x1 + t")
+    # a sympy function outside the grammar is an unknown name too
+    with pytest.raises(ValueError, match="unknown symbols"):
+        analytic_from_expression("Abs(x1)")
+
+
+def _shift(bound):
+    """An integer above ``bound``: ``shift + v`` is at least 1 wherever ``|v| <= bound``."""
+    return int(np.ceil(bound)) + 1
+
+
+def _guarded(children):
+    """One operation on expressions ``(text, bound)``, each with ``|value| <= bound`` on the
+    unit square, that keeps every call and power inside its domain there."""
+    def call(name, bound, argument=lambda text, b: text):
+        return children.map(lambda c: (f"{name}({argument(*c)})", bound(c[1])))
+
+    def binary(op, bound):
+        return st.tuples(children, children).map(
+            lambda ab: (f"({ab[0][0]}) {op} ({ab[1][0]})", bound(ab[0][1], ab[1][1])))
+
+    shifted = lambda text, b: f"{_shift(b)} + ({text})"
+    scaled = lambda text, b: f"({text})/{_shift(b)}"
+    small = children.filter(lambda c: c[1] <= 3.0)
+    exponents = st.sampled_from([("2", 2.0), ("3", 3.0), ("0.5", 0.5), ("-1", 1.0), ("1.5", 1.5)])
+    return st.one_of(
+        binary("+", lambda a, b: a + b),
+        binary("-", lambda a, b: a + b),
+        binary("*", lambda a, b: a * b),
+        st.tuples(children, children).map(
+            lambda ab: (f"({ab[0][0]})/({shifted(*ab[1])})", ab[0][1])),
+        st.tuples(children, exponents | small, st.sampled_from(["**", "^"])).map(
+            lambda t: (f"({shifted(*t[0])}){t[2]}({t[1][0]})", (2 * _shift(t[0][1])) ** t[1][1])),
+        *(call(name, lambda b: 1.0) for name in ("sin", "cos", "tanh")),
+        call("atan", lambda b: np.pi / 2),
+        call("tan", lambda b: np.tan(1.0), scaled),
+        call("asin", lambda b: np.pi / 2, scaled),
+        call("acos", lambda b: np.pi, scaled),
+        call("log", lambda b: np.log(2 * _shift(b)), shifted),
+        call("sqrt", lambda b: np.sqrt(2 * _shift(b)), shifted),
+        *(small.map(lambda c, name=name, f=f: (f"{name}({c[0]})", f(c[1])))
+          for name, f in (("exp", np.exp), ("sinh", np.sinh), ("cosh", np.cosh))),
+    )
+
+
+_LEAVES = st.one_of(
+    st.sampled_from([("x1", 1.0), ("x2", 1.0), ("pi", np.pi), ("E", np.e)]),
+    st.integers(-12, 12).map(lambda k: (repr(k / 4), abs(k / 4))),
+)
+_EXPRESSIONS = st.recursive(_LEAVES, _guarded, max_leaves=6).filter(lambda e: e[1] <= 100.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_EXPRESSIONS)
+# "^" is "**", with its precedence over unary minus and the other operators
+@example(("x1^3 - log(2+x2)", 0.0))
+@example(("-x2^2/2^-1 + (1 + x1)^0.5^2", 0.0))
+def test_parser_matches_sympy_on_random_expressions(expression):
+    text, _ = expression
+    u, reference = analytic_from_expression(text), analytic_from_expression_by_sympy(text)
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, 4), np.linspace(0.0, 1.0, 3))
+    for name in ("value", "dx", "dy", "laplacian"):
+        got, want = getattr(u, name)(x, y), getattr(reference, name)(x, y)
+        assert got.shape == x.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), (name, text)
 
 
 @pytest.mark.parametrize(
