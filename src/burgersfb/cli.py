@@ -281,6 +281,7 @@ def _cmd_simulate(args) -> int:
         "predicted_alpha": alpha,
         "newton_iters": int(record.newton_iters.sum()),
         "factorizations": record.factorizations,
+        "solves": record.solves,
     }
     _emit(payload)
     return 0

@@ -3,7 +3,11 @@
 Backward Euler in time.  Each step solves the fully implicit nonlinear
 system by Newton's method, or by a lagged Picard linearization that
 freezes the transported coefficient and the cubic boundary weight at the
-previous state, costing a single linear solve.
+previous state, costing one linear system per step.  Picard solves that
+system by stationary refinement on an LU factorization held across steps,
+as chord Newton holds its Jacobian's, from the guess ``2 w_n - w_(n-1)``
+(usually three solves); a step that ``_PICARD_SOLVES`` refinement solves
+do not certify factors its own matrix, which later steps then share.
 
 Newton comes in two forms that share one loop and one stopping test,
 ``||residual|| <= _NEWTON_TOL`` within ``_NEWTON_MAX`` iterations.
@@ -16,7 +20,8 @@ with Newton's Method*, SIAM 2003, chord method).
 ``"newton"`` refactors on every iteration and is the reference.
 An iteration gathers its iterate once, for the load and for a refactor's
 Jacobian; a step hands its mass product (the next inertia) and its edge
-traces (the control norm) on to the record and the next step.
+traces (the control norm, and Picard's cubic weight) on to the record and
+the next step.
 """
 
 from __future__ import annotations
@@ -56,6 +61,8 @@ _NEWTON_TOL = 1e-10
 _NEWTON_MAX = 20
 # chord Newton refactors when ||r_i|| > _CHORD_CONTRACTION * ||r_{i-1}||
 _CHORD_CONTRACTION = 0.1
+# refinement solves a Picard step may take on the held factorization before it refactors
+_PICARD_SOLVES = 4
 _SOLVERS = ("chord", "newton", "picard")
 
 
@@ -96,7 +103,8 @@ class StepOperators:
     points, ``None`` when uncontrolled.  ``factor`` is the one Jacobian
     factorization the Newton steps of the trajectory share (``None`` until
     the first step), and ``factorizations`` counts the LU factorizations
-    the steps have made.
+    the steps have made and ``solves`` the linear solves.  Picard holds
+    ``factor`` too, an LU of an earlier step matrix.
     """
 
     mass: "object"
@@ -108,6 +116,7 @@ class StepOperators:
     feedback: Optional[np.ndarray]
     factor: Optional[Factorization] = None
     factorizations: int = 0
+    solves: int = 0
 
 
 def build_operators(mesh: Mesh, u_steady: FeField, cfg: EvolutionConfig) -> StepOperators:
@@ -139,7 +148,7 @@ def _pinned_cleared(values: np.ndarray, ops: StepOperators) -> np.ndarray:
     return out
 
 
-def _newton_step(w_prev, w_before, mass_w, cfg: EvolutionConfig, ops: StepOperators):
+def _newton_step(w_prev, w_before, mass_w, traces, cfg: EvolutionConfig, ops: StepOperators):
     disc = ops.disc
     dofs = disc.dirichlet
     inertia = (1.0 / ops.k) * mass_w
@@ -168,6 +177,7 @@ def _newton_step(w_prev, w_before, mass_w, cfg: EvolutionConfig, ops: StepOperat
             ops.factor = None  # never hold two factorizations at once
             ops.factor = disc.factor(jacobian)
             ops.factorizations += 1
+        ops.solves += 1
         w = w + ops.factor.solve(-residual)
     raise NonconvergenceError(
         f"implicit step Newton stalled after {_NEWTON_MAX} iterations "
@@ -176,22 +186,35 @@ def _newton_step(w_prev, w_before, mass_w, cfg: EvolutionConfig, ops: StepOperat
     )
 
 
-def _picard_step(w_prev, w_before, mass_w, cfg: EvolutionConfig, ops: StepOperators):
+def _picard_step(w_prev, w_before, mass_w, traces, cfg: EvolutionConfig, ops: StepOperators):
     disc = ops.disc
     vp = _MASS_PATTERN @ w_prev[disc.corners]
-    gq = ops.cubic_scale * disc.traces(w_prev) ** 2 if ops.cubic_scale else None
+    gq = None
+    if ops.cubic_scale:
+        gq = ops.cubic_scale * (disc.traces(w_prev) if traces is None else traces) ** 2
     system = ops.step_matrix.data + disc.jacobian(vp, gq=gq)
     rhs = (1.0 / ops.k) * mass_w
     disc.eliminate(system)
     rhs[disc.dirichlet] = 0.0
-    ops.factorizations += 1
-    return disc.factor(system).solve(rhs), 1, None
+    w = None
+    if ops.factor is not None:
+        guess = 2.0 * w_prev - w_before
+        w, solves = ops.factor.refine(disc.matrix(system), rhs, guess, _PICARD_SOLVES)
+        ops.solves += solves
+    if w is None:
+        ops.factor = None  # never hold two factorizations at once
+        ops.factor = disc.factor(system)
+        ops.factorizations += 1
+        ops.solves += 1
+        w = ops.factor.solve(rhs)
+    return w, 1, None
 
 
 def _advance(cfg: EvolutionConfig):
     """The step function of ``cfg``: from ``w_prev`` (Dirichlet values cleared), the state
-    before it and ``mass @ w_prev`` to the new state, the iteration count and the new
-    state's edge traces or ``None``; Newton starts from ``2 w_prev - w_before``."""
+    before it, ``mass @ w_prev`` and the edge traces of ``w_prev`` (``None`` when not at
+    hand) to the new state, the iteration count and the new state's edge traces or
+    ``None``; both solvers start from ``2 w_prev - w_before``."""
     return _picard_step if cfg.nonlinear == "picard" else _newton_step
 
 
@@ -199,16 +222,16 @@ def step(w_prev: FeField, cfg: EvolutionConfig, ops: StepOperators) -> FeField:
     """Advance one implicit step from ``w_prev``.
 
     The Dirichlet values of ``w_prev`` are taken as zero, as in :func:`run`.
-    With no earlier state, Newton starts from ``w_prev`` itself.  Chord Newton
-    reuses ``ops.factor`` and may replace it, so successive calls on the same
-    ``ops`` share one factorization.
+    With no earlier state, both solvers start from ``w_prev`` itself.  Chord
+    Newton and Picard reuse ``ops.factor`` and may replace it, so successive
+    calls on the same ``ops`` share one factorization.
     """
     if w_prev.mesh is not ops.disc.mesh:
         raise ValueError("state does not live on the operators' mesh")
     if cfg.k != ops.k:
         raise ValueError("operators were built for another step size")
     w = _pinned_cleared(w_prev.values, ops)
-    return FeField(w_prev.mesh, _advance(cfg)(w, w, ops.mass @ w, cfg, ops)[0])
+    return FeField(w_prev.mesh, _advance(cfg)(w, w, ops.mass @ w, None, cfg, ops)[0])
 
 
 @dataclass(eq=False)
@@ -217,7 +240,9 @@ class TrajectoryRecord:
 
     Carries the physical constants needed to compare the observed decay
     against the predicted bounds; ``c0`` is ``None`` for uncontrolled runs.
-    ``factorizations`` is the number of LU factorizations the run made.
+    ``factorizations`` is the number of LU factorizations the run made and
+    ``solves`` the number of linear solves; for Newton that is
+    ``newton_iters.sum()``, for Picard the refinement and direct solves.
     """
 
     times: np.ndarray
@@ -231,6 +256,7 @@ class TrajectoryRecord:
     friedrichs: float
     final_state: "FeField"
     factorizations: int = 0
+    solves: int = 0
 
     def to_csv(self, stream) -> None:
         """Write rows in a reproducible fixed format (17 significant digits)."""
@@ -283,7 +309,8 @@ def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> Tra
     w = _pinned_cleared(w0.values, ops)
 
     def record(i, values, iteration_count, traces):
-        """Diagnostics of step ``i``; returns ``mass @ values``, the next step's inertia."""
+        """Diagnostics of step ``i``; returns ``mass @ values``, the next step's inertia,
+        and the edge traces of ``values`` when controlled."""
         times[i] = i * cfg.k
         mw = ops.mass @ values
         l2[i] = np.sqrt(max(values @ mw, 0.0))
@@ -294,14 +321,14 @@ def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> Tra
                 traces = ops.disc.traces(values)
             ctl[i] = _boundary_l2(ops.disc.bq, _feedback_flux(traces, ops.feedback, cfg.control))
         iters[i] = iteration_count
-        return mw
+        return mw, traces
 
-    mass_w = record(0, w, 0, None)
+    mass_w, traces = record(0, w, 0, None)
     advance = _advance(cfg)
     w_before = w
     for n in range(1, n_steps + 1):
         try:
-            w_before, (w, count, traces) = w, advance(w, w_before, mass_w, cfg, ops)
+            w_before, (w, count, traces) = w, advance(w, w_before, mass_w, traces, cfg, ops)
         except NonconvergenceError as exc:
             raise NonconvergenceError(
                 f"step {n} (t = {n * cfg.k:.6g}): {exc}",
@@ -309,7 +336,7 @@ def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> Tra
                 step=n,
                 time=n * cfg.k,
             ) from exc
-        mass_w = record(n, w, count, traces)
+        mass_w, traces = record(n, w, count, traces)
 
     return TrajectoryRecord(
         times=times,
@@ -323,6 +350,7 @@ def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> Tra
         friedrichs=friedrichs_constant(mesh),
         final_state=FeField(mesh, w),
         factorizations=ops.factorizations,
+        solves=ops.solves,
     )
 
 

@@ -1,14 +1,17 @@
 """Sparse storage and the linear solvers behind assembly and Newton loops.
 
 Every matrix the package assembles is CSC on the fixed pattern of a
-:class:`~burgersfb.assembly.Discretization`; only the bordered steady
-system is built as CSR.  Every square solve is a certified
+:class:`~burgersfb.assembly.Discretization`, and the bordered steady
+system is built as CSC too.  Every square solve is a certified
 :class:`Factorization` with partial pivoting, kept when one factor serves
-several right-hand sides.  The time loop's step and Jacobian matrices are
-factored by LAPACK band LU (``dgbtrf``/``dgbtrs``) in the vertex order of
-their :class:`~burgersfb.assembly.Discretization`; SuperLU serves the
-bordered solve of the mean-constrained steady problem, the one-off mass
-and projection solves, and :func:`solve_general`, the reference the tests
+several right-hand sides, or several matrices: :meth:`Factorization.refine`
+solves a nearby matrix by stationary iterative refinement, as each Picard
+step does on the factor of an earlier step matrix.  The time loop's step
+and Jacobian matrices are factored by LAPACK band LU
+(``dgbtrf``/``dgbtrs``) in the vertex order of their
+:class:`~burgersfb.assembly.Discretization`; SuperLU serves the bordered
+solve of the mean-constrained steady problem, the one-off mass and
+projection solves, and :func:`solve_general`, the reference the tests
 compare the band path against.
 """
 
@@ -54,32 +57,34 @@ class NonconvergenceError(RuntimeError):
 
 
 class Factorization:
-    """LU of a square CSC matrix (or CSR, as the bordered system) with partial pivoting.
+    """LU of a square CSC matrix with partial pivoting.
 
     Every solution must satisfy
     ``||a x - b||_inf <= 1e-10 (||a||_inf ||x||_inf + ||b||_inf)`` against
-    the factored ``a``.  The three norms come from one reduction; a
-    non-finite ``x``, a residual that fails the bound (NaN included) or a
-    singular factorization raises :class:`SingularMatrixError`.  The factor
-    is SuperLU's, or with ``band = (order, width, slots)`` LAPACK band LU of
-    the CSC ``a`` permuted
-    to half-bandwidth ``width`` by ``order``; ``slots`` are the flat indices
+    the matrix ``a`` it solves: the factored one for :meth:`solve`, the
+    given one for :meth:`refine`.  The three norms come from one
+    reduction; a non-finite ``x``, a residual that fails the bound (NaN
+    included) or a singular factorization raises
+    :class:`SingularMatrixError`, except that :meth:`refine` hands a failed
+    bound back to its caller.  The factor is SuperLU's, or with
+    ``band = (order, width, slots)`` LAPACK band LU of ``a`` permuted to
+    half-bandwidth ``width`` by ``order``; ``slots`` are the flat indices
     of ``a.data`` in the Fortran-ordered ``(3 width + 1, n)`` band array.
     """
 
-    def __init__(self, a: sp.spmatrix, band=None):
+    def __init__(self, a: sp.csc_matrix, band=None):
         n, m = a.shape
         if n != m:
             raise ValueError(f"matrix {a.shape} is not square")
+        if a.format != "csc":
+            raise ValueError(f"matrix is {a.format.upper()}, not CSC")
         self.matrix = a
-        # row sums of |a|: CSC stores the row of each entry, CSR the extent of each row
-        rows = a.indices if a.format == "csc" else np.repeat(np.arange(n), np.diff(a.indptr))
-        self.norm_inf = float(np.max(np.bincount(rows, np.abs(a.data), n), initial=0.0))
+        self.norm_inf = _norm_inf(a)
         if band is not None:
             self._solve = _band_lu(a.data, *band)
             return
         try:
-            self._solve = spla.splu(sp.csc_matrix(a)).solve
+            self._solve = spla.splu(a).solve
         except RuntimeError as exc:
             raise SingularMatrixError(f"factorization failed: {exc}") from exc
 
@@ -92,10 +97,7 @@ class Factorization:
             x = self._solve(b)
         except RuntimeError as exc:
             raise SingularMatrixError(f"factorization failed: {exc}") from exc
-        # one pass for the three norms; NaN or inf in x makes x_inf non-finite
-        r, x_inf, b_inf = np.abs((self.matrix @ x - b, x, b)).reshape(3, -1).max(1, initial=0.0)
-        if not np.isfinite(x_inf):
-            raise SingularMatrixError("solution contains non-finite entries")
+        r, x_inf, b_inf = _norms(self.matrix @ x - b, x, b)
         bound = 1e-10 * (self.norm_inf * x_inf + b_inf)
         # written so that a NaN residual fails too
         if not r <= bound:
@@ -104,6 +106,51 @@ class Factorization:
                 float(r),
             )
         return x
+
+    def refine(self, a: sp.csc_matrix, b: np.ndarray, x: np.ndarray, limit: int):
+        """Solve ``a x = b`` from the guess ``x`` by stationary refinement on this factor.
+
+        Iterates ``x <- x + d``, ``d = LU^-1 (b - a x)``, with the factor of a
+        matrix near the CSC ``a`` (Moler 1967), until the predicted next
+        correction ``||d_i||^2 / ||d_(i-1)||`` is at most ``1e-12 ||x||_inf``.
+        Returns ``(x, solves)``, with ``x`` certified against ``a``, or
+        ``(None, solves)`` when ``limit`` solves did not converge or the
+        certificate failed; the caller then factors ``a`` itself.
+        """
+        if a.shape != self.matrix.shape:
+            raise ValueError(f"matrix {a.shape} does not match the factor {self.matrix.shape}")
+        last = 0.0  # a first correction stops the iteration only when it is zero
+        for solves in range(1, limit + 1):
+            d = self._solve(b - a @ x)
+            x = x + d
+            d_inf, x_inf = np.abs((d, x)).max(1)
+            if d_inf * d_inf <= 1e-12 * x_inf * last:
+                break
+            last = d_inf
+        else:
+            # NaN stays NaN and fails every test above, so only the last x need be checked
+            if not np.isfinite(x_inf):
+                raise SingularMatrixError("solution contains non-finite entries")
+            return None, limit
+        r, x_inf, b_inf = _norms(a @ x - b, x, b)
+        # ||a||_inf is summed only when ||b||_inf alone does not cover the residual
+        if r <= 1e-10 * b_inf or r <= 1e-10 * (_norm_inf(a) * x_inf + b_inf):
+            return x, solves
+        return None, solves
+
+
+def _norm_inf(a: sp.csc_matrix) -> float:
+    """``||a||_inf``: CSC stores the row of each entry, so one ``bincount`` sums the rows of ``|a|``."""
+    return float(np.max(np.bincount(a.indices, np.abs(a.data), a.shape[0]), initial=0.0))
+
+
+def _norms(residual, x, b):
+    """The infinity norms of the three in one reduction; a non-finite ``x`` raises."""
+    # NaN or inf in x makes x_inf non-finite
+    r, x_inf, b_inf = np.abs((residual, x, b)).reshape(3, -1).max(1, initial=0.0)
+    if not np.isfinite(x_inf):
+        raise SingularMatrixError("solution contains non-finite entries")
+    return r, x_inf, b_inf
 
 
 def _band_lu(data, order, width, slots):
@@ -124,8 +171,8 @@ def _band_lu(data, order, width, slots):
 
 
 def solve_general(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """One certified solve with a fresh :class:`Factorization` of ``a``."""
-    return Factorization(a).solve(b)
+    """One certified solve with a fresh :class:`Factorization` of ``a`` (any format)."""
+    return Factorization(sp.csc_matrix(a)).solve(b)
 
 
 def solve_bordered(
@@ -146,10 +193,10 @@ def solve_bordered(
         raise ValueError("constraint row is identically zero")
     aug = sp.bmat(
         [
-            [sp.csr_matrix(core), sp.csr_matrix(c[:, None])],
-            [sp.csr_matrix(c[None, :]), None],
+            [sp.csc_matrix(core), sp.csc_matrix(c[:, None])],
+            [sp.csc_matrix(c[None, :]), None],
         ],
-        format="csr",
+        format="csc",
     )
     y = solve_general(aug, np.concatenate([rhs, [constraint_value]]))
     return y[:n], float(y[n])

@@ -151,6 +151,23 @@ def test_simulate_defaults_to_chord_newton(tmp_path, capsys):
     assert payload["factorizations"] == payload["newton_iters"] >= steps
 
 
+def test_simulate_reports_linear_solves(tmp_path, capsys):
+    # a Newton solve per iteration; Picard refines on one held factorization
+    steps = 10
+    for solver in ("chord", "newton", "picard"):
+        config = write_config(
+            tmp_path, {**BASE, "time": {**BASE["time"], "nonlinear": solver}}, f"{solver}.json"
+        )
+        payload = run_json(
+            capsys, ["simulate", "--config", config, "--output-dir", str(tmp_path)]
+        )
+        if solver == "picard":
+            assert payload["newton_iters"] == steps
+            assert 1 <= payload["factorizations"] < steps <= payload["solves"]
+        else:
+            assert payload["solves"] == payload["newton_iters"]
+
+
 def test_simulate_short_run_reports_no_fitted_rate(tmp_path, capsys):
     # six samples are too few to fit a rate; everything else is reported
     config = write_config(tmp_path, {**BASE, "time": {"k": 0.01, "t_end": 0.05}})

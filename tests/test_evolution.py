@@ -413,13 +413,18 @@ def test_run_counts_factorizations():
     u_steady = steady_shear(mesh)
     w0 = initial_bump(mesh)
     counts = {}
+    steps = 10
     for solver in ("chord", "newton", "picard"):
         record = run(w0, config(k=0.01, t_end=0.1, nonlinear=solver), mesh, u_steady)
         counts[solver] = record.factorizations
         if solver == "newton":
             assert record.factorizations == record.newton_iters.sum()
-    assert counts["picard"] == 10
-    assert 1 <= counts["chord"] < 10
+        if solver != "picard":
+            # one solve per Newton iteration
+            assert record.solves == record.newton_iters.sum()
+    # Picard refines on a held factorization and refactors only when that fails
+    assert 1 <= counts["picard"] < steps <= record.solves
+    assert 1 <= counts["chord"] < steps
 
 
 def test_run_nonconvergence_names_step_and_time():
@@ -431,6 +436,30 @@ def test_run_nonconvergence_names_step_and_time():
     assert info.value.time == 0.5
     assert "step 1 (t = 0.5)" in str(info.value)
     assert len(info.value.residual_history) == evolution._NEWTON_MAX + 1
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+def test_picard_refactors_when_the_held_factor_is_far(pinned):
+    # a held factor of the mass matrix, far from mass / k: the step spends its
+    # refinement solves, then factors its own matrix and solves as a first step does
+    mesh = build_unit_square_mesh(4)
+    if pinned:
+        mesh = tag_boundary(mesh, RIGHT_SIDE)
+    u_steady = steady_shear(mesh)
+    cfg = config(k=0.01, t_end=0.01, nonlinear="picard")
+    w0 = initial_bump(mesh)
+    expected = step(w0, cfg, build_operators(mesh, u_steady, cfg))
+    ops = build_operators(mesh, u_steady, cfg)
+    distant = ops.disc.mass.copy()
+    ops.disc.eliminate(distant)
+    held = ops.factor = ops.disc.factor(distant)
+    w1 = step(w0, cfg, ops)
+    assert (ops.factorizations, ops.solves) == (1, evolution._PICARD_SOLVES + 1)
+    assert ops.factor is not held
+    assert np.array_equal(w1.values, expected.values)
+    # the next step refines on the new factor
+    step(w1, cfg, ops)
+    assert ops.factorizations == 1 and ops.solves > evolution._PICARD_SOLVES + 1
 
 
 def test_picard_close_to_newton():

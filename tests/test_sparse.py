@@ -83,8 +83,8 @@ def test_factorization_serves_several_right_hand_sides(rng):
 def test_norm_inf_sums_rows_in_either_format():
     # row sums 6, 2, 3.5 and column sums 1.5, 7, 3: a column sum would read 7
     dense = np.array([[1.0, -5.0, 0.0], [0.0, 2.0, 0.0], [0.5, 0.0, -3.0]])
-    for a in (sp.csr_matrix(dense), sp.csc_matrix(dense)):
-        assert Factorization(a).norm_inf == abs(a).toarray().sum(axis=1).max() == 6.0
+    a = sp.csc_matrix(dense)
+    assert Factorization(a).norm_inf == abs(a).toarray().sum(axis=1).max() == 6.0
 
 
 def test_factorization_certificate_raises(rng):
@@ -219,3 +219,104 @@ def test_band_is_one_grid_row_wide(n):
     for level in range(3):
         assert Discretization(mesh).bandwidth == n * 2**level + 2
         mesh = refine_uniform(mesh)
+
+
+def step_matrices(disc, rng, k):
+    """Eliminated data of a band step matrix ``mass / k + ...`` and of a random O(k)
+    perturbation of it, as consecutive Picard steps make them."""
+    u, w = rng.standard_normal((2, disc.mesh.num_vertices))
+    feedback = rng.uniform(0.0, 2.0, disc.bq.points.shape[:2])
+    vp, g, _ = disc.gather(u)
+    held = disc.mass / k + 0.1 * disc.stiffness + disc.jacobian(vp, g, feedback)
+    vp, _, _ = disc.gather(k * w)
+    near = held + disc.jacobian(vp, gq=k * feedback**2)
+    for data in (held, near):
+        disc.eliminate(data)
+    return held, near
+
+
+def assert_certified(a, x, b):
+    norm = np.max(np.abs(a.toarray()).sum(axis=1))
+    residual = np.max(np.abs(a @ x - b))
+    assert residual <= 1e-10 * (norm * np.max(np.abs(x)) + np.max(np.abs(b)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    n=st.integers(1, 6),
+    pinned=st.booleans(),
+    k=st.floats(1e-4, 1e-2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_refine_on_a_held_factor_matches_superlu(jittered_mesh, n, pinned, k, seed):
+    rng = np.random.default_rng(seed)
+    mesh = jittered_mesh(n, pinned, rng)
+    disc = Discretization(mesh)
+    held, near = step_matrices(disc, rng, k)
+    a = disc.matrix(near)
+    b = rng.standard_normal(mesh.num_vertices)
+    b[disc.dirichlet] = 0.0
+    expected = solve_general(a, b)
+    # a guess off by O(k^2), as the extrapolation 2 w_n - w_(n-1) is
+    guess = expected + k * k * rng.standard_normal(mesh.num_vertices)
+    guess[disc.dirichlet] = 0.0
+    x, solves = disc.factor(held).refine(a, b, guess, 4)
+    assert 2 <= solves <= 4
+    assert_certified(a, x, b)
+    # the stop rule predicts the next correction at 1e-12 ||x||; the ratio of two
+    # corrections predicts the next one only roughly, so allow ten times that
+    assert np.max(np.abs(x - expected)) <= 1e-11 * np.max(np.abs(expected))
+    # the factor of the matrix itself stops after the zero second correction or sooner
+    x, solves = disc.factor(near).refine(a, b, guess, 4)
+    assert solves <= 2
+    assert_certified(a, x, b)
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+def test_refine_on_a_distant_factor_returns_nothing_uncertified(jittered_mesh, pinned):
+    # the mass matrix is far from mass / k: refinement on its factor diverges,
+    # and the caller gets None, never an uncertified solution, within the limit
+    rng = np.random.default_rng(7)
+    mesh = jittered_mesh(4, pinned, rng)
+    disc = Discretization(mesh)
+    _, near = step_matrices(disc, rng, 1e-3)
+    distant = disc.mass.copy()
+    disc.eliminate(distant)
+    a = disc.matrix(near)
+    b = rng.standard_normal(mesh.num_vertices)
+    x, solves = disc.factor(distant).refine(a, b, np.zeros_like(b), 4)
+    assert x is None and solves == 4
+    # the fallback the Picard step takes: factor the matrix itself
+    assert_certified(a, disc.factor(near).solve(b), b)
+
+
+def test_refine_checks_the_bound_against_the_given_matrix(rng, monkeypatch):
+    # as in the solve test: scaled by 1e-4, ||a|| ||x|| dominates ||b|| in the bound
+    a = 1e-4 * random_system(rng)
+    factor = Factorization(a)
+    b = rng.standard_normal(a.shape[0])
+    x = factor.solve(b)
+    bound = 1e-10 * (factor.norm_inf * np.max(np.abs(x)) + np.max(np.abs(b)))
+    assert 0.5 * bound > 1e-10 * np.max(np.abs(b))
+    shift = solve_general(a, np.ones(a.shape[0]))
+    # zero corrections stop at once, so refine certifies the guess itself
+    monkeypatch.setattr(factor, "_solve", np.zeros_like)
+    for t in (0.5, 2.0):
+        guess, solves = factor.refine(a, b, x + t * bound * shift, 4)
+        assert solves == 1
+        assert (guess is None) == (t > 1.0)
+    # corrections that shrink fast enough stop the iteration, but they do not solve
+    # the given matrix: the certificate turns the result down
+    corrections = iter([np.ones_like(b), np.full_like(b, 1e-8)])
+    monkeypatch.setattr(factor, "_solve", lambda r: next(corrections))
+    assert factor.refine(a, b, x, 4) == (None, 2)
+
+
+def test_refine_rejects_non_finite_solutions_and_other_shapes(unit4, rng):
+    disc = Discretization(unit4)
+    held, near = step_matrices(disc, rng, 1e-2)
+    b = np.full(unit4.num_vertices, np.nan)
+    with pytest.raises(SingularMatrixError, match="non-finite"):
+        disc.factor(held).refine(disc.matrix(near), b, np.zeros_like(b), 4)
+    with pytest.raises(ValueError, match="does not match"):
+        disc.factor(held).refine(disc.matrix(near)[:-1, :-1], b[:-1], b[:-1], 4)
