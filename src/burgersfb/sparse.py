@@ -128,7 +128,7 @@ class Factorization:
                 break
             last = d_inf
         else:
-            # NaN stays NaN and fails every test above, so only the last x need be checked
+            # a non-finite x never turns finite again, so checking the last one suffices
             if not np.isfinite(x_inf):
                 raise SingularMatrixError("solution contains non-finite entries")
             return None, limit
@@ -140,7 +140,7 @@ class Factorization:
 
 
 def _norm_inf(a: sp.csc_matrix) -> float:
-    """``||a||_inf``: CSC stores the row of each entry, so one ``bincount`` sums the rows of ``|a|``."""
+    """``||a||_inf``: CSC stores each entry's row, so one ``bincount`` sums the rows of ``|a|``."""
     return float(np.max(np.bincount(a.indices, np.abs(a.data), a.shape[0]), initial=0.0))
 
 
