@@ -12,6 +12,7 @@ sum per triangle and assemble nothing.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -379,8 +380,8 @@ class Discretization:
         self.band_slots = 2 * self.bandwidth + offset + (3 * self.bandwidth + 1) * rank[columns]
 
     def matrix(self, data: np.ndarray) -> sp.csc_matrix:
-        # a shallow copy of the pattern shares its index arrays and skips the format check
-        matrix = sp.csc_matrix(self._pattern)
+        # a shallow copy of the pattern shares its index arrays and skips the constructor
+        matrix = copy.copy(self._pattern)
         matrix.data = data
         return matrix
 

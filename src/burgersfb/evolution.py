@@ -5,9 +5,14 @@ system by Newton's method, or by a lagged Picard linearization that
 freezes the transported coefficient and the cubic boundary weight at the
 previous state, costing one linear system per step.  Picard solves that
 system by stationary refinement on an LU factorization held across steps,
-as chord Newton holds its Jacobian's, from the guess ``2 w_n - w_(n-1)``
-(usually three solves); a step that ``_PICARD_SOLVES`` refinement solves
-do not certify factors its own matrix, which later steps then share.
+as chord Newton holds its Jacobian's (usually two solves); a step that
+``_PICARD_SOLVES`` refinement solves do not certify factors its own
+matrix, which later steps then share.
+
+:func:`run` starts each step from the polynomial through the last four
+states (``_START``, fewer at first); on a smoothly decaying trajectory it
+is O(k^4) off, and a Newton step may need no iteration (Hairer & Wanner,
+*Solving ODEs II*, §IV.8, extrapolated starting values).
 
 Newton comes in two forms that share one loop and one stopping test,
 ``||residual|| <= _NEWTON_TOL`` within ``_NEWTON_MAX`` iterations.
@@ -64,6 +69,8 @@ _CHORD_CONTRACTION = 0.1
 # refinement solves a Picard step may take on the held factorization before it refactors
 _PICARD_SOLVES = 4
 _SOLVERS = ("chord", "newton", "picard")
+# row j - 1 weights w_n, w_(n-1), ... in the start of step n + 1 once j states are known
+_START = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
 
 
 @dataclass(frozen=True)
@@ -148,12 +155,12 @@ def _pinned_cleared(values: np.ndarray, ops: StepOperators) -> np.ndarray:
     return out
 
 
-def _newton_step(w_prev, w_before, mass_w, traces, cfg: EvolutionConfig, ops: StepOperators):
+def _newton_step(w_prev, start, mass_w, traces, cfg: EvolutionConfig, ops: StepOperators):
     disc = ops.disc
     dofs = disc.dirichlet
     inertia = (1.0 / ops.k) * mass_w
     refresh_always = cfg.nonlinear == "newton"
-    w = 2.0 * w_prev - w_before
+    w = start
     history = []
     for iteration in range(_NEWTON_MAX + 1):
         load, (vp, g, tr) = disc.residual(w, ops.cubic_scale)
@@ -186,7 +193,7 @@ def _newton_step(w_prev, w_before, mass_w, traces, cfg: EvolutionConfig, ops: St
     )
 
 
-def _picard_step(w_prev, w_before, mass_w, traces, cfg: EvolutionConfig, ops: StepOperators):
+def _picard_step(w_prev, start, mass_w, traces, cfg: EvolutionConfig, ops: StepOperators):
     disc = ops.disc
     vp = _MASS_PATTERN @ w_prev[disc.corners]
     gq = None
@@ -198,8 +205,7 @@ def _picard_step(w_prev, w_before, mass_w, traces, cfg: EvolutionConfig, ops: St
     rhs[disc.dirichlet] = 0.0
     w = None
     if ops.factor is not None:
-        guess = 2.0 * w_prev - w_before
-        w, solves = ops.factor.refine(disc.matrix(system), rhs, guess, _PICARD_SOLVES)
+        w, solves = ops.factor.refine(disc.matrix(system), rhs, start, _PICARD_SOLVES)
         ops.solves += solves
     if w is None:
         ops.factor = None  # never hold two factorizations at once
@@ -211,10 +217,11 @@ def _picard_step(w_prev, w_before, mass_w, traces, cfg: EvolutionConfig, ops: St
 
 
 def _advance(cfg: EvolutionConfig):
-    """The step function of ``cfg``: from ``w_prev`` (Dirichlet values cleared), the state
-    before it, ``mass @ w_prev`` and the edge traces of ``w_prev`` (``None`` when not at
-    hand) to the new state, the iteration count and the new state's edge traces or
-    ``None``; both solvers start from ``2 w_prev - w_before``."""
+    """The step function of ``cfg``: from ``w_prev`` (Dirichlet values cleared), the
+    ``start`` of the iteration, ``mass @ w_prev`` and the edge traces of ``w_prev``
+    (``None`` when not at hand) to the new state, the iteration count and the new
+    state's edge traces or ``None``.  Newton iterates from ``start``; Picard linearizes
+    at ``w_prev`` and refines from ``start``."""
     return _picard_step if cfg.nonlinear == "picard" else _newton_step
 
 
@@ -222,7 +229,8 @@ def step(w_prev: FeField, cfg: EvolutionConfig, ops: StepOperators) -> FeField:
     """Advance one implicit step from ``w_prev``.
 
     The Dirichlet values of ``w_prev`` are taken as zero, as in :func:`run`.
-    With no earlier state, both solvers start from ``w_prev`` itself.  Chord
+    With no earlier state to extrapolate from, both solvers start from
+    ``w_prev`` itself, as :func:`run`'s first step does.  Chord
     Newton and Picard reuse ``ops.factor`` and may replace it, so successive
     calls on the same ``ops`` share one factorization.
     """
@@ -325,10 +333,12 @@ def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> Tra
 
     mass_w, traces = record(0, w, 0, None)
     advance = _advance(cfg)
-    w_before = w
+    states = []  # the last four states, newest first
     for n in range(1, n_steps + 1):
+        states = [w] + states[:3]
+        start = sum(c * s for c, s in zip(_START[len(states) - 1], states))
         try:
-            w_before, (w, count, traces) = w, advance(w, w_before, mass_w, traces, cfg, ops)
+            w, count, traces = advance(w, start, mass_w, traces, cfg, ops)
         except NonconvergenceError as exc:
             raise NonconvergenceError(
                 f"step {n} (t = {n * cfg.k:.6g}): {exc}",
