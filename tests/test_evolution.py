@@ -62,6 +62,15 @@ def feedback_matrix(u_steady, control):
     return assemble_boundary_mass(u_steady.mesh, coeff, ACTIVE_TAGS)
 
 
+# the start of step n + 1 combines w_n, w_(n-1), ... with the row for the states known
+EXTRAPOLATION_ROWS = ((1,), (2, -1), (3, -3, 1), (4, -6, 4, -1))
+
+
+def extrapolated_start(states):
+    """The polynomial extrapolation through ``states`` (newest first, at most four)."""
+    return sum(c * s for c, s in zip(EXTRAPOLATION_ROWS[len(states) - 1], states))
+
+
 def initial_bump(mesh):
     return interpolate(
         lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y) + 0.2 * x, mesh
@@ -238,17 +247,18 @@ def test_steps_match_element_assembly_reference(nonlinear, controlled, pinned):
         mesh = tag_boundary(mesh, RIGHT_SIDE)
     u_steady = steady_shear(mesh)
     control = ControlParams(nu=NU, c0=C0) if controlled else None
-    cfg = config(k=0.01, t_end=0.03, nonlinear=nonlinear, control=control)
+    cfg = config(k=0.01, t_end=0.06, nonlinear=nonlinear, control=control)
     w0 = initial_bump(mesh)
     record = run(w0, cfg, mesh, u_steady)
     # run() starts from w0 with the Dirichlet values cleared
     start = w0.values.copy()
     start[dirichlet_vertex_indices(mesh)] = 0.0
-    w_before = w = start
-    for n in range(1, 4):
-        # run() starts Newton from the extrapolation 2 w_n - w_{n-1}
-        first = None if nonlinear == "picard" else 2.0 * w - w_before
-        w_before, (w, count) = w, reference_step(w, cfg, mesh, u_steady, first)
+    w, states = start, []
+    for n in range(1, 7):
+        # run() starts Newton from the extrapolation through the last four states
+        states = [w] + states[:3]
+        first = None if nonlinear == "picard" else extrapolated_start(states)
+        w, count = reference_step(w, cfg, mesh, u_steady, first)
         assert record.newton_iters[n] == count
     assert np.max(np.abs(record.final_state.values - w)) <= 1e-12
     if controlled:
@@ -365,8 +375,8 @@ def test_eliminated_step_jacobian_matches_finite_differences(
 def test_extrapolated_run_matches_chained_steps(
     jittered_mesh, n, k, amplitude, pinned, controlled, solver, seed
 ):
-    # run() starts Newton from 2 w_n - w_{n-1}; step() has no history and
-    # starts from w_n.  Both converge to the same step.
+    # run() starts Newton from the extrapolation through the last four states;
+    # step() has no history and starts from w_n.  Both converge to the same step.
     mesh = jittered_mesh(n, pinned, np.random.default_rng(seed))
     u_steady = steady_shear(mesh)
     control = ControlParams(nu=NU, c0=C0) if controlled else None
@@ -425,6 +435,50 @@ def test_run_counts_factorizations():
     # Picard refines on a held factorization and refactors only when that fails
     assert 1 <= counts["picard"] < steps <= record.solves
     assert 1 <= counts["chord"] < steps
+
+
+@pytest.mark.parametrize("nonlinear", ["chord", "newton", "picard"])
+def test_run_starts_each_step_from_the_extrapolated_trajectory(monkeypatch, nonlinear):
+    mesh = tag_boundary(build_unit_square_mesh(4), RIGHT_SIDE)
+    u_steady = steady_shear(mesh)
+    cfg = config(k=0.01, t_end=0.06, nonlinear=nonlinear)
+    kernel = evolution._advance(cfg)
+    calls = []
+
+    def spy(w_prev, start, *rest):
+        result = kernel(w_prev, start, *rest)
+        calls.append((w_prev.copy(), start.copy(), result[0].copy()))
+        return result
+
+    monkeypatch.setattr(evolution, "_advance", lambda cfg: spy)
+    record = run(initial_bump(mesh), cfg, mesh, u_steady)
+    assert len(calls) == 6
+    states = [calls[0][0]] + [new for _, _, new in calls]
+    scale = np.max(np.abs(states[0]))
+    for n, (w_prev, start, _) in enumerate(calls):
+        assert np.array_equal(w_prev, states[n])
+        # w_0, 2 w_1 - w_0, 3 w_2 - 3 w_1 + w_0, then the four-point row
+        expected = extrapolated_start(states[n::-1][:4])
+        assert np.max(np.abs(start - expected)) <= 1e-14 * scale
+    assert np.array_equal(record.final_state.values, states[-1])
+    calls.clear()
+    # step() has no earlier state and starts from w_prev itself
+    step(initial_bump(mesh), cfg, build_operators(mesh, u_steady, cfg))
+    assert len(calls) == 1 and np.array_equal(calls[0][1], calls[0][0])
+
+
+@pytest.mark.parametrize("nonlinear", ["chord", "newton"])
+def test_run_from_rest_needs_no_iteration(nonlinear):
+    mesh = tag_boundary(build_unit_square_mesh(4), RIGHT_SIDE)
+    w0 = FeField(mesh, np.zeros(mesh.num_vertices))
+    record = run(w0, config(nonlinear=nonlinear), mesh, steady_shear(mesh))
+    # zero is a steady state, so every extrapolated start already satisfies the step
+    assert np.all(record.newton_iters == 0)
+    assert record.solves == 0 and record.factorizations == 0
+    stream = io.StringIO()
+    record.to_csv(stream)
+    rows = stream.getvalue().splitlines()[1:]
+    assert len(rows) == 11 and all(row.rsplit(",", 1)[1] == "0" for row in rows)
 
 
 def test_run_nonconvergence_names_step_and_time():

@@ -257,7 +257,7 @@ def test_refine_on_a_held_factor_matches_superlu(jittered_mesh, n, pinned, k, se
     b = rng.standard_normal(mesh.num_vertices)
     b[disc.dirichlet] = 0.0
     expected = solve_general(a, b)
-    # a guess off by O(k^2), as the extrapolation 2 w_n - w_(n-1) is
+    # a guess off by O(k^2); the four-point start of a Picard step is O(k^4) off
     guess = expected + k * k * rng.standard_normal(mesh.num_vertices)
     guess[disc.dirichlet] = 0.0
     x, solves = disc.factor(held).refine(a, b, guess, 4)
