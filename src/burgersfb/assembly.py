@@ -254,15 +254,9 @@ def h1_seminorm(w: FeField) -> float:
 
 
 def interpolate(f, mesh: Mesh) -> FeField:
-    """Nodal interpolant of a callable (or constant) on the mesh vertices."""
-    if callable(f):
-        values = np.asarray(
-            f(mesh.vertices[:, 0], mesh.vertices[:, 1]), dtype=float
-        )
-        values = np.broadcast_to(values, (mesh.num_vertices,)).copy()
-    else:
-        values = np.full(mesh.num_vertices, float(f))
-    return FeField(mesh, values)
+    """Nodal interpolant of the callable ``f(x1, x2)`` on the mesh vertices."""
+    values = np.asarray(f(mesh.vertices[:, 0], mesh.vertices[:, 1]), dtype=float)
+    return FeField(mesh, np.broadcast_to(values, (mesh.num_vertices,)).copy())
 
 
 def prolong(coarse: FeField, fine_mesh: Mesh) -> FeField:

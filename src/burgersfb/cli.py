@@ -89,12 +89,15 @@ def _require(config: dict, key: str, default=None):
     return body.get(name, default)
 
 
-def _number(value, key: str, integer: bool = False):
-    """Every numeric config value is read here, as a float (an int with ``integer``)."""
+def _number(value, key: str, integer: bool = False, signed: bool = False):
+    """Every numeric config value is read here, as a float (an int with ``integer``);
+    it must be positive unless ``signed``."""
     bad = isinstance(value, bool) or not isinstance(value, (int, float))
     if bad or not abs(value) <= sys.float_info.max or (integer and value != int(value)):
         kind = "an integer" if integer else "a finite number"
         raise ValueError(f"config key '{key}' must be {kind}, got {json.dumps(value)}")
+    if not (signed or value > 0):
+        raise ValueError(f"config key '{key}' must be positive, got {json.dumps(value)}")
     return int(value) if integer else float(value)
 
 
@@ -136,7 +139,7 @@ def _dirichlet_region(raw):
                 "config key 'domain.dirichlet' must be a segment [[x0, y0], [x1, y1]] "
                 f"or a non-empty list of segments, got {json.dumps(raw)}"
             )
-    return [tuple(tuple(_number(c, "domain.dirichlet") for c in point) for point in seg)
+    return [tuple(tuple(_number(c, "domain.dirichlet", signed=True) for c in point) for point in seg)
             for seg in segments]
 
 
@@ -149,7 +152,7 @@ def _build_mesh(config: dict):
 def _steady_spec(config: dict, mesh) -> SteadySpec:
     nu = _number(_require(config, "physics.nu"), "physics.nu")
     section = config.get("steady", {})
-    mean = _number(section.get("mean", 0.0), "steady.mean")
+    mean = _number(section.get("mean", 0.0), "steady.mean", signed=True)
     # a closed-form state is manufactured; a closed-form forcing is solved for
     if ("u_inf" in section) == ("f_inf" in section):
         raise ValueError("config needs exactly one of 'steady.u_inf' and 'steady.f_inf'")

@@ -59,8 +59,13 @@ def _linear_coefficient(steady_trace: np.ndarray, params: ControlParams) -> np.n
     return params.c0 + params.nu + 2.0 * np.abs(steady_trace)
 
 
+def _cubic_weight(params: ControlParams) -> float:
+    """2 / (9 c0), the weight of the cubic feedback term."""
+    return 2.0 / (9.0 * params.c0)
+
+
 def _feedback_flux(wq: np.ndarray, coeff: np.ndarray, params: ControlParams) -> np.ndarray:
-    return -(coeff * wq + (2.0 / (9.0 * params.c0)) * wq**3) / params.nu
+    return -(coeff * wq + _cubic_weight(params) * wq**3) / params.nu
 
 
 def _active_flux(bq, w: FeField, u_steady: FeField, params: ControlParams) -> np.ndarray:

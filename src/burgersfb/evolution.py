@@ -9,10 +9,12 @@ as chord Newton holds its Jacobian's (usually two solves); a step that
 ``_PICARD_SOLVES`` refinement solves do not certify factors its own
 matrix, which later steps then share.
 
-:func:`run` starts each step from the polynomial through the last four
-states (``_START``, fewer at first); on a smoothly decaying trajectory it
-is O(k^4) off, and a Newton step may need no iteration (Hairer & Wanner,
-*Solving ODEs II*, §IV.8, extrapolated starting values).
+:func:`run` is the one driver of the two step kernels.  It starts each
+step from the polynomial through the last four states (``_START``, fewer
+at first); on a smoothly decaying trajectory it is O(k^4) off, and a
+Newton step may need no iteration (Hairer & Wanner, *Solving ODEs II*,
+§IV.8, extrapolated starting values).  Newton iterates from that start;
+Picard linearizes at the previous state and refines from it.
 
 Newton comes in two forms that share one loop and one stopping test,
 ``||residual|| <= _NEWTON_TOL`` within ``_NEWTON_MAX`` iterations.
@@ -41,6 +43,7 @@ from .control import (
     ControlParams,
     _boundary_l2,
     _check_active,
+    _cubic_weight,
     _feedback_flux,
     _linear_coefficient,
 )
@@ -57,7 +60,6 @@ __all__ = [
     "fit_decay_rate",
     "lyapunov_decay_coefficient",
     "run",
-    "step",
 ]
 
 _CSV_HEADER = "time,l2,h1semi,lyapunov,control_l2,newton_iters"
@@ -105,7 +107,8 @@ class EvolutionConfig:
 class StepOperators:
     """Matrices that stay constant along a trajectory, on ``disc``'s pattern.
 
-    ``step_matrix`` is ``mass / k`` plus the linear part of the step.
+    ``step_matrix`` is ``mass / k`` plus the linear part of the step, for the
+    ``k`` of the config the kernels are given.
     ``feedback`` is the linear feedback weight at the active-edge quadrature
     points, ``None`` when uncontrolled.  ``factor`` is the one Jacobian
     factorization the Newton steps of the trajectory share (``None`` until
@@ -117,7 +120,6 @@ class StepOperators:
     mass: "object"
     stiffness: "object"
     step_matrix: "object"
-    k: float
     cubic_scale: float
     disc: Discretization
     feedback: Optional[np.ndarray]
@@ -141,24 +143,23 @@ def build_operators(mesh: Mesh, u_steady: FeField, cfg: EvolutionConfig) -> Step
         mass=disc.matrix(disc.mass),
         stiffness=disc.matrix(disc.stiffness),
         step_matrix=disc.matrix(1.0 / cfg.k * disc.mass + constant),
-        k=cfg.k,
-        cubic_scale=2.0 / (9.0 * cfg.control.c0) if controlled else 0.0,
+        cubic_scale=_cubic_weight(cfg.control) if controlled else 0.0,
         disc=disc,
         feedback=feedback,
     )
 
 
-def _pinned_cleared(values: np.ndarray, ops: StepOperators) -> np.ndarray:
-    """Copy of ``values`` with the Dirichlet vertices set to zero."""
-    out = values.copy()
-    out[ops.disc.dirichlet] = 0.0
-    return out
+def _refactor(ops: StepOperators, data: np.ndarray) -> None:
+    """Replace the held factorization by one of the eliminated matrix ``data``."""
+    ops.factor = None  # never hold two factorizations at once
+    ops.factor = ops.disc.factor(data)
+    ops.factorizations += 1
 
 
 def _newton_step(w_prev, start, mass_w, traces, cfg: EvolutionConfig, ops: StepOperators):
     disc = ops.disc
     dofs = disc.dirichlet
-    inertia = (1.0 / ops.k) * mass_w
+    inertia = (1.0 / cfg.k) * mass_w
     refresh_always = cfg.nonlinear == "newton"
     w = start
     history = []
@@ -181,9 +182,7 @@ def _newton_step(w_prev, start, mass_w, traces, cfg: EvolutionConfig, ops: StepO
             gq = None if tr is None else 3.0 * ops.cubic_scale * tr**2
             jacobian = ops.step_matrix.data + disc.jacobian(vp, g, gq)
             disc.eliminate(jacobian)
-            ops.factor = None  # never hold two factorizations at once
-            ops.factor = disc.factor(jacobian)
-            ops.factorizations += 1
+            _refactor(ops, jacobian)
         ops.solves += 1
         w = w + ops.factor.solve(-residual)
     raise NonconvergenceError(
@@ -196,11 +195,9 @@ def _newton_step(w_prev, start, mass_w, traces, cfg: EvolutionConfig, ops: StepO
 def _picard_step(w_prev, start, mass_w, traces, cfg: EvolutionConfig, ops: StepOperators):
     disc = ops.disc
     vp = _MASS_PATTERN @ w_prev[disc.corners]
-    gq = None
-    if ops.cubic_scale:
-        gq = ops.cubic_scale * (disc.traces(w_prev) if traces is None else traces) ** 2
+    gq = ops.cubic_scale * traces**2 if ops.cubic_scale else None
     system = ops.step_matrix.data + disc.jacobian(vp, gq=gq)
-    rhs = (1.0 / ops.k) * mass_w
+    rhs = (1.0 / cfg.k) * mass_w
     disc.eliminate(system)
     rhs[disc.dirichlet] = 0.0
     w = None
@@ -208,38 +205,10 @@ def _picard_step(w_prev, start, mass_w, traces, cfg: EvolutionConfig, ops: StepO
         w, solves = ops.factor.refine(disc.matrix(system), rhs, start, _PICARD_SOLVES)
         ops.solves += solves
     if w is None:
-        ops.factor = None  # never hold two factorizations at once
-        ops.factor = disc.factor(system)
-        ops.factorizations += 1
+        _refactor(ops, system)
         ops.solves += 1
         w = ops.factor.solve(rhs)
     return w, 1, None
-
-
-def _advance(cfg: EvolutionConfig):
-    """The step function of ``cfg``: from ``w_prev`` (Dirichlet values cleared), the
-    ``start`` of the iteration, ``mass @ w_prev`` and the edge traces of ``w_prev``
-    (``None`` when not at hand) to the new state, the iteration count and the new
-    state's edge traces or ``None``.  Newton iterates from ``start``; Picard linearizes
-    at ``w_prev`` and refines from ``start``."""
-    return _picard_step if cfg.nonlinear == "picard" else _newton_step
-
-
-def step(w_prev: FeField, cfg: EvolutionConfig, ops: StepOperators) -> FeField:
-    """Advance one implicit step from ``w_prev``.
-
-    The Dirichlet values of ``w_prev`` are taken as zero, as in :func:`run`.
-    With no earlier state to extrapolate from, both solvers start from
-    ``w_prev`` itself, as :func:`run`'s first step does.  Chord
-    Newton and Picard reuse ``ops.factor`` and may replace it, so successive
-    calls on the same ``ops`` share one factorization.
-    """
-    if w_prev.mesh is not ops.disc.mesh:
-        raise ValueError("state does not live on the operators' mesh")
-    if cfg.k != ops.k:
-        raise ValueError("operators were built for another step size")
-    w = _pinned_cleared(w_prev.values, ops)
-    return FeField(w_prev.mesh, _advance(cfg)(w, w, ops.mass @ w, None, cfg, ops)[0])
 
 
 @dataclass(eq=False)
@@ -307,14 +276,11 @@ def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> Tra
         raise ValueError("t_end must be an integer multiple of the step size")
     ops = build_operators(mesh, u_steady, cfg)
 
-    times = np.zeros(n_steps + 1)
-    l2 = np.zeros(n_steps + 1)
-    h1 = np.zeros(n_steps + 1)
-    energy = np.zeros(n_steps + 1)
-    ctl = np.zeros(n_steps + 1)
+    times, l2, h1, energy, ctl = np.zeros((5, n_steps + 1))
     iters = np.zeros(n_steps + 1, dtype=int)
 
-    w = _pinned_cleared(w0.values, ops)
+    w = w0.values.copy()
+    w[ops.disc.dirichlet] = 0.0
 
     def record(i, values, iteration_count, traces):
         """Diagnostics of step ``i``; returns ``mass @ values``, the next step's inertia,
@@ -332,7 +298,8 @@ def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> Tra
         return mw, traces
 
     mass_w, traces = record(0, w, 0, None)
-    advance = _advance(cfg)
+    # looked up here, not bound at import, so that tests can spy on a kernel
+    advance = _picard_step if cfg.nonlinear == "picard" else _newton_step
     states = []  # the last four states, newest first
     for n in range(1, n_steps + 1):
         states = [w] + states[:3]

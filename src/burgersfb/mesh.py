@@ -24,6 +24,8 @@ __all__ = [
     "validate_mesh",
 ]
 
+_TOL = 1e-12  # of the geometric tests: segments, vertices on them, enclosed area
+
 
 class BoundaryTag(IntEnum):
     """Role of a boundary edge in the feedback problem."""
@@ -248,7 +250,7 @@ def _normalize_region(dirichlet_region):
     segments = []
     for seg in region:
         (xa, ya), (xb, yb) = seg
-        if not (abs(xa - xb) < 1e-12 or abs(ya - yb) < 1e-12):
+        if not (abs(xa - xb) < _TOL or abs(ya - yb) < _TOL):
             raise InvalidRegionError(
                 f"region segment {seg!r} is not axis-aligned"
             )
@@ -256,20 +258,20 @@ def _normalize_region(dirichlet_region):
     return segments
 
 
-def _on_segment(points: np.ndarray, seg, tol: float = 1e-12) -> np.ndarray:
+def _on_segment(points: np.ndarray, seg) -> np.ndarray:
     (xa, ya), (xb, yb) = seg
-    lo = (min(xa, xb) - tol, min(ya, yb) - tol)
-    hi = (max(xa, xb) + tol, max(ya, yb) + tol)
+    lo = (min(xa, xb) - _TOL, min(ya, yb) - _TOL)
+    hi = (max(xa, xb) + _TOL, max(ya, yb) + _TOL)
     inside = (
         (points[:, 0] >= lo[0])
         & (points[:, 0] <= hi[0])
         & (points[:, 1] >= lo[1])
         & (points[:, 1] <= hi[1])
     )
-    if abs(xa - xb) < tol:
-        inside &= np.abs(points[:, 0] - xa) <= tol
+    if abs(xa - xb) < _TOL:
+        inside &= np.abs(points[:, 0] - xa) <= _TOL
     else:
-        inside &= np.abs(points[:, 1] - ya) <= tol
+        inside &= np.abs(points[:, 1] - ya) <= _TOL
     return inside
 
 
@@ -320,8 +322,8 @@ def friedrichs_constant(mesh: Mesh) -> float:
     return float(np.max(np.maximum(r_sq, np.sqrt(r_sq))))
 
 
-def validate_mesh(mesh: Mesh, tol: float = 1e-12) -> None:
-    """Check structural invariants; raise ValueError on violation."""
+def validate_mesh(mesh: Mesh) -> None:
+    """Check structural invariants (the enclosed area to ``_TOL``); raise ValueError."""
     areas = mesh.triangle_areas()
     if not np.all(areas > 0.0):
         raise ValueError("triangulation contains non-counterclockwise triangles")
@@ -332,7 +334,7 @@ def validate_mesh(mesh: Mesh, tol: float = 1e-12) -> None:
     a = mesh.vertices[mesh.boundary_edges[:, 0]]
     b = mesh.vertices[mesh.boundary_edges[:, 1]]
     polygon = 0.5 * np.sum(a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1])
-    if abs(polygon - np.sum(areas)) > tol * max(1.0, abs(polygon)):
+    if abs(polygon - np.sum(areas)) > _TOL * max(1.0, abs(polygon)):
         raise ValueError("boundary does not enclose the triangulated area")
     if mesh.boundary_tags.shape != (mesh.num_boundary_edges,):
         raise ValueError("boundary tag array has the wrong shape")

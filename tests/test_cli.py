@@ -398,6 +398,32 @@ def test_enumerated_keys_name_their_key(tmp_path, capsys, key, value):
     assert message.endswith(f"got {json.dumps(value)}")
 
 
+NONPOSITIVE = [
+    ("domain.n", 0, ("simulate", "steady")),
+    ("physics.nu", -0.1, ("simulate", "steady", "study")),
+    ("physics.c0", 0, ("simulate", "study")),
+    ("time.k", 0, ("simulate", "study")),
+    ("time.t_end", -0.1, ("simulate",)),
+    ("study.levels", [2, 0], ("study",)),
+    ("study.reference", -8, ("study",)),
+    ("study.t_eval", 0.0, ("study",)),
+]
+
+
+@pytest.mark.parametrize("key, value, commands", NONPOSITIVE, ids=[c[0] for c in NONPOSITIVE])
+def test_nonpositive_numbers_name_their_key(tmp_path, capsys, key, value, commands):
+    # sizes, physical constants and times must be positive; steady.mean and the
+    # domain.dirichlet coordinates may take any sign (the other tests use -0.1 and 0)
+    section, name = key.split(".")
+    study = {"levels": [2, 4], "reference": 8, "t_eval": 0.05}
+    payload = {**BASE, "study": study}
+    config = write_config(tmp_path, {**payload, section: {**payload[section], name: value}})
+    bad = value[-1] if isinstance(value, list) else value
+    for command in commands:
+        message = run_error(capsys, [command, "--config", config])
+        assert message == f"config key '{key}' must be positive, got {json.dumps(bad)}"
+
+
 @pytest.mark.parametrize(
     "section, message",
     [

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from burgersfb.evolution import (
     fit_decay_rate,
     lyapunov_decay_coefficient,
     run,
-    step,
 )
 from burgersfb.mesh import build_unit_square_mesh, tag_boundary
 from burgersfb.sparse import NonconvergenceError, solve_general
@@ -69,6 +69,24 @@ EXTRAPOLATION_ROWS = ((1,), (2, -1), (3, -3, 1), (4, -6, 4, -1))
 def extrapolated_start(states):
     """The polynomial extrapolation through ``states`` (newest first, at most four)."""
     return sum(c * s for c, s in zip(EXTRAPOLATION_ROWS[len(states) - 1], states))
+
+
+def one_step(w, cfg, mesh, u_steady):
+    """The state after one step of ``run()`` from ``w``, on fresh operators."""
+    return run(w, cfg, mesh, u_steady).final_state
+
+
+def spy_on_kernels(patch):
+    """Record ``(w_prev, start, new state)`` of every step the step kernels take."""
+    calls = []
+    for name in ("_newton_step", "_picard_step"):
+        def spy(w_prev, start, *rest, _kernel=getattr(evolution, name)):
+            result = _kernel(w_prev, start, *rest)
+            calls.append((w_prev.copy(), start.copy(), result[0].copy()))
+            return result
+
+        patch.setattr(evolution, name, spy)
+    return calls
 
 
 def initial_bump(mesh):
@@ -133,9 +151,8 @@ def test_step_satisfies_weak_residual():
     mesh = build_unit_square_mesh(4)
     u_steady = steady_shear(mesh)
     cfg = config(k=0.01, t_end=0.01)
-    ops = build_operators(mesh, u_steady, cfg)
     w_prev = initial_bump(mesh)
-    w = step(w_prev, cfg, ops)
+    w = one_step(w_prev, cfg, mesh, u_steady)
 
     mass = assemble_mass(mesh)
     stiffness = assemble_stiffness(mesh)
@@ -158,9 +175,7 @@ def test_step_first_order_increment():
     w0 = initial_bump(mesh)
     increments = []
     for k in (0.002, 0.001):
-        cfg = config(k=k, t_end=k)
-        ops = build_operators(mesh, u_steady, cfg)
-        w1 = step(w0, cfg, ops)
+        w1 = one_step(w0, config(k=k, t_end=k), mesh, u_steady)
         increments.append(l2_norm(FeField(mesh, w1.values - w0.values)))
     ratio = increments[0] / increments[1]
     assert 1.8 <= ratio <= 2.2
@@ -171,15 +186,14 @@ def test_newton_nonconvergence_reports_history(monkeypatch):
     monkeypatch.setattr(evolution, "_NEWTON_MAX", 2)
     mesh = build_unit_square_mesh(2)
     cfg = config(k=0.01, t_end=0.01)
-    ops = build_operators(mesh, steady_shear(mesh), cfg)
     with pytest.raises(NonconvergenceError) as info:
-        step(initial_bump(mesh), cfg, ops)
+        run(initial_bump(mesh), cfg, mesh, steady_shear(mesh))
     assert len(info.value.residual_history) >= 1
 
 
 @pytest.mark.parametrize("nonlinear", ["chord", "newton", "picard"])
 def test_step_ignores_pinned_values_of_previous_state(nonlinear):
-    # the step from a state equals the step from that state with its
+    # a run from a state equals the run from that state with its
     # Dirichlet values cleared, for every solver
     mesh = tag_boundary(build_unit_square_mesh(4), RIGHT_SIDE)
     u_steady = steady_shear(mesh)
@@ -188,10 +202,7 @@ def test_step_ignores_pinned_values_of_previous_state(nonlinear):
     cleared = raw.values.copy()
     cleared[dirichlet_vertex_indices(mesh)] = 0.0
     assert np.any(cleared != raw.values)
-    steps = [
-        step(w, cfg, build_operators(mesh, u_steady, cfg)).values
-        for w in (raw, FeField(mesh, cleared))
-    ]
+    steps = [one_step(w, cfg, mesh, u_steady).values for w in (raw, FeField(mesh, cleared))]
     assert np.array_equal(steps[0], steps[1])
 
 
@@ -298,24 +309,23 @@ def reference_residual(w, w_prev, cfg, mesh, u_steady):
 def test_chord_matches_full_newton(jittered_mesh, n, k, amplitude, pinned, controlled, seed):
     mesh = jittered_mesh(n, pinned, np.random.default_rng(seed))
     u_steady = steady_shear(mesh)
-    # start as run() does, with the Dirichlet values cleared
-    start = amplitude * initial_bump(mesh).values
-    start[dirichlet_vertex_indices(mesh)] = 0.0
+    w0 = FeField(mesh, amplitude * initial_bump(mesh).values)
     control = ControlParams(nu=NU, c0=C0) if controlled else None
     states, factorizations = {}, {}
     for solver in ("chord", "newton"):
         cfg = config(k=k, t_end=5 * k, nonlinear=solver, control=control)
-        ops = build_operators(mesh, u_steady, cfg)
-        w = FeField(mesh, start)
-        for _ in range(5):
-            w_prev, w = w, step(w, cfg, ops)
-            if solver == "chord":
-                residual = reference_residual(w.values, w_prev.values, cfg, mesh, u_steady)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = spy_on_kernels(patch)
+            record = run(w0, cfg, mesh, u_steady)
+        assert len(calls) == 5
+        if solver == "chord":
+            for w_prev, _, w in calls:
+                residual = reference_residual(w, w_prev, cfg, mesh, u_steady)
                 # the loop's own residual is <= _NEWTON_TOL; the element
                 # assembly differs from it by rounding only
                 assert np.linalg.norm(residual) <= evolution._NEWTON_TOL + 1e-13
-        states[solver] = w.values
-        factorizations[solver] = ops.factorizations
+        states[solver] = record.final_state.values
+        factorizations[solver] = record.factorizations
     assert np.max(np.abs(states["chord"] - states["newton"])) <= 1e-8
     assert 1 <= factorizations["chord"] <= factorizations["newton"]
 
@@ -376,17 +386,16 @@ def test_extrapolated_run_matches_chained_steps(
     jittered_mesh, n, k, amplitude, pinned, controlled, solver, seed
 ):
     # run() starts Newton from the extrapolation through the last four states;
-    # step() has no history and starts from w_n.  Both converge to the same step.
+    # a one-step run has no history and starts from w_n.  Both converge to the same step.
     mesh = jittered_mesh(n, pinned, np.random.default_rng(seed))
     u_steady = steady_shear(mesh)
     control = ControlParams(nu=NU, c0=C0) if controlled else None
     cfg = config(k=k, t_end=6 * k, nonlinear=solver, control=control)
     w0 = FeField(mesh, amplitude * initial_bump(mesh).values)
     record = run(w0, cfg, mesh, u_steady)
-    ops = build_operators(mesh, u_steady, cfg)
     w = w0
     for _ in range(6):
-        w = step(w, cfg, ops)
+        w = one_step(w, replace(cfg, t_end=k), mesh, u_steady)
     assert np.max(np.abs(record.final_state.values - w.values)) <= 1e-8
     assert np.all(record.final_state.values[dirichlet_vertex_indices(mesh)] == 0.0)
     if controlled:
@@ -442,15 +451,7 @@ def test_run_starts_each_step_from_the_extrapolated_trajectory(monkeypatch, nonl
     mesh = tag_boundary(build_unit_square_mesh(4), RIGHT_SIDE)
     u_steady = steady_shear(mesh)
     cfg = config(k=0.01, t_end=0.06, nonlinear=nonlinear)
-    kernel = evolution._advance(cfg)
-    calls = []
-
-    def spy(w_prev, start, *rest):
-        result = kernel(w_prev, start, *rest)
-        calls.append((w_prev.copy(), start.copy(), result[0].copy()))
-        return result
-
-    monkeypatch.setattr(evolution, "_advance", lambda cfg: spy)
+    calls = spy_on_kernels(monkeypatch)
     record = run(initial_bump(mesh), cfg, mesh, u_steady)
     assert len(calls) == 6
     states = [calls[0][0]] + [new for _, _, new in calls]
@@ -461,10 +462,6 @@ def test_run_starts_each_step_from_the_extrapolated_trajectory(monkeypatch, nonl
         expected = extrapolated_start(states[n::-1][:4])
         assert np.max(np.abs(start - expected)) <= 1e-14 * scale
     assert np.array_equal(record.final_state.values, states[-1])
-    calls.clear()
-    # step() has no earlier state and starts from w_prev itself
-    step(initial_bump(mesh), cfg, build_operators(mesh, u_steady, cfg))
-    assert len(calls) == 1 and np.array_equal(calls[0][1], calls[0][0])
 
 
 @pytest.mark.parametrize("nonlinear", ["chord", "newton"])
@@ -502,17 +499,24 @@ def test_picard_refactors_when_the_held_factor_is_far(pinned):
     u_steady = steady_shear(mesh)
     cfg = config(k=0.01, t_end=0.01, nonlinear="picard")
     w0 = initial_bump(mesh)
-    expected = step(w0, cfg, build_operators(mesh, u_steady, cfg))
+    expected = one_step(w0, cfg, mesh, u_steady)
     ops = build_operators(mesh, u_steady, cfg)
     distant = ops.disc.mass.copy()
     ops.disc.eliminate(distant)
     held = ops.factor = ops.disc.factor(distant)
-    w1 = step(w0, cfg, ops)
+
+    def picard_step(w):
+        # the kernel's inputs as run() hands them on from a state w
+        return evolution._picard_step(w, w, ops.mass @ w, ops.disc.traces(w), cfg, ops)[0]
+
+    w = w0.values.copy()
+    w[ops.disc.dirichlet] = 0.0
+    w1 = picard_step(w)
     assert (ops.factorizations, ops.solves) == (1, evolution._PICARD_SOLVES + 1)
     assert ops.factor is not held
-    assert np.array_equal(w1.values, expected.values)
+    assert np.array_equal(w1, expected.values)
     # the next step refines on the new factor
-    step(w1, cfg, ops)
+    picard_step(w1)
     assert ops.factorizations == 1 and ops.solves > evolution._PICARD_SOLVES + 1
 
 
@@ -552,16 +556,18 @@ def test_uncontrolled_run_keeps_zero_control_norms():
     assert record.c0 is None
 
 
-def test_dirichlet_rows_stay_zero():
+def test_dirichlet_rows_stay_zero(monkeypatch):
     mesh = tag_boundary(build_unit_square_mesh(4), RIGHT_SIDE)
-    u_steady = steady_shear(mesh)
-    cfg = config(k=0.01, t_end=0.01)
-    ops = build_operators(mesh, u_steady, cfg)
-    w = interpolate(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), mesh)
+    cfg = config(k=0.01, t_end=0.05)
+    w0 = interpolate(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), mesh)
     on_right = np.isclose(mesh.vertices[:, 0], 1.0)
-    for _ in range(5):
-        w = step(w, cfg, ops)
-        assert np.all(w.values[on_right] == 0.0)
+    assert np.any(w0.values[on_right] != 0.0)
+    calls = spy_on_kernels(monkeypatch)
+    run(w0, cfg, mesh, steady_shear(mesh))
+    # every step of the run, not just its end
+    assert len(calls) == 5
+    for _, _, w in calls:
+        assert np.all(w[on_right] == 0.0)
 
 
 def test_run_input_validation():
@@ -577,10 +583,6 @@ def test_run_input_validation():
             mesh,
             steady_shear(mesh),
         )
-    # the step matrix folds in the step size the operators were built for
-    ops = build_operators(mesh, steady_shear(mesh), config(k=0.01))
-    with pytest.raises(ValueError, match="step size"):
-        step(initial_bump(mesh), config(k=0.02), ops)
 
 
 def test_lyapunov_values(unit4):

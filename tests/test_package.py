@@ -58,8 +58,14 @@ def test_every_listed_name_exists_and_test_oracles_are_not_listed():
         (burgersfb.control, "control_trace"),
         (burgersfb.control, "control_boundary_l2"),
         (burgersfb.sparse, "SolverError"),
+        # run() is the one driver of the step kernels
+        (burgersfb.evolution, "step"),
+        (burgersfb.evolution, "_advance"),
+        (burgersfb.evolution, "_pinned_cleared"),
     ):
         assert not hasattr(module, name), name
+    fields = [field.name for field in dataclasses.fields(burgersfb.evolution.StepOperators)]
+    assert "k" not in fields, "kernels read the step size from their config"
     # one assembler, built from the mesh alone
     parameters = inspect.signature(burgersfb.assembly.Discretization).parameters
     assert list(parameters) == ["mesh"]
@@ -69,6 +75,8 @@ def test_every_listed_name_exists_and_test_oracles_are_not_listed():
         (assembly.boundary_load, ["mesh", "flux"]),
         (assembly.boundary_quadrature, ["mesh", "tags"]),
         (assembly.discrete_laplacian, ["disc", "w"]),
+        (burgersfb.mesh.validate_mesh, ["mesh"]),
+        (burgersfb.mesh._on_segment, ["points", "seg"]),
     ):
         assert list(inspect.signature(function).parameters) == names, function.__name__
     fields = [field.name for field in dataclasses.fields(assembly.BoundaryQuadrature)]
