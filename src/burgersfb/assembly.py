@@ -27,11 +27,9 @@ __all__ = [
     "FeField",
     "NonNestedMeshError",
     "assemble_mass",
-    "assemble_stiffness",
     "boundary_load",
     "boundary_quadrature",
     "convection_form",
-    "dirichlet_vertex_indices",
     "discrete_laplacian",
     "elliptic_projection",
     "h1_seminorm",
@@ -94,16 +92,13 @@ def _geometry(mesh: Mesh):
     Returns (areas, gx, gy) with gx[e, i] the x-derivative of local basis
     function i on element e.
     """
-    v = mesh.vertices
-    t = mesh.triangles
-    p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    d1 = p1 - p0
-    d2 = p2 - p0
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    areas = 0.5 * det
+    p0, p1, p2 = mesh.vertices[mesh.triangles.T]
+    areas = mesh.triangle_areas()
+    # the areas are half the determinants, so doubling them is exact
+    det = 2.0 * areas[:, None]
     gx = np.stack([p1[:, 1] - p2[:, 1], p2[:, 1] - p0[:, 1], p0[:, 1] - p1[:, 1]], axis=1)
     gy = np.stack([p2[:, 0] - p1[:, 0], p0[:, 0] - p2[:, 0], p1[:, 0] - p0[:, 0]], axis=1)
-    return areas, gx / det[:, None], gy / det[:, None]
+    return areas, gx / det, gy / det
 
 
 _MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -127,12 +122,6 @@ def assemble_mass(mesh: Mesh) -> sp.csc_matrix:
     """
     disc = Discretization(mesh)
     return disc.matrix(disc.mass)
-
-
-def assemble_stiffness(mesh: Mesh) -> sp.csc_matrix:
-    """Stiffness matrix of gradient inner products; constants span its kernel."""
-    disc = Discretization(mesh)
-    return disc.matrix(disc.stiffness)
 
 
 def convection_form(v: FeField, w: FeField, z: FeField) -> float:
@@ -305,12 +294,6 @@ def elliptic_projection(mesh: Mesh, f, fx, fy) -> FeField:
     return FeField(mesh, solve_general(disc.matrix(disc.stiffness + disc.mass), b))
 
 
-def dirichlet_vertex_indices(mesh: Mesh) -> np.ndarray:
-    """Sorted vertex indices lying on DIRICHLET_ZERO edges."""
-    mask = mesh.boundary_tags == int(BoundaryTag.DIRICHLET_ZERO)
-    return np.unique(mesh.boundary_edges[mask])
-
-
 class Discretization:
     """The one matrix assembler: the fixed CSC sparsity pattern of a mesh and its kernels.
 
@@ -322,13 +305,14 @@ class Discretization:
     the steady solve use the same object.  Per-triangle
     arrays put the triangles last: ``corners`` and ``slopes`` (3, triangles)
     hold each corner's vertex and the integral of ``(d/dx1 + d/dx2)`` of its
-    basis function.  ``element_slots`` (3, 3, triangles) and ``edge_slots``
-    (active edges, 2, 2), views into ``slots``, give each local entry's data
-    position; ``load_index`` lists the corners, then the active-edge
-    endpoints.  An iterate is gathered once (:meth:`gather`), and
-    :meth:`residual` and :meth:`jacobian` each turn a gather into one
-    ``np.bincount``.  ``dirichlet`` holds the pinned vertices, whose slots
-    :meth:`eliminate` clears.  :meth:`factor` is the time loop's band LU:
+    basis function.  ``slots`` gives each local entry's data position, the
+    element entries (3, 3, triangles) first and then the active-edge entries
+    (active edges, 2, 2); ``load_index`` lists the corners, then the
+    active-edge endpoints.  Every matrix kernel scatters through a prefix of
+    ``slots`` and every load through a prefix of ``load_index``, each with
+    one ``np.bincount``; an iterate is gathered once (:meth:`gather`).
+    ``dirichlet`` holds the sorted vertices of the ``DIRICHLET_ZERO`` edges,
+    whose slots :meth:`eliminate` clears.  :meth:`factor` is the time loop's band LU:
     ``order`` numbers the vertices row by row (by ``y``, then ``x``), which
     keeps the unit-square meshes and their refinements within
     ``bandwidth = n + 2`` of the diagonal, and ``band_slots`` is each slot's
@@ -354,14 +338,12 @@ class Discretization:
         e = self.bq.edges
         edge_slots = np.searchsorted(keys, e[:, None, :] * n + e[:, :, None])
         self.slots = np.concatenate([slots.ravel(), edge_slots.ravel()])
-        self.element_slots = self.slots[: slots.size].reshape(3, 3, -1)
-        self.edge_slots = self.slots[slots.size :].reshape(-1, 2, 2)
         self.load_index = np.concatenate([corners.ravel(), e.ravel()])
-        self.mass = self._scatter(self.element_slots, _MASS_PATTERN[:, :, None] * areas)
-        stiffness = _stiffness_blocks(areas, gx, gy).transpose(1, 2, 0)
-        self.stiffness = self._scatter(self.element_slots, stiffness)
+        self.mass = self._scatter(_MASS_PATTERN[:, :, None] * areas)
+        self.stiffness = self._scatter(_stiffness_blocks(areas, gx, gy).transpose(1, 2, 0))
         self.slopes = np.ascontiguousarray(_slopes(areas, gx, gy).T)
-        self.dirichlet = dirichlet_vertex_indices(mesh)
+        pinned_edges = mesh.boundary_edges[mesh.boundary_tags == int(BoundaryTag.DIRICHLET_ZERO)]
+        self.dirichlet = np.unique(pinned_edges)
         pinned = np.zeros(n, dtype=bool)
         pinned[self.dirichlet] = True
         self.dirichlet_zero = np.flatnonzero(pinned[rows] | pinned[columns])
@@ -383,8 +365,10 @@ class Discretization:
         """Certified band LU of ``matrix(data)`` in the vertex order ``order``."""
         return Factorization(self.matrix(data), (self.order, self.bandwidth, self.band_slots))
 
-    def _scatter(self, slots, blocks):
-        return np.bincount(slots.ravel(), blocks.ravel(), self.indices.size)
+    def _scatter(self, data: np.ndarray) -> np.ndarray:
+        """Sum flat block ``data`` into the pattern through the first ``data.size`` slots."""
+        data = data.ravel()
+        return np.bincount(self.slots[: data.size], data, self.indices.size)
 
     def traces(self, values: np.ndarray) -> np.ndarray:
         """Values at the active-edge quadrature points, shape (edges, points)."""
@@ -414,10 +398,9 @@ class Discretization:
         blocks = vp[:, None] * self.slopes
         if g is not None:
             blocks += _MASS_PATTERN[:, :, None] * g
-        if gq is None:
-            return self._scatter(self.element_slots, blocks)
-        data = np.concatenate([blocks.ravel(), _edge_blocks(self.bq, gq).ravel()])
-        return np.bincount(self.slots, data, self.indices.size)
+        if gq is not None:
+            blocks = np.concatenate([blocks.ravel(), _edge_blocks(self.bq, gq).ravel()])
+        return self._scatter(blocks)
 
     def eliminate(self, data: np.ndarray) -> None:
         """Eliminate the Dirichlet rows and columns in place, with unit diagonals."""

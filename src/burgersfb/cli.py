@@ -43,7 +43,7 @@ from .mesh import InvalidRegionError, build_unit_square_mesh, tag_boundary
 from .steady import (
     SteadySpec,
     analytic_from_expression,
-    manufactured_solve_spec,
+    manufacture_forcing,
     smallness_report,
     solve_steady,
 )
@@ -63,17 +63,29 @@ _CONFIG_KEYS = {
 }
 
 
+class _Object(dict):
+    """A JSON object; ``repeated`` lists the keys it holds more than once, in order."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.repeated = [key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i])]
+
+
 def _load_config(path: str) -> dict:
-    """Read a JSON config and reject any section or key it does not know."""
+    """Read a JSON config and reject any section or key it does not know or repeats."""
     with open(path, "r", encoding="utf-8") as handle:
-        config = json.load(handle)
+        config = json.load(handle, object_pairs_hook=_Object)
     if not isinstance(config, dict):
         raise ValueError("config must be a JSON object")
+    if config.repeated:
+        raise ValueError(f"duplicate config key {config.repeated[0]!r}")
     for section, body in config.items():
         if section not in _CONFIG_KEYS:
             raise ValueError(f"unknown config key {section!r}")
         if not isinstance(body, dict):
             raise ValueError(f"config section {section!r} must be an object")
+        if body.repeated:
+            raise ValueError(f"duplicate config key '{section}.{body.repeated[0]}'")
         for key in body:
             if key not in _CONFIG_KEYS[section]:
                 raise ValueError(f"unknown config key '{section}.{key}'")
@@ -125,6 +137,33 @@ def _expression(value, key: str, mesh):
     return function
 
 
+def _step_and_time(config: dict, key: str, default=None):
+    """``time.k`` and the time at ``key``, checked as ``run`` and ``StudyConfig`` check them."""
+    k = _number(_require(config, "time.k"), "time.k")
+    time = _number(_require(config, key, default), key)
+    if k >= 1.0:
+        raise ValueError(f"config key 'time.k' must lie in (0, 1), got {json.dumps(k)}")
+    if time < k or abs(round(time / k) * k - time) > 1e-9 * max(time, 1.0):
+        raise ValueError(f"config key '{key}' must be a whole multiple of 'time.k' {k}, got {time}")
+    return k, time
+
+
+def _study_levels(config: dict):
+    """``(levels, reference)``, checked as ``StudyConfig`` and ``Study.mesh`` check them."""
+    raw = _require(config, "study.levels")
+    if not (isinstance(raw, list) and raw):
+        raise ValueError(f"config key 'study.levels' must be a list of n, got {json.dumps(raw)}")
+    levels = [_number(n, "study.levels", integer=True) for n in raw]
+    reference = _number(_require(config, "study.reference"), "study.reference", integer=True)
+    if levels != sorted(set(levels)) or reference <= levels[-1]:
+        raise ValueError(f"config key 'study.levels' must increase below {reference}, got {levels}")
+    nested = {levels[0] << j for j in range(reference.bit_length())}
+    for key, n in [("study.levels", n) for n in levels] + [("study.reference", reference)]:
+        if n not in nested:
+            raise ValueError(f"config key '{key}' must be {levels[0]} times a power of 2, got {n}")
+    return levels, reference
+
+
 def _dirichlet_region(raw):
     """A segment, two points of two numbers, or a non-empty list of segments."""
     if raw is None:
@@ -153,7 +192,7 @@ def _steady_spec(config: dict, mesh) -> SteadySpec:
     nu = _number(_require(config, "physics.nu"), "physics.nu")
     section = config.get("steady", {})
     mean = _number(section.get("mean", 0.0), "steady.mean", signed=True)
-    # a closed-form state is manufactured; a closed-form forcing is solved for
+    # both are solved for: a closed-form state as its manufactured problem
     if ("u_inf" in section) == ("f_inf" in section):
         raise ValueError("config needs exactly one of 'steady.u_inf' and 'steady.f_inf'")
     if "u_inf" in section:
@@ -176,12 +215,10 @@ def _controlled(config: dict) -> bool:
 
 def _problem(config: dict, mesh) -> ProblemConfig:
     """The problem of ``config``; its expressions are checked at ``mesh``'s vertices."""
-    nu = _number(_require(config, "physics.nu"), "physics.nu")
+    spec = _steady_spec(config, mesh)
     initial = config.get("initial", {})
-    domain = config.get("domain", {})
     if "w0" not in initial:
         raise ValueError("initial section needs a 'w0' expression")
-    spec = _steady_spec(config, mesh)
     source = _choice(config.get("steady", {}).get("source", "analytic"), "steady.source", _SOURCES)
     if source == "analytic" and spec.u_steady is None:
         raise ValueError(
@@ -189,11 +226,11 @@ def _problem(config: dict, mesh) -> ProblemConfig:
             "'steady.u_inf'; with 'steady.f_inf' set it to \"discrete\""
         )
     return ProblemConfig(
-        nu=nu,
+        nu=spec.nu,
         c0=_number(_require(config, "physics.c0", 1.0), "physics.c0"),
         steady=spec,
         w0=_expression(initial["w0"], "initial.w0", mesh),
-        dirichlet_region=_dirichlet_region(domain.get("dirichlet")),
+        dirichlet_region=_dirichlet_region(config.get("domain", {}).get("dirichlet")),
         coefficient_source=source,
         initial_projection=_choice(
             initial.get("projection", "interpolate"), "initial.projection", _PROJECTIONS
@@ -216,12 +253,7 @@ def _cmd_steady(args) -> int:
     config = _load_config(args.config)
     mesh = _build_mesh(config)
     spec = _steady_spec(config, mesh)
-    nu = spec.nu
-    if spec.u_steady is not None:
-        solve_spec = manufactured_solve_spec(spec.u_steady, nu, spec.mean_value)
-    else:
-        solve_spec = spec
-    solution, history = solve_steady(mesh, solve_spec, full_output=True)
+    solution, history = solve_steady(mesh, spec, full_output=True)
     payload = {
         "n": int(round(1.0 / mesh.h)),
         "newton_iterations": len(history) - 1,
@@ -232,7 +264,8 @@ def _cmd_steady(args) -> int:
         payload["interpolant_gap_l2"] = l2_norm(
             FeField(mesh, solution.values - exact.values)
         )
-    report = smallness_report(mesh, solution, solve_spec.forcing, nu)
+    forcing = spec.forcing if spec.u_steady is None else manufacture_forcing(spec.u_steady, spec.nu)
+    report = smallness_report(mesh, solution, forcing, spec.nu)
     payload["smallness"] = {
         "grad_norm": report.grad_norm,
         "convection_constant": report.convection_constant,
@@ -255,8 +288,8 @@ def _cmd_simulate(args) -> int:
     config = _load_config(args.config)
     mesh = _build_mesh(config)
     problem = _problem(config, mesh)
-    t_end = _number(_require(config, "time.t_end"), "time.t_end")
-    evolution = _evolution(problem, _number(_require(config, "time.k"), "time.k"), t_end)
+    k, t_end = _step_and_time(config, "time.t_end")
+    evolution = _evolution(problem, k, t_end)
     # EvolutionConfig owns the default solver
     if "nonlinear" in config["time"]:
         nonlinear = _choice(config["time"]["nonlinear"], "time.nonlinear", _SOLVERS)
@@ -303,21 +336,11 @@ def _cmd_study(args) -> int:
                 f"config key '{key}' is not read by study, which runs every level "
                 "controlled with the default solver"
             )
-    levels = _require(config, "study.levels")
-    if not isinstance(levels, list):
-        raise ValueError("config key 'study.levels' must be a list of integers")
-    reference = _number(_require(config, "study.reference"), "study.reference", True)
+    levels, reference = _study_levels(config)
+    k, t_eval = _step_and_time(config, "study.t_eval", 1.0)
     # the reference level's vertices hold those of every nested level
     problem = _problem(config, build_unit_square_mesh(reference))
-    study = Study(
-        StudyConfig(
-            problem=problem,
-            levels=tuple(_number(n, "study.levels", integer=True) for n in levels),
-            reference_level=reference,
-            k=_number(_require(config, "time.k"), "time.k"),
-            t_eval=_number(_require(config, "study.t_eval", 1.0), "study.t_eval"),
-        )
-    )
+    study = Study(StudyConfig(problem, tuple(levels), reference, k, t_eval))
     table = study.rate_table()
     _emit(
         {

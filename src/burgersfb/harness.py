@@ -28,7 +28,7 @@ from .assembly import (
 from .control import ControlParams, _active_flux, _active_quadrature, _boundary_l2
 from .evolution import EvolutionConfig, TrajectoryRecord, _g, _write_csv, run
 from .mesh import Mesh, build_unit_square_mesh, refine_uniform, tag_boundary
-from .steady import AnalyticFunction, SteadySpec, analytic_from_expression, manufactured_solve_spec, solve_steady
+from .steady import AnalyticFunction, SteadySpec, analytic_from_expression, solve_steady
 
 __all__ = [
     "ExampleResult",
@@ -121,12 +121,9 @@ def compute_rates(errors, hs) -> np.ndarray:
 
 
 def _steady_field(mesh: Mesh, problem: ProblemConfig) -> FeField:
-    spec = problem.steady
     if problem.coefficient_source == "analytic":
-        return interpolate(spec.u_steady.value, mesh)
-    if spec.u_steady is not None:
-        spec = manufactured_solve_spec(spec.u_steady, spec.nu, spec.mean_value)
-    return solve_steady(mesh, spec)
+        return interpolate(problem.steady.u_steady.value, mesh)
+    return solve_steady(mesh, problem.steady)
 
 
 def _initial_field(mesh: Mesh, problem: ProblemConfig) -> FeField:

@@ -120,6 +120,11 @@ class Mesh:
         return np.unique(self.boundary_edges)
 
 
+def _local_edges(triangles: np.ndarray) -> np.ndarray:
+    """The edges 0-1, 1-2 and 2-0 of every triangle, in traversal order, shape (3 nt, 2)."""
+    return triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+
+
 def _boundary_edges(vertices: np.ndarray, triangles: np.ndarray):
     """Extract boundary edges in deterministic (triangle-traversal) order.
 
@@ -128,15 +133,7 @@ def _boundary_edges(vertices: np.ndarray, triangles: np.ndarray):
     counterclockwise traversal of that owner, so the outward normal is the
     edge tangent rotated clockwise by 90 degrees.
     """
-    # local edges 0-1, 1-2, 2-0 for every triangle, in traversal order
-    locals_ = np.stack(
-        [
-            triangles[:, [0, 1]],
-            triangles[:, [1, 2]],
-            triangles[:, [2, 0]],
-        ],
-        axis=1,
-    ).reshape(-1, 2)
+    locals_ = _local_edges(triangles)
     key = np.sort(locals_, axis=1)
     _, inverse, counts = np.unique(
         key, axis=0, return_inverse=True, return_counts=True
@@ -201,14 +198,14 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     tris = mesh.triangles
     # unique undirected edges as keys lo * nv + hi; their sorted order makes
     # midpoint indices reproducible run to run
-    local = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1)
+    local = np.sort(_local_edges(tris), axis=1)
     keys, inverse = np.unique(local[:, 0] * nv + local[:, 1], return_inverse=True)
     edges = np.stack([keys // nv, keys % nv], axis=1)
     midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     vertices = np.concatenate([mesh.vertices, midpoints])
 
     nt = tris.shape[0]
-    m01, m12, m20 = nv + inverse.reshape(3, nt)
+    m01, m12, m20 = nv + inverse.reshape(nt, 3).T
     v0, v1, v2 = tris[:, 0], tris[:, 1], tris[:, 2]
     children = np.empty((4 * nt, 3), dtype=int)
     children[0::4] = np.stack([v0, m01, m20], axis=1)

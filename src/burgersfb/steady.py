@@ -4,9 +4,9 @@ The steady problem is pure Neumann, so its solution is fixed only up to the
 choice of mean; the solver pins the mass-weighted mean through a bordered
 Newton iteration.  Closed-form data is text in x1 and x2, which
 :func:`analytic_from_expression` parses and differentiates symbolically.
-Manufactured states are supported two ways: closed-form states are
-interpolated directly, and closed-form forcing (optionally with the
-matching boundary flux) is solved for.  The module also estimates the
+Every steady state is solved for: closed-form forcing (optionally with the
+matching boundary flux) directly, and a closed-form state as the
+manufactured problem whose exact solution it is.  The module also estimates the
 continuity constant of the convection form by random sampling and reports
 the smallness quantities the stabilization analysis relies on.
 """
@@ -28,7 +28,6 @@ from .assembly import (
     discrete_laplacian,
     h1_seminorm,
     integrate,
-    interpolate,
     l2_norm,
     load_vector,
 )
@@ -237,10 +236,11 @@ def normal_flux(u: AnalyticFunction) -> Callable:
 class SteadySpec:
     """Steady-state problem description.
 
-    Exactly one of ``u_steady`` (closed-form state, interpolated directly)
-    and ``forcing`` (closed-form forcing, solved for) must be given.  In the
-    solve mode, ``neumann_flux`` prescribes the normal derivative of the
-    target state; leave it ``None`` for a state with zero flux.  The
+    Exactly one of ``u_steady`` (closed-form state, solved for as its
+    manufactured problem, :func:`manufactured_solve_spec`) and ``forcing``
+    (closed-form forcing) must be given.  With ``forcing``, ``neumann_flux``
+    prescribes the normal derivative of the target state; leave it ``None``
+    for a state with zero flux.  The
     constant test function is owned by the mean constraint, so any
     compatibility defect in the data (e.g. quadrature error on a
     transcendental forcing) lands in the constraint multiplier instead of
@@ -261,7 +261,7 @@ class SteadySpec:
 
 
 def manufactured_solve_spec(u: AnalyticFunction, nu: float, mean_value: float) -> SteadySpec:
-    """Solve-mode spec whose exact solution is the manufactured state ``u``."""
+    """Forcing spec whose exact solution is the manufactured state ``u``."""
     return SteadySpec(
         nu=nu,
         mean_value=mean_value,
@@ -302,6 +302,7 @@ def _quotient_norm(residual: np.ndarray, unit_constraint: np.ndarray) -> float:
 def solve_steady(mesh: Mesh, spec: SteadySpec, full_output: bool = False):
     """Solve the steady problem with the mean pinned to ``spec.mean_value``.
 
+    A ``u_steady`` spec is solved as :func:`manufactured_solve_spec` of its state.
     Newton's method from zero on the discrete residual, augmented by the
     mass-weighted mean constraint through a bordered solve.  A full step
     that increases the residual norm is halved up to 8 times.  Convergence
@@ -320,9 +321,7 @@ def solve_steady(mesh: Mesh, spec: SteadySpec, full_output: bool = False):
         find a decreasing step.  The error carries the residual-norm history.
     """
     if spec.u_steady is not None:
-        field = interpolate(spec.u_steady.value, mesh)
-        return (field, [0.0]) if full_output else field
-
+        spec = manufactured_solve_spec(spec.u_steady, spec.nu, spec.mean_value)
     disc, residual_at, constraint = _steady_system(mesh, spec)
     unit_constraint = constraint / np.linalg.norm(constraint)
     u = np.zeros(mesh.num_vertices)

@@ -9,11 +9,9 @@ from burgersfb.assembly import (
     FeField,
     NonNestedMeshError,
     assemble_mass,
-    assemble_stiffness,
     boundary_load,
     boundary_quadrature,
     convection_form,
-    dirichlet_vertex_indices,
     discrete_laplacian,
     elliptic_projection,
     h1_seminorm,
@@ -139,8 +137,14 @@ def test_mass_matrix_against_oracle(unit4):
     assert abs(ones @ (mass @ ones) - 1.0) <= 1e-12
 
 
+def pattern_stiffness(mesh):
+    """The stiffness matrix on the pattern of ``Discretization(mesh)``."""
+    disc = Discretization(mesh)
+    return disc.matrix(disc.stiffness)
+
+
 def test_stiffness_matrix_against_oracle(unit4):
-    stiffness = assemble_stiffness(unit4)
+    stiffness = pattern_stiffness(unit4)
     assert np.max(np.abs(stiffness.toarray() - oracle_stiffness(unit4))) <= 1e-13
     ones = np.ones(unit4.num_vertices)
     assert np.max(np.abs(stiffness @ ones)) <= 1e-13
@@ -415,11 +419,11 @@ def test_elliptic_projection_reproduces_linears(unit4):
 
 
 def test_dirichlet_elimination(mixed8):
-    dofs = dirichlet_vertex_indices(mixed8)
+    dofs = Discretization(mixed8).dirichlet
     right = np.flatnonzero(np.isclose(mixed8.vertices[:, 0], 1.0))
     assert np.array_equal(np.sort(dofs), right)
 
-    stiffness = assemble_stiffness(mixed8)
+    stiffness = pattern_stiffness(mixed8)
     pinned = apply_dirichlet(stiffness, dofs)
     dense = pinned.toarray()
     for d in dofs:
@@ -475,7 +479,7 @@ def test_convection_kernels_match_quadrature(jittered_mesh, n, seed):
 
 PATTERN_AND_ELEMENT = (
     (assemble_mass, assemble_mass_by_element),
-    (assemble_stiffness, assemble_stiffness_by_element),
+    (pattern_stiffness, assemble_stiffness_by_element),
 )
 
 
@@ -533,7 +537,7 @@ def test_pattern_assembly_matches_element_assembly(jittered_mesh, n, pinned, see
     )
     vp, g, _ = disc.gather(w.values)
     data = disc.jacobian(vp, g) + disc.stiffness
-    expected = apply_dirichlet(disc.matrix(data), dirichlet_vertex_indices(mesh))
+    expected = apply_dirichlet(disc.matrix(data), disc.dirichlet)
     disc.eliminate(data)
     assert np.array_equal(disc.matrix(data).toarray(), expected.toarray())
 

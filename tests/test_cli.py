@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from burgersfb import assembly
+from burgersfb import assembly, cli
 from burgersfb.assembly import Discretization, FeField, discrete_laplacian, l2_norm
 from burgersfb.cli import _CONFIG_KEYS, main
+from burgersfb.harness import Study, StudyConfig, example1_problem
 from burgersfb.mesh import build_unit_square_mesh, tag_boundary
 from burgersfb.steady import (
     SteadySpec,
@@ -491,6 +492,76 @@ def readme_config_table():
                 outside += char
         table[row.group(1)] = set(re.findall(r"`(\w+)`", outside))
     return table
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('"time": {"k": 0.01, "t_end": 0.05, "k": 0.025}', "time.k"),
+        ('"time": {"k": 0.01, "t_end": 0.05}, "time": {"k": 0.025, "t_end": 0.05}', "time"),
+    ],
+    ids=["key", "section"],
+)
+def test_repeated_config_key_is_rejected(tmp_path, capsys, text, key):
+    # json.load keeps the last of a repeated key, which would silently win
+    base = json.dumps({name: BASE[name] for name in BASE if name != "time"})
+    path = tmp_path / "config.json"
+    path.write_text(base[:-1] + ", " + text + "}", encoding="utf-8")
+    message = run_error(capsys, ["simulate", "--config", str(path), "--output-dir", str(tmp_path)])
+    assert message == f"duplicate config key '{key}'"
+    assert not os.path.exists(tmp_path / "trajectory.csv")
+
+
+STEP_AND_LEVEL = [
+    ("simulate", {"time": {"k": 1.5, "t_end": 3.0}}, "time.k"),
+    ("simulate", {"time": {"k": 0.03, "t_end": 0.1}}, "time.t_end"),
+    ("study", {"time": {"k": 0.03}, "study": {"levels": [2, 4], "reference": 8, "t_eval": 0.1}},
+     "study.t_eval"),
+    ("study", {"time": {"k": 0.01}, "study": {"levels": [3, 4], "reference": 8, "t_eval": 0.05}},
+     "study.levels"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, sections, key", STEP_AND_LEVEL, ids=[case[2] for case in STEP_AND_LEVEL]
+)
+def test_step_and_level_rejections_name_their_key(tmp_path, capsys, command, sections, key):
+    # the library's own checks would reject these too, without the key
+    config = write_config(tmp_path, {**BASE, **sections})
+    message = run_error(capsys, [command, "--config", config, "--output-dir", str(tmp_path)])
+    assert message.startswith(f"config key '{key}' must ")
+
+
+def test_step_and_level_checks_accept_what_the_library_accepts():
+    # time.t_end and study.t_eval are whole multiples of time.k to the 1e-9
+    # tolerance of run() and StudyConfig, and levels nest by doubling from the coarsest
+    for k, time in ((0.1, 0.3), (0.1, 0.7 + 5e-10), (0.1, 0.7 + 2e-9), (0.03, 0.1),
+                    (0.1, 0.1 - 1e-12), (0.25, 0.25), (0.5, 1.0), (0.999, 1.998)):
+        config = {"time": {"k": k, "t_end": time}, "study": {"t_eval": time}}
+        try:
+            StudyConfig(example1_problem(), (1,), 2, k, time)
+            accepted = True
+        except ValueError:
+            accepted = False
+        for key in ("time.t_end", "study.t_eval"):
+            if accepted:
+                assert cli._step_and_time(config, key) == (k, time)
+            else:
+                with pytest.raises(ValueError, match=f"config key '{key}'"):
+                    cli._step_and_time(config, key)
+    for levels, reference in (([2, 4], 8), ([3, 12], 24), ([3, 4], 8), ([3, 6], 8), ([1], 32),
+                              ([5], 15), ([2, 8], 32), ([4, 2], 8), ([2, 8], 8)):
+        config = {"study": {"levels": levels, "reference": reference}}
+        try:
+            Study(StudyConfig(example1_problem(), tuple(levels), reference, 0.5, 1.0)).mesh(reference)
+            accepted = True
+        except ValueError:
+            accepted = False
+        if accepted:
+            assert cli._study_levels(config) == (levels, reference)
+        else:
+            with pytest.raises(ValueError, match="config key 'study."):
+                cli._study_levels(config)
 
 
 def test_readme_config_table_matches_allow_list():

@@ -10,8 +10,6 @@ from burgersfb.assembly import (
     Discretization,
     FeField,
     assemble_mass,
-    assemble_stiffness,
-    dirichlet_vertex_indices,
     interpolate,
     l2_norm,
 )
@@ -155,7 +153,8 @@ def test_step_satisfies_weak_residual():
     w = one_step(w_prev, cfg, mesh, u_steady)
 
     mass = assemble_mass(mesh)
-    stiffness = assemble_stiffness(mesh)
+    disc = Discretization(mesh)
+    stiffness = disc.matrix(disc.stiffness)
     linear = feedback_matrix(u_steady, cfg.control)
     residual = (
         (mass @ (w.values - w_prev.values)) / cfg.k
@@ -200,7 +199,7 @@ def test_step_ignores_pinned_values_of_previous_state(nonlinear):
     cfg = config(k=0.01, t_end=0.01, nonlinear=nonlinear)
     raw = initial_bump(mesh)
     cleared = raw.values.copy()
-    cleared[dirichlet_vertex_indices(mesh)] = 0.0
+    cleared[Discretization(mesh).dirichlet] = 0.0
     assert np.any(cleared != raw.values)
     steps = [one_step(w, cfg, mesh, u_steady).values for w in (raw, FeField(mesh, cleared))]
     assert np.array_equal(steps[0], steps[1])
@@ -210,7 +209,7 @@ def reference_step(w_prev, cfg, mesh, u_steady, start=None):
     """One backward Euler step built only from the element assemblers.
 
     Newton starts from ``start`` (``w_prev`` when omitted)."""
-    dofs = dirichlet_vertex_indices(mesh)
+    dofs = Discretization(mesh).dirichlet
     mass = assemble_mass_by_element(mesh)
     constant = (
         cfg.nu * assemble_stiffness_by_element(mesh)
@@ -263,7 +262,7 @@ def test_steps_match_element_assembly_reference(nonlinear, controlled, pinned):
     record = run(w0, cfg, mesh, u_steady)
     # run() starts from w0 with the Dirichlet values cleared
     start = w0.values.copy()
-    start[dirichlet_vertex_indices(mesh)] = 0.0
+    start[Discretization(mesh).dirichlet] = 0.0
     w, states = start, []
     for n in range(1, 7):
         # run() starts Newton from the extrapolation through the last four states
@@ -292,7 +291,7 @@ def reference_residual(w, w_prev, cfg, mesh, u_steady):
     if cfg.control is not None:
         residual += feedback_matrix(u_steady, cfg.control) @ w
         residual += (2.0 / (9.0 * cfg.control.c0)) * boundary_cubic_residual(field, ACTIVE_TAGS)
-    dofs = dirichlet_vertex_indices(mesh)
+    dofs = Discretization(mesh).dirichlet
     residual[dofs] = w[dofs]
     return residual
 
@@ -397,7 +396,7 @@ def test_extrapolated_run_matches_chained_steps(
     for _ in range(6):
         w = one_step(w, replace(cfg, t_end=k), mesh, u_steady)
     assert np.max(np.abs(record.final_state.values - w.values)) <= 1e-8
-    assert np.all(record.final_state.values[dirichlet_vertex_indices(mesh)] == 0.0)
+    assert np.all(record.final_state.values[Discretization(mesh).dirichlet] == 0.0)
     if controlled:
         # the paper's Lyapunov claim at the discrete level: V_n <= V_{n-1}
         assert np.all(np.diff(record.lyapunov) <= 0.0)

@@ -62,8 +62,15 @@ def test_every_listed_name_exists_and_test_oracles_are_not_listed():
         (burgersfb.evolution, "step"),
         (burgersfb.evolution, "_advance"),
         (burgersfb.evolution, "_pinned_cleared"),
+        # one definition per mesh fact: the pattern's slots, the pinned vertices and
+        # the stiffness matrix live on Discretization(mesh) only
+        (burgersfb.assembly, "dirichlet_vertex_indices"),
+        (burgersfb.assembly, "assemble_stiffness"),
     ):
         assert not hasattr(module, name), name
+    disc = burgersfb.assembly.Discretization(burgersfb.build_unit_square_mesh(2))
+    for name in ("element_slots", "edge_slots"):
+        assert not hasattr(disc, name), name
     fields = [field.name for field in dataclasses.fields(burgersfb.evolution.StepOperators)]
     assert "k" not in fields, "kernels read the step size from their config"
     # one assembler, built from the mesh alone

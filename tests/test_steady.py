@@ -162,10 +162,19 @@ def test_steady_spec_mode_validation():
         SteadySpec(nu=-1.0, u_steady=shear())
 
 
-def test_manufactured_mode_returns_interpolant(unit4):
-    spec = SteadySpec(nu=NU, mean_value=-0.1, u_steady=shear())
-    field = solve_steady(unit4, spec)
-    assert np.array_equal(field.values, -0.2 * unit4.vertices[:, 0])
+def test_closed_form_state_is_solved_as_its_manufactured_problem(unit4):
+    # a closed-form state is solved for, never interpolated: bit for bit the
+    # solve of its manufactured forcing and flux
+    for expr, mean in (("-0.2*x1", -0.1), ("0.1*sin(pi*x1)*cos(pi*x2)", 0.05)):
+        u = analytic_from_expression(expr)
+        spec = SteadySpec(nu=NU, mean_value=mean, u_steady=u)
+        field, history = solve_steady(unit4, spec, full_output=True)
+        want, want_history = solve_steady(
+            unit4, manufactured_solve_spec(u, NU, mean), full_output=True
+        )
+        assert np.array_equal(field.values, want.values)
+        assert history == want_history and len(history) > 1
+        assert not np.array_equal(field.values, interpolate(u.value, unit4).values)
 
 
 def test_solve_recovers_zero():
