@@ -3,18 +3,15 @@
 Backward Euler in time.  Each step solves the fully implicit nonlinear
 system by Newton's method, or by a lagged Picard linearization that
 freezes the transported coefficient and the cubic boundary weight at the
-previous state, costing one linear system per step.  Picard solves that
-system by stationary refinement on an LU factorization held across steps,
-as chord Newton holds its Jacobian's (usually two solves); a step that
-``_PICARD_SOLVES`` refinement solves do not certify factors its own
-matrix, which later steps then share.
+previous state, costing one linear system per step.
 
-:func:`run` is the one driver of the two step kernels.  It starts each
-step from the polynomial through the last four states (``_START``, fewer
-at first); on a smoothly decaying trajectory it is O(k^4) off, and a
-Newton step may need no iteration (Hairer & Wanner, *Solving ODEs II*,
-§IV.8, extrapolated starting values).  Newton iterates from that start;
-Picard linearizes at the previous state and refines from it.
+:func:`run` builds one ``_Trajectory``, which owns the constant matrices,
+the one LU factorization its steps share with its counters, the recorded
+series, and the last state with its inertia and edge traces.  Each step
+starts from the polynomial through the last four states (``_START``,
+fewer at first); on a smoothly decaying trajectory it is O(k^4) off, and
+a Newton step may need no iteration (Hairer & Wanner, *Solving ODEs II*,
+§IV.8, extrapolated starting values).
 
 Newton comes in two forms that share one loop and one stopping test,
 ``||residual|| <= _NEWTON_TOL`` within ``_NEWTON_MAX`` iterations.
@@ -25,10 +22,10 @@ only when an iteration contracts the residual by less than
 usually serves a whole trajectory (Kelley, *Solving Nonlinear Equations
 with Newton's Method*, SIAM 2003, chord method).
 ``"newton"`` refactors on every iteration and is the reference.
-An iteration gathers its iterate once, for the load and for a refactor's
-Jacobian; a step hands its mass product (the next inertia) and its edge
-traces (the control norm, and Picard's cubic weight) on to the record and
-the next step.
+Picard linearizes at the last state and refines from the start on the
+held factorization (usually two solves); a step that ``_PICARD_SOLVES``
+refinement solves do not certify factors its own matrix, which later
+steps then share.
 """
 
 from __future__ import annotations
@@ -48,14 +45,12 @@ from .control import (
     _linear_coefficient,
 )
 from .mesh import Mesh, friedrichs_constant
-from .sparse import Factorization, NonconvergenceError
+from .sparse import NonconvergenceError
 
 __all__ = [
     "DecayReport",
     "EvolutionConfig",
-    "StepOperators",
     "TrajectoryRecord",
-    "build_operators",
     "decay_rate_bound",
     "fit_decay_rate",
     "lyapunov_decay_coefficient",
@@ -103,112 +98,121 @@ class EvolutionConfig:
             raise ValueError("control viscosity disagrees with the dynamics")
 
 
-@dataclass(eq=False)
-class StepOperators:
-    """Matrices that stay constant along a trajectory, on ``disc``'s pattern.
+class _Trajectory:
+    """One trajectory of ``run()``: its operators, held factor, counters and series.
 
-    ``step_matrix`` is ``mass / k`` plus the linear part of the step, for the
-    ``k`` of the config the kernels are given.
-    ``feedback`` is the linear feedback weight at the active-edge quadrature
-    points, ``None`` when uncontrolled.  ``factor`` is the one Jacobian
-    factorization the Newton steps of the trajectory share (``None`` until
-    the first step), and ``factorizations`` counts the LU factorizations
-    the steps have made and ``solves`` the linear solves.  Picard holds
-    ``factor`` too, an LU of an earlier step matrix.
+    ``step_matrix`` is ``mass / k`` plus the linear part of the step, and
+    ``feedback`` the linear feedback weight at the active-edge quadrature
+    points (``None`` when uncontrolled).  ``factor`` is the one LU
+    factorization the steps share, of a Newton Jacobian or, for Picard, of
+    an earlier step matrix (``None`` until a step factors);
+    ``factorizations`` and ``solves`` count the factorizations and linear
+    solves.  ``w`` is the last recorded state, ``inertia`` its mass product
+    over ``k`` and ``traces`` its edge traces (``None`` when uncontrolled).
     """
 
-    mass: "object"
-    stiffness: "object"
-    step_matrix: "object"
-    cubic_scale: float
-    disc: Discretization
-    feedback: Optional[np.ndarray]
-    factor: Optional[Factorization] = None
-    factorizations: int = 0
-    solves: int = 0
+    def __init__(self, mesh: Mesh, u_steady: FeField, cfg: EvolutionConfig):
+        if u_steady.mesh is not mesh:
+            raise ValueError("steady field does not live on the given mesh")
+        controlled = cfg.control is not None
+        self.cfg = cfg
+        self.disc = disc = Discretization(mesh)
+        if controlled:
+            _check_active(disc.bq)
+        vp, g, tr = disc.gather(u_steady.values, controlled)
+        self.feedback = _linear_coefficient(tr, cfg.control) if controlled else None
+        constant = cfg.nu * disc.stiffness + disc.jacobian(vp, g, self.feedback)
+        self.mass = disc.matrix(disc.mass)
+        self.stiffness = disc.matrix(disc.stiffness)
+        self.step_matrix = disc.matrix(1.0 / cfg.k * disc.mass + constant)
+        self.cubic_scale = _cubic_weight(cfg.control) if controlled else 0.0
+        self.factor = None
+        self.factorizations = self.solves = 0
+        size = round(cfg.t_end / cfg.k) + 1
+        self.times, self.l2, self.h1_semi, self.lyapunov, self.control_l2 = np.zeros((5, size))
+        self.newton_iters = np.zeros(size, dtype=int)
 
+    def record(self, i, w, iterations, traces=None):
+        """Record ``w`` as the state of step ``i``, reached in ``iterations``; ``traces``
+        are its edge traces when the step computed them."""
+        mw = self.mass @ w
+        energy = w @ mw
+        self.times[i] = i * self.cfg.k
+        self.l2[i] = np.sqrt(max(energy, 0.0))
+        self.h1_semi[i] = np.sqrt(max(w @ (self.stiffness @ w), 0.0))
+        self.lyapunov[i] = 0.5 * float(energy)
+        if self.cfg.control is not None:
+            if traces is None:
+                traces = self.disc.traces(w)
+            flux = _feedback_flux(traces, self.feedback, self.cfg.control)
+            self.control_l2[i] = _boundary_l2(self.disc.bq, flux)
+        self.newton_iters[i] = iterations
+        self.w, self.inertia, self.traces = w, (1.0 / self.cfg.k) * mw, traces
 
-def build_operators(mesh: Mesh, u_steady: FeField, cfg: EvolutionConfig) -> StepOperators:
-    """Assemble the time-independent part of the implicit system."""
-    if u_steady.mesh is not mesh:
-        raise ValueError("steady field does not live on the given mesh")
-    controlled = cfg.control is not None
-    disc = Discretization(mesh)
-    if controlled:
-        _check_active(disc.bq)
-    vp, g, tr = disc.gather(u_steady.values, controlled)
-    feedback = _linear_coefficient(tr, cfg.control) if controlled else None
-    constant = cfg.nu * disc.stiffness + disc.jacobian(vp, g, feedback)
-    return StepOperators(
-        mass=disc.matrix(disc.mass),
-        stiffness=disc.matrix(disc.stiffness),
-        step_matrix=disc.matrix(1.0 / cfg.k * disc.mass + constant),
-        cubic_scale=_cubic_weight(cfg.control) if controlled else 0.0,
-        disc=disc,
-        feedback=feedback,
-    )
-
-
-def _refactor(ops: StepOperators, data: np.ndarray) -> None:
-    """Replace the held factorization by one of the eliminated matrix ``data``."""
-    ops.factor = None  # never hold two factorizations at once
-    ops.factor = ops.disc.factor(data)
-    ops.factorizations += 1
-
-
-def _newton_step(w_prev, start, mass_w, traces, cfg: EvolutionConfig, ops: StepOperators):
-    disc = ops.disc
-    dofs = disc.dirichlet
-    inertia = (1.0 / cfg.k) * mass_w
-    refresh_always = cfg.nonlinear == "newton"
-    w = start
-    history = []
-    for iteration in range(_NEWTON_MAX + 1):
-        load, (vp, g, tr) = disc.residual(w, ops.cubic_scale)
-        residual = ops.step_matrix @ w - inertia + load
+    def residual(self, w):
+        """The step residual at ``w`` (pinned rows hold ``w``), and ``w`` gathered."""
+        load, gathered = self.disc.residual(w, self.cubic_scale)
+        residual = self.step_matrix @ w - self.inertia + load
+        dofs = self.disc.dirichlet
         if dofs.size:
             residual[dofs] = w[dofs]
-        res_norm = float(np.linalg.norm(residual))
-        history.append(res_norm)
-        if res_norm <= _NEWTON_TOL:
-            return w, iteration, tr
-        if iteration == _NEWTON_MAX:
-            break
-        if (
-            refresh_always
-            or ops.factor is None
-            or (iteration and res_norm > _CHORD_CONTRACTION * history[-2])
-        ):
-            gq = None if tr is None else 3.0 * ops.cubic_scale * tr**2
-            jacobian = ops.step_matrix.data + disc.jacobian(vp, g, gq)
-            disc.eliminate(jacobian)
-            _refactor(ops, jacobian)
-        ops.solves += 1
-        w = w + ops.factor.solve(-residual)
-    raise NonconvergenceError(
-        f"implicit step Newton stalled after {_NEWTON_MAX} iterations "
-        f"(residual {history[-1]:.3e})",
-        history,
-    )
+        return residual, gathered
 
+    def jacobian(self, vp, g, tr):
+        """Eliminated data of the step Jacobian at an iterate ``residual`` gathered."""
+        gq = None if tr is None else 3.0 * self.cubic_scale * tr**2
+        data = self.step_matrix.data + self.disc.jacobian(vp, g, gq)
+        self.disc.eliminate(data)
+        return data
 
-def _picard_step(w_prev, start, mass_w, traces, cfg: EvolutionConfig, ops: StepOperators):
-    disc = ops.disc
-    vp = _MASS_PATTERN @ w_prev[disc.corners]
-    gq = ops.cubic_scale * traces**2 if ops.cubic_scale else None
-    system = ops.step_matrix.data + disc.jacobian(vp, gq=gq)
-    rhs = (1.0 / cfg.k) * mass_w
-    disc.eliminate(system)
-    rhs[disc.dirichlet] = 0.0
-    w = None
-    if ops.factor is not None:
-        w, solves = ops.factor.refine(disc.matrix(system), rhs, start, _PICARD_SOLVES)
-        ops.solves += solves
-    if w is None:
-        _refactor(ops, system)
-        ops.solves += 1
-        w = ops.factor.solve(rhs)
-    return w, 1, None
+    def refactor(self, data):
+        """Replace the held factorization by one of the eliminated matrix ``data``."""
+        self.factor = None  # never hold two factorizations at once
+        self.factor = self.disc.factor(data)
+        self.factorizations += 1
+
+    def newton(self, start):
+        """Newton from ``start`` to the next state: ``(w, iterations, edge traces)``."""
+        refresh_always = self.cfg.nonlinear == "newton"
+        w = start
+        history = []
+        for iteration in range(_NEWTON_MAX + 1):
+            residual, (vp, g, tr) = self.residual(w)
+            res_norm = float(np.linalg.norm(residual))
+            history.append(res_norm)
+            if res_norm <= _NEWTON_TOL:
+                return w, iteration, tr
+            if iteration == _NEWTON_MAX:
+                break
+            stalled = iteration and res_norm > _CHORD_CONTRACTION * history[-2]
+            if refresh_always or self.factor is None or stalled:
+                self.refactor(self.jacobian(vp, g, tr))
+            self.solves += 1
+            w = w + self.factor.solve(-residual)
+        raise NonconvergenceError(
+            f"implicit step Newton stalled after {_NEWTON_MAX} iterations "
+            f"(residual {history[-1]:.3e})",
+            history,
+        )
+
+    def picard(self, start):
+        """The Picard step linearized at the recorded state, refined from ``start``."""
+        disc = self.disc
+        vp = _MASS_PATTERN @ self.w[disc.corners]
+        gq = self.cubic_scale * self.traces**2 if self.cubic_scale else None
+        system = self.step_matrix.data + disc.jacobian(vp, gq=gq)
+        rhs = self.inertia.copy()
+        disc.eliminate(system)
+        rhs[disc.dirichlet] = 0.0
+        w = None
+        if self.factor is not None:
+            w, solves = self.factor.refine(disc.matrix(system), rhs, start, _PICARD_SOLVES)
+            self.solves += solves
+        if w is None:
+            self.refactor(system)
+            self.solves += 1
+            w = self.factor.solve(rhs)
+        return w, 1, None
 
 
 @dataclass(eq=False)
@@ -274,38 +278,18 @@ def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> Tra
     n_steps = int(round(cfg.t_end / cfg.k))
     if abs(n_steps * cfg.k - cfg.t_end) > 1e-9 * max(cfg.t_end, 1.0):
         raise ValueError("t_end must be an integer multiple of the step size")
-    ops = build_operators(mesh, u_steady, cfg)
-
-    times, l2, h1, energy, ctl = np.zeros((5, n_steps + 1))
-    iters = np.zeros(n_steps + 1, dtype=int)
-
+    trajectory = _Trajectory(mesh, u_steady, cfg)
     w = w0.values.copy()
-    w[ops.disc.dirichlet] = 0.0
-
-    def record(i, values, iteration_count, traces):
-        """Diagnostics of step ``i``; returns ``mass @ values``, the next step's inertia,
-        and the edge traces of ``values`` when controlled."""
-        times[i] = i * cfg.k
-        mw = ops.mass @ values
-        l2[i] = np.sqrt(max(values @ mw, 0.0))
-        h1[i] = np.sqrt(max(values @ (ops.stiffness @ values), 0.0))
-        energy[i] = 0.5 * float(values @ mw)
-        if cfg.control is not None:
-            if traces is None:
-                traces = ops.disc.traces(values)
-            ctl[i] = _boundary_l2(ops.disc.bq, _feedback_flux(traces, ops.feedback, cfg.control))
-        iters[i] = iteration_count
-        return mw, traces
-
-    mass_w, traces = record(0, w, 0, None)
-    # looked up here, not bound at import, so that tests can spy on a kernel
-    advance = _picard_step if cfg.nonlinear == "picard" else _newton_step
+    w[trajectory.disc.dirichlet] = 0.0
+    trajectory.record(0, w, 0)
+    # looked up here, not bound at import, so that tests can spy on a step
+    advance = trajectory.picard if cfg.nonlinear == "picard" else trajectory.newton
     states = []  # the last four states, newest first
-    for n in range(1, n_steps + 1):
-        states = [w] + states[:3]
+    for n in range(1, trajectory.times.size):
+        states = [trajectory.w] + states[:3]
         start = sum(c * s for c, s in zip(_START[len(states) - 1], states))
         try:
-            w, count, traces = advance(w, start, mass_w, traces, cfg, ops)
+            step = advance(start)
         except NonconvergenceError as exc:
             raise NonconvergenceError(
                 f"step {n} (t = {n * cfg.k:.6g}): {exc}",
@@ -313,21 +297,21 @@ def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> Tra
                 step=n,
                 time=n * cfg.k,
             ) from exc
-        mass_w, traces = record(n, w, count, traces)
+        trajectory.record(n, *step)
 
     return TrajectoryRecord(
-        times=times,
-        l2=l2,
-        h1_semi=h1,
-        lyapunov=energy,
-        control_l2=ctl,
-        newton_iters=iters,
+        times=trajectory.times,
+        l2=trajectory.l2,
+        h1_semi=trajectory.h1_semi,
+        lyapunov=trajectory.lyapunov,
+        control_l2=trajectory.control_l2,
+        newton_iters=trajectory.newton_iters,
         nu=cfg.nu,
         c0=None if cfg.control is None else cfg.control.c0,
         friedrichs=friedrichs_constant(mesh),
-        final_state=FeField(mesh, w),
-        factorizations=ops.factorizations,
-        solves=ops.solves,
+        final_state=FeField(mesh, trajectory.w),
+        factorizations=trajectory.factorizations,
+        solves=trajectory.solves,
     )
 
 

@@ -27,8 +27,8 @@ from burgersfb.cli import main
 from burgersfb.control import ControlParams
 from burgersfb.evolution import (
     EvolutionConfig,
+    _Trajectory,
     TrajectoryRecord,
-    build_operators,
     fit_decay_rate,
     run,
 )
@@ -269,18 +269,15 @@ def test_criterion_6_structural_properties(announce, tmp_path):
     # Implicit-step Newton Jacobian, feedback terms included, from the time
     # loop's own residual and Jacobian kernels.
     cfg = EvolutionConfig(nu=NU, k=0.01, t_end=0.1, control=ControlParams(nu=NU, c0=C0))
-    ops = build_operators(small, interpolate(lambda x, y: -0.2 * x, small), cfg)
-    disc = ops.disc
+    trajectory = _Trajectory(small, interpolate(lambda x, y: -0.2 * x, small), cfg)
     w_prev = 0.1 * rng.standard_normal(small.num_vertices)
+    trajectory.record(0, w_prev, 0)
 
     def step_residual_at(values):
-        load, _ = disc.residual(values, ops.cubic_scale)
-        return ops.step_matrix @ values - (ops.mass @ w_prev) / cfg.k + load
+        return trajectory.residual(values)[0]
 
     def step_jacobian_at(values):
-        _, (vp, g, tr) = disc.residual(values, ops.cubic_scale)
-        cubic = 3.0 * ops.cubic_scale * tr**2
-        return disc.matrix(ops.step_matrix.data + disc.jacobian(vp, g, cubic))
+        return trajectory.disc.matrix(trajectory.jacobian(*trajectory.residual(values)[1]))
 
     step_gap = fd_jacobian_gap(step_residual_at, step_jacobian_at, w_prev, rng)
     jacobians_ok = steady_gap <= 1e-6 and step_gap <= 1e-6

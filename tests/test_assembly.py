@@ -550,7 +550,7 @@ def test_pattern_assembly_matches_element_assembly(jittered_mesh, n, pinned, see
     seed=st.integers(0, 2**32 - 1),
 )
 def test_fused_kernels_match_element_assembly(jittered_mesh, n, pinned, controlled, seed):
-    # the time loop's residual and Jacobian kernels, as build_operators sets them up
+    # the time loop's residual and Jacobian kernels, as a trajectory sets them up
     rng = np.random.default_rng(seed)
     mesh = jittered_mesh(n, pinned, rng)
     w = random_field(mesh, rng)

@@ -19,7 +19,6 @@ from burgersfb.evolution import (
     DecayReport,
     EvolutionConfig,
     TrajectoryRecord,
-    build_operators,
     decay_rate_bound,
     fit_decay_rate,
     lyapunov_decay_coefficient,
@@ -75,15 +74,16 @@ def one_step(w, cfg, mesh, u_steady):
 
 
 def spy_on_kernels(patch):
-    """Record ``(w_prev, start, new state)`` of every step the step kernels take."""
+    """Record ``(w_prev, start, new state)`` of every step the trajectory takes."""
     calls = []
-    for name in ("_newton_step", "_picard_step"):
-        def spy(w_prev, start, *rest, _kernel=getattr(evolution, name)):
-            result = _kernel(w_prev, start, *rest)
-            calls.append((w_prev.copy(), start.copy(), result[0].copy()))
+    for name in ("newton", "picard"):
+        def spy(self, start, _step=getattr(evolution._Trajectory, name)):
+            w_prev = self.w.copy()
+            result = _step(self, start)
+            calls.append((w_prev, start.copy(), result[0].copy()))
             return result
 
-        patch.setattr(evolution, name, spy)
+        patch.setattr(evolution._Trajectory, name, spy)
     return calls
 
 
@@ -340,33 +340,26 @@ def test_chord_matches_full_newton(jittered_mesh, n, k, amplitude, pinned, contr
 def test_eliminated_step_jacobian_matches_finite_differences(
     jittered_mesh, n, k, pinned, controlled, seed
 ):
-    # the matrix _newton_step factors, against central differences of its residual
+    # the matrix a Newton step factors, against central differences of its residual
     rng = np.random.default_rng(seed)
     mesh = jittered_mesh(n, pinned, rng)
     control = ControlParams(nu=NU, c0=C0) if controlled else None
     cfg = config(k=k, t_end=k, control=control)
-    ops = build_operators(mesh, steady_shear(mesh), cfg)
-    disc = ops.disc
-    dofs = disc.dirichlet
+    trajectory = evolution._Trajectory(mesh, steady_shear(mesh), cfg)
+    dofs = trajectory.disc.dirichlet
     w_prev, point, direction = rng.standard_normal((3, mesh.num_vertices))
-    inertia = (ops.mass @ w_prev) / k
+    trajectory.record(0, w_prev, 0)
     # Newton iterates and corrections vanish at the pinned vertices, which is
     # why elimination may clear the pinned columns
     point[dofs] = direction[dofs] = 0.0
 
     def residual_at(w):
-        load, _ = disc.residual(w, ops.cubic_scale)
-        residual = ops.step_matrix @ w - inertia + load
-        residual[dofs] = w[dofs]
-        return residual
+        return trajectory.residual(w)[0]
 
-    _, (vp, g, tr) = disc.residual(point, ops.cubic_scale)
-    gq = None if tr is None else 3.0 * ops.cubic_scale * tr**2
-    jacobian = ops.step_matrix.data + disc.jacobian(vp, g, gq)
-    disc.eliminate(jacobian)
+    jacobian = trajectory.jacobian(*trajectory.residual(point)[1])
     eps = 1e-7
     fd = (residual_at(point + eps * direction) - residual_at(point - eps * direction)) / (2 * eps)
-    jd = disc.matrix(jacobian) @ direction
+    jd = trajectory.disc.matrix(jacobian) @ direction
     # criterion 6's bound
     assert np.linalg.norm(fd - jd) <= 1e-6 * np.linalg.norm(jd)
 
@@ -416,7 +409,7 @@ def test_jacobian_data_built_only_on_refactor(monkeypatch, solver):
     mesh = build_unit_square_mesh(4)
     u_steady = steady_shear(mesh)
     record = run(initial_bump(mesh), config(nonlinear=solver), mesh, u_steady)
-    # build_operators' linearization at the steady state comes first
+    # the trajectory's linearization at the steady state comes first
     steady_vp = Discretization(mesh).gather(u_steady.values)[0]
     assert np.array_equal(calls["jacobian"][0][0], steady_vp)
     assert len(calls["jacobian"]) - 1 == record.factorizations
@@ -499,24 +492,22 @@ def test_picard_refactors_when_the_held_factor_is_far(pinned):
     cfg = config(k=0.01, t_end=0.01, nonlinear="picard")
     w0 = initial_bump(mesh)
     expected = one_step(w0, cfg, mesh, u_steady)
-    ops = build_operators(mesh, u_steady, cfg)
-    distant = ops.disc.mass.copy()
-    ops.disc.eliminate(distant)
-    held = ops.factor = ops.disc.factor(distant)
-
-    def picard_step(w):
-        # the kernel's inputs as run() hands them on from a state w
-        return evolution._picard_step(w, w, ops.mass @ w, ops.disc.traces(w), cfg, ops)[0]
-
+    trajectory = evolution._Trajectory(mesh, u_steady, cfg)
+    disc = trajectory.disc
+    distant = disc.mass.copy()
+    disc.eliminate(distant)
+    held = trajectory.factor = disc.factor(distant)
     w = w0.values.copy()
-    w[ops.disc.dirichlet] = 0.0
-    w1 = picard_step(w)
-    assert (ops.factorizations, ops.solves) == (1, evolution._PICARD_SOLVES + 1)
-    assert ops.factor is not held
+    w[disc.dirichlet] = 0.0
+    trajectory.record(0, w, 0)
+    w1 = trajectory.picard(w)[0]
+    assert (trajectory.factorizations, trajectory.solves) == (1, evolution._PICARD_SOLVES + 1)
+    assert trajectory.factor is not held
     assert np.array_equal(w1, expected.values)
     # the next step refines on the new factor
-    picard_step(w1)
-    assert ops.factorizations == 1 and ops.solves > evolution._PICARD_SOLVES + 1
+    trajectory.record(1, w1, 1)
+    trajectory.picard(w1)
+    assert trajectory.factorizations == 1 and trajectory.solves > evolution._PICARD_SOLVES + 1
 
 
 def test_picard_close_to_newton():
