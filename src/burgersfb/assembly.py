@@ -201,7 +201,7 @@ def _at_interior_points(mesh: Mesh, f) -> np.ndarray:
 
 def load_vector(mesh: Mesh, f) -> np.ndarray:
     """Vector of ``integral of f phi_i`` for a callable ``f`` by the interior rule."""
-    areas, _, _ = _geometry(mesh)
+    areas = mesh.triangle_areas()
     fq = _at_interior_points(mesh, f)
     contrib = np.einsum("q,eq,qi->ei", _INTERIOR_WEIGHTS, fq, _INTERIOR_POINTS)
     contrib *= (2.0 * areas)[:, None]
@@ -210,7 +210,7 @@ def load_vector(mesh: Mesh, f) -> np.ndarray:
 
 def integrate(mesh: Mesh, f) -> float:
     """Integral of a callable over the mesh by the interior rule."""
-    areas, _, _ = _geometry(mesh)
+    areas = mesh.triangle_areas()
     fq = _at_interior_points(mesh, f)
     return float(np.sum((fq @ _INTERIOR_WEIGHTS) * 2.0 * areas))
 
@@ -229,7 +229,7 @@ def discrete_laplacian(disc: Discretization, w: FeField) -> FeField:
 
 def l2_norm(w: FeField) -> float:
     """``sqrt(w^T M w)``, summed per triangle as ``|K| v_K^T P v_K`` on the mass pattern."""
-    areas, _, _ = _geometry(w.mesh)
+    areas = w.mesh.triangle_areas()
     vk = w.values[w.mesh.triangles]
     return float(np.sqrt(max(areas @ np.sum((vk @ _MASS_PATTERN) * vk, axis=1), 0.0)))
 

@@ -21,6 +21,7 @@ from .evolution import (
     _MIN_FIT_SAMPLES,
     _SOLVERS,
     _g,
+    _whole_steps,
     _write_csv,
     decay_rate_bound,
     fit_decay_rate,
@@ -138,12 +139,12 @@ def _expression(value, key: str, mesh):
 
 
 def _step_and_time(config: dict, key: str, default=None):
-    """``time.k`` and the time at ``key``, checked as ``run`` and ``StudyConfig`` check them."""
+    """``time.k`` and the time at ``key``, checked as ``EvolutionConfig`` and ``StudyConfig`` do."""
     k = _number(_require(config, "time.k"), "time.k")
     time = _number(_require(config, key, default), key)
     if k >= 1.0:
         raise ValueError(f"config key 'time.k' must lie in (0, 1), got {json.dumps(k)}")
-    if time < k or abs(round(time / k) * k - time) > 1e-9 * max(time, 1.0):
+    if time < k or not _whole_steps(time, k):
         raise ValueError(f"config key '{key}' must be a whole multiple of 'time.k' {k}, got {time}")
     return k, time
 

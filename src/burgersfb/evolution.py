@@ -70,6 +70,11 @@ _SOLVERS = ("chord", "newton", "picard")
 _START = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
 
 
+def _whole_steps(time: float, k: float) -> bool:
+    """Whether ``time`` is a whole number of steps ``k``, to 1e-9 relative."""
+    return abs(round(time / k) * k - time) <= 1e-9 * max(time, 1.0)
+
+
 @dataclass(frozen=True)
 class EvolutionConfig:
     """Time discretization and nonlinear solver choices.
@@ -92,6 +97,8 @@ class EvolutionConfig:
             raise ValueError(f"time step must lie in (0, 1), got {self.k}")
         if self.t_end < self.k:
             raise ValueError("t_end must cover at least one step")
+        if not _whole_steps(self.t_end, self.k):
+            raise ValueError("t_end must be an integer multiple of the step size")
         if self.nonlinear not in _SOLVERS:
             raise ValueError(f"unknown nonlinear solver {self.nonlinear!r}")
         if self.control is not None and abs(self.control.nu - self.nu) > 1e-14:
@@ -159,7 +166,7 @@ class _Trajectory:
         return residual, gathered
 
     def jacobian(self, vp, g, tr):
-        """Eliminated data of the step Jacobian at an iterate ``residual`` gathered."""
+        """Eliminated data of the step Jacobian at an iterate, from its gather by ``residual``."""
         gq = None if tr is None else 3.0 * self.cubic_scale * tr**2
         data = self.step_matrix.data + self.disc.jacobian(vp, g, gq)
         self.disc.eliminate(data)
@@ -270,19 +277,14 @@ def _write_csv(stream, header: str, rows) -> None:
 def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> TrajectoryRecord:
     """Integrate from ``w0`` to ``t_end`` and record diagnostics per step.
 
-    ``t_end`` must be an integer multiple of the step size.  Dirichlet
-    vertices are held exactly at zero throughout.
+    Dirichlet vertices are held exactly at zero throughout.
     """
     if w0.mesh is not mesh:
         raise ValueError("initial state does not live on the given mesh")
-    n_steps = int(round(cfg.t_end / cfg.k))
-    if abs(n_steps * cfg.k - cfg.t_end) > 1e-9 * max(cfg.t_end, 1.0):
-        raise ValueError("t_end must be an integer multiple of the step size")
     trajectory = _Trajectory(mesh, u_steady, cfg)
     w = w0.values.copy()
     w[trajectory.disc.dirichlet] = 0.0
     trajectory.record(0, w, 0)
-    # looked up here, not bound at import, so that tests can spy on a step
     advance = trajectory.picard if cfg.nonlinear == "picard" else trajectory.newton
     states = []  # the last four states, newest first
     for n in range(1, trajectory.times.size):

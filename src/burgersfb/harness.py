@@ -26,7 +26,7 @@ from .assembly import (
     prolong,
 )
 from .control import ControlParams, _active_flux, _active_quadrature, _boundary_l2
-from .evolution import EvolutionConfig, TrajectoryRecord, _g, _write_csv, run
+from .evolution import EvolutionConfig, TrajectoryRecord, _g, _whole_steps, _write_csv, run
 from .mesh import Mesh, build_unit_square_mesh, refine_uniform, tag_boundary
 from .steady import AnalyticFunction, SteadySpec, analytic_from_expression, solve_steady
 
@@ -102,8 +102,7 @@ class StudyConfig:
             raise ValueError("reference level must be finer than every level")
         if self.k <= 0.0 or self.t_eval < self.k:
             raise ValueError("need a positive step covering t_eval")
-        steps = round(self.t_eval / self.k)
-        if abs(steps * self.k - self.t_eval) > 1e-9 * max(self.t_eval, 1.0):
+        if not _whole_steps(self.t_eval, self.k):
             raise ValueError("t_eval must be an integer multiple of k")
 
 

@@ -118,6 +118,8 @@ def test_config_validation():
         EvolutionConfig(nu=NU, k=1.5, t_end=3.0)  # step must stay below 1
     with pytest.raises(ValueError):
         EvolutionConfig(nu=NU, k=0.5, t_end=0.25)
+    with pytest.raises(ValueError, match="integer multiple of the step size"):
+        EvolutionConfig(nu=NU, k=0.03, t_end=0.1)
     with pytest.raises(ValueError):
         EvolutionConfig(nu=NU, k=0.1, t_end=1.0, nonlinear="broken")
     with pytest.raises(ValueError):
@@ -564,15 +566,10 @@ def test_run_input_validation():
     mesh = build_unit_square_mesh(2)
     other = build_unit_square_mesh(2)
     w0 = FeField(other, np.zeros(other.num_vertices))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="initial state"):
         run(w0, config(), mesh, steady_shear(mesh))
-    with pytest.raises(ValueError):
-        run(
-            FeField(mesh, np.zeros(mesh.num_vertices)),
-            config(k=0.03, t_end=0.1),
-            mesh,
-            steady_shear(mesh),
-        )
+    with pytest.raises(ValueError, match="steady field"):
+        run(FeField(mesh, np.zeros(mesh.num_vertices)), config(), mesh, steady_shear(other))
 
 
 def test_lyapunov_values(unit4):
