@@ -19,17 +19,13 @@ import numpy as np
 from .assembly import FeField, interpolate, l2_norm
 from .evolution import (
     _MIN_FIT_SAMPLES,
-    _SOLVERS,
     _g,
-    _whole_steps,
     _write_csv,
     decay_rate_bound,
     fit_decay_rate,
     run,
 )
 from .harness import (
-    _PROJECTIONS,
-    _SOURCES,
     ProblemConfig,
     Study,
     StudyConfig,
@@ -40,7 +36,7 @@ from .harness import (
     run_example1,
     run_example2,
 )
-from .mesh import InvalidRegionError, build_unit_square_mesh, tag_boundary
+from .mesh import ConfigError, _grid_vertices, build_unit_square_mesh, tag_boundary
 from .steady import (
     SteadySpec,
     analytic_from_expression,
@@ -61,6 +57,14 @@ _CONFIG_KEYS = {
     "time": {"k", "t_end", "nonlinear"},
     "study": {"levels", "reference", "t_eval"},
     "output": {"dir"},
+}
+
+# The config key of each field a library object's ConfigError names (main words it)
+_FIELD_KEYS = {
+    "nu": "physics.nu", "c0": "physics.c0", "k": "time.k", "t_end": "time.t_end",
+    "nonlinear": "time.nonlinear", "levels": "study.levels", "reference_level": "study.reference",
+    "t_eval": "study.t_eval", "coefficient_source": "steady.source",
+    "initial_projection": "initial.projection", "dirichlet_region": "domain.dirichlet",
 }
 
 
@@ -114,23 +118,15 @@ def _number(value, key: str, integer: bool = False, signed: bool = False):
     return int(value) if integer else float(value)
 
 
-def _choice(value, key: str, choices: tuple):
-    """Every enumerated config value is read here; it must be one of ``choices``."""
-    if value not in choices:
-        options = ", ".join(json.dumps(choice) for choice in choices)
-        raise ValueError(f"config key '{key}' must be one of {options}, got {json.dumps(value)}")
-    return value
-
-
-def _expression(value, key: str, mesh):
+def _expression(value, key: str, vertices):
     """Every closed-form config value is read here, as an ``AnalyticFunction``; its value
-    must be finite at every vertex of ``mesh``."""
+    must be finite at each of the (nv, 2) ``vertices``."""
     if not isinstance(value, str):
         raise ValueError(f"config key '{key}' must be a string, got {json.dumps(value)}")
     try:
         function = analytic_from_expression(value)
         with np.errstate(all="ignore"):
-            finite = np.all(np.isfinite(function.value(*mesh.vertices.T)))
+            finite = np.all(np.isfinite(function.value(*vertices.T)))
         if not finite:
             raise ValueError(f"expression {value!r} is not finite at every mesh vertex")
     except ValueError as exc:
@@ -138,58 +134,13 @@ def _expression(value, key: str, mesh):
     return function
 
 
-def _step_and_time(config: dict, key: str, default=None):
-    """``time.k`` and the time at ``key``, checked as ``EvolutionConfig`` and ``StudyConfig`` do."""
-    k = _number(_require(config, "time.k"), "time.k")
-    time = _number(_require(config, key, default), key)
-    if k >= 1.0:
-        raise ValueError(f"config key 'time.k' must lie in (0, 1), got {json.dumps(k)}")
-    if time < k or not _whole_steps(time, k):
-        raise ValueError(f"config key '{key}' must be a whole multiple of 'time.k' {k}, got {time}")
-    return k, time
-
-
-def _study_levels(config: dict):
-    """``(levels, reference)``, checked as ``StudyConfig`` and ``Study.mesh`` check them."""
-    raw = _require(config, "study.levels")
-    if not (isinstance(raw, list) and raw):
-        raise ValueError(f"config key 'study.levels' must be a list of n, got {json.dumps(raw)}")
-    levels = [_number(n, "study.levels", integer=True) for n in raw]
-    reference = _number(_require(config, "study.reference"), "study.reference", integer=True)
-    if levels != sorted(set(levels)) or reference <= levels[-1]:
-        raise ValueError(f"config key 'study.levels' must increase below {reference}, got {levels}")
-    nested = {levels[0] << j for j in range(reference.bit_length())}
-    for key, n in [("study.levels", n) for n in levels] + [("study.reference", reference)]:
-        if n not in nested:
-            raise ValueError(f"config key '{key}' must be {levels[0]} times a power of 2, got {n}")
-    return levels, reference
-
-
-def _dirichlet_region(raw):
-    """A segment, two points of two numbers, or a non-empty list of segments."""
-    if raw is None:
-        return None
-    first = raw[0] if isinstance(raw, list) and raw else None
-    nested = isinstance(first, list) and first and isinstance(first[0], list)
-    segments = raw if nested else [raw]
-    for seg in segments:
-        if not (isinstance(seg, list) and len(seg) == 2
-                and all(isinstance(point, list) and len(point) == 2 for point in seg)):
-            raise ValueError(
-                "config key 'domain.dirichlet' must be a segment [[x0, y0], [x1, y1]] "
-                f"or a non-empty list of segments, got {json.dumps(raw)}"
-            )
-    return [tuple(tuple(_number(c, "domain.dirichlet", signed=True) for c in point) for point in seg)
-            for seg in segments]
-
-
 def _build_mesh(config: dict):
     domain = config.get("domain", {})
     n = _number(_require(config, "domain.n", 16), "domain.n", integer=True)
-    return tag_boundary(build_unit_square_mesh(n), _dirichlet_region(domain.get("dirichlet")))
+    return tag_boundary(build_unit_square_mesh(n), domain.get("dirichlet"))
 
 
-def _steady_spec(config: dict, mesh) -> SteadySpec:
+def _steady_spec(config: dict, vertices) -> SteadySpec:
     nu = _number(_require(config, "physics.nu"), "physics.nu")
     section = config.get("steady", {})
     mean = _number(section.get("mean", 0.0), "steady.mean", signed=True)
@@ -200,27 +151,30 @@ def _steady_spec(config: dict, mesh) -> SteadySpec:
         return SteadySpec(
             nu=nu,
             mean_value=mean,
-            u_steady=_expression(section["u_inf"], "steady.u_inf", mesh),
+            u_steady=_expression(section["u_inf"], "steady.u_inf", vertices),
         )
     return SteadySpec(
         nu=nu,
         mean_value=mean,
-        forcing=_expression(section["f_inf"], "steady.f_inf", mesh).value,
+        forcing=_expression(section["f_inf"], "steady.f_inf", vertices).value,
     )
 
 
 def _controlled(config: dict) -> bool:
     region = config.get("control", {}).get("active_region", "neumann")
-    return _choice(region, "control.active_region", ("neumann", "none")) == "neumann"
+    if region not in ("neumann", "none"):
+        raise ValueError("config key 'control.active_region' must be one of \"neumann\", "
+                         f"\"none\", got {json.dumps(region)}")
+    return region == "neumann"
 
 
-def _problem(config: dict, mesh) -> ProblemConfig:
-    """The problem of ``config``; its expressions are checked at ``mesh``'s vertices."""
-    spec = _steady_spec(config, mesh)
+def _problem(config: dict, vertices) -> ProblemConfig:
+    """The problem of ``config``; its expressions are checked at ``vertices``."""
+    spec = _steady_spec(config, vertices)
     initial = config.get("initial", {})
     if "w0" not in initial:
         raise ValueError("initial section needs a 'w0' expression")
-    source = _choice(config.get("steady", {}).get("source", "analytic"), "steady.source", _SOURCES)
+    source = config.get("steady", {}).get("source", "analytic")
     if source == "analytic" and spec.u_steady is None:
         raise ValueError(
             "config key 'steady.source' is \"analytic\" (the default), which needs "
@@ -230,12 +184,10 @@ def _problem(config: dict, mesh) -> ProblemConfig:
         nu=spec.nu,
         c0=_number(_require(config, "physics.c0", 1.0), "physics.c0"),
         steady=spec,
-        w0=_expression(initial["w0"], "initial.w0", mesh),
-        dirichlet_region=_dirichlet_region(config.get("domain", {}).get("dirichlet")),
+        w0=_expression(initial["w0"], "initial.w0", vertices),
+        dirichlet_region=config.get("domain", {}).get("dirichlet"),
         coefficient_source=source,
-        initial_projection=_choice(
-            initial.get("projection", "interpolate"), "initial.projection", _PROJECTIONS
-        ),
+        initial_projection=initial.get("projection", "interpolate"),
     )
 
 
@@ -253,7 +205,7 @@ def _emit(payload: dict) -> None:
 def _cmd_steady(args) -> int:
     config = _load_config(args.config)
     mesh = _build_mesh(config)
-    spec = _steady_spec(config, mesh)
+    spec = _steady_spec(config, mesh.vertices)
     solution, history = solve_steady(mesh, spec, full_output=True)
     payload = {
         "n": int(round(1.0 / mesh.h)),
@@ -288,13 +240,13 @@ def _cmd_steady(args) -> int:
 def _cmd_simulate(args) -> int:
     config = _load_config(args.config)
     mesh = _build_mesh(config)
-    problem = _problem(config, mesh)
-    k, t_end = _step_and_time(config, "time.t_end")
+    problem = _problem(config, mesh.vertices)
+    k = _number(_require(config, "time.k"), "time.k")
+    t_end = _number(_require(config, "time.t_end"), "time.t_end")
     evolution = _evolution(problem, k, t_end)
     # EvolutionConfig owns the default solver
     if "nonlinear" in config["time"]:
-        nonlinear = _choice(config["time"]["nonlinear"], "time.nonlinear", _SOLVERS)
-        evolution = replace(evolution, nonlinear=nonlinear)
+        evolution = replace(evolution, nonlinear=config["time"]["nonlinear"])
     if not _controlled(config):
         evolution = replace(evolution, control=None)
     u_steady = _steady_field(mesh, problem)
@@ -337,11 +289,17 @@ def _cmd_study(args) -> int:
                 f"config key '{key}' is not read by study, which runs every level "
                 "controlled with the default solver"
             )
-    levels, reference = _study_levels(config)
-    k, t_eval = _step_and_time(config, "study.t_eval", 1.0)
-    # the reference level's vertices hold those of every nested level
-    problem = _problem(config, build_unit_square_mesh(reference))
-    study = Study(StudyConfig(problem, tuple(levels), reference, k, t_eval))
+    levels = _require(config, "study.levels")
+    if not isinstance(levels, list):
+        raise ValueError(f"config key 'study.levels' must be a list of n, got {json.dumps(levels)}")
+    levels = tuple(_number(n, "study.levels", integer=True) for n in levels)
+    reference = _number(_require(config, "study.reference"), "study.reference", integer=True)
+    k = _number(_require(config, "time.k"), "time.k")
+    t_eval = _number(_require(config, "study.t_eval", 1.0), "study.t_eval")
+    # the 1/reference grid holds every level's vertices; the study builds its meshes
+    # from the problem, whose expressions are checked first
+    problem = _problem(config, _grid_vertices(reference))
+    study = Study(StudyConfig(problem, levels, reference, k, t_eval))
     table = study.rate_table()
     _emit(
         {
@@ -403,9 +361,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:  # includes json.JSONDecodeError
-        # only the Dirichlet region reaches tag_boundary, which raises InvalidRegionError
-        key = "config key 'domain.dirichlet': " if isinstance(exc, InvalidRegionError) else ""
-        sys.stderr.write(json.dumps({"error": key + str(exc)}) + "\n")
+        message = str(exc)
+        if isinstance(exc, ConfigError):  # a value rule of the library, named by its key
+            key = _FIELD_KEYS[exc.field]
+            message = f"config key '{key}' {exc.requirement}, got {json.dumps(exc.value)}"
+        sys.stderr.write(json.dumps({"error": message}) + "\n")
         return 2
 
 

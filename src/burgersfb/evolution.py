@@ -44,7 +44,7 @@ from .control import (
     _feedback_flux,
     _linear_coefficient,
 )
-from .mesh import Mesh, friedrichs_constant
+from .mesh import ConfigError, Mesh, _one_of, friedrichs_constant
 from .sparse import NonconvergenceError
 
 __all__ = [
@@ -70,9 +70,13 @@ _SOLVERS = ("chord", "newton", "picard")
 _START = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
 
 
-def _whole_steps(time: float, k: float) -> bool:
-    """Whether ``time`` is a whole number of steps ``k``, to 1e-9 relative."""
-    return abs(round(time / k) * k - time) <= 1e-9 * max(time, 1.0)
+def _check_steps(field: str, time: float, k: float) -> None:
+    """Raise ``ConfigError`` unless the step ``k`` lies in (0, 1) and ``time`` is a
+    positive whole number of steps ``k``, to 1e-9 relative."""
+    if not 0.0 < k < 1.0:
+        raise ConfigError("k", "must lie in (0, 1)", k)
+    if not k <= time or abs(round(time / k) * k - time) > 1e-9 * max(time, 1.0):
+        raise ConfigError(field, f"must be a positive whole number of steps of {k}", time)
 
 
 @dataclass(frozen=True)
@@ -92,15 +96,9 @@ class EvolutionConfig:
 
     def __post_init__(self):
         if self.nu <= 0.0:
-            raise ValueError(f"viscosity must be positive, got {self.nu}")
-        if not 0.0 < self.k < 1.0:
-            raise ValueError(f"time step must lie in (0, 1), got {self.k}")
-        if self.t_end < self.k:
-            raise ValueError("t_end must cover at least one step")
-        if not _whole_steps(self.t_end, self.k):
-            raise ValueError("t_end must be an integer multiple of the step size")
-        if self.nonlinear not in _SOLVERS:
-            raise ValueError(f"unknown nonlinear solver {self.nonlinear!r}")
+            raise ConfigError("nu", "must be positive", self.nu)
+        _check_steps("t_end", self.t_end, self.k)
+        _one_of("nonlinear", self.nonlinear, _SOLVERS)
         if self.control is not None and abs(self.control.nu - self.nu) > 1e-14:
             raise ValueError("control viscosity disagrees with the dynamics")
 

@@ -26,8 +26,9 @@ from .assembly import (
     prolong,
 )
 from .control import ControlParams, _active_flux, _active_quadrature, _boundary_l2
-from .evolution import EvolutionConfig, TrajectoryRecord, _g, _whole_steps, _write_csv, run
-from .mesh import Mesh, build_unit_square_mesh, refine_uniform, tag_boundary
+from .evolution import EvolutionConfig, TrajectoryRecord, _check_steps, _g, _write_csv, run
+from .mesh import ConfigError, Mesh, _normalize_region, _one_of, build_unit_square_mesh
+from .mesh import refine_uniform, tag_boundary
 from .steady import AnalyticFunction, SteadySpec, analytic_from_expression, solve_steady
 
 __all__ = [
@@ -68,22 +69,22 @@ class ProblemConfig:
 
     def __post_init__(self):
         if self.nu <= 0.0:
-            raise ValueError(f"viscosity must be positive, got {self.nu}")
+            raise ConfigError("nu", "must be positive", self.nu)
         if self.c0 <= 0.0:
-            raise ValueError(f"control gain must be positive, got {self.c0}")
+            raise ConfigError("c0", "must be positive", self.c0)
         if abs(self.steady.nu - self.nu) > 1e-14:
             raise ValueError("steady viscosity disagrees with the dynamics")
-        if self.coefficient_source not in _SOURCES:
-            raise ValueError(f"unknown coefficient source {self.coefficient_source!r}")
+        _one_of("coefficient_source", self.coefficient_source, _SOURCES)
         if self.coefficient_source == "analytic" and self.steady.u_steady is None:
             raise ValueError("analytic coefficients need a closed-form steady state")
-        if self.initial_projection not in _PROJECTIONS:
-            raise ValueError(f"unknown initial projection {self.initial_projection!r}")
+        _one_of("initial_projection", self.initial_projection, _PROJECTIONS)
+        _normalize_region(self.dirichlet_region)
 
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Mesh levels, reference level, and time sampling of one study."""
+    """Mesh levels, reference level, and time sampling of one study; uniform
+    refinement reaches every level and the reference from the coarsest."""
 
     problem: ProblemConfig
     levels: tuple
@@ -94,16 +95,17 @@ class StudyConfig:
     def __post_init__(self):
         levels = tuple(int(n) for n in self.levels)
         object.__setattr__(self, "levels", levels)
-        if len(levels) < 1 or any(n < 1 for n in levels):
-            raise ValueError(f"invalid level list {levels}")
-        if list(levels) != sorted(set(levels)):
-            raise ValueError("levels must be strictly increasing")
-        if self.reference_level <= max(levels):
-            raise ValueError("reference level must be finer than every level")
-        if self.k <= 0.0 or self.t_eval < self.k:
-            raise ValueError("need a positive step covering t_eval")
-        if not _whole_steps(self.t_eval, self.k):
-            raise ValueError("t_eval must be an integer multiple of k")
+        reference = self.reference_level
+        if not (levels and levels[0] >= 1 and list(levels) == sorted(set(levels))
+                and levels[-1] < reference):
+            raise ConfigError("levels", f"must increase strictly within [1, {reference})", levels)
+        nested = {levels[0] << j for j in range(int(reference).bit_length())}
+        power = f"{levels[0]} times a power of 2"
+        if not nested.issuperset(levels):
+            raise ConfigError("levels", f"must each be {power}", levels)
+        if reference not in nested:
+            raise ConfigError("reference_level", f"must be {power}", reference)
+        _check_steps("t_eval", self.t_eval, self.k)
 
 
 def compute_rates(errors, hs) -> np.ndarray:
@@ -157,23 +159,12 @@ class Study:
     def mesh(self, n: int) -> Mesh:
         if not self._meshes:
             cfg = self.config
-            targets = set(cfg.levels) | {cfg.reference_level}
-            level = min(cfg.levels)
-            mesh = tag_boundary(
-                build_unit_square_mesh(level), self.config.problem.dirichlet_region
-            )
-            self._meshes[level] = mesh
+            level = cfg.levels[0]
+            mesh = build_unit_square_mesh(level)
+            self._meshes[level] = tag_boundary(mesh, cfg.problem.dirichlet_region)
             while level < cfg.reference_level:
-                mesh = refine_uniform(mesh)
+                self._meshes[2 * level] = refine_uniform(self._meshes[level])
                 level *= 2
-                if level in targets:
-                    self._meshes[level] = mesh
-            missing = targets - set(self._meshes)
-            if missing:
-                raise NonNestedMeshError(
-                    f"levels {sorted(missing)} are not reachable from "
-                    f"{min(cfg.levels)} by uniform refinement"
-                )
         if n not in self._meshes:
             raise NonNestedMeshError(
                 f"level {n} is not part of this study's nested family"

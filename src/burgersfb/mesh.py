@@ -7,6 +7,8 @@ construction time so repeated runs see identical orderings.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import IntEnum
 
@@ -14,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "BoundaryTag",
+    "ConfigError",
     "InvalidRegionError",
     "Mesh",
     "RefinementParent",
@@ -34,8 +37,26 @@ class BoundaryTag(IntEnum):
     DIRICHLET_ZERO = 1
 
 
-class InvalidRegionError(ValueError):
-    """Raised when a requested boundary region does not lie on the boundary."""
+class ConfigError(ValueError):
+    """A config value that breaks a rule: ``field`` is the dataclass field or parameter
+    it was given as, ``requirement`` what the rule asks, and ``value`` the value."""
+
+    def __init__(self, field: str, requirement: str, value):
+        super().__init__(f"{field} {requirement}, got {value!r}")
+        self.field, self.requirement, self.value = field, requirement, value
+
+
+class InvalidRegionError(ConfigError):
+    """A ``dirichlet_region`` that is malformed or does not lie on the boundary."""
+
+    def __init__(self, requirement: str, value):
+        super().__init__("dirichlet_region", requirement, value)
+
+
+def _one_of(field: str, value, choices: tuple) -> None:
+    """Raise ``ConfigError`` unless ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise ConfigError(field, "must be one of " + ", ".join(f'"{c}"' for c in choices), value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,6 +167,13 @@ def _boundary_edges(vertices: np.ndarray, triangles: np.ndarray):
     return edges, normals
 
 
+def _grid_vertices(n: int) -> np.ndarray:
+    """The vertices of the 1/n grid on the unit square, row-major (x fastest)."""
+    coords = np.linspace(0.0, 1.0, n + 1)
+    xx, yy = np.meshgrid(coords, coords, indexing="xy")
+    return np.stack([xx.ravel(), yy.ravel()], axis=1)
+
+
 def build_unit_square_mesh(n: int) -> Mesh:
     """Structured triangulation of the unit square with grid spacing 1/n.
 
@@ -156,10 +184,7 @@ def build_unit_square_mesh(n: int) -> Mesh:
     """
     if n < 1:
         raise ValueError(f"need at least one cell per side, got n={n}")
-    coords = np.linspace(0.0, 1.0, n + 1)
-    xx, yy = np.meshgrid(coords, coords, indexing="xy")
-    vertices = np.stack([xx.ravel(), yy.ravel()], axis=1)
-
+    vertices = _grid_vertices(n)
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
     v00 = (jj * (n + 1) + ii).ravel()
     v10 = v00 + 1
@@ -233,25 +258,27 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     return refined
 
 
+def _is_segment(seg) -> bool:
+    """Whether ``seg`` is two points of two finite real numbers."""
+    return isinstance(seg, (list, tuple)) and len(seg) == 2 and all(
+        isinstance(point, (list, tuple)) and len(point) == 2
+        and all(isinstance(c, numbers.Real) and not isinstance(c, bool) and math.isfinite(c)
+                for c in point)
+        for point in seg
+    )
+
+
 def _normalize_region(dirichlet_region):
-    """Return a list of ((x0, y0), (x1, y1)) axis-aligned segments."""
+    """The one parser of a region: a list of ((x0, y0), (x1, y1)) axis-aligned segments."""
     if dirichlet_region is None:
         return []
-    if isinstance(dirichlet_region, str):
-        raise InvalidRegionError(
-            f"unknown region specification {dirichlet_region!r}"
-        )
-    region = list(dirichlet_region)
-    if len(region) == 2 and np.isscalar(region[0][0]):
-        region = [tuple(dirichlet_region)]
-    segments = []
-    for seg in region:
-        (xa, ya), (xb, yb) = seg
-        if not (abs(xa - xb) < _TOL or abs(ya - yb) < _TOL):
-            raise InvalidRegionError(
-                f"region segment {seg!r} is not axis-aligned"
-            )
-        segments.append(((float(xa), float(ya)), (float(xb), float(yb))))
+    region = [dirichlet_region] if _is_segment(dirichlet_region) else dirichlet_region
+    if not (isinstance(region, (list, tuple)) and region and all(map(_is_segment, region))):
+        raise InvalidRegionError("must be a segment [[x0, y0], [x1, y1]] of real numbers or a "
+                                 "non-empty list of segments", dirichlet_region)
+    segments = [((float(xa), float(ya)), (float(xb), float(yb))) for (xa, ya), (xb, yb) in region]
+    if not all(abs(xa - xb) < _TOL or abs(ya - yb) < _TOL for (xa, ya), (xb, yb) in segments):
+        raise InvalidRegionError("must have axis-aligned segments", dirichlet_region)
     return segments
 
 
@@ -278,17 +305,17 @@ def tag_boundary(mesh: Mesh, dirichlet_region=None) -> Mesh:
     Parameters
     ----------
     mesh : Mesh
-    dirichlet_region : None, segment, or list of segments
+    dirichlet_region : None, segment, or non-empty list of segments
         ``None`` tags every edge ``NEUMANN_CONTROL``.  A segment is a pair
-        of endpoints ``((x0, y0), (x1, y1))`` and must be axis-aligned; a
-        boundary edge is tagged ``DIRICHLET_ZERO`` when both its endpoints
-        lie on one of the segments.
+        of endpoints ``((x0, y0), (x1, y1))`` of finite real numbers and
+        must be axis-aligned; a boundary edge is tagged ``DIRICHLET_ZERO``
+        when both its endpoints lie on one of the segments.
 
     Raises
     ------
     InvalidRegionError
-        If a segment is not axis-aligned or a nonempty region contains no
-        boundary edge (the region does not lie on the boundary).
+        If the region has another shape, a segment is not axis-aligned, or
+        the region contains no boundary edge (it does not lie on the boundary).
     """
     segments = _normalize_region(dirichlet_region)
     tags = np.full(
@@ -301,9 +328,7 @@ def tag_boundary(mesh: Mesh, dirichlet_region=None) -> Mesh:
         for seg in segments:
             matched |= _on_segment(a, seg) & _on_segment(b, seg)
         if not matched.any():
-            raise InvalidRegionError(
-                f"region {dirichlet_region!r} matches no boundary edge"
-            )
+            raise InvalidRegionError("must cover a boundary edge", dirichlet_region)
         tags[matched] = int(BoundaryTag.DIRICHLET_ZERO)
     return replace(mesh, boundary_tags=tags)
 

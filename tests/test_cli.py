@@ -1,5 +1,6 @@
 """Command line entry points driven through tiny JSON configs."""
 
+import ast
 import json
 import os
 import re
@@ -9,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from burgersfb import assembly, cli
+from burgersfb import assembly, cli, harness
 from burgersfb.assembly import Discretization, FeField, discrete_laplacian, l2_norm
-from burgersfb.cli import _CONFIG_KEYS, main
-from burgersfb.harness import Study, StudyConfig, example1_problem
-from burgersfb.mesh import build_unit_square_mesh, tag_boundary
+from burgersfb.cli import _CONFIG_KEYS, _FIELD_KEYS, main
+from burgersfb.evolution import EvolutionConfig
+from burgersfb.harness import StudyConfig, example1_problem
+from burgersfb.mesh import ConfigError, InvalidRegionError, build_unit_square_mesh, tag_boundary
 from burgersfb.steady import (
     SteadySpec,
     analytic_from_expression,
@@ -266,6 +268,23 @@ def test_study_rates(tmp_path, capsys):
     assert len(payload["control_rates"]) == 1
     assert os.path.exists(payload["rates_state"])
     assert os.path.exists(payload["rates_control"])
+
+
+def test_study_builds_one_mesh_and_refines_it(tmp_path, capsys, monkeypatch):
+    # the expressions are checked at the reference grid without building its mesh;
+    # the study builds the coarsest level and refines it to every other
+    built = []
+
+    def counting(n):
+        built.append(n)
+        return build_unit_square_mesh(n)
+
+    monkeypatch.setattr(cli, "build_unit_square_mesh", counting)
+    monkeypatch.setattr(harness, "build_unit_square_mesh", counting)
+    study = {"levels": [2, 4], "reference": 8, "t_eval": 0.05}
+    config = write_config(tmp_path, {**BASE, "study": study})
+    run_json(capsys, ["study", "--config", config, "--output-dir", str(tmp_path)])
+    assert built == [2]
 
 
 def test_examples_dispatch(tmp_path, capsys, monkeypatch):
@@ -532,36 +551,70 @@ def test_step_and_level_rejections_name_their_key(tmp_path, capsys, command, sec
     assert message.startswith(f"config key '{key}' must ")
 
 
-def test_step_and_level_checks_accept_what_the_library_accepts():
+class Accepted(Exception):
+    """Raised in place of a run, once the CLI has accepted the config."""
+
+
+def test_step_and_level_checks_accept_what_the_library_accepts(tmp_path, capsys, monkeypatch):
     # time.t_end and study.t_eval are whole multiples of time.k to the 1e-9
-    # tolerance of run() and StudyConfig, and levels nest by doubling from the coarsest
+    # tolerance of EvolutionConfig and StudyConfig, and levels nest by doubling from the
+    # coarsest; those objects own the rules, so the CLI accepts what they accept
+    def accepted(*args):
+        raise Accepted
+
+    monkeypatch.setattr(cli, "run", accepted)
+    monkeypatch.setattr(cli, "Study", accepted)
+
+    def cli_accepts(command, sections, key):
+        """Whether ``command`` runs BASE with ``sections``; a rejection names ``key``."""
+        config = write_config(tmp_path, {**BASE, **sections})
+        try:
+            message = run_error(capsys, [command, "--config", config, "--output-dir", str(tmp_path)])
+        except Accepted:
+            return True
+        assert message.startswith(f"config key '{key}")
+        return False
+
+    def library_accepts(build):
+        try:
+            build()
+        except ConfigError:
+            return False
+        return True
+
     for k, time in ((0.1, 0.3), (0.1, 0.7 + 5e-10), (0.1, 0.7 + 2e-9), (0.03, 0.1),
                     (0.1, 0.1 - 1e-12), (0.25, 0.25), (0.5, 1.0), (0.999, 1.998)):
-        config = {"time": {"k": k, "t_end": time}, "study": {"t_eval": time}}
-        try:
-            StudyConfig(example1_problem(), (1,), 2, k, time)
-            accepted = True
-        except ValueError:
-            accepted = False
-        for key in ("time.t_end", "study.t_eval"):
-            if accepted:
-                assert cli._step_and_time(config, key) == (k, time)
-            else:
-                with pytest.raises(ValueError, match=f"config key '{key}'"):
-                    cli._step_and_time(config, key)
+        evolution = library_accepts(lambda: EvolutionConfig(nu=0.1, k=k, t_end=time))
+        study = library_accepts(lambda: StudyConfig(example1_problem(), (1,), 2, k, time))
+        assert evolution == study == cli_accepts(
+            "simulate", {"time": {"k": k, "t_end": time}}, "time.t_end"
+        )
+        sections = {"time": {"k": k}, "study": {"levels": [2, 4], "reference": 8, "t_eval": time}}
+        assert study == cli_accepts("study", sections, "study.t_eval")
     for levels, reference in (([2, 4], 8), ([3, 12], 24), ([3, 4], 8), ([3, 6], 8), ([1], 32),
                               ([5], 15), ([2, 8], 32), ([4, 2], 8), ([2, 8], 8)):
-        config = {"study": {"levels": levels, "reference": reference}}
-        try:
-            Study(StudyConfig(example1_problem(), tuple(levels), reference, 0.5, 1.0)).mesh(reference)
-            accepted = True
-        except ValueError:
-            accepted = False
-        if accepted:
-            assert cli._study_levels(config) == (levels, reference)
-        else:
-            with pytest.raises(ValueError, match="config key 'study."):
-                cli._study_levels(config)
+        study = library_accepts(
+            lambda: StudyConfig(example1_problem(), tuple(levels), reference, 0.5, 1.0)
+        )
+        sections = {"time": {"k": 0.5}, "study": {"levels": levels, "reference": reference}}
+        assert study == cli_accepts("study", sections, "study.")
+
+
+def test_every_library_config_field_has_a_key():
+    # main() words a ConfigError by _FIELD_KEYS[field]: a field missing there would
+    # end in a KeyError, so every field a library object raises must map to a key
+    fields = {InvalidRegionError("", None).field}
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            raiser = getattr(getattr(node, "func", None), "id", None)
+            if raiser in ("ConfigError", "_one_of", "_check_steps") and node.args:
+                if isinstance(node.args[0], ast.Constant):
+                    fields.add(node.args[0].value)
+    assert {"k", "t_end", "t_eval", "levels", "reference_level", "nonlinear"} <= fields
+    assert set(_FIELD_KEYS) == fields
+    for field in fields:
+        section, name = _FIELD_KEYS[field].split(".")
+        assert name in _CONFIG_KEYS[section], field
 
 
 def test_readme_config_table_matches_allow_list():

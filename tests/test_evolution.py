@@ -24,7 +24,7 @@ from burgersfb.evolution import (
     lyapunov_decay_coefficient,
     run,
 )
-from burgersfb.mesh import build_unit_square_mesh, tag_boundary
+from burgersfb.mesh import ConfigError, build_unit_square_mesh, tag_boundary
 from burgersfb.sparse import NonconvergenceError, solve_general
 from oracles import (
     apply_dirichlet,
@@ -118,7 +118,7 @@ def test_config_validation():
         EvolutionConfig(nu=NU, k=1.5, t_end=3.0)  # step must stay below 1
     with pytest.raises(ValueError):
         EvolutionConfig(nu=NU, k=0.5, t_end=0.25)
-    with pytest.raises(ValueError, match="integer multiple of the step size"):
+    with pytest.raises(ConfigError, match="t_end must be a positive whole number of steps"):
         EvolutionConfig(nu=NU, k=0.03, t_end=0.1)
     with pytest.raises(ValueError):
         EvolutionConfig(nu=NU, k=0.1, t_end=1.0, nonlinear="broken")

@@ -28,6 +28,7 @@ from burgersfb.harness import (
     run_example1,
     run_example2,
 )
+from burgersfb.mesh import ConfigError
 from burgersfb.steady import SteadySpec, analytic_from_expression
 
 
@@ -66,9 +67,9 @@ def test_problem_config_validation():
         ProblemConfig(nu=0.0, c0=1.0, steady=steady, w0=w0)
     with pytest.raises(ValueError):
         ProblemConfig(nu=0.1, c0=-1.0, steady=steady, w0=w0)
-    with pytest.raises(ValueError, match="coefficient source"):
+    with pytest.raises(ConfigError, match="coefficient_source must be one of"):
         ProblemConfig(nu=0.1, c0=1.0, steady=steady, w0=w0, coefficient_source="discrte")
-    with pytest.raises(ValueError, match="initial projection"):
+    with pytest.raises(ConfigError, match="initial_projection must be one of"):
         ProblemConfig(nu=0.1, c0=1.0, steady=steady, w0=w0, initial_projection="l2")
     forcing_only = SteadySpec(nu=0.1, forcing=lambda x, y: 0.04 * x)
     with pytest.raises(ValueError, match="closed-form steady state"):
@@ -93,6 +94,15 @@ def test_study_config_validation():
         StudyConfig(**{**good, "k": 0.0})
     with pytest.raises(ValueError):
         StudyConfig(**{**good, "t_eval": 0.055})
+    # the step and the nesting are checked when the config is built, as run() and
+    # Study.mesh would otherwise find them only later
+    with pytest.raises(ConfigError) as caught:
+        StudyConfig(**{**good, "k": 1.5})
+    assert caught.value.field == "k"
+    for levels in ((2, 3), (3, 4)):
+        with pytest.raises(ConfigError) as caught:
+            StudyConfig(**{**good, "levels": levels})
+        assert caught.value.field == "levels"
 
 
 @pytest.fixture(scope="module")
@@ -145,15 +155,15 @@ def test_unknown_level_is_rejected(small_study):
 
 
 def test_unreachable_level_is_rejected():
-    config = StudyConfig(
-        problem=example1_problem(),
-        levels=(2, 3),
-        reference_level=8,
-        k=0.01,
-        t_eval=0.05,
-    )
-    with pytest.raises(NonNestedMeshError):
-        Study(config).mesh(2)
+    # 3 is not 2 times a power of 2: StudyConfig rejects it before any mesh is built
+    with pytest.raises(ConfigError, match="levels must each be 2 times a power of 2"):
+        StudyConfig(
+            problem=example1_problem(),
+            levels=(2, 3),
+            reference_level=8,
+            k=0.01,
+            t_eval=0.05,
+        )
 
 
 def test_fresh_study_agrees_with_cached_one(small_study):

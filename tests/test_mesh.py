@@ -143,6 +143,19 @@ def test_tag_boundary_rejects_unmatched_region(unit4):
         tag_boundary(unit4, ((2.0, 0.0), (2.0, 1.0)))  # off the boundary
 
 
+@pytest.mark.parametrize(
+    "region",
+    # the shapes the CLI rejects as domain.dirichlet, then coordinates that are not real
+    [5, [5], [], [[]], [[0, 0]], [[1, 0], [1, 1], [0, 1]], [[[1, 0]]],
+     [[1, 0], [1, "1"]], [[1, 0], [1, True]]],
+)
+def test_tag_boundary_rejects_malformed_regions(unit4, region):
+    with pytest.raises(InvalidRegionError) as caught:
+        tag_boundary(unit4, region)
+    assert caught.value.field == "dirichlet_region"
+    assert caught.value.value is region
+
+
 def test_mesh_arrays_are_read_only():
     mesh = refine_uniform(tag_boundary(build_unit_square_mesh(2), RIGHT_SIDE))
     for array in (

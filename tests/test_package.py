@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import burgersfb
+import burgersfb.cli
 
 
 def test_package_exposes_submodules_and_runs_readme_example():
@@ -72,8 +73,22 @@ def test_every_listed_name_exists_and_test_oracles_are_not_listed():
         # the stiffness matrix live on Discretization(mesh) only
         (burgersfb.assembly, "dirichlet_vertex_indices"),
         (burgersfb.assembly, "assemble_stiffness"),
+        # one owner per config value rule: the library objects check the values, and
+        # the CLI neither repeats their checks nor imports what they check against
+        (burgersfb.cli, "_step_and_time"),
+        (burgersfb.cli, "_study_levels"),
+        (burgersfb.cli, "_dirichlet_region"),
+        (burgersfb.cli, "_choice"),
+        (burgersfb.cli, "_SOLVERS"),
+        (burgersfb.cli, "_SOURCES"),
+        (burgersfb.cli, "_PROJECTIONS"),
+        (burgersfb.cli, "_whole_steps"),
+        (burgersfb.evolution, "_whole_steps"),
     ):
         assert not hasattr(module, name), name
+    # StudyConfig owns the nesting rule; Study.mesh only builds the family
+    mesh_source = inspect.getsource(burgersfb.harness.Study.mesh)
+    assert "reachable" not in mesh_source and "missing" not in mesh_source
     disc = burgersfb.assembly.Discretization(burgersfb.build_unit_square_mesh(2))
     for name in ("element_slots", "edge_slots"):
         assert not hasattr(disc, name), name
