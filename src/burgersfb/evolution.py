@@ -36,14 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .assembly import _MASS_PATTERN, Discretization, FeField
-from .control import (
-    ControlParams,
-    _boundary_l2,
-    _check_active,
-    _cubic_weight,
-    _feedback_flux,
-    _linear_coefficient,
-)
+from .control import ControlParams, _boundary_l2, _Feedback
 from .mesh import ConfigError, Mesh, _one_of, friedrichs_constant
 from .sparse import NonconvergenceError
 
@@ -107,12 +100,11 @@ class _Trajectory:
     """One trajectory of ``run()``: its operators, held factor, counters and series.
 
     ``step_matrix`` is ``mass / k`` plus the linear part of the step, and
-    ``feedback`` the linear feedback weight at the active-edge quadrature
-    points (``None`` when uncontrolled).  ``factor`` is the one LU
-    factorization the steps share, of a Newton Jacobian or, for Picard, of
-    an earlier step matrix (``None`` until a step factors);
-    ``factorizations`` and ``solves`` count the factorizations and linear
-    solves.  ``w`` is the last recorded state, ``inertia`` its mass product
+    ``feedback`` the ``_Feedback`` law on the active edges (``None`` when
+    uncontrolled).  ``factor`` is the one LU factorization the steps share,
+    of a Newton Jacobian or, for Picard, of an earlier step matrix (``None``
+    until a step factors); ``factorizations`` and ``solves`` count the
+    factorizations and linear solves.  ``w`` is the last recorded state, ``inertia`` its mass product
     over ``k`` and ``traces`` its edge traces (``None`` when uncontrolled).
     """
 
@@ -122,15 +114,14 @@ class _Trajectory:
         controlled = cfg.control is not None
         self.cfg = cfg
         self.disc = disc = Discretization(mesh)
-        if controlled:
-            _check_active(disc.bq)
-        vp, g, tr = disc.gather(u_steady.values, controlled)
-        self.feedback = _linear_coefficient(tr, cfg.control) if controlled else None
-        constant = cfg.nu * disc.stiffness + disc.jacobian(vp, g, self.feedback)
+        self.feedback = feedback = _Feedback(disc.bq, u_steady, cfg.control) if controlled else None
+        vp, g, _ = disc.gather(u_steady.values)
+        linear = feedback.linear if controlled else None
+        constant = cfg.nu * disc.stiffness + disc.jacobian(vp, g, linear)
         self.mass = disc.matrix(disc.mass)
         self.stiffness = disc.matrix(disc.stiffness)
         self.step_matrix = disc.matrix(1.0 / cfg.k * disc.mass + constant)
-        self.cubic_scale = _cubic_weight(cfg.control) if controlled else 0.0
+        self.cubic_scale = feedback.cubic if controlled else 0.0
         self.factor = None
         self.factorizations = self.solves = 0
         size = round(cfg.t_end / cfg.k) + 1
@@ -146,11 +137,10 @@ class _Trajectory:
         self.l2[i] = np.sqrt(max(energy, 0.0))
         self.h1_semi[i] = np.sqrt(max(w @ (self.stiffness @ w), 0.0))
         self.lyapunov[i] = 0.5 * float(energy)
-        if self.cfg.control is not None:
+        if self.feedback is not None:
             if traces is None:
                 traces = self.disc.traces(w)
-            flux = _feedback_flux(traces, self.feedback, self.cfg.control)
-            self.control_l2[i] = _boundary_l2(self.disc.bq, flux)
+            self.control_l2[i] = _boundary_l2(self.feedback.bq, self.feedback.flux(traces))
         self.newton_iters[i] = iterations
         self.w, self.inertia, self.traces = w, (1.0 / self.cfg.k) * mw, traces
 

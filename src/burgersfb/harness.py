@@ -17,15 +17,18 @@ from typing import Optional
 import numpy as np
 
 from .assembly import (
+    ACTIVE_TAGS,
     FeField,
     NonNestedMeshError,
+    _trace,
+    boundary_quadrature,
     elliptic_projection,
     h1_seminorm,
     interpolate,
     l2_norm,
     prolong,
 )
-from .control import ControlParams, _active_flux, _active_quadrature, _boundary_l2
+from .control import ControlParams, _boundary_l2, _Feedback
 from .evolution import EvolutionConfig, TrajectoryRecord, _check_steps, _g, _write_csv, run
 from .mesh import ConfigError, Mesh, _normalize_region, _one_of, build_unit_square_mesh
 from .mesh import refine_uniform, tag_boundary
@@ -84,7 +87,8 @@ class ProblemConfig:
 @dataclass(frozen=True)
 class StudyConfig:
     """Mesh levels, reference level, and time sampling of one study; uniform
-    refinement reaches every level and the reference from the coarsest."""
+    refinement reaches every level and the reference from the coarsest, and each
+    level halves the mesh size of the one before, as the rate table needs."""
 
     problem: ProblemConfig
     levels: tuple
@@ -105,6 +109,8 @@ class StudyConfig:
             raise ConfigError("levels", f"must each be {power}", levels)
         if reference not in nested:
             raise ConfigError("reference_level", f"must be {power}", reference)
+        if len(levels) < 2 or any(b != 2 * a for a, b in zip(levels, levels[1:])):
+            raise ConfigError("levels", "must be two or more, each twice the one before", levels)
         _check_steps("t_eval", self.t_eval, self.k)
 
 
@@ -196,14 +202,12 @@ class Study:
 
     def control_errors(self, n: int) -> float:
         """Boundary L2 error of the feedback trace against the reference."""
-        cfg = self.config
-        params = self._dynamics.control
-        ref_mesh = self.mesh(cfg.reference_level)
-        ref_steady = self.steady_field(cfg.reference_level)
-        coarse = prolong(self.state(n), ref_mesh)
-        bq = _active_quadrature(ref_mesh)
-        level = _active_flux(bq, coarse, ref_steady, params)
-        reference = _active_flux(bq, self.state(cfg.reference_level), ref_steady, params)
+        ref = self.config.reference_level
+        bq = boundary_quadrature(self.mesh(ref), ACTIVE_TAGS)
+        feedback = _Feedback(bq, self.steady_field(ref), self._dynamics.control)
+        coarse = prolong(self.state(n), self.mesh(ref))
+        level = feedback.flux(_trace(coarse.values, bq))
+        reference = feedback.flux(_trace(self.state(ref).values, bq))
         return _boundary_l2(bq, level - reference)
 
     def rate_table(self) -> "RateTable":

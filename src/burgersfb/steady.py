@@ -31,7 +31,7 @@ from .assembly import (
     l2_norm,
     load_vector,
 )
-from .mesh import Mesh
+from .mesh import ConfigError, Mesh
 from .sparse import NonconvergenceError, solve_bordered
 
 __all__ = [
@@ -255,7 +255,7 @@ class SteadySpec:
 
     def __post_init__(self):
         if self.nu <= 0.0:
-            raise ValueError(f"viscosity must be positive, got {self.nu}")
+            raise ConfigError("nu", "must be positive", self.nu)
         if (self.u_steady is None) == (self.forcing is None):
             raise ValueError("specify exactly one of u_steady and forcing")
 

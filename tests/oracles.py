@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from burgersfb.assembly import (
+    _EDGE_WEIGHTS,
     _INTERIOR_POINTS,
     _INTERIOR_WEIGHTS,
     _MASS_PATTERN,
@@ -31,7 +32,7 @@ from burgersfb.assembly import (
     boundary_quadrature,
     load_vector,
 )
-from burgersfb.control import ControlParams, _active_flux, _active_quadrature, _boundary_l2
+from burgersfb.control import ControlParams
 from burgersfb.mesh import Mesh, _boundary_edges
 from burgersfb.steady import AnalyticFunction
 
@@ -138,21 +139,22 @@ def boundary_cubic_jacobian(w: FeField, tags=None) -> sp.csr_matrix:
 
 
 def control_trace(w: FeField, u_steady: FeField, params: ControlParams) -> np.ndarray:
-    """Feedback flux at every boundary quadrature node.
+    """Feedback flux ``-(1/nu)((c0 + nu + 2 |u_steady|) w + (2/(9 c0)) w^3)`` at every
+    boundary quadrature node, written out from the traces.
 
     Returns an array of shape (boundary edges, quadrature points); rows of
     inactive edges are zero.
     """
-    bq = _active_quadrature(w.mesh)
-    full = np.zeros((w.mesh.num_boundary_edges, bq.points.shape[1]))
-    full[np.isin(w.mesh.boundary_tags, ACTIVE_TAGS)] = _active_flux(bq, w, u_steady, params)
-    return full
+    wq, uq = trace_values(w), trace_values(u_steady)
+    flux = -((params.c0 + params.nu + 2.0 * np.abs(uq)) * wq + 2.0 / (9.0 * params.c0) * wq**3)
+    return np.where(np.isin(w.mesh.boundary_tags, ACTIVE_TAGS)[:, None], flux / params.nu, 0.0)
 
 
 def control_boundary_l2(w: FeField, u_steady: FeField, params: ControlParams) -> float:
-    """L2 norm of the feedback flux over the active boundary."""
-    bq = _active_quadrature(w.mesh)
-    return _boundary_l2(bq, _active_flux(bq, w, u_steady, params))
+    """L2 norm of the feedback flux over the active boundary, by the edge quadrature."""
+    bq = boundary_quadrature(w.mesh)
+    weights = bq.lengths[:, None] * _EDGE_WEIGHTS
+    return float(np.sqrt(np.sum(weights * control_trace(w, u_steady, params) ** 2)))
 
 
 def refined_boundary_by_rescan(fine: Mesh) -> tuple:

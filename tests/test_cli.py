@@ -585,7 +585,7 @@ def test_step_and_level_checks_accept_what_the_library_accepts(tmp_path, capsys,
     for k, time in ((0.1, 0.3), (0.1, 0.7 + 5e-10), (0.1, 0.7 + 2e-9), (0.03, 0.1),
                     (0.1, 0.1 - 1e-12), (0.25, 0.25), (0.5, 1.0), (0.999, 1.998)):
         evolution = library_accepts(lambda: EvolutionConfig(nu=0.1, k=k, t_end=time))
-        study = library_accepts(lambda: StudyConfig(example1_problem(), (1,), 2, k, time))
+        study = library_accepts(lambda: StudyConfig(example1_problem(), (1, 2), 4, k, time))
         assert evolution == study == cli_accepts(
             "simulate", {"time": {"k": k, "t_end": time}}, "time.t_end"
         )

@@ -12,8 +12,11 @@ from burgersfb.control import (
     ACTIVE_TAGS,
     ControlParams,
     NoActiveBoundaryError,
+    _boundary_l2,
+    _Feedback,
 )
-from burgersfb.mesh import BoundaryTag, build_unit_square_mesh, tag_boundary
+from burgersfb.evolution import EvolutionConfig, run
+from burgersfb.mesh import BoundaryTag, ConfigError, build_unit_square_mesh, tag_boundary
 from oracles import (
     assemble_boundary_mass,
     boundary_cubic_jacobian,
@@ -52,10 +55,28 @@ def weak_terms(u_steady, p, w):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        ControlParams(nu=0.0, c0=1.0)
-    with pytest.raises(ValueError):
-        ControlParams(nu=0.1, c0=-1.0)
+    for field, nu, c0 in (("nu", 0.0, 1.0), ("c0", 0.1, -1.0)):
+        with pytest.raises(ConfigError) as caught:
+            ControlParams(nu=nu, c0=c0)
+        assert caught.value.field == field
+
+
+@pytest.mark.parametrize("mesh_name", ["unit4", "mixed8"])
+def test_feedback_flux_and_norm_match_the_law_written_out(mesh_name, request, rng):
+    # _Feedback against the law written out from the traces in tests/oracles.py
+    mesh = request.getfixturevalue(mesh_name)
+    bq = boundary_quadrature(mesh, ACTIVE_TAGS)
+    active = np.isin(mesh.boundary_tags, ACTIVE_TAGS)
+    for _ in range(5):
+        u_steady = FeField(mesh, rng.standard_normal(mesh.num_vertices))
+        w = FeField(mesh, 2.0 * rng.standard_normal(mesh.num_vertices))
+        p = ControlParams(nu=rng.uniform(0.05, 1.0), c0=rng.uniform(0.1, 5.0))
+        flux = _Feedback(bq, u_steady, p).flux(trace_values(w, ACTIVE_TAGS))
+        expected = control_trace(w, u_steady, p)
+        assert np.allclose(flux, expected[active], rtol=1e-14, atol=0.0)
+        assert _boundary_l2(bq, flux) == pytest.approx(
+            control_boundary_l2(w, u_steady, p), rel=1e-14, abs=0.0
+        )
 
 
 def test_trace_vanishes_at_equilibrium(unit4):
@@ -106,7 +127,10 @@ def test_no_active_boundary_raises(unit4):
     all_dirichlet = tag_boundary(unit4, all_sides)
     w = constant_field(all_dirichlet, 1.0)
     with pytest.raises(NoActiveBoundaryError):
-        control_trace(w, w, params())
+        _Feedback(boundary_quadrature(all_dirichlet, ACTIVE_TAGS), w, params())
+    cfg = EvolutionConfig(nu=NU, k=0.01, t_end=0.01, control=params())
+    with pytest.raises(NoActiveBoundaryError):
+        run(w, cfg, all_dirichlet, w)
 
 
 def test_weak_terms_linear_sum(unit4):

@@ -99,9 +99,10 @@ def test_study_config_validation():
     with pytest.raises(ConfigError) as caught:
         StudyConfig(**{**good, "k": 1.5})
     assert caught.value.field == "k"
-    for levels in ((2, 3), (3, 4)):
+    # and so is what rate_table needs: two or more levels, each twice the one before
+    for levels in ((2, 3), (3, 4), (2,), (2, 8)):
         with pytest.raises(ConfigError) as caught:
-            StudyConfig(**{**good, "levels": levels})
+            StudyConfig(**{**good, "levels": levels, "reference_level": 16})
         assert caught.value.field == "levels"
 
 

@@ -1,5 +1,6 @@
 """The package namespace the benchmark and the README rely on."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -84,8 +85,25 @@ def test_every_listed_name_exists_and_test_oracles_are_not_listed():
         (burgersfb.cli, "_PROJECTIONS"),
         (burgersfb.cli, "_whole_steps"),
         (burgersfb.evolution, "_whole_steps"),
+        # one owner of the feedback law: control._Feedback
+        (burgersfb.control, "_check_active"),
+        (burgersfb.control, "_active_quadrature"),
+        (burgersfb.control, "_linear_coefficient"),
+        (burgersfb.control, "_cubic_weight"),
+        (burgersfb.control, "_feedback_flux"),
+        (burgersfb.control, "_active_flux"),
     ):
         assert not hasattr(module, name), name
+    # the time loop and the study take the law from control through these names only
+    for module in (burgersfb.evolution, burgersfb.harness):
+        imported = set()
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("control"):
+                imported |= {alias.name for alias in node.names}
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                assert "control" not in [alias.name for alias in node.names], module.__name__
+        assert "_Feedback" in imported
+        assert imported <= {"ControlParams", "_Feedback", "_boundary_l2"}, imported
     # StudyConfig owns the nesting rule; Study.mesh only builds the family
     mesh_source = inspect.getsource(burgersfb.harness.Study.mesh)
     assert "reachable" not in mesh_source and "missing" not in mesh_source

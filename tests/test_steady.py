@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from burgersfb import assembly, steady
 from burgersfb.assembly import Discretization, FeField, interpolate, l2_norm
-from burgersfb.mesh import build_unit_square_mesh
+from burgersfb.mesh import ConfigError, build_unit_square_mesh
 from burgersfb.sparse import NonconvergenceError
 from burgersfb.steady import (
     AnalyticFunction,
@@ -158,8 +158,9 @@ def test_steady_spec_mode_validation():
         SteadySpec(nu=NU, u_steady=shear(), forcing=lambda x, y: 0.0)
     with pytest.raises(ValueError):
         SteadySpec(nu=NU)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError) as caught:
         SteadySpec(nu=-1.0, u_steady=shear())
+    assert caught.value.field == "nu"
 
 
 def test_closed_form_state_is_solved_as_its_manufactured_problem(unit4):
