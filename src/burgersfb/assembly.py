@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import BoundaryTag, Mesh
-from .sparse import Factorization, solve_general
+from .sparse import Factorization
 
 __all__ = [
     "BoundaryQuadrature",
@@ -224,7 +224,7 @@ def discrete_laplacian(disc: Discretization, w: FeField) -> FeField:
     if w.mesh is not disc.mesh:
         raise ValueError("field does not live on the given mesh")
     rhs = -(disc.matrix(disc.stiffness) @ w.values)
-    return FeField(disc.mesh, solve_general(disc.matrix(disc.mass), rhs))
+    return FeField(disc.mesh, disc.factor(disc.mass).solve(rhs))
 
 
 def l2_norm(w: FeField) -> float:
@@ -291,7 +291,7 @@ def elliptic_projection(mesh: Mesh, f, fx, fy) -> FeField:
     b = np.bincount(mesh.triangles.ravel(), grad_part.ravel(), mesh.num_vertices)
     b += load_vector(mesh, f)
     disc = Discretization(mesh)
-    return FeField(mesh, solve_general(disc.matrix(disc.stiffness + disc.mass), b))
+    return FeField(mesh, disc.factor(disc.stiffness + disc.mass).solve(b))
 
 
 class Discretization:
@@ -312,11 +312,11 @@ class Discretization:
     ``slots`` and every load through a prefix of ``load_index``, each with
     one ``np.bincount``; an iterate is gathered once (:meth:`gather`).
     ``dirichlet`` holds the sorted vertices of the ``DIRICHLET_ZERO`` edges,
-    whose slots :meth:`eliminate` clears.  :meth:`factor` is the time loop's band LU:
-    ``order`` numbers the vertices row by row (by ``y``, then ``x``), which
-    keeps the unit-square meshes and their refinements within
-    ``bandwidth = n + 2`` of the diagonal, and ``band_slots`` is each slot's
-    flat index in the band array.  Other solves stay on SuperLU.
+    whose slots :meth:`eliminate` clears.  :meth:`factor` is the band LU of
+    every solve on the pattern: ``order`` numbers the vertices row by row (by
+    ``y``, then ``x``), which keeps the unit-square meshes and their
+    refinements within ``bandwidth = n + 2`` of the diagonal, and
+    ``band_slots`` is each slot's flat index in the band array.
     """
 
     def __init__(self, mesh: Mesh):

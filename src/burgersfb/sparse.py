@@ -9,17 +9,18 @@ solves a nearby matrix by stationary iterative refinement, as each Picard
 step does on the factor of an earlier step matrix.  The time loop's step
 and Jacobian matrices are factored by LAPACK band LU
 (``dgbtrf``/``dgbtrs``) in the vertex order of their
-:class:`~burgersfb.assembly.Discretization`; SuperLU serves the bordered
-solve of the mean-constrained steady problem, the one-off mass and
-projection solves, and :func:`solve_general`, the reference the tests
-compare the band path against.
+:class:`~burgersfb.assembly.Discretization`, as are the one-off mass and
+projection solves.  SuperLU, loaded on first use, serves only the bordered
+mean-constrained steady solve and :func:`solve_general`, the reference the
+tests compare the band path against.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 __all__ = [
@@ -62,14 +63,15 @@ class Factorization:
     Every solution must satisfy
     ``||a x - b||_inf <= 1e-10 (||a||_inf ||x||_inf + ||b||_inf)`` against
     the matrix ``a`` it solves: the factored one for :meth:`solve`, the
-    given one for :meth:`refine`.  The three norms come from one
-    reduction; a non-finite ``x``, a residual that fails the bound (NaN
-    included) or a singular factorization raises
-    :class:`SingularMatrixError`, except that :meth:`refine` hands a failed
-    bound back to its caller.  The factor is SuperLU's, or with
-    ``band = (order, width, slots)`` LAPACK band LU of ``a`` permuted to
-    half-bandwidth ``width`` by ``order``; ``slots`` are the flat indices
-    of ``a.data`` in the Fortran-ordered ``(3 width + 1, n)`` band array.
+    given one for :meth:`refine`; ``||a||_inf`` is summed only when
+    ``1e-10 ||b||_inf`` does not cover the residual.  A non-finite ``x``, a
+    residual that fails the bound (NaN included) or a singular factorization
+    raises :class:`SingularMatrixError`, except that :meth:`refine` hands a
+    failed bound back to its caller.  With ``band = (order, width, slots)``
+    the factor is LAPACK band LU of ``a`` permuted to half-bandwidth
+    ``width`` by ``order``; ``slots`` are the flat indices of ``a.data`` in
+    the Fortran-ordered ``(3 width + 1, n)`` band array.  Without ``band``
+    it is SuperLU's, which loads ``scipy.sparse.linalg`` on first use.
     """
 
     def __init__(self, a: sp.csc_matrix, band=None):
@@ -79,14 +81,19 @@ class Factorization:
         if a.format != "csc":
             raise ValueError(f"matrix is {a.format.upper()}, not CSC")
         self.matrix = a
-        self.norm_inf = _norm_inf(a)
         if band is not None:
             self._solve = _band_lu(a.data, *band)
             return
+        import scipy.sparse.linalg as spla  # loaded only by the solves that use SuperLU
         try:
             self._solve = spla.splu(a).solve
         except RuntimeError as exc:
             raise SingularMatrixError(f"factorization failed: {exc}") from exc
+
+    @functools.cached_property
+    def norm_inf(self) -> float:
+        """``||a||_inf`` of the factored matrix, summed on first use."""
+        return _norm_inf(self.matrix)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
@@ -97,8 +104,7 @@ class Factorization:
             x = self._solve(b)
         except RuntimeError as exc:
             raise SingularMatrixError(f"factorization failed: {exc}") from exc
-        r, x_inf, b_inf = _norms(self.matrix @ x - b, x, b)
-        bound = 1e-10 * (self.norm_inf * x_inf + b_inf)
+        r, bound = self._residual(self.matrix, x, b)
         # written so that a NaN residual fails too
         if not r <= bound:
             raise SingularMatrixError(
@@ -132,11 +138,19 @@ class Factorization:
             if not np.isfinite(x_inf):
                 raise SingularMatrixError("solution contains non-finite entries")
             return None, limit
-        r, x_inf, b_inf = _norms(a @ x - b, x, b)
-        # ||a||_inf is summed only when ||b||_inf alone does not cover the residual
-        if r <= 1e-10 * b_inf or r <= 1e-10 * (_norm_inf(a) * x_inf + b_inf):
-            return x, solves
-        return None, solves
+        r, bound = self._residual(a, x, b)
+        return (x if r <= bound else None), solves
+
+    def _residual(self, a, x, b):
+        """``(||a x - b||_inf, bound)``; the bound is ``1e-10 ||b||_inf`` when that covers it."""
+        # NaN or inf in x makes x_inf non-finite
+        r, x_inf, b_inf = np.abs((a @ x - b, x, b)).reshape(3, -1).max(1, initial=0.0)
+        if not np.isfinite(x_inf):
+            raise SingularMatrixError("solution contains non-finite entries")
+        if r <= 1e-10 * b_inf:
+            return r, 1e-10 * b_inf
+        norm = self.norm_inf if a is self.matrix else _norm_inf(a)
+        return r, 1e-10 * (norm * x_inf + b_inf)
 
 
 def _norm_inf(a: sp.csc_matrix) -> float:
@@ -144,27 +158,21 @@ def _norm_inf(a: sp.csc_matrix) -> float:
     return float(np.max(np.bincount(a.indices, np.abs(a.data), a.shape[0]), initial=0.0))
 
 
-def _norms(residual, x, b):
-    """The infinity norms of the three in one reduction; a non-finite ``x`` raises."""
-    # NaN or inf in x makes x_inf non-finite
-    r, x_inf, b_inf = np.abs((residual, x, b)).reshape(3, -1).max(1, initial=0.0)
-    if not np.isfinite(x_inf):
-        raise SingularMatrixError("solution contains non-finite entries")
-    return r, x_inf, b_inf
-
-
 def _band_lu(data, order, width, slots):
     """``dgbtrf`` of CSC ``data`` placed at ``slots``; returns a solve in the unpermuted order."""
-    n = order.size
-    ab = np.zeros((3 * width + 1) * n)
+    n, rows = order.size, 3 * width + 1
+    ab = np.zeros(rows * n + width)  # the spare end the last column of the view below
     ab[slots] = data
-    lu, piv, info = dgbtrf(ab.reshape(3 * width + 1, n, order="F"), width, width, overwrite_ab=1)
+    lu, piv, info = dgbtrf(ab[: rows * n].reshape(rows, n, order="F"), width, width, overwrite_ab=1)
     if info:
         raise SingularMatrixError(f"factorization failed: dgbtrf info {info}")
+    upper = width
+    if np.array_equal(piv, np.arange(n)):  # no interchange: U's fill rows stay zero, skip them
+        lu, upper = ab[width : width + rows * n].reshape(rows, n, order="F"), 0
 
     def solve(b):
         x = np.empty_like(b)
-        x[order] = dgbtrs(lu, width, width, b[order], piv, overwrite_b=1)[0]
+        x[order] = dgbtrs(lu, width, upper, b[order], piv, overwrite_b=1)[0]
         return x
 
     return solve

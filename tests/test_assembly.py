@@ -30,6 +30,7 @@ from burgersfb.mesh import (
 from burgersfb import assembly
 from burgersfb.control import ACTIVE_TAGS
 from burgersfb.sparse import Factorization
+from burgersfb.steady import analytic_from_expression
 from oracles import (
     apply_dirichlet,
     assemble_boundary_mass,
@@ -287,6 +288,26 @@ def test_discrete_laplacian_cases(unit4, rng):
     d = discrete_laplacian(disc, w).values
     # integral of the zero-flux discrete laplacian vanishes
     assert abs(np.ones_like(d) @ (mass @ d)) <= 1e-10
+
+
+@pytest.mark.parametrize("refined", [False, True])
+def test_one_off_solves_match_superlu(monkeypatch, refined):
+    # the mass and projection solves factor by band LU; SuperLU, the factor of
+    # solve_general, is the reference
+    mesh = build_unit_square_mesh(8)
+    mesh = refine_uniform(mesh) if refined else mesh
+    f = analytic_from_expression("sin(pi*x1)*cos(2*x2) + x1^2*x2")
+    disc = Discretization(mesh)
+    w = interpolate(f.value, mesh)
+
+    def solve():
+        laplacian = discrete_laplacian(disc, w).values
+        return laplacian, elliptic_projection(mesh, f.value, f.dx, f.dy).values
+
+    band = solve()
+    monkeypatch.setattr(Discretization, "factor", lambda self, data: Factorization(self.matrix(data)))
+    for x, expected in zip(band, solve()):
+        assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_norms_values(unit4):

@@ -168,3 +168,30 @@ def test_parsing_and_simulating_never_import_sympy(tmp_path):
     done = subprocess.run([sys.executable, "-c", script, str(config), str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_time_loop_never_imports_superlu():
+    # SuperLU serves only the bordered steady solve, so a chord and a Picard run
+    # leave scipy.sparse.linalg unloaded, and the steady solve that follows loads it
+    script = (
+        "import sys\n"
+        "import burgersfb as bf\n"
+        "mesh = bf.mesh.tag_boundary(bf.build_unit_square_mesh(8), None)\n"
+        "u_inf = bf.steady.analytic_from_expression('-0.2*x1')\n"
+        "w0 = bf.interpolate(bf.steady.analytic_from_expression('sin(pi*x1)*sin(pi*x2)').value, mesh)\n"
+        "u = bf.interpolate(u_inf.value, mesh)\n"
+        "control = bf.ControlParams(nu=0.1, c0=1.0)\n"
+        "bf.run(w0, bf.EvolutionConfig(nu=0.1, k=0.01, t_end=0.1, control=control, nonlinear='chord'), mesh, u)\n"
+        "bf.run(w0, bf.EvolutionConfig(nu=0.1, k=0.01, t_end=0.1, nonlinear='picard'), mesh, u)\n"
+        "assert 'scipy.sparse.linalg' not in sys.modules, 'the time loop loaded SuperLU'\n"
+        "spec = bf.steady.manufactured_solve_spec(u_inf, 0.1, -0.1)\n"
+        "steady = bf.steady.solve_steady(mesh, spec)\n"
+        "assert 'scipy.sparse.linalg' in sys.modules\n"
+        "print(bf.steady.steady_residual(mesh, steady, spec.forcing, 0.1, neumann_flux=spec.neumann_flux))\n"
+    )
+    src = os.path.dirname(os.path.dirname(burgersfb.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) <= 1e-10

@@ -4,6 +4,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg.lapack import dgbtrf, dgbtrs
+
+from burgersfb import sparse
 from burgersfb.assembly import Discretization, interpolate
 from burgersfb.mesh import build_unit_square_mesh, refine_uniform
 from burgersfb.sparse import (
@@ -233,6 +236,60 @@ def step_matrices(disc, rng, k):
     for data in (held, near):
         disc.eliminate(data)
     return held, near
+
+
+def full_band_solve(disc, data, b):
+    """``(x, lu, piv)``: ``dgbtrs`` on the whole ``3 width + 1``-row band of ``disc.factor``."""
+    n, width = disc.mesh.num_vertices, disc.bandwidth
+    ab = np.zeros((3 * width + 1) * n)
+    ab[disc.band_slots] = data
+    lu, piv, info = dgbtrf(ab.reshape(3 * width + 1, n, order="F"), width, width)
+    assert info == 0
+    x = np.empty_like(b)
+    x[disc.order] = dgbtrs(lu, width, width, b[disc.order], piv)[0]
+    return x, lu, piv
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    n=st.integers(1, 6),
+    pinned=st.booleans(),
+    pivoting=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_band_solve_is_bit_equal_to_the_full_band(jittered_mesh, n, pinned, pivoting, seed):
+    rng = np.random.default_rng(seed)
+    mesh = jittered_mesh(n, pinned, rng)
+    disc = Discretization(mesh)
+    if pivoting:
+        # random entries over a diagonal shrunk by 1e-3: dgbtrf interchanges rows
+        on_diagonal = disc.indices == np.repeat(np.arange(mesh.num_vertices), np.diff(disc.indptr))
+        data = rng.standard_normal(disc.indices.size) * np.where(on_diagonal, 1e-3, 1.0)
+    else:
+        data, _ = step_matrices(disc, rng, 1e-3)
+    b = rng.standard_normal(mesh.num_vertices)
+    expected, _, piv = full_band_solve(disc, data, b)
+    assert np.array_equal(piv, np.arange(mesh.num_vertices)) != pivoting
+    assert disc.factor(data)._solve(b).tobytes() == expected.tobytes()
+
+
+def test_step_matrix_solves_on_the_band_without_fill_rows(monkeypatch):
+    # a unit-square step matrix makes no row interchange, so U's width fill rows stay
+    # zero and the solve skips them: dgbtrs sees no superdiagonal of fill
+    disc = Discretization(build_unit_square_mesh(8))
+    held, _ = step_matrices(disc, np.random.default_rng(3), 5e-4)
+    b = np.random.default_rng(4).standard_normal(disc.mesh.num_vertices)
+    expected, lu, _ = full_band_solve(disc, held, b)
+    assert not np.any(lu[: disc.bandwidth])
+    calls = []
+
+    def recorded(lu, kl, ku, *args, **kwargs):
+        calls.append((kl, ku))
+        return dgbtrs(lu, kl, ku, *args, **kwargs)
+
+    monkeypatch.setattr(sparse, "dgbtrs", recorded)
+    assert disc.factor(held).solve(b).tobytes() == expected.tobytes()
+    assert calls == [(disc.bandwidth, 0)]
 
 
 def assert_certified(a, x, b):
