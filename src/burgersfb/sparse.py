@@ -161,7 +161,7 @@ def _norm_inf(a: sp.csc_matrix) -> float:
 def _band_lu(data, order, width, slots):
     """``dgbtrf`` of CSC ``data`` placed at ``slots``; returns a solve in the unpermuted order."""
     n, rows = order.size, 3 * width + 1
-    ab = np.zeros(rows * n + width)  # the spare end the last column of the view below
+    ab = np.zeros(rows * n + width)  # the spare doubles end the shifted view below
     ab[slots] = data
     lu, piv, info = dgbtrf(ab[: rows * n].reshape(rows, n, order="F"), width, width, overwrite_ab=1)
     if info:

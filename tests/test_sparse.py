@@ -3,7 +3,6 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from burgersfb import sparse
@@ -81,6 +80,16 @@ def test_factorization_serves_several_right_hand_sides(rng):
     assert np.linalg.norm(factor.solve(a @ x_star) - x_star) <= 1e-9 * np.linalg.norm(x_star)
     with pytest.raises(ValueError):
         factor.solve(np.ones(a.shape[0] + 1))
+
+
+def test_certificate_sums_the_matrix_norm_only_when_needed(rng):
+    # an accurate solve leaves a residual far below 1e-10 ||b||, which certifies it alone
+    a = random_system(rng)
+    factor = Factorization(a)
+    factor.solve(a @ rng.standard_normal(a.shape[0]))
+    assert "norm_inf" not in vars(factor)
+    assert factor.norm_inf == pytest.approx(np.max(np.abs(a.toarray()).sum(axis=1)), rel=1e-14)
+    assert vars(factor)["norm_inf"] == factor.norm_inf
 
 
 def test_norm_inf_sums_rows_in_either_format():
