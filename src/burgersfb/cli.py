@@ -37,6 +37,7 @@ from .harness import (
     run_example2,
 )
 from .mesh import ConfigError, _grid_vertices, build_unit_square_mesh, tag_boundary
+from .sparse import NonconvergenceError, SingularMatrixError
 from .steady import (
     SteadySpec,
     analytic_from_expression,
@@ -61,7 +62,7 @@ _CONFIG_KEYS = {
 
 # The config key of each field a library object's ConfigError names (main words it)
 _FIELD_KEYS = {
-    "nu": "physics.nu", "c0": "physics.c0", "k": "time.k", "t_end": "time.t_end",
+    "n": "domain.n", "nu": "physics.nu", "c0": "physics.c0", "k": "time.k", "t_end": "time.t_end",
     "nonlinear": "time.nonlinear", "levels": "study.levels", "reference_level": "study.reference",
     "t_eval": "study.t_eval", "coefficient_source": "steady.source",
     "initial_projection": "initial.projection", "dirichlet_region": "domain.dirichlet",
@@ -137,7 +138,11 @@ def _expression(value, key: str, vertices):
 def _build_mesh(config: dict):
     domain = config.get("domain", {})
     n = _number(_require(config, "domain.n", 16), "domain.n", integer=True)
-    return tag_boundary(build_unit_square_mesh(n), domain.get("dirichlet"))
+    try:
+        mesh = build_unit_square_mesh(n)
+    except (MemoryError, ValueError) as exc:  # numpy's array size limit or allocation failure
+        raise ConfigError("n", f"is too large to build a mesh ({exc})", n) from None
+    return tag_boundary(mesh, domain.get("dirichlet"))
 
 
 def _steady_spec(config: dict, vertices) -> SteadySpec:
@@ -356,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a bad config exits with 2 and a one-line JSON error."""
+    """Run one subcommand; a bad config exits 2, a failed solve 1, with one JSON line."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -367,6 +372,10 @@ def main(argv=None) -> int:
             message = f"config key '{key}' {exc.requirement}, got {json.dumps(exc.value)}"
         sys.stderr.write(json.dumps({"error": message}) + "\n")
         return 2
+    except (NonconvergenceError, SingularMatrixError) as exc:  # step, time None outside run()
+        error = {"error": f"{type(exc).__name__}: {exc}", "step": exc.step, "time": exc.time}
+        sys.stderr.write(json.dumps(error) + "\n")
+        return 1
 
 
 if __name__ == "__main__":

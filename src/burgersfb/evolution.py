@@ -38,7 +38,7 @@ import numpy as np
 from .assembly import _MASS_PATTERN, Discretization, FeField
 from .control import ControlParams, _boundary_l2, _Feedback
 from .mesh import ConfigError, Mesh, _one_of, friedrichs_constant
-from .sparse import NonconvergenceError
+from .sparse import NonconvergenceError, SingularMatrixError
 
 __all__ = [
     "DecayReport",
@@ -265,7 +265,8 @@ def _write_csv(stream, header: str, rows) -> None:
 def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> TrajectoryRecord:
     """Integrate from ``w0`` to ``t_end`` and record diagnostics per step.
 
-    Dirichlet vertices are held exactly at zero throughout.
+    Dirichlet vertices are held exactly at zero throughout.  A failed step's
+    ``NonconvergenceError`` or ``SingularMatrixError`` names its step and time.
     """
     if w0.mesh is not mesh:
         raise ValueError("initial state does not live on the given mesh")
@@ -280,13 +281,10 @@ def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> Tra
         start = sum(c * s for c, s in zip(_START[len(states) - 1], states))
         try:
             step = advance(start)
-        except NonconvergenceError as exc:
-            raise NonconvergenceError(
-                f"step {n} (t = {n * cfg.k:.6g}): {exc}",
-                exc.residual_history,
-                step=n,
-                time=n * cfg.k,
-            ) from exc
+        except (NonconvergenceError, SingularMatrixError) as exc:
+            exc.args = (f"step {n} (t = {n * cfg.k:.6g}): {exc}",)
+            exc.step, exc.time = n, n * cfg.k
+            raise
         trajectory.record(n, *step)
 
     return TrajectoryRecord(

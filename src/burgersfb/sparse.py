@@ -1,18 +1,15 @@
-"""Sparse storage and the linear solvers behind assembly and Newton loops.
+"""Sparse storage and the one linear solver behind assembly and Newton loops.
 
 Every matrix the package assembles is CSC on the fixed pattern of a
-:class:`~burgersfb.assembly.Discretization`, and the bordered steady
-system is built as CSC too.  Every square solve is a certified
-:class:`Factorization` with partial pivoting, kept when one factor serves
-several right-hand sides, or several matrices: :meth:`Factorization.refine`
-solves a nearby matrix by stationary iterative refinement, as each Picard
-step does on the factor of an earlier step matrix.  The time loop's step
-and Jacobian matrices are factored by LAPACK band LU
-(``dgbtrf``/``dgbtrs``) in the vertex order of their
-:class:`~burgersfb.assembly.Discretization`, as are the one-off mass and
-projection solves.  SuperLU, loaded on first use, serves only the bordered
-mean-constrained steady solve and :func:`solve_general`, the reference the
-tests compare the band path against.
+:class:`~burgersfb.assembly.Discretization`, and every square solve is a
+certified :class:`Factorization`: LAPACK band LU (``dgbtrf``/``dgbtrs``)
+with partial pivoting in the vertex order of that pattern, kept when one
+factor serves several right-hand sides, or several matrices:
+:meth:`Factorization.refine` solves a nearby matrix by stationary iterative
+refinement, as each Picard step does on the factor of an earlier step
+matrix.  The time loop's step and Jacobian matrices, the one-off mass and
+projection solves and the mean-constrained steady Newton (a bordered
+system, :func:`_bordered_solve`) all factor here; nothing loads SuperLU.
 """
 
 from __future__ import annotations
@@ -27,16 +24,17 @@ __all__ = [
     "Factorization",
     "NonconvergenceError",
     "SingularMatrixError",
-    "solve_bordered",
-    "solve_general",
 ]
 
 
 class SingularMatrixError(RuntimeError):
     """Factorization failed or could not certify the solution.
 
-    Carries the final residual norm, NaN when no residual was formed.
+    Carries the final residual norm, NaN when no residual was formed.  Raised
+    from a trajectory, it names the failing ``step`` and its ``time``.
     """
+
+    step = time = None
 
     def __init__(self, message: str, residual: float = float("nan")):
         super().__init__(message)
@@ -46,19 +44,18 @@ class SingularMatrixError(RuntimeError):
 class NonconvergenceError(RuntimeError):
     """Nonlinear iteration ran out of iterations; carries the history.
 
-    Raised from a trajectory, it also names the failing ``step`` index and
-    its ``time``; both are ``None`` otherwise.
+    Raised from a trajectory, it names the failing ``step`` and its ``time``.
     """
 
-    def __init__(self, message: str, residual_history=None, step=None, time=None):
+    step = time = None
+
+    def __init__(self, message: str, residual_history=None):
         super().__init__(message)
         self.residual_history = list(residual_history or [])
-        self.step = step
-        self.time = time
 
 
 class Factorization:
-    """LU of a square CSC matrix with partial pivoting.
+    """Band LU of a square CSC matrix with partial pivoting.
 
     Every solution must satisfy
     ``||a x - b||_inf <= 1e-10 (||a||_inf ||x||_inf + ||b||_inf)`` against
@@ -67,28 +64,20 @@ class Factorization:
     ``1e-10 ||b||_inf`` does not cover the residual.  A non-finite ``x``, a
     residual that fails the bound (NaN included) or a singular factorization
     raises :class:`SingularMatrixError`, except that :meth:`refine` hands a
-    failed bound back to its caller.  With ``band = (order, width, slots)``
-    the factor is LAPACK band LU of ``a`` permuted to half-bandwidth
-    ``width`` by ``order``; ``slots`` are the flat indices of ``a.data`` in
-    the Fortran-ordered ``(3 width + 1, n)`` band array.  Without ``band``
-    it is SuperLU's, which loads ``scipy.sparse.linalg`` on first use.
+    failed bound back to its caller.  ``band = (order, width, slots)``: the
+    factor is LAPACK band LU of ``a`` permuted to half-bandwidth ``width``
+    by ``order``, and ``slots`` are the flat indices of ``a.data`` in the
+    Fortran-ordered ``(3 width + 1, n)`` band array.
     """
 
-    def __init__(self, a: sp.csc_matrix, band=None):
+    def __init__(self, a: sp.csc_matrix, band):
         n, m = a.shape
         if n != m:
             raise ValueError(f"matrix {a.shape} is not square")
         if a.format != "csc":
             raise ValueError(f"matrix is {a.format.upper()}, not CSC")
         self.matrix = a
-        if band is not None:
-            self._solve = _band_lu(a.data, *band)
-            return
-        import scipy.sparse.linalg as spla  # loaded only by the solves that use SuperLU
-        try:
-            self._solve = spla.splu(a).solve
-        except RuntimeError as exc:
-            raise SingularMatrixError(f"factorization failed: {exc}") from exc
+        self._solve = _band_lu(a.data, *band)
 
     @functools.cached_property
     def norm_inf(self) -> float:
@@ -100,10 +89,7 @@ class Factorization:
         n = b.shape[0]
         if self.matrix.shape != (n, n):
             raise ValueError(f"matrix {self.matrix.shape} does not match vector of size {n}")
-        try:
-            x = self._solve(b)
-        except RuntimeError as exc:
-            raise SingularMatrixError(f"factorization failed: {exc}") from exc
+        x = self._solve(b)
         r, bound = self._residual(self.matrix, x, b)
         # written so that a NaN residual fails too
         if not r <= bound:
@@ -178,33 +164,36 @@ def _band_lu(data, order, width, slots):
     return solve
 
 
-def solve_general(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """One certified solve with a fresh :class:`Factorization` of ``a`` (any format)."""
-    return Factorization(sp.csc_matrix(a)).solve(b)
+def _bordered_solve(disc, data, constraint, rhs, value: float):
+    """``(x, mu)`` with ``J x + mu c = rhs`` and ``c . x = value``, ``J`` the CSC ``data``
+    on the pattern of the :class:`~burgersfb.assembly.Discretization` ``disc`` and ``c``
+    the ``constraint`` row.
 
-
-def solve_bordered(
-    core: sp.spmatrix, constraint_row: np.ndarray, rhs: np.ndarray, constraint_value: float
-):
-    """Solve a square system augmented by one linear constraint.
-
-    Solves ``core x + mu * constraint_row = rhs`` together with
-    ``constraint_row . x = constraint_value`` as one (n+1) x (n+1) system;
-    returns ``(x, mu)``.
+    Block elimination (Govaerts, SIAM 2000, ch. 3; Chan, SIAM J. Numer. Anal. 21, 1984)
+    on the band LU of ``J + alpha e_i e_i^T``, ``i`` the largest entry of ``c`` and
+    ``alpha = |J_ii|``, which deflates J's near-null constant mode: certified solves of
+    ``rhs``, ``e_i`` and ``c`` give ``x = a + alpha x_i b - mu d``, with ``(x_i, mu)``
+    from a 2 x 2 system, whose singularity raises :class:`SingularMatrixError`.  One
+    refinement step on the bordered residual (Govaerts & Pryce, BIT 30, 1990) bounds
+    the error by the bordered matrix's condition, not the deflated one's.
     """
-    c = np.asarray(constraint_row, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    n = c.shape[0]
-    if core.shape != (n, n) or rhs.shape != (n,):
-        raise ValueError("bordered system blocks have inconsistent shapes")
-    if not np.any(c):
-        raise ValueError("constraint row is identically zero")
-    aug = sp.bmat(
-        [
-            [sp.csc_matrix(core), sp.csc_matrix(c[:, None])],
-            [sp.csc_matrix(c[None, :]), None],
-        ],
-        format="csc",
-    )
-    y = solve_general(aug, np.concatenate([rhs, [constraint_value]]))
-    return y[:n], float(y[n])
+    i = int(np.argmax(constraint))
+    slot = disc.indptr[i] + np.searchsorted(disc.indices[disc.indptr[i] : disc.indptr[i + 1]], i)
+    alpha = abs(data[slot])
+    pinned = data.copy()
+    pinned[slot] += alpha
+    factor = disc.factor(pinned)
+    b, d = factor.solve(np.eye(1, rhs.size, i)[0]), factor.solve(constraint)
+    system = [[1.0 - alpha * b[i], d[i]], [alpha * (constraint @ b), -(constraint @ d)]]
+
+    def eliminate(r, gap):
+        a = factor.solve(r)
+        try:
+            x_i, mu = np.linalg.solve(system, [a[i], gap - constraint @ a])
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(f"bordered system is singular: {exc}") from exc
+        return a + alpha * x_i * b - mu * d, mu
+
+    x, mu = eliminate(rhs, value)
+    dx, dmu = eliminate(rhs - disc.matrix(data) @ x - mu * constraint, value - constraint @ x)
+    return x + dx, float(mu + dmu)

@@ -32,7 +32,7 @@ from .assembly import (
     load_vector,
 )
 from .mesh import ConfigError, Mesh
-from .sparse import NonconvergenceError, solve_bordered
+from .sparse import NonconvergenceError, _bordered_solve
 
 __all__ = [
     "AnalyticFunction",
@@ -304,7 +304,8 @@ def solve_steady(mesh: Mesh, spec: SteadySpec, full_output: bool = False):
 
     A ``u_steady`` spec is solved as :func:`manufactured_solve_spec` of its state.
     Newton's method from zero on the discrete residual, augmented by the
-    mass-weighted mean constraint through a bordered solve.  A full step
+    mass-weighted mean constraint through a bordered solve on the band LU
+    (:func:`~burgersfb.sparse._bordered_solve`).  A full step
     that increases the residual norm is halved up to 8 times.  Convergence
     requires the residual norm at or below ``_STEADY_TOL`` (1e-10) and the
     mean constraint met to 1e-10.  Residual norms are measured with the
@@ -319,6 +320,8 @@ def solve_steady(mesh: Mesh, spec: SteadySpec, full_output: bool = False):
     NonconvergenceError
         After ``_STEADY_MAX_ITER`` (50) iterations, or when damping cannot
         find a decreasing step.  The error carries the residual-norm history.
+    SingularMatrixError
+        When a Newton step's factor, solves or 2 x 2 system fail.
     """
     if spec.u_steady is not None:
         spec = manufactured_solve_spec(spec.u_steady, spec.nu, spec.mean_value)
@@ -335,8 +338,8 @@ def solve_steady(mesh: Mesh, spec: SteadySpec, full_output: bool = False):
             return (field, history) if full_output else field
         if iteration == _STEADY_MAX_ITER:
             break
-        jac = disc.matrix(spec.nu * disc.stiffness + disc.jacobian(*gathered[:2]))
-        delta, _ = solve_bordered(jac, constraint, -residual, mean_gap)
+        jac = spec.nu * disc.stiffness + disc.jacobian(*gathered[:2])
+        delta, _ = _bordered_solve(disc, jac, constraint, -residual, mean_gap)
         step = 1.0
         for _halving in range(9):
             candidate = u + step * delta

@@ -10,10 +10,16 @@ matrix assembler, is checked against them, and
 children, where ``refine_uniform`` inherits it from the parent.
 :func:`analytic_from_expression_by_sympy` parses and differentiates
 closed-form data with sympy, the reference for the package's own parser.
+:class:`SuperLU` is a :class:`~burgersfb.sparse.Factorization` on SuperLU,
+the one place ``scipy.sparse.linalg`` is loaded: :func:`solve_general` and
+the bordered steady solve :func:`solve_bordered` are the references for
+the package's band LU.  :func:`full_band` lets a small matrix of any
+pattern take the package's band LU.
 """
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from burgersfb.assembly import (
     _EDGE_WEIGHTS,
@@ -34,7 +40,50 @@ from burgersfb.assembly import (
 )
 from burgersfb.control import ControlParams
 from burgersfb.mesh import Mesh, _boundary_edges
+from burgersfb.sparse import Factorization, SingularMatrixError
 from burgersfb.steady import AnalyticFunction
+
+
+class SuperLU(Factorization):
+    """A :class:`~burgersfb.sparse.Factorization` whose factor is SuperLU's, with the
+    package's certificate on every solve and refinement."""
+
+    def __init__(self, a: sp.csc_matrix):
+        self.matrix = a
+        try:
+            lu = spla.splu(a)
+        except RuntimeError as exc:
+            raise SingularMatrixError(f"factorization failed: {exc}") from exc
+        self._solve = lu.solve
+
+
+def solve_general(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
+    """One certified SuperLU solve of ``a`` (any format)."""
+    return SuperLU(sp.csc_matrix(a)).solve(b)
+
+
+def solve_bordered(core: sp.spmatrix, constraint_row, rhs, constraint_value: float):
+    """``(x, mu)`` with ``core x + mu c = rhs`` and ``c . x = constraint_value``, as one
+    (n + 1)-square SuperLU solve of the matrix bordered by the row ``c``."""
+    c = np.asarray(constraint_row, dtype=float)
+    n = c.shape[0]
+    if core.shape != (n, n) or np.shape(rhs) != (n,):
+        raise ValueError("bordered system blocks have inconsistent shapes")
+    if not np.any(c):
+        raise ValueError("constraint row is identically zero")
+    aug = sp.bmat([[sp.csc_matrix(core), sp.csc_matrix(c[:, None])],
+                   [sp.csc_matrix(c[None, :]), None]], format="csc")
+    y = solve_general(aug, np.append(rhs, constraint_value))
+    return y[:n], float(y[n])
+
+
+def full_band(a: sp.csc_matrix) -> tuple:
+    """The ``band`` of a :class:`~burgersfb.sparse.Factorization` of the CSC ``a`` in its
+    own order, with half-bandwidth ``n - 1``: every pattern fits."""
+    n = a.shape[0]
+    width = max(n - 1, 0)
+    columns = np.repeat(np.arange(n), np.diff(a.indptr))
+    return np.arange(n), width, 2 * width + a.indices - columns + (3 * width + 1) * columns
 
 
 def _element_triplets(mesh: Mesh, cells: np.ndarray, blocks: np.ndarray) -> sp.csr_matrix:

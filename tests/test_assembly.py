@@ -29,9 +29,9 @@ from burgersfb.mesh import (
 )
 from burgersfb import assembly
 from burgersfb.control import ACTIVE_TAGS
-from burgersfb.sparse import Factorization
 from burgersfb.steady import analytic_from_expression
 from oracles import (
+    SuperLU,
     apply_dirichlet,
     assemble_boundary_mass,
     assemble_convection_by_gradient,
@@ -292,8 +292,8 @@ def test_discrete_laplacian_cases(unit4, rng):
 
 @pytest.mark.parametrize("refined", [False, True])
 def test_one_off_solves_match_superlu(monkeypatch, refined):
-    # the mass and projection solves factor by band LU; SuperLU, the factor of
-    # solve_general, is the reference
+    # the mass and projection solves factor by band LU; SuperLU, the tests'
+    # factor of solve_general, is the reference
     mesh = build_unit_square_mesh(8)
     mesh = refine_uniform(mesh) if refined else mesh
     f = analytic_from_expression("sin(pi*x1)*cos(2*x2) + x1^2*x2")
@@ -305,7 +305,7 @@ def test_one_off_solves_match_superlu(monkeypatch, refined):
         return laplacian, elliptic_projection(mesh, f.value, f.dx, f.dy).values
 
     band = solve()
-    monkeypatch.setattr(Discretization, "factor", lambda self, data: Factorization(self.matrix(data)))
+    monkeypatch.setattr(Discretization, "factor", lambda self, data: SuperLU(self.matrix(data)))
     for x, expected in zip(band, solve()):
         assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -613,7 +613,7 @@ def test_matrices_share_one_read_only_pattern(unit4):
         matrix.indices[0] = 0
     b = np.ones(unit4.num_vertices)
     # the band LU, SuperLU and their certificates only read the pattern
-    for factorization in (disc.factor(data), Factorization(matrix)):
+    for factorization in (disc.factor(data), SuperLU(matrix)):
         factorization.solve(b)
     assert np.array_equal(disc.indices, indices) and np.array_equal(disc.indptr, indptr)
     reference = sp.csc_matrix((data, indices, indptr), shape=matrix.shape)

@@ -319,6 +319,49 @@ def run_error(capsys, argv):
     return json.loads(err)["error"]
 
 
+def test_mesh_too_large_names_its_key(tmp_path, capsys, monkeypatch):
+    # numpy refuses an array of (10^30 + 1)^2 vertices before allocating anything
+    huge = write_config(tmp_path, {**BASE, "domain": {"n": 10**30}})
+    message = run_error(capsys, ["simulate", "--config", huge])
+    assert message.startswith("config key 'domain.n' is too large to build a mesh")
+    assert "Maximum allowed size exceeded" in message and message.endswith(str(10**30))
+    # n = 100000 asks for 80 GB of vertices; the probe stands in numpy's MemoryError
+    # for the allocation, which it never attempts
+    def unallocatable(n):
+        raise MemoryError(f"Unable to allocate an array for the {n + 1}^2 grid vertices")
+
+    monkeypatch.setattr("burgersfb.mesh._grid_vertices", unallocatable)
+    large = write_config(tmp_path, {**BASE, "domain": {"n": 100000}}, "large.json")
+    for command in ("simulate", "steady"):
+        message = run_error(capsys, [command, "--config", large])
+        assert message == ("config key 'domain.n' is too large to build a mesh (Unable to "
+                           "allocate an array for the 100001^2 grid vertices), got 100000")
+
+
+def test_failed_solve_names_its_step_and_time(tmp_path, capsys, monkeypatch):
+    # nu = 1e308 overflows the step matrix to inf, so the first step's solution is not
+    # finite: one JSON line on stderr names the error, its step and its time, exit 1
+    config = write_config(tmp_path, {**BASE, "physics": {"nu": 1e308, "c0": 1.0},
+                                     "time": {"k": 0.01, "t_end": 0.02}})
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["simulate", "--config", config, "--output-dir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("\n") and err.count("\n") == 1
+    error = json.loads(err)
+    assert error == {
+        "error": "SingularMatrixError: step 1 (t = 0.01): solution contains non-finite entries",
+        "step": 1,
+        "time": 0.01,
+    }
+    # a Newton iteration that runs out of iterations is reported the same way
+    monkeypatch.setattr("burgersfb.evolution._NEWTON_TOL", 1e-300)
+    config = write_config(tmp_path, {**BASE, "time": {"k": 0.01, "t_end": 0.02}}, "slow.json")
+    assert main(["simulate", "--config", config, "--output-dir", str(tmp_path)]) == 1
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"].startswith("NonconvergenceError: step 1 (t = 0.01): ")
+    assert (error["step"], error["time"]) == (1, 0.01)
+
+
 def test_rejects_malformed_configs(tmp_path, capsys):
     missing_w0 = write_config(tmp_path, {**BASE, "initial": {}}, "a.json")
     assert "w0" in run_error(capsys, ["simulate", "--config", missing_w0])

@@ -25,7 +25,7 @@ from burgersfb.evolution import (
     run,
 )
 from burgersfb.mesh import ConfigError, build_unit_square_mesh, tag_boundary
-from burgersfb.sparse import NonconvergenceError, solve_general
+from burgersfb.sparse import NonconvergenceError, SingularMatrixError
 from oracles import (
     apply_dirichlet,
     assemble_boundary_mass,
@@ -36,6 +36,7 @@ from oracles import (
     boundary_cubic_jacobian,
     boundary_cubic_residual,
     control_boundary_l2,
+    solve_general,
     trace_values,
 )
 
@@ -481,6 +482,20 @@ def test_run_nonconvergence_names_step_and_time():
     assert info.value.time == 0.5
     assert "step 1 (t = 0.5)" in str(info.value)
     assert len(info.value.residual_history) == evolution._NEWTON_MAX + 1
+
+
+@pytest.mark.parametrize("nonlinear", ["chord", "picard"])
+def test_run_singular_solve_names_step_and_time(monkeypatch, nonlinear):
+    # a step matrix factored as zero fails in dgbtrf, and run() names the step and
+    # its time as it does for a nonconvergence
+    factor = Discretization.factor
+    monkeypatch.setattr(Discretization, "factor", lambda self, data: factor(self, 0.0 * data))
+    mesh = build_unit_square_mesh(4)
+    cfg = config(k=0.25, t_end=1.0, nonlinear=nonlinear)
+    with pytest.raises(SingularMatrixError, match="factorization failed") as info:
+        run(initial_bump(mesh), cfg, mesh, steady_shear(mesh))
+    assert (info.value.step, info.value.time) == (1, 0.25)
+    assert str(info.value).startswith("step 1 (t = 0.25): ")
 
 
 @pytest.mark.parametrize("pinned", [False, True])

@@ -129,14 +129,15 @@ def test_every_listed_name_exists_and_test_oracles_are_not_listed():
 
 
 def test_factorization_takes_csc_only_and_no_stale_log_is_tracked():
-    # every matrix the package factors is CSC, the bordered steady system included,
-    # so Factorization has no CSR branch; solve_general converts what it is given
+    # every matrix the package factors is CSC on a Discretization's pattern, so
+    # Factorization has no CSR branch; the tests' solve_general converts what it is given
     import scipy.sparse as sp
 
     from burgersfb.sparse import Factorization
+    from oracles import full_band
 
     with pytest.raises(ValueError, match="not CSC"):
-        Factorization(sp.csr_matrix(np.eye(2)))
+        Factorization(sp.csr_matrix(np.eye(2)), full_band(sp.csc_matrix(np.eye(2))))
     # the seed's pytest log, listed in .gitignore, is no longer tracked
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     if os.path.isdir(os.path.join(root, ".git")):
@@ -171,8 +172,8 @@ def test_parsing_and_simulating_never_import_sympy(tmp_path):
 
 
 def test_time_loop_never_imports_superlu():
-    # SuperLU serves only the bordered steady solve, so a chord and a Picard run
-    # leave scipy.sparse.linalg unloaded, and the steady solve that follows loads it
+    # every solve of the package is a band LU: a chord and a Picard run and then the
+    # bordered steady Newton leave scipy.sparse.linalg unloaded
     script = (
         "import sys\n"
         "import burgersfb as bf\n"
@@ -186,7 +187,7 @@ def test_time_loop_never_imports_superlu():
         "assert 'scipy.sparse.linalg' not in sys.modules, 'the time loop loaded SuperLU'\n"
         "spec = bf.steady.manufactured_solve_spec(u_inf, 0.1, -0.1)\n"
         "steady = bf.steady.solve_steady(mesh, spec)\n"
-        "assert 'scipy.sparse.linalg' in sys.modules\n"
+        "assert 'scipy.sparse.linalg' not in sys.modules, 'the steady solve loaded SuperLU'\n"
         "print(bf.steady.steady_residual(mesh, steady, spec.forcing, 0.1, neumann_flux=spec.neumann_flux))\n"
     )
     src = os.path.dirname(os.path.dirname(burgersfb.__file__))
@@ -195,3 +196,26 @@ def test_time_loop_never_imports_superlu():
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert float(done.stdout) <= 1e-10
+
+
+def test_no_module_of_the_package_imports_superlu():
+    # the band LU is the one backend: no source file names scipy.sparse.linalg, by
+    # an import statement or otherwise, and its two SuperLU helpers are gone
+    package = os.path.dirname(burgersfb.__file__)
+    sources = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    assert "sparse.py" in sources and "steady.py" in sources
+    for name in sources:
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            text = handle.read()
+        assert "sparse.linalg" not in text, name
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom):
+                imported = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any(path.startswith("scipy.sparse.linalg") for path in imported), name
+    for name in ("solve_bordered", "solve_general"):
+        assert not hasattr(burgersfb.sparse, name)
+        assert name not in burgersfb.sparse.__all__

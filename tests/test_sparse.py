@@ -1,20 +1,22 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from burgersfb import sparse
 from burgersfb.assembly import Discretization, interpolate
-from burgersfb.mesh import build_unit_square_mesh, refine_uniform
-from burgersfb.sparse import (
-    Factorization,
-    SingularMatrixError,
+from burgersfb.mesh import build_unit_square_mesh, refine_uniform, tag_boundary
+from burgersfb.sparse import Factorization, SingularMatrixError, _bordered_solve
+from oracles import (
+    SuperLU,
+    assemble_mass_by_element,
+    assemble_stiffness_by_element,
+    full_band,
     solve_bordered,
     solve_general,
 )
-from oracles import assemble_mass_by_element, assemble_stiffness_by_element
 
 
 def test_solve_general_mass_matrix_rhs(unit4):
@@ -64,12 +66,12 @@ def random_system(rng, n=50):
 def test_solve_general_is_one_factorization_solve(rng):
     a = random_system(rng)
     b = rng.standard_normal(a.shape[0])
-    assert np.array_equal(solve_general(a, b), Factorization(a).solve(b))
+    assert np.array_equal(solve_general(a, b), SuperLU(a).solve(b))
 
 
 def test_factorization_serves_several_right_hand_sides(rng):
     a = random_system(rng)
-    factor = Factorization(a)
+    factor = Factorization(a, full_band(a))
     assert factor.norm_inf == pytest.approx(np.max(np.abs(a.toarray()).sum(axis=1)), rel=1e-14)
     for _ in range(4):
         x_star = rng.standard_normal(a.shape[0])
@@ -85,7 +87,7 @@ def test_factorization_serves_several_right_hand_sides(rng):
 def test_certificate_sums_the_matrix_norm_only_when_needed(rng):
     # an accurate solve leaves a residual far below 1e-10 ||b||, which certifies it alone
     a = random_system(rng)
-    factor = Factorization(a)
+    factor = Factorization(a, full_band(a))
     factor.solve(a @ rng.standard_normal(a.shape[0]))
     assert "norm_inf" not in vars(factor)
     assert factor.norm_inf == pytest.approx(np.max(np.abs(a.toarray()).sum(axis=1)), rel=1e-14)
@@ -96,16 +98,17 @@ def test_norm_inf_sums_rows_in_either_format():
     # row sums 6, 2, 3.5 and column sums 1.5, 7, 3: a column sum would read 7
     dense = np.array([[1.0, -5.0, 0.0], [0.0, 2.0, 0.0], [0.5, 0.0, -3.0]])
     a = sp.csc_matrix(dense)
-    assert Factorization(a).norm_inf == abs(a).toarray().sum(axis=1).max() == 6.0
+    assert Factorization(a, full_band(a)).norm_inf == abs(a).toarray().sum(axis=1).max() == 6.0
 
 
 def test_factorization_certificate_raises(rng):
+    singular = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(SingularMatrixError):
-        Factorization(sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]])))
+        Factorization(singular, full_band(singular))
     # the certificate is checked against the held matrix: a factor that no
     # longer matches it (here, data changed in place) cannot certify a solve
     a = random_system(rng)
-    factor = Factorization(a)
+    factor = Factorization(a, full_band(a))
     b = rng.standard_normal(a.shape[0])
     factor.solve(b)
     a.data *= 1.001
@@ -139,7 +142,7 @@ def test_certificate_bound_weighs_solution_and_right_hand_side(rng, monkeypatch)
     # scaled by 1e-4, the solution is about 1e4 times the right-hand side, so
     # the bound 1e-10 (||a|| ||x|| + ||b||) is far from 1e-10 (||a|| ||b|| + ||x||)
     a = 1e-4 * random_system(rng)
-    factor = Factorization(a)
+    factor = Factorization(a, full_band(a))
     b = rng.standard_normal(a.shape[0])
     x = factor.solve(b)
     bound = 1e-10 * (factor.norm_inf * np.max(np.abs(x)) + np.max(np.abs(b)))
@@ -162,13 +165,22 @@ def test_bordered_pure_constraint():
     assert mu == pytest.approx(0.0, abs=1e-12)
 
 
+def bordered_solvers(mesh):
+    """The SuperLU reference and the package's band solve of the steady Newton, each
+    taking the CSR stiffness matrix of ``mesh`` (exactly singular: the pure Neumann
+    problem) as its core."""
+    disc = Discretization(mesh)
+    return solve_bordered, lambda core, *rest: _bordered_solve(disc, disc.stiffness, *rest)
+
+
 def test_bordered_stiffness_zero_rhs():
     mesh = build_unit_square_mesh(2)
     stiffness = assemble_stiffness_by_element(mesh)
     mass = assemble_mass_by_element(mesh)
     row = np.asarray(mass.sum(axis=1)).ravel()
-    x, _ = solve_bordered(stiffness, row, np.zeros(mesh.num_vertices), 0.0)
-    assert np.linalg.norm(x) <= 1e-12
+    for solve in bordered_solvers(mesh):
+        x, _ = solve(stiffness, row, np.zeros(mesh.num_vertices), 0.0)
+        assert np.linalg.norm(x) <= 1e-12
 
 
 def test_bordered_poisson_with_zero_mean():
@@ -179,16 +191,86 @@ def test_bordered_poisson_with_zero_mean():
     f = interpolate(lambda x, y: np.cos(np.pi * x), mesh).values
     f = f - (row @ f) / row.sum()  # zero mass-weighted mean
     b = mass @ f
-    x, mu = solve_bordered(stiffness, row, b, 0.0)
-    # K x + mu c = b exactly; the multiplier should vanish for zero-mean data
-    assert np.linalg.norm(stiffness @ x + mu * row - b) <= 1e-10
-    assert abs(mu) <= 1e-10
-    assert abs(row @ x) <= 1e-10
+    for solve in bordered_solvers(mesh):
+        x, mu = solve(stiffness, row, b, 0.0)
+        # K x + mu c = b exactly; the multiplier should vanish for zero-mean data
+        assert np.linalg.norm(stiffness @ x + mu * row - b) <= 1e-10
+        assert abs(mu) <= 1e-10
+        assert abs(row @ x) <= 1e-10
 
 
 def test_bordered_rejects_zero_constraint():
     with pytest.raises(ValueError):
         solve_bordered(sp.identity(2, format="csr"), np.zeros(2), np.zeros(2), 0.0)
+
+
+def newton_matrix(disc, nu, u):
+    """Data of the steady Newton matrix ``nu K + T'(u)`` at the state ``u``, and the
+    mean-constraint row: the mass row sums."""
+    jac = nu * disc.stiffness + disc.jacobian(*disc.gather(u)[:2])
+    return jac, np.bincount(disc.indices, disc.mass, disc.mesh.num_vertices)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 6),
+    pinned=st.booleans(),
+    nu=st.floats(0.05, 0.5),
+    slope=st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+# here the deflated matrix's condition is 2.4e6, the bordered one's 160: without
+# its refinement step the band solve misses SuperLU's by 5.8e-12
+@example(n=6, pinned=False, nu=0.05, slope=(0.5, -0.5, 0.5), seed=1)
+def test_bordered_solve_matches_superlu(n, pinned, nu, slope, seed):
+    # a linear field and nodal noise, as a steady Newton meets them; the band solve
+    # of the deflated matrix against the (n + 1)-square SuperLU solve
+    rng = np.random.default_rng(seed)
+    mesh = build_unit_square_mesh(n)
+    if pinned:
+        mesh = tag_boundary(mesh, ((1.0, 0.0), (1.0, 1.0)))
+    disc = Discretization(mesh)
+    u = mesh.vertices @ slope[:2] + slope[2] + 0.1 * nu * rng.standard_normal(mesh.num_vertices)
+    jac, constraint = newton_matrix(disc, nu, u)
+    rhs, value = rng.standard_normal(mesh.num_vertices), rng.standard_normal()
+    x, mu = _bordered_solve(disc, jac, constraint, rhs, value)
+    expected, expected_mu = solve_bordered(disc.matrix(jac), constraint, rhs, value)
+    assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+    # mu c balances what of rhs J x cannot: roundoff in mu is relative to that scale
+    scale = np.max(np.abs(rhs)) / np.max(constraint)
+    assert abs(mu - expected_mu) <= 1e-12 * abs(expected_mu) + 1e-14 * scale
+
+
+def test_bordered_solve_pins_the_largest_constraint_entry(monkeypatch, jittered_mesh):
+    # i is the largest mass row sum, unique on a jittered mesh, and alpha = |J_ii| is
+    # added on the pattern's diagonal; the Newton matrix is negated for a negative J_ii
+    mesh = jittered_mesh(8, True, np.random.default_rng(5))
+    disc = Discretization(mesh)
+    jac, constraint = newton_matrix(disc, 0.1, interpolate(lambda x, y: 0.5 - x * y, mesh).values)
+    jac = -jac
+    factored = []
+    factor = Discretization.factor
+    monkeypatch.setattr(Discretization, "factor", lambda self, data: factored.append(data.copy())
+                        or factor(self, data))
+    _bordered_solve(disc, jac, constraint, np.ones(mesh.num_vertices), 0.0)
+    i = int(np.argmax(constraint))
+    diagonal = disc.matrix(jac).diagonal()
+    assert diagonal[i] < 0.0 and constraint[i] > np.max(np.delete(constraint, i))
+    assert len(factored) == 1
+    added = disc.matrix(factored[0] - jac).toarray()
+    expected = np.zeros_like(added)
+    expected[i, i] = -diagonal[i]
+    assert np.array_equal(added, expected)
+
+
+def test_bordered_solve_raises_on_a_singular_two_by_two():
+    # J = diag(1, 1, -1, -1) on the four vertices and c = (1, 1, 1, 1): i = 0, and the
+    # bordered matrix is singular, as c . J^-1 c = 0; the 2 x 2 system is exactly so
+    disc = Discretization(build_unit_square_mesh(1))
+    on_diagonal = disc.indices == np.repeat(np.arange(4), np.diff(disc.indptr))
+    data = np.where(on_diagonal, np.array([1.0, 1.0, -1.0, -1.0])[disc.indices], 0.0)
+    with pytest.raises(SingularMatrixError, match="singular"):
+        _bordered_solve(disc, data, np.ones(4), np.ones(4), 0.0)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -359,7 +441,7 @@ def test_refine_on_a_distant_factor_returns_nothing_uncertified(jittered_mesh, p
 def test_refine_checks_the_bound_against_the_given_matrix(rng, monkeypatch):
     # as in the solve test: scaled by 1e-4, ||a|| ||x|| dominates ||b|| in the bound
     a = 1e-4 * random_system(rng)
-    factor = Factorization(a)
+    factor = Factorization(a, full_band(a))
     b = rng.standard_normal(a.shape[0])
     x = factor.solve(b)
     bound = 1e-10 * (factor.norm_inf * np.max(np.abs(x)) + np.max(np.abs(b)))
