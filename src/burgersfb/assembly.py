@@ -12,14 +12,12 @@ sum per triangle and assemble nothing.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import BoundaryTag, Mesh
-from .sparse import Factorization
+from .sparse import Factorization, _CscMatrix
 
 __all__ = [
     "BoundaryQuadrature",
@@ -115,13 +113,15 @@ def _slopes(areas, gx, gy):
     return areas[:, None] * (gx + gy)
 
 
-def assemble_mass(mesh: Mesh) -> sp.csc_matrix:
-    """Mass matrix: entries are exact integrals of basis products.
+def assemble_mass(mesh: Mesh):
+    """Mass matrix as scipy CSC: entries are exact integrals of basis products.
 
     Each element block is ``area / 12 * [[2, 1, 1], [1, 2, 1], [1, 1, 2]]``.
     """
+    import scipy.sparse  # the package's one scipy.sparse import: it keeps its own CSC type
+
     disc = Discretization(mesh)
-    return disc.matrix(disc.mass)
+    return scipy.sparse.csc_matrix((disc.mass, disc.indices, disc.indptr), shape=disc._shape)
 
 
 def convection_form(v: FeField, w: FeField, z: FeField) -> float:
@@ -333,7 +333,7 @@ class Discretization:
         self.indptr = np.searchsorted(columns, np.arange(n + 1)).astype(np.int32)
         # every matrix shares the index arrays, so nothing may write to them
         self.indices.flags.writeable = self.indptr.flags.writeable = False
-        self._pattern = sp.csc_matrix((np.zeros(keys.size), self.indices, self.indptr), shape=(n, n))
+        self._shape = (n, n)
         self.bq = boundary_quadrature(mesh, ACTIVE_TAGS)
         e = self.bq.edges
         edge_slots = np.searchsorted(keys, e[:, None, :] * n + e[:, :, None])
@@ -355,11 +355,8 @@ class Discretization:
         self.bandwidth = int(np.max(np.abs(offset)))
         self.band_slots = 2 * self.bandwidth + offset + (3 * self.bandwidth + 1) * rank[columns]
 
-    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
-        # a shallow copy of the pattern shares its index arrays and skips the constructor
-        matrix = copy.copy(self._pattern)
-        matrix.data = data
-        return matrix
+    def matrix(self, data: np.ndarray) -> _CscMatrix:
+        return _CscMatrix(data, self.indices, self.indptr, self._shape)
 
     def factor(self, data: np.ndarray) -> Factorization:
         """Certified band LU of ``matrix(data)`` in the vertex order ``order``."""

@@ -153,16 +153,10 @@ def _steady_spec(config: dict, vertices) -> SteadySpec:
     if ("u_inf" in section) == ("f_inf" in section):
         raise ValueError("config needs exactly one of 'steady.u_inf' and 'steady.f_inf'")
     if "u_inf" in section:
-        return SteadySpec(
-            nu=nu,
-            mean_value=mean,
-            u_steady=_expression(section["u_inf"], "steady.u_inf", vertices),
-        )
-    return SteadySpec(
-        nu=nu,
-        mean_value=mean,
-        forcing=_expression(section["f_inf"], "steady.f_inf", vertices).value,
-    )
+        state = {"u_steady": _expression(section["u_inf"], "steady.u_inf", vertices)}
+    else:
+        state = {"forcing": _expression(section["f_inf"], "steady.f_inf", vertices).value}
+    return SteadySpec(nu=nu, mean_value=mean, **state)
 
 
 def _controlled(config: dict) -> bool:
@@ -303,7 +297,12 @@ def _cmd_study(args) -> int:
     t_eval = _number(_require(config, "study.t_eval", 1.0), "study.t_eval")
     # the 1/reference grid holds every level's vertices; the study builds its meshes
     # from the problem, whose expressions are checked first
-    problem = _problem(config, _grid_vertices(reference))
+    try:
+        vertices = _grid_vertices(reference)
+    except (MemoryError, ValueError) as exc:  # as for domain.n in _build_mesh
+        too_large = f"is too large to build a mesh ({exc})"
+        raise ConfigError("reference_level", too_large, reference) from None
+    problem = _problem(config, vertices)
     study = Study(StudyConfig(problem, levels, reference, k, t_eval))
     table = study.rate_table()
     _emit(
@@ -321,11 +320,9 @@ def _cmd_examples(args) -> int:
     out = args.output_dir or "."
     payload = {}
     if args.which in ("1", "all"):
-        result = run_example1(out)
-        payload["example1"] = result.paths
+        payload["example1"] = run_example1(out).paths
     if args.which in ("2", "all"):
-        result = run_example2(out)
-        payload["example2"] = result.paths
+        payload["example2"] = run_example2(out).paths
     _emit(payload)
     return 0
 
@@ -337,20 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    steady = sub.add_parser("steady", help="solve the steady problem and report")
-    steady.add_argument("--config", required=True)
-    steady.add_argument("--output-dir", default=None)
-    steady.set_defaults(func=_cmd_steady)
-
-    simulate = sub.add_parser("simulate", help="integrate one trajectory")
-    simulate.add_argument("--config", required=True)
-    simulate.add_argument("--output-dir", default=None)
-    simulate.set_defaults(func=_cmd_simulate)
-
-    study = sub.add_parser("study", help="convergence study with rate tables")
-    study.add_argument("--config", required=True)
-    study.add_argument("--output-dir", default=None)
-    study.set_defaults(func=_cmd_study)
+    for name, func, summary in (
+        ("steady", _cmd_steady, "solve the steady problem and report"),
+        ("simulate", _cmd_simulate, "integrate one trajectory"),
+        ("study", _cmd_study, "convergence study with rate tables"),
+    ):
+        command = sub.add_parser(name, help=summary)
+        command.add_argument("--config", required=True)
+        command.add_argument("--output-dir", default=None)
+        command.set_defaults(func=func)
 
     examples = sub.add_parser("examples", help="run the packaged experiments")
     examples.add_argument("--which", choices=("1", "2", "all"), default="all")

@@ -1,30 +1,70 @@
 """Sparse storage and the one linear solver behind assembly and Newton loops.
 
 Every matrix the package assembles is CSC on the fixed pattern of a
-:class:`~burgersfb.assembly.Discretization`, and every square solve is a
-certified :class:`Factorization`: LAPACK band LU (``dgbtrf``/``dgbtrs``)
-with partial pivoting in the vertex order of that pattern, kept when one
-factor serves several right-hand sides, or several matrices:
-:meth:`Factorization.refine` solves a nearby matrix by stationary iterative
-refinement, as each Picard step does on the factor of an earlier step
-matrix.  The time loop's step and Jacobian matrices, the one-off mass and
-projection solves and the mean-constrained steady Newton (a bordered
-system, :func:`_bordered_solve`) all factor here; nothing loads SuperLU.
+:class:`~burgersfb.assembly.Discretization`, and every square solve is a certified
+:class:`Factorization`: LAPACK band LU with partial pivoting in the vertex order of that
+pattern, kept when one factor serves several right-hand sides, or several matrices:
+:meth:`Factorization.refine` solves a nearby matrix by stationary iterative refinement, as
+each Picard step does on the factor of an earlier step matrix.  The time loop's step and
+Jacobian matrices, the one-off mass and projection solves and the mean-constrained steady
+Newton (a bordered system, :func:`_bordered_solve`) all factor here; nothing loads SuperLU.
+The band LU (``dgbtrf``/``dgbtrs``) and the CSC product (``csc_matvec``) are scipy's
+compiled kernels, loaded without ``scipy.linalg`` and ``scipy.sparse``, whose imports pull
+in scipy's array-API layer (``numpy.f2py``, ``numpy.testing``, ``unittest``).
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import sys
+from importlib import machinery, util
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+import scipy
 
 __all__ = [
     "Factorization",
     "NonconvergenceError",
     "SingularMatrixError",
 ]
+
+
+def _scipy_extension(package: str, module: str):
+    """scipy's compiled ``scipy.<package>.<module>``, loaded without importing the package."""
+    name = f"scipy.{package}.{module}"
+    if name in sys.modules:
+        return sys.modules[name]
+    loaders = (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)
+    spec = machinery.FileFinder(os.path.join(scipy.__path__[0], package), loaders).find_spec(name)
+    if spec is None:
+        raise ImportError(f"scipy has no compiled module {name}")
+    module = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    del sys.modules[name]  # left registered, a later import of its package would lack it
+    return module
+
+
+_flapack = _scipy_extension("linalg", "_flapack")
+dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
+_csc_matvec = _scipy_extension("sparse", "_sparsetools").csc_matvec
+
+
+class _CscMatrix:
+    """CSC ``data`` on a pattern; ``@`` is scipy's ``csc_matvec`` on a vector of ``shape[1]``."""
+
+    __slots__ = ("data", "indices", "indptr", "shape")
+    format = "csc"
+
+    def __init__(self, data, indices, indptr, shape):
+        self.data, self.indices, self.indptr, self.shape = data, indices, indptr, shape
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if x.shape != self.shape[1:]:
+            raise ValueError(f"matrix {self.shape} does not match vector of shape {x.shape}")
+        y = np.zeros(self.shape[0])
+        _csc_matvec(*self.shape, self.indptr, self.indices, self.data, x, y)
+        return y
 
 
 class SingularMatrixError(RuntimeError):
@@ -70,7 +110,7 @@ class Factorization:
     Fortran-ordered ``(3 width + 1, n)`` band array.
     """
 
-    def __init__(self, a: sp.csc_matrix, band):
+    def __init__(self, a: _CscMatrix, band):
         n, m = a.shape
         if n != m:
             raise ValueError(f"matrix {a.shape} is not square")
@@ -99,7 +139,7 @@ class Factorization:
             )
         return x
 
-    def refine(self, a: sp.csc_matrix, b: np.ndarray, x: np.ndarray, limit: int):
+    def refine(self, a: _CscMatrix, b: np.ndarray, x: np.ndarray, limit: int):
         """Solve ``a x = b`` from the guess ``x`` by stationary refinement on this factor.
 
         Iterates ``x <- x + d``, ``d = LU^-1 (b - a x)``, with the factor of a
@@ -139,7 +179,7 @@ class Factorization:
         return r, 1e-10 * (norm * x_inf + b_inf)
 
 
-def _norm_inf(a: sp.csc_matrix) -> float:
+def _norm_inf(a: _CscMatrix) -> float:
     """``||a||_inf``: CSC stores each entry's row, so one ``bincount`` sums the rows of ``|a|``."""
     return float(np.max(np.bincount(a.indices, np.abs(a.data), a.shape[0]), initial=0.0))
 

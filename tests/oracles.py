@@ -14,7 +14,8 @@ closed-form data with sympy, the reference for the package's own parser.
 the one place ``scipy.sparse.linalg`` is loaded: :func:`solve_general` and
 the bordered steady solve :func:`solve_bordered` are the references for
 the package's band LU.  :func:`full_band` lets a small matrix of any
-pattern take the package's band LU.
+pattern take the package's band LU, and :func:`scipy_csc` turns the package's
+own CSC matrices into scipy's for the references.
 """
 
 import numpy as np
@@ -75,6 +76,11 @@ def solve_bordered(core: sp.spmatrix, constraint_row, rhs, constraint_value: flo
                    [sp.csc_matrix(c[None, :]), None]], format="csc")
     y = solve_general(aug, np.append(rhs, constraint_value))
     return y[:n], float(y[n])
+
+
+def scipy_csc(a) -> sp.csc_matrix:
+    """The package's CSC matrix ``a`` (``Discretization.matrix``) as scipy CSC on its arrays."""
+    return sp.csc_matrix((a.data, a.indices, a.indptr), shape=a.shape)
 
 
 def full_band(a: sp.csc_matrix) -> tuple:

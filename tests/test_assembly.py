@@ -41,6 +41,7 @@ from oracles import (
     boundary_cubic_jacobian,
     boundary_cubic_residual,
     convection_by_quadrature,
+    scipy_csc,
     trace_values,
 )
 
@@ -141,7 +142,7 @@ def test_mass_matrix_against_oracle(unit4):
 def pattern_stiffness(mesh):
     """The stiffness matrix on the pattern of ``Discretization(mesh)``."""
     disc = Discretization(mesh)
-    return disc.matrix(disc.stiffness)
+    return scipy_csc(disc.matrix(disc.stiffness))
 
 
 def test_stiffness_matrix_against_oracle(unit4):
@@ -305,7 +306,8 @@ def test_one_off_solves_match_superlu(monkeypatch, refined):
         return laplacian, elliptic_projection(mesh, f.value, f.dx, f.dy).values
 
     band = solve()
-    monkeypatch.setattr(Discretization, "factor", lambda self, data: SuperLU(self.matrix(data)))
+    monkeypatch.setattr(Discretization, "factor",
+                        lambda self, data: SuperLU(scipy_csc(self.matrix(data))))
     for x, expected in zip(band, solve()):
         assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -558,9 +560,9 @@ def test_pattern_assembly_matches_element_assembly(jittered_mesh, n, pinned, see
     )
     vp, g, _ = disc.gather(w.values)
     data = disc.jacobian(vp, g) + disc.stiffness
-    expected = apply_dirichlet(disc.matrix(data), disc.dirichlet)
+    expected = apply_dirichlet(scipy_csc(disc.matrix(data)), disc.dirichlet)
     disc.eliminate(data)
-    assert np.array_equal(disc.matrix(data).toarray(), expected.toarray())
+    assert np.array_equal(scipy_csc(disc.matrix(data)).toarray(), expected.toarray())
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -580,7 +582,7 @@ def test_fused_kernels_match_element_assembly(jittered_mesh, n, pinned, controll
 
     def close(got, want):
         if sp.issparse(want):
-            got, want = disc.matrix(got).toarray(), want.toarray()
+            got, want = scipy_csc(disc.matrix(got)).toarray(), want.toarray()
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
     load, (vp, g, tr) = disc.residual(w.values, cubic)
@@ -613,8 +615,8 @@ def test_matrices_share_one_read_only_pattern(unit4):
         matrix.indices[0] = 0
     b = np.ones(unit4.num_vertices)
     # the band LU, SuperLU and their certificates only read the pattern
-    for factorization in (disc.factor(data), SuperLU(matrix)):
+    for factorization in (disc.factor(data), SuperLU(scipy_csc(matrix))):
         factorization.solve(b)
     assert np.array_equal(disc.indices, indices) and np.array_equal(disc.indptr, indptr)
     reference = sp.csc_matrix((data, indices, indptr), shape=matrix.shape)
-    assert (matrix != reference).nnz == 0
+    assert (scipy_csc(matrix) != reference).nnz == 0

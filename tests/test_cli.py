@@ -338,6 +338,27 @@ def test_mesh_too_large_names_its_key(tmp_path, capsys, monkeypatch):
                            "allocate an array for the 100001^2 grid vertices), got 100000")
 
 
+def test_study_reference_too_large_names_its_key(tmp_path, capsys, monkeypatch):
+    # the study checks its expressions on the 1/reference grid; numpy refuses a grid
+    # line of 4 10^30 + 1 points before allocating anything
+    study = {"levels": [10**30, 2 * 10**30], "reference": 4 * 10**30, "t_eval": 0.05}
+    huge = write_config(tmp_path, {**BASE, "study": study})
+    message = run_error(capsys, ["study", "--config", huge])
+    assert message == ("config key 'study.reference' is too large to build a mesh (Maximum "
+                       f"allowed size exceeded), got {4 * 10**30}")
+    # reference 100000 asks for 160 GB of grid vertices; the probe stands in numpy's
+    # MemoryError for the allocation, which it never attempts
+    def unallocatable(n):
+        raise MemoryError(f"Unable to allocate an array for the {n + 1}^2 grid vertices")
+
+    monkeypatch.setattr("burgersfb.cli._grid_vertices", unallocatable)
+    study = {"levels": [25000, 50000], "reference": 100000, "t_eval": 0.05}
+    large = write_config(tmp_path, {**BASE, "study": study}, "large.json")
+    message = run_error(capsys, ["study", "--config", large])
+    assert message == ("config key 'study.reference' is too large to build a mesh (Unable to "
+                       "allocate an array for the 100001^2 grid vertices), got 100000")
+
+
 def test_failed_solve_names_its_step_and_time(tmp_path, capsys, monkeypatch):
     # nu = 1e308 overflows the step matrix to inf, so the first step's solution is not
     # finite: one JSON line on stderr names the error, its step and its time, exit 1

@@ -171,12 +171,29 @@ def test_parsing_and_simulating_never_import_sympy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-def test_time_loop_never_imports_superlu():
-    # every solve of the package is a band LU: a chord and a Picard run and then the
-    # bordered steady Newton leave scipy.sparse.linalg unloaded
+# scipy's Python layers: burgersfb calls only compiled scipy kernels, which it loads
+# without them (sparse._scipy_extension), and SuperLU is the tests' reference alone
+SCIPY_LAYERS = ("scipy.sparse", "scipy.linalg", "scipy._lib._array_api", "scipy.sparse.linalg")
+
+
+def test_solves_and_cli_never_import_scipys_python_layers(tmp_path):
+    # every solve of the package is a band LU and every product scipy's csc_matvec: a
+    # chord and a Picard run, the bordered steady Newton and a simulate command load
+    # neither scipy.sparse (nor SuperLU) nor scipy.linalg nor scipy's array-API layer
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "domain": {"n": 4},
+        "physics": {"nu": 0.1, "c0": 1.0},
+        "steady": {"u_inf": "-0.2*x1", "mean": -0.1},
+        "initial": {"w0": "sin(pi*x1)*sin(pi*x2)"},
+        "time": {"k": 0.01, "t_end": 0.05},
+    }))
     script = (
         "import sys\n"
+        f"layers = {SCIPY_LAYERS!r}\n"
         "import burgersfb as bf\n"
+        "from burgersfb.cli import main\n"
+        "assert not set(layers) & set(sys.modules), 'import burgersfb loaded a scipy layer'\n"
         "mesh = bf.mesh.tag_boundary(bf.build_unit_square_mesh(8), None)\n"
         "u_inf = bf.steady.analytic_from_expression('-0.2*x1')\n"
         "w0 = bf.interpolate(bf.steady.analytic_from_expression('sin(pi*x1)*sin(pi*x2)').value, mesh)\n"
@@ -184,18 +201,43 @@ def test_time_loop_never_imports_superlu():
         "control = bf.ControlParams(nu=0.1, c0=1.0)\n"
         "bf.run(w0, bf.EvolutionConfig(nu=0.1, k=0.01, t_end=0.1, control=control, nonlinear='chord'), mesh, u)\n"
         "bf.run(w0, bf.EvolutionConfig(nu=0.1, k=0.01, t_end=0.1, nonlinear='picard'), mesh, u)\n"
-        "assert 'scipy.sparse.linalg' not in sys.modules, 'the time loop loaded SuperLU'\n"
+        "assert not set(layers) & set(sys.modules), 'the time loop loaded a scipy layer'\n"
         "spec = bf.steady.manufactured_solve_spec(u_inf, 0.1, -0.1)\n"
         "steady = bf.steady.solve_steady(mesh, spec)\n"
-        "assert 'scipy.sparse.linalg' not in sys.modules, 'the steady solve loaded SuperLU'\n"
+        "assert not set(layers) & set(sys.modules), 'the steady solve loaded a scipy layer'\n"
         "print(bf.steady.steady_residual(mesh, steady, spec.forcing, 0.1, neumann_flux=spec.neumann_flux))\n"
+        "assert main(['simulate', '--config', sys.argv[1], '--output-dir', sys.argv[2]]) == 0\n"
+        "assert not set(layers) & set(sys.modules), 'simulate loaded a scipy layer'\n"
     )
     src = os.path.dirname(os.path.dirname(burgersfb.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                          timeout=120)
+    done = subprocess.run([sys.executable, "-c", script, str(config), str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert float(done.stdout) <= 1e-10
+    assert float(done.stdout.splitlines()[0]) <= 1e-10
+
+
+def test_the_one_scipy_package_import_is_assemble_mass_local_one():
+    # the package imports only the top-level scipy (sparse.py, for its compiled kernels)
+    # and, inside assemble_mass alone, scipy.sparse for the scipy matrix it returns
+    def imports(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                yield from ((scope, alias.name) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                yield from ((scope, f"{child.module}.{alias.name}") for alias in child.names)
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            yield from imports(child, child.name if named else scope)
+
+    package = os.path.dirname(burgersfb.__file__)
+    found = set()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            found |= {(name, scope, path) for scope, path in imports(tree, None)
+                      if path == "scipy" or path.startswith("scipy.")}
+    assert found == {("sparse.py", None, "scipy"), ("assembly.py", "assemble_mass", "scipy.sparse")}
 
 
 def test_no_module_of_the_package_imports_superlu():

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,8 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
+import burgersfb
 from burgersfb import sparse
-from burgersfb.assembly import Discretization, interpolate
+from burgersfb.assembly import Discretization, FeField, interpolate
+from burgersfb.control import ControlParams
+from burgersfb.evolution import EvolutionConfig, _Trajectory
 from burgersfb.mesh import build_unit_square_mesh, refine_uniform, tag_boundary
 from burgersfb.sparse import Factorization, SingularMatrixError, _bordered_solve
 from oracles import (
@@ -14,6 +21,7 @@ from oracles import (
     assemble_mass_by_element,
     assemble_stiffness_by_element,
     full_band,
+    scipy_csc,
     solve_bordered,
     solve_general,
 )
@@ -234,7 +242,7 @@ def test_bordered_solve_matches_superlu(n, pinned, nu, slope, seed):
     jac, constraint = newton_matrix(disc, nu, u)
     rhs, value = rng.standard_normal(mesh.num_vertices), rng.standard_normal()
     x, mu = _bordered_solve(disc, jac, constraint, rhs, value)
-    expected, expected_mu = solve_bordered(disc.matrix(jac), constraint, rhs, value)
+    expected, expected_mu = solve_bordered(scipy_csc(disc.matrix(jac)), constraint, rhs, value)
     assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
     # mu c balances what of rhs J x cannot: roundoff in mu is relative to that scale
     scale = np.max(np.abs(rhs)) / np.max(constraint)
@@ -254,10 +262,10 @@ def test_bordered_solve_pins_the_largest_constraint_entry(monkeypatch, jittered_
                         or factor(self, data))
     _bordered_solve(disc, jac, constraint, np.ones(mesh.num_vertices), 0.0)
     i = int(np.argmax(constraint))
-    diagonal = disc.matrix(jac).diagonal()
+    diagonal = scipy_csc(disc.matrix(jac)).diagonal()
     assert diagonal[i] < 0.0 and constraint[i] > np.max(np.delete(constraint, i))
     assert len(factored) == 1
-    added = disc.matrix(factored[0] - jac).toarray()
+    added = scipy_csc(disc.matrix(factored[0] - jac)).toarray()
     expected = np.zeros_like(added)
     expected[i, i] = -diagonal[i]
     assert np.array_equal(added, expected)
@@ -293,7 +301,7 @@ def test_band_factor_matches_superlu(jittered_mesh, n, pinned, k, seed):
     for data in (step, jacobian):
         disc.eliminate(data)
         b = rng.standard_normal(mesh.num_vertices)
-        expected = solve_general(disc.matrix(data), b)
+        expected = solve_general(scipy_csc(disc.matrix(data)), b)
         x = disc.factor(data).solve(b)
         assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -384,7 +392,7 @@ def test_step_matrix_solves_on_the_band_without_fill_rows(monkeypatch):
 
 
 def assert_certified(a, x, b):
-    norm = np.max(np.abs(a.toarray()).sum(axis=1))
+    norm = np.max(np.abs(scipy_csc(a).toarray()).sum(axis=1))
     residual = np.max(np.abs(a @ x - b))
     assert residual <= 1e-10 * (norm * np.max(np.abs(x)) + np.max(np.abs(b)))
 
@@ -404,7 +412,7 @@ def test_refine_on_a_held_factor_matches_superlu(jittered_mesh, n, pinned, k, se
     a = disc.matrix(near)
     b = rng.standard_normal(mesh.num_vertices)
     b[disc.dirichlet] = 0.0
-    expected = solve_general(a, b)
+    expected = solve_general(scipy_csc(a), b)
     # a guess off by O(k^2); the four-point start of a Picard step is O(k^4) off
     guess = expected + k * k * rng.standard_normal(mesh.num_vertices)
     guess[disc.dirichlet] = 0.0
@@ -466,5 +474,80 @@ def test_refine_rejects_non_finite_solutions_and_other_shapes(unit4, rng):
     b = np.full(unit4.num_vertices, np.nan)
     with pytest.raises(SingularMatrixError, match="non-finite"):
         disc.factor(held).refine(disc.matrix(near), b, np.zeros_like(b), 4)
+    smaller = Discretization(build_unit_square_mesh(3))
     with pytest.raises(ValueError, match="does not match"):
-        disc.factor(held).refine(disc.matrix(near)[:-1, :-1], b[:-1], b[:-1], 4)
+        disc.factor(held).refine(smaller.matrix(smaller.mass), b[:16], b[:16], 4)
+
+
+def run_fresh(script):
+    """Run ``script`` in a fresh interpreter that imports this package; returns its stdout."""
+    src = os.path.dirname(os.path.dirname(burgersfb.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_kernels_are_scipys_own_and_scipy_still_imports():
+    # the package loads scipy's compiled modules without their packages; a later
+    # import of the packages works and holds the very kernels the package calls
+    run_fresh(
+        "import sys\n"
+        "import burgersfb\n"
+        "assert not {'scipy.linalg', 'scipy.sparse'} & set(sys.modules)\n"
+        "import scipy.linalg, scipy.sparse\n"
+        "from burgersfb import sparse\n"
+        "assert scipy.linalg.lapack.dgbtrf is sparse.dgbtrf\n"
+        "assert scipy.linalg.lapack.dgbtrs is sparse.dgbtrs\n"
+        "assert scipy.sparse._sparsetools.csc_matvec is sparse._csc_matvec\n"
+        "assert (scipy.sparse.identity(3, format='csc') @ [1.0, 2.0, 3.0]).tolist() == [1, 2, 3]\n"
+    )
+    # loaded first, scipy's own modules are taken as they are and stay registered
+    run_fresh(
+        "import sys\n"
+        "import scipy.linalg, scipy.sparse\n"
+        "names = 'scipy.sparse._sparsetools', 'scipy.linalg._flapack'\n"
+        "registered = [sys.modules[name] for name in names]\n"
+        "import burgersfb\n"
+        "assert [sys.modules[name] for name in names] == registered\n"
+        "assert burgersfb.sparse._csc_matvec is registered[0].csc_matvec\n"
+        "assert burgersfb.sparse.dgbtrf is scipy.linalg.lapack.dgbtrf\n"
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    n=st.sampled_from([4, 16]),
+    jittered=st.booleans(),
+    pinned=st.booleans(),
+    controlled=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_products_are_bit_equal_to_scipys(jittered_mesh, n, jittered, pinned, controlled, seed):
+    # the matrices the time loop multiplies: mass, stiffness, the step matrix and a
+    # Picard system; the package's product is scipy's compiled csc_matvec, as scipy's @ is
+    rng = np.random.default_rng(seed)
+    mesh = jittered_mesh(n, pinned, rng) if jittered else build_unit_square_mesh(n)
+    if pinned and not jittered:
+        mesh = tag_boundary(mesh, ((1.0, 0.0), (1.0, 1.0)))
+    control = ControlParams(nu=0.1, c0=1.0) if controlled else None
+    cfg = EvolutionConfig(nu=0.1, k=1e-3, t_end=1e-3, control=control)
+    trajectory = _Trajectory(mesh, FeField(mesh, rng.standard_normal(mesh.num_vertices)), cfg)
+    disc, w = trajectory.disc, rng.standard_normal(mesh.num_vertices)
+    gq = trajectory.cubic_scale * disc.traces(w) ** 2 if controlled else None
+    picard = trajectory.step_matrix.data + disc.jacobian(disc.gather(w)[0], gq=gq)
+    disc.eliminate(picard)
+    for matrix in (trajectory.mass, trajectory.stiffness, trajectory.step_matrix,
+                   disc.matrix(picard)):
+        x = rng.standard_normal(mesh.num_vertices)
+        assert np.array_equal(matrix @ x, scipy_csc(matrix) @ x)
+
+
+def test_products_reject_vectors_of_another_shape(unit4):
+    # the compiled kernel checks no length: scipy's @ did, and so does the package's
+    disc = Discretization(unit4)
+    mass, n = disc.matrix(disc.mass), unit4.num_vertices
+    for x in (np.ones(3), np.ones(n + 1), np.ones((n, 1)), np.ones((2, n)), np.ones(())):
+        with pytest.raises(ValueError, match="does not match"):
+            mass @ x
