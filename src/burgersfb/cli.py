@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -217,16 +217,7 @@ def _cmd_steady(args) -> int:
             FeField(mesh, solution.values - exact.values)
         )
     forcing = spec.forcing if spec.u_steady is None else manufacture_forcing(spec.u_steady, spec.nu)
-    report = smallness_report(mesh, solution, forcing, spec.nu)
-    payload["smallness"] = {
-        "grad_norm": report.grad_norm,
-        "convection_constant": report.convection_constant,
-        "bound": report.smallness_bound,
-        "bound_loose": report.smallness_bound_loose,
-        "satisfied": report.satisfied,
-        "laplacian_norm": report.laplacian_norm,
-        "forcing_l2": report.forcing_l2,
-    }
+    payload["smallness"] = asdict(smallness_report(mesh, solution, forcing, spec.nu))
     out = _output_dir(config, args.output_dir)
     path = os.path.join(out, "steady.csv")
     x, y = mesh.vertices.T

@@ -97,15 +97,17 @@ class EvolutionConfig:
 
 
 class _Trajectory:
-    """One trajectory of ``run()``: its operators, held factor, counters and series.
+    """One trajectory of ``run()``: its operators, held factor and the record it writes.
 
     ``step_matrix`` is ``mass / k`` plus the linear part of the step, and
     ``feedback`` the ``_Feedback`` law on the active edges (``None`` when
     uncontrolled).  ``factor`` is the one LU factorization the steps share,
     of a Newton Jacobian or, for Picard, of an earlier step matrix (``None``
-    until a step factors); ``factorizations`` and ``solves`` count the
-    factorizations and linear solves.  ``w`` is the last recorded state, ``inertia`` its mass product
-    over ``k`` and ``traces`` its edge traces (``None`` when uncontrolled).
+    until a step factors).  ``result`` is the ``TrajectoryRecord`` that
+    ``run()`` returns: the steps write its series and count its
+    factorizations and linear solves.  ``w`` is the last recorded state,
+    ``inertia`` its mass product over ``k`` and ``traces`` its edge traces
+    (``None`` when uncontrolled).
     """
 
     def __init__(self, mesh: Mesh, u_steady: FeField, cfg: EvolutionConfig):
@@ -123,25 +125,28 @@ class _Trajectory:
         self.step_matrix = disc.matrix(1.0 / cfg.k * disc.mass + constant)
         self.cubic_scale = feedback.cubic if controlled else 0.0
         self.factor = None
-        self.factorizations = self.solves = 0
         size = round(cfg.t_end / cfg.k) + 1
-        self.times, self.l2, self.h1_semi, self.lyapunov, self.control_l2 = np.zeros((5, size))
-        self.newton_iters = np.zeros(size, dtype=int)
+        c0 = cfg.control.c0 if controlled else None
+        self.result = TrajectoryRecord(
+            *np.zeros((5, size)), np.zeros(size, dtype=int),
+            cfg.nu, c0, friedrichs_constant(mesh), final_state=None,
+        )
 
     def record(self, i, w, iterations, traces=None):
         """Record ``w`` as the state of step ``i``, reached in ``iterations``; ``traces``
         are its edge traces when the step computed them."""
         mw = self.mass @ w
         energy = w @ mw
-        self.times[i] = i * self.cfg.k
-        self.l2[i] = np.sqrt(max(energy, 0.0))
-        self.h1_semi[i] = np.sqrt(max(w @ (self.stiffness @ w), 0.0))
-        self.lyapunov[i] = 0.5 * float(energy)
+        result = self.result
+        result.times[i] = i * self.cfg.k
+        result.l2[i] = np.sqrt(max(energy, 0.0))
+        result.h1_semi[i] = np.sqrt(max(w @ (self.stiffness @ w), 0.0))
+        result.lyapunov[i] = 0.5 * float(energy)
         if self.feedback is not None:
             if traces is None:
                 traces = self.disc.traces(w)
-            self.control_l2[i] = _boundary_l2(self.feedback.bq, self.feedback.flux(traces))
-        self.newton_iters[i] = iterations
+            result.control_l2[i] = _boundary_l2(self.feedback.bq, self.feedback.flux(traces))
+        result.newton_iters[i] = iterations
         self.w, self.inertia, self.traces = w, (1.0 / self.cfg.k) * mw, traces
 
     def residual(self, w):
@@ -164,7 +169,7 @@ class _Trajectory:
         """Replace the held factorization by one of the eliminated matrix ``data``."""
         self.factor = None  # never hold two factorizations at once
         self.factor = self.disc.factor(data)
-        self.factorizations += 1
+        self.result.factorizations += 1
 
     def newton(self, start):
         """Newton from ``start`` to the next state: ``(w, iterations, edge traces)``."""
@@ -182,7 +187,7 @@ class _Trajectory:
             stalled = iteration and res_norm > _CHORD_CONTRACTION * history[-2]
             if refresh_always or self.factor is None or stalled:
                 self.refactor(self.jacobian(vp, g, tr))
-            self.solves += 1
+            self.result.solves += 1
             w = w + self.factor.solve(-residual)
         raise NonconvergenceError(
             f"implicit step Newton stalled after {_NEWTON_MAX} iterations "
@@ -202,10 +207,10 @@ class _Trajectory:
         w = None
         if self.factor is not None:
             w, solves = self.factor.refine(disc.matrix(system), rhs, start, _PICARD_SOLVES)
-            self.solves += solves
+            self.result.solves += solves
         if w is None:
             self.refactor(system)
-            self.solves += 1
+            self.result.solves += 1
             w = self.factor.solve(rhs)
         return w, 1, None
 
@@ -276,7 +281,7 @@ def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> Tra
     trajectory.record(0, w, 0)
     advance = trajectory.picard if cfg.nonlinear == "picard" else trajectory.newton
     states = []  # the last four states, newest first
-    for n in range(1, trajectory.times.size):
+    for n in range(1, trajectory.result.times.size):
         states = [trajectory.w] + states[:3]
         start = sum(c * s for c, s in zip(_START[len(states) - 1], states))
         try:
@@ -286,21 +291,8 @@ def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> Tra
             exc.step, exc.time = n, n * cfg.k
             raise
         trajectory.record(n, *step)
-
-    return TrajectoryRecord(
-        times=trajectory.times,
-        l2=trajectory.l2,
-        h1_semi=trajectory.h1_semi,
-        lyapunov=trajectory.lyapunov,
-        control_l2=trajectory.control_l2,
-        newton_iters=trajectory.newton_iters,
-        nu=cfg.nu,
-        c0=None if cfg.control is None else cfg.control.c0,
-        friedrichs=friedrichs_constant(mesh),
-        final_state=FeField(mesh, trajectory.w),
-        factorizations=trajectory.factorizations,
-        solves=trajectory.solves,
-    )
+    trajectory.result.final_state = FeField(mesh, trajectory.w)
+    return trajectory.result
 
 
 def decay_rate_bound(nu: float, c0: float, friedrichs: float) -> float:

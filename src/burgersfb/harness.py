@@ -211,22 +211,13 @@ class Study:
         return _boundary_l2(bq, level - reference)
 
     def rate_table(self) -> "RateTable":
-        cfg = self.config
-        hs = np.array([1.0 / n for n in cfg.levels])
-        l2_errors = np.zeros(len(cfg.levels))
-        h1_errors = np.zeros(len(cfg.levels))
-        ctl_errors = np.zeros(len(cfg.levels))
-        for i, n in enumerate(cfg.levels):
-            l2_errors[i], h1_errors[i] = self.state_errors(n)
-            ctl_errors[i] = self.control_errors(n)
+        levels = self.config.levels
+        hs = np.array([1.0 / n for n in levels])
+        l2, h1 = np.array([self.state_errors(n) for n in levels]).T
+        control = np.array([self.control_errors(n) for n in levels])
         return RateTable(
-            hs=hs,
-            l2_errors=l2_errors,
-            l2_rates=compute_rates(l2_errors, hs),
-            h1_errors=h1_errors,
-            h1_rates=compute_rates(h1_errors, hs),
-            control_errors=ctl_errors,
-            control_rates=compute_rates(ctl_errors, hs),
+            hs, l2, compute_rates(l2, hs), h1, compute_rates(h1, hs),
+            control, compute_rates(control, hs),
         )
 
 

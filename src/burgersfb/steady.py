@@ -420,8 +420,8 @@ class SmallnessReport:
     """Quantities behind the smallness hypothesis on the steady state.
 
     ``satisfied`` compares the H1 seminorm of the steady state against
-    ``nu / (4 N)`` with N the sampled convection constant; the looser
-    ``3 nu / (4 N)`` threshold is reported alongside.  ``forcing_l2`` is the
+    ``bound = nu / (4 N)`` with N the sampled convection constant; the looser
+    ``bound_loose = 3 nu / (4 N)`` is reported alongside.  ``forcing_l2`` is the
     L2 norm of the forcing, the computable proxy for its negative-norm
     smallness.  ``laplacian_norm`` is the L2 norm of the zero-flux discrete
     Laplacian of the steady state.
@@ -429,8 +429,8 @@ class SmallnessReport:
 
     grad_norm: float
     convection_constant: float
-    smallness_bound: float
-    smallness_bound_loose: float
+    bound: float
+    bound_loose: float
     satisfied: bool
     laplacian_norm: float
     forcing_l2: float
@@ -449,7 +449,7 @@ def smallness_report(
     if u_steady.mesh is not mesh:
         raise ValueError("field does not live on the given mesh")
     if nu <= 0.0:
-        raise ValueError(f"viscosity must be positive, got {nu}")
+        raise ConfigError("nu", "must be positive", nu)
     grad_norm = h1_seminorm(u_steady)
     disc = Discretization(mesh)
     constant = estimate_convection_constant(disc)
@@ -463,8 +463,8 @@ def smallness_report(
     return SmallnessReport(
         grad_norm=grad_norm,
         convection_constant=constant,
-        smallness_bound=bound,
-        smallness_bound_loose=loose,
+        bound=bound,
+        bound_loose=loose,
         satisfied=bool(grad_norm <= bound),
         laplacian_norm=l2_norm(laplacian),
         forcing_l2=forcing_l2,

@@ -19,7 +19,9 @@ from burgersfb.mesh import ConfigError, InvalidRegionError, build_unit_square_me
 from burgersfb.steady import (
     SteadySpec,
     analytic_from_expression,
+    manufacture_forcing,
     manufactured_solve_spec,
+    smallness_report,
     solve_steady,
     steady_residual,
 )
@@ -63,6 +65,15 @@ def test_steady_manufactured(tmp_path, capsys):
     laplacian = discrete_laplacian(Discretization(mesh), FeField(mesh, solution))
     assert payload["smallness"]["laplacian_norm"] == pytest.approx(l2_norm(laplacian), rel=1e-12)
     assert payload["smallness"]["laplacian_norm"] > 0.0
+    # "smallness" holds every field of the report on the solved state, by name
+    forcing = manufacture_forcing(analytic_from_expression("-0.2*x1"), 0.1)
+    report = smallness_report(mesh, FeField(mesh, solution), forcing, 0.1)
+    assert set(payload["smallness"]) == {
+        "grad_norm", "convection_constant", "bound", "bound_loose", "satisfied",
+        "laplacian_norm", "forcing_l2",
+    }
+    for key, value in payload["smallness"].items():
+        assert value == getattr(report, key), key
 
 
 def test_steady_builds_one_discretization_per_consumer(tmp_path, capsys, monkeypatch):
@@ -381,6 +392,23 @@ def test_failed_solve_names_its_step_and_time(tmp_path, capsys, monkeypatch):
     error = json.loads(capsys.readouterr().err)
     assert error["error"].startswith("NonconvergenceError: step 1 (t = 0.01): ")
     assert (error["step"], error["time"]) == (1, 0.01)
+
+
+@pytest.mark.parametrize("command", ["steady", "simulate"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "config must be a JSON object"),
+        (json.dumps({**BASE, "timing": {}}), "unknown config key 'timing'"),
+        (json.dumps({**BASE, "time": 5}), "config section 'time' must be an object"),
+    ],
+    ids=["not-an-object", "unknown-section", "section-not-an-object"],
+)
+def test_config_file_shape_is_checked(tmp_path, capsys, command, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text, encoding="utf-8")
+    argv = [command, "--config", str(path), "--output-dir", str(tmp_path)]
+    assert run_error(capsys, argv) == message
 
 
 def test_rejects_malformed_configs(tmp_path, capsys):

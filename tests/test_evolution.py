@@ -121,6 +121,9 @@ def test_config_validation():
         EvolutionConfig(nu=NU, k=0.5, t_end=0.25)
     with pytest.raises(ConfigError, match="t_end must be a positive whole number of steps"):
         EvolutionConfig(nu=NU, k=0.03, t_end=0.1)
+    with pytest.raises(ConfigError) as caught:
+        EvolutionConfig(nu=0.0, k=0.1, t_end=1.0)
+    assert (caught.value.field, caught.value.value) == ("nu", 0.0)
     with pytest.raises(ValueError):
         EvolutionConfig(nu=NU, k=0.1, t_end=1.0, nonlinear="broken")
     with pytest.raises(ValueError):
@@ -518,13 +521,14 @@ def test_picard_refactors_when_the_held_factor_is_far(pinned):
     w[disc.dirichlet] = 0.0
     trajectory.record(0, w, 0)
     w1 = trajectory.picard(w)[0]
-    assert (trajectory.factorizations, trajectory.solves) == (1, evolution._PICARD_SOLVES + 1)
+    result = trajectory.result
+    assert (result.factorizations, result.solves) == (1, evolution._PICARD_SOLVES + 1)
     assert trajectory.factor is not held
     assert np.array_equal(w1, expected.values)
     # the next step refines on the new factor
     trajectory.record(1, w1, 1)
     trajectory.picard(w1)
-    assert trajectory.factorizations == 1 and trajectory.solves > evolution._PICARD_SOLVES + 1
+    assert result.factorizations == 1 and result.solves > evolution._PICARD_SOLVES + 1
 
 
 def test_picard_close_to_newton():

@@ -51,6 +51,37 @@ def test_validate_suite_meshes():
         validate_mesh(mesh)
 
 
+def _clockwise_first_triangle(mesh):
+    triangles = mesh.triangles.copy()
+    triangles[0] = triangles[0, ::-1]
+    return {"triangles": triangles}
+
+
+def _without_a_right_edge(mesh):
+    # an edge on x1 = 1 adds 1/8 to the shoelace area; one on x2 = 0 would add 0
+    on_right = (mesh.vertices[mesh.boundary_edges][..., 0] == 1.0).all(axis=1)
+    keep = np.arange(mesh.num_boundary_edges) != np.flatnonzero(on_right)[0]
+    names = ("boundary_edges", "boundary_normals", "boundary_tags")
+    return {name: getattr(mesh, name)[keep] for name in names}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_clockwise_first_triangle, "non-counterclockwise triangles"),
+        (lambda mesh: {"boundary_normals": 1.5 * mesh.boundary_normals}, "not unit vectors"),
+        (_without_a_right_edge, "does not enclose the triangulated area"),
+        (lambda mesh: {"boundary_tags": mesh.boundary_tags[:-1]}, "wrong shape"),
+        (lambda mesh: {"boundary_tags": mesh.boundary_tags + 7}, "unknown boundary tag"),
+    ],
+    ids=["clockwise-triangle", "scaled-normal", "dropped-edge", "tag-shape", "tag-value"],
+)
+def test_validate_mesh_rejects_broken_copies(unit4, change, message):
+    validate_mesh(unit4)
+    with pytest.raises(ValueError, match=message):
+        validate_mesh(replace(unit4, **change(unit4)))
+
+
 def test_boundary_normals_unit_tangent_orthogonal_outward(unit4):
     mesh = unit4
     for (v0, v1), normal in zip(mesh.boundary_edges, mesh.boundary_normals):

@@ -321,10 +321,12 @@ def test_smallness_report_cases(unit4):
     f = manufacture_forcing(shear(), NU)
     report = smallness_report(unit4, u, f, NU)
     assert report.grad_norm == pytest.approx(0.2, abs=1e-12)
-    assert report.smallness_bound_loose == pytest.approx(
-        3.0 * report.smallness_bound, abs=1e-12
-    )
+    assert report.bound_loose == pytest.approx(3.0 * report.bound, abs=1e-12)
     assert report.forcing_l2 > 0.0
+
+    with pytest.raises(ConfigError) as caught:
+        smallness_report(unit4, u, f, 0.0)
+    assert (caught.value.field, caught.value.requirement) == ("nu", "must be positive")
 
     doubled = smallness_report(unit4, FeField(unit4, 2.0 * u.values), f, NU)
     assert doubled.grad_norm == pytest.approx(2.0 * report.grad_norm, abs=1e-12)
