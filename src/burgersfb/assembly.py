@@ -343,9 +343,9 @@ class Discretization:
         self.stiffness = self._scatter(_stiffness_blocks(areas, gx, gy).transpose(1, 2, 0))
         self.slopes = np.ascontiguousarray(_slopes(areas, gx, gy).T)
         pinned_edges = mesh.boundary_edges[mesh.boundary_tags == int(BoundaryTag.DIRICHLET_ZERO)]
-        self.dirichlet = np.unique(pinned_edges)
         pinned = np.zeros(n, dtype=bool)
-        pinned[self.dirichlet] = True
+        pinned[pinned_edges] = True
+        self.dirichlet = np.flatnonzero(pinned)
         self.dirichlet_zero = np.flatnonzero(pinned[rows] | pinned[columns])
         self.dirichlet_diag = np.flatnonzero(pinned[rows] & (rows == columns))
         # np.lexsort takes its last key, y, as the primary one

@@ -347,7 +347,8 @@ def main(argv=None) -> int:
     """Run one subcommand; a bad config exits 2, a failed solve 1, with one JSON line."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # a non-finite result is reported below, not warned of
+            return args.func(args)
     except ValueError as exc:  # includes json.JSONDecodeError
         message = str(exc)
         if isinstance(exc, ConfigError):  # a value rule of the library, named by its key
@@ -355,7 +356,8 @@ def main(argv=None) -> int:
             message = f"config key '{key}' {exc.requirement}, got {json.dumps(exc.value)}"
         sys.stderr.write(json.dumps({"error": message}) + "\n")
         return 2
-    except (NonconvergenceError, SingularMatrixError) as exc:  # step, time None outside run()
+    except (NonconvergenceError, SingularMatrixError, FloatingPointError) as exc:
+        # step and time are None outside run(); a FloatingPointError comes from run() alone
         error = {"error": f"{type(exc).__name__}: {exc}", "step": exc.step, "time": exc.time}
         sys.stderr.write(json.dumps(error) + "\n")
         return 1

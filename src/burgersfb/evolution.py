@@ -30,6 +30,7 @@ steps then share.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -134,7 +135,8 @@ class _Trajectory:
 
     def record(self, i, w, iterations, traces=None):
         """Record ``w`` as the state of step ``i``, reached in ``iterations``; ``traces``
-        are its edge traces when the step computed them."""
+        are its edge traces when the step computed them.  A non-finite diagnostic raises
+        ``FloatingPointError`` naming its column, step and time."""
         mw = self.mass @ w
         energy = w @ mw
         result = self.result
@@ -147,6 +149,13 @@ class _Trajectory:
                 traces = self.disc.traces(w)
             result.control_l2[i] = _boundary_l2(self.feedback.bq, self.feedback.flux(traces))
         result.newton_iters[i] = iterations
+        row = result.l2[i], result.h1_semi[i], result.lyapunov[i], result.control_l2[i]
+        # three square roots and half a float: finite entries never sum to inf
+        if not math.isfinite(sum(row)):
+            column = _CSV_HEADER.split(",")[1 + [math.isfinite(v) for v in row].index(False)]
+            exc = FloatingPointError(f"step {i} (t = {i * self.cfg.k:.6g}): {column} is not finite")
+            exc.step, exc.time = i, i * self.cfg.k
+            raise exc
         self.w, self.inertia, self.traces = w, (1.0 / self.cfg.k) * mw, traces
 
     def residual(self, w):
@@ -271,7 +280,8 @@ def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> Tra
     """Integrate from ``w0`` to ``t_end`` and record diagnostics per step.
 
     Dirichlet vertices are held exactly at zero throughout.  A failed step's
-    ``NonconvergenceError`` or ``SingularMatrixError`` names its step and time.
+    ``NonconvergenceError`` or ``SingularMatrixError``, and the ``FloatingPointError``
+    of a non-finite diagnostic, names its step and time.
     """
     if w0.mesh is not mesh:
         raise ValueError("initial state does not live on the given mesh")

@@ -135,9 +135,7 @@ def _steady_field(mesh: Mesh, problem: ProblemConfig) -> FeField:
 
 def _initial_field(mesh: Mesh, problem: ProblemConfig) -> FeField:
     if problem.initial_projection == "elliptic":
-        return elliptic_projection(
-            mesh, problem.w0.value, problem.w0.dx, problem.w0.dy
-        )
+        return elliptic_projection(mesh, problem.w0.value, problem.w0.dx, problem.w0.dy)
     return interpolate(problem.w0.value, mesh)
 
 
@@ -172,9 +170,7 @@ class Study:
                 self._meshes[2 * level] = refine_uniform(self._meshes[level])
                 level *= 2
         if n not in self._meshes:
-            raise NonNestedMeshError(
-                f"level {n} is not part of this study's nested family"
-            )
+            raise NonNestedMeshError(f"level {n} is not part of this study's nested family")
         return self._meshes[n]
 
     def steady_field(self, n: int) -> FeField:
@@ -333,21 +329,10 @@ def run_example1(
     os.makedirs(output_dir, exist_ok=True)
     problem = example1_problem()
     controlled, uncontrolled = _figure_runs(problem, figure_n, k, t_end)
-    study = Study(
-        StudyConfig(
-            problem=problem,
-            levels=tuple(levels),
-            reference_level=reference,
-            k=k,
-            t_eval=t_eval,
-        )
-    )
-    table = study.rate_table()
+    table = Study(StudyConfig(problem, tuple(levels), reference, k, t_eval)).rate_table()
     paths = _write_series(output_dir, "example1", controlled, uncontrolled)
     paths.update(_write_rates(table, output_dir))
-    return ExampleResult(
-        controlled=controlled, uncontrolled=uncontrolled, paths=paths, table=table
-    )
+    return ExampleResult(controlled, uncontrolled, paths, table)
 
 
 def run_example2(

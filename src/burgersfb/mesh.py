@@ -138,7 +138,7 @@ class Mesh:
 
     def boundary_vertex_indices(self) -> np.ndarray:
         """Sorted indices of vertices lying on the boundary."""
-        return np.unique(self.boundary_edges)
+        return np.flatnonzero(np.bincount(self.boundary_edges.ravel(), minlength=self.num_vertices))
 
 
 def _local_edges(triangles: np.ndarray) -> np.ndarray:
@@ -361,5 +361,5 @@ def validate_mesh(mesh: Mesh) -> None:
     if mesh.boundary_tags.shape != (mesh.num_boundary_edges,):
         raise ValueError("boundary tag array has the wrong shape")
     valid = {int(t) for t in BoundaryTag}
-    if not set(np.unique(mesh.boundary_tags)).issubset(valid):
+    if not set(mesh.boundary_tags.tolist()).issubset(valid):
         raise ValueError("unknown boundary tag value")

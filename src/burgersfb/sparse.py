@@ -8,20 +8,20 @@ pattern, kept when one factor serves several right-hand sides, or several matric
 each Picard step does on the factor of an earlier step matrix.  The time loop's step and
 Jacobian matrices, the one-off mass and projection solves and the mean-constrained steady
 Newton (a bordered system, :func:`_bordered_solve`) all factor here; nothing loads SuperLU.
-The band LU (``dgbtrf``/``dgbtrs``) and the CSC product (``csc_matvec``) are scipy's
-compiled kernels, loaded without ``scipy.linalg`` and ``scipy.sparse``, whose imports pull
-in scipy's array-API layer (``numpy.f2py``, ``numpy.testing``, ``unittest``).
+The band LU (``dgbtrf``/``dgbtrs``) is numpy's own OpenBLAS, called through ``ctypes``,
+and the CSC product (``csc_matvec``) scipy's compiled kernel, loaded without importing
+``scipy``, whose ``linalg`` and ``sparse`` pull in a second OpenBLAS and an array-API layer.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import os
 import sys
 from importlib import machinery, util
 
 import numpy as np
-import scipy
 
 __all__ = [
     "Factorization",
@@ -36,7 +36,8 @@ def _scipy_extension(package: str, module: str):
     if name in sys.modules:
         return sys.modules[name]
     loaders = (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)
-    spec = machinery.FileFinder(os.path.join(scipy.__path__[0], package), loaders).find_spec(name)
+    scipy = util.find_spec("scipy").submodule_search_locations[0]
+    spec = machinery.FileFinder(os.path.join(scipy, package), loaders).find_spec(name)
     if spec is None:
         raise ImportError(f"scipy has no compiled module {name}")
     module = util.module_from_spec(spec)
@@ -45,8 +46,12 @@ def _scipy_extension(package: str, module: str):
     return module
 
 
-_flapack = _scipy_extension("linalg", "_flapack")
-dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
+try:  # numpy's linalg module links its bundled OpenBLAS, whose ILP64 LAPACK dlsym reaches
+    _numpy_lapack = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    _dgbtrf, _dgbtrs = _numpy_lapack.scipy_dgbtrf_64_, _numpy_lapack.scipy_dgbtrs_64_
+except AttributeError as exc:  # the message names the missing symbol
+    raise ImportError(f"numpy's OpenBLAS lacks the band LU: {exc}") from None
+_dgbtrf.restype = _dgbtrs.restype = None
 _csc_matvec = _scipy_extension("sparse", "_sparsetools").csc_matvec
 
 
@@ -187,21 +192,40 @@ def _norm_inf(a: _CscMatrix) -> float:
 def _band_lu(data, order, width, slots):
     """``dgbtrf`` of CSC ``data`` placed at ``slots``; returns a solve in the unpermuted order."""
     n, rows = order.size, 3 * width + 1
-    ab = np.zeros(rows * n + width)  # the spare doubles end the shifted view below
+    # LAPACK takes ctypes buffers as they are, and numpy writes them through views;
+    # the band's spare doubles end the shifted view below
+    band, rhs = (ctypes.c_double * (rows * n + width))(), (ctypes.c_double * n)()
+    pivots = (ctypes.c_int64 * n)()
+    ab, piv, work = np.frombuffer(band), np.frombuffer(pivots, np.int64), np.frombuffer(rhs)
     ab[slots] = data
-    lu, piv, info = dgbtrf(ab[: rows * n].reshape(rows, n, order="F"), width, width, overwrite_ab=1)
-    if info:
-        raise SingularMatrixError(f"factorization failed: dgbtrf info {info}")
-    upper = width
-    if np.array_equal(piv, np.arange(n)):  # no interchange: U's fill rows stay zero, skip them
-        lu, upper = ab[width : width + rows * n].reshape(rows, n, order="F"), 0
+    size, kl, ldab, info = _int64(n), _int64(width), _int64(rows), ctypes.c_int64()
+    _dgbtrf(size, size, kl, kl, band, ldab, pivots, ctypes.byref(info))
+    if info.value:
+        raise SingularMatrixError(f"factorization failed: dgbtrf info {info.value}")
+    lu, ku = band, kl
+    # 1-based pivots; with no interchange U's fill rows stay zero, and the solve skips them
+    if np.array_equal(piv, np.arange(1, n + 1)):
+        lu, ku = ctypes.byref(band, 8 * width), _int64(0)
+    # built once; the last argument is the length of the character "N"
+    args = (b"N", size, kl, ku, _int64(1), lu, ldab, pivots, rhs, size, ctypes.byref(info),
+            ctypes.c_size_t(1))
 
+    # column by column when b is 2-D, without a call to itself: a closure that refers to
+    # itself is a reference cycle, and only the cyclic collector would free its band
     def solve(b):
         x = np.empty_like(b)
-        x[order] = dgbtrs(lu, width, upper, b[order], piv, overwrite_b=1)[0]
+        for column, out in zip(b.T, x.T) if b.ndim == 2 else [(b, x)]:
+            np.take(column, order, out=work)
+            _dgbtrs(*args)
+            out[order] = work
         return x
 
     return solve
+
+
+def _int64(value: int):
+    """An ILP64 integer argument: LAPACK takes every argument by reference."""
+    return ctypes.byref(ctypes.c_int64(value))
 
 
 def _bordered_solve(disc, data, constraint, rhs, value: float):

@@ -212,10 +212,7 @@ def analytic_from_expression(expr: str) -> AnalyticFunction:
 
 
 def manufacture_forcing(u: AnalyticFunction, nu: float) -> Callable:
-    """Forcing whose steady state is ``u``.
-
-    Returns the callable ``-nu lap(u) + u (du/dx1 + du/dx2)``.
-    """
+    """The forcing ``-nu lap(u) + u (du/dx1 + du/dx2)``, whose steady state is ``u``."""
 
     def forcing(x, y):
         return -nu * u.laplacian(x, y) + u.value(x, y) * (u.dx(x, y) + u.dy(x, y))
@@ -262,12 +259,8 @@ class SteadySpec:
 
 def manufactured_solve_spec(u: AnalyticFunction, nu: float, mean_value: float) -> SteadySpec:
     """Forcing spec whose exact solution is the manufactured state ``u``."""
-    return SteadySpec(
-        nu=nu,
-        mean_value=mean_value,
-        forcing=manufacture_forcing(u, nu),
-        neumann_flux=normal_flux(u),
-    )
+    forcing = manufacture_forcing(u, nu)
+    return SteadySpec(nu, mean_value, forcing=forcing, neumann_flux=normal_flux(u))
 
 
 def _steady_load(mesh: Mesh, spec: SteadySpec) -> np.ndarray:
@@ -350,9 +343,7 @@ def solve_steady(mesh: Mesh, spec: SteadySpec, full_output: bool = False):
             step *= 0.5
         else:
             raise NonconvergenceError(
-                "steady Newton step increased the residual through 8 halvings",
-                history,
-            )
+                "steady Newton step increased the residual through 8 halvings", history)
         u, residual, gathered, res_norm = candidate, cand_residual, cand_gathered, cand_norm
         history.append(res_norm)
     raise NonconvergenceError(
@@ -393,11 +384,9 @@ def estimate_convection_constant(disc: Discretization, samples: int = 64, seed: 
     stiffness = disc.matrix(disc.stiffness)
     weights = np.bincount(disc.indices, disc.mass, mesh.num_vertices)
     volume = float(weights.sum())
-    best = 0.0
-    valid = 0
+    best, valid = 0.0, 0
     for _ in range(samples):
-        triple = []
-        seminorms = []
+        triple, seminorms = [], []
         for _field in range(3):
             v = rng.standard_normal(mesh.num_vertices)
             v -= (weights @ v) / volume
@@ -436,12 +425,7 @@ class SmallnessReport:
     forcing_l2: float
 
 
-def smallness_report(
-    mesh: Mesh,
-    u_steady: FeField,
-    forcing,
-    nu: float,
-) -> SmallnessReport:
+def smallness_report(mesh: Mesh, u_steady: FeField, forcing, nu: float) -> SmallnessReport:
     """Evaluate the smallness quantities for a computed steady state.
 
     ``forcing`` is a callable of (x1, x2), or ``None`` for zero forcing.

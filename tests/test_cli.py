@@ -370,22 +370,36 @@ def test_study_reference_too_large_names_its_key(tmp_path, capsys, monkeypatch):
                        "allocate an array for the 100001^2 grid vertices), got 100000")
 
 
-def test_failed_solve_names_its_step_and_time(tmp_path, capsys, monkeypatch):
-    # nu = 1e308 overflows the step matrix to inf, so the first step's solution is not
-    # finite: one JSON line on stderr names the error, its step and its time, exit 1
-    config = write_config(tmp_path, {**BASE, "physics": {"nu": 1e308, "c0": 1.0},
+@pytest.mark.parametrize(
+    "physics, message, step",
+    [
+        # nu = 1e308 overflows the step matrix to inf: the first step's solution is not finite
+        ({"nu": 1e308, "c0": 1.0},
+         "SingularMatrixError: step 1 (t = 0.01): solution contains non-finite entries", 1),
+        # c0 = 1e308 and nu = 1e-300 overflow the feedback flux of the initial state
+        ({"nu": 0.1, "c0": 1e308}, "FloatingPointError: step 0 (t = 0): control_l2 is not finite", 0),
+        ({"nu": 1e-300, "c0": 1.0}, "FloatingPointError: step 0 (t = 0): control_l2 is not finite", 0),
+    ],
+    ids=["nu-1e308", "c0-1e308", "nu-1e-300"],
+)
+def test_overflow_probes_exit_1_with_one_json_line(tmp_path, capsys, physics, message, step):
+    # one JSON line on stderr names the error, its step and its time, exit 1; numpy warns
+    # of nothing, and no CSV with an inf in it is written
+    config = write_config(tmp_path, {**BASE, "physics": physics,
                                      "time": {"k": 0.01, "t_end": 0.02}})
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["simulate", "--config", config, "--output-dir", str(tmp_path)]) == 1
+    assert not caught
     out, err = capsys.readouterr()
     assert out == "" and err.endswith("\n") and err.count("\n") == 1
-    error = json.loads(err)
-    assert error == {
-        "error": "SingularMatrixError: step 1 (t = 0.01): solution contains non-finite entries",
-        "step": 1,
-        "time": 0.01,
-    }
-    # a Newton iteration that runs out of iterations is reported the same way
+    assert json.loads(err) == {"error": message, "step": step, "time": 0.01 * step}
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_failed_solve_names_its_step_and_time(tmp_path, capsys, monkeypatch):
+    # a Newton iteration that runs out of iterations is reported as the overflow probes
+    # above are: one JSON line naming the error, its step and its time, exit 1
     monkeypatch.setattr("burgersfb.evolution._NEWTON_TOL", 1e-300)
     config = write_config(tmp_path, {**BASE, "time": {"k": 0.01, "t_end": 0.02}}, "slow.json")
     assert main(["simulate", "--config", config, "--output-dir", str(tmp_path)]) == 1

@@ -171,15 +171,18 @@ def test_parsing_and_simulating_never_import_sympy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-# scipy's Python layers: burgersfb calls only compiled scipy kernels, which it loads
-# without them (sparse._scipy_extension), and SuperLU is the tests' reference alone
-SCIPY_LAYERS = ("scipy.sparse", "scipy.linalg", "scipy._lib._array_api", "scipy.sparse.linalg")
+# burgersfb calls one compiled scipy kernel, csc_matvec, which it loads without scipy's
+# Python layers (sparse._scipy_extension); its band LU is numpy's LAPACK, SuperLU is the
+# tests' reference alone, and numpy.ma is imported by no computation of the package
+SCIPY_LAYERS = ("scipy", "scipy.sparse", "scipy.linalg", "scipy._lib._array_api",
+                "scipy.sparse.linalg", "numpy.ma")
 
 
 def test_solves_and_cli_never_import_scipys_python_layers(tmp_path):
     # every solve of the package is a band LU and every product scipy's csc_matvec: a
     # chord and a Picard run, the bordered steady Newton and a simulate command load
-    # neither scipy.sparse (nor SuperLU) nor scipy.linalg nor scipy's array-API layer
+    # neither scipy (nor SuperLU, scipy.linalg or scipy's array-API layer) nor numpy.ma,
+    # and the process maps one OpenBLAS, numpy's
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "domain": {"n": 4},
@@ -189,7 +192,7 @@ def test_solves_and_cli_never_import_scipys_python_layers(tmp_path):
         "time": {"k": 0.01, "t_end": 0.05},
     }))
     script = (
-        "import sys\n"
+        "import os, sys\n"
         f"layers = {SCIPY_LAYERS!r}\n"
         "import burgersfb as bf\n"
         "from burgersfb.cli import main\n"
@@ -208,6 +211,11 @@ def test_solves_and_cli_never_import_scipys_python_layers(tmp_path):
         "print(bf.steady.steady_residual(mesh, steady, spec.forcing, 0.1, neumann_flux=spec.neumann_flux))\n"
         "assert main(['simulate', '--config', sys.argv[1], '--output-dir', sys.argv[2]]) == 0\n"
         "assert not set(layers) & set(sys.modules), 'simulate loaded a scipy layer'\n"
+        "if os.path.exists('/proc/self/maps'):\n"
+        "    with open('/proc/self/maps') as maps:\n"
+        "        paths = {line.split()[-1] for line in maps if len(line.split()) == 6}\n"
+        "    openblas = [p for p in paths if 'openblas' in os.path.basename(p).lower()]\n"
+        "    assert len(openblas) == 1, openblas\n"
     )
     src = os.path.dirname(os.path.dirname(burgersfb.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -218,8 +226,8 @@ def test_solves_and_cli_never_import_scipys_python_layers(tmp_path):
 
 
 def test_the_one_scipy_package_import_is_assemble_mass_local_one():
-    # the package imports only the top-level scipy (sparse.py, for its compiled kernels)
-    # and, inside assemble_mass alone, scipy.sparse for the scipy matrix it returns
+    # the package imports scipy only inside assemble_mass, scipy.sparse for the scipy
+    # matrix it returns; sparse.py finds scipy's compiled csc_matvec without importing scipy
     def imports(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Import):
@@ -237,7 +245,7 @@ def test_the_one_scipy_package_import_is_assemble_mass_local_one():
                 tree = ast.parse(handle.read())
             found |= {(name, scope, path) for scope, path in imports(tree, None)
                       if path == "scipy" or path.startswith("scipy.")}
-    assert found == {("sparse.py", None, "scipy"), ("assembly.py", "assemble_mass", "scipy.sparse")}
+    assert found == {("assembly.py", "assemble_mass", "scipy.sparse")}
 
 
 def test_no_module_of_the_package_imports_superlu():
