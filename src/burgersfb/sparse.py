@@ -8,9 +8,10 @@ pattern, kept when one factor serves several right-hand sides, or several matric
 each Picard step does on the factor of an earlier step matrix.  The time loop's step and
 Jacobian matrices, the one-off mass and projection solves and the mean-constrained steady
 Newton (a bordered system, :func:`_bordered_solve`) all factor here; nothing loads SuperLU.
-The band LU (``dgbtrf``/``dgbtrs``) is numpy's own OpenBLAS, called through ``ctypes``,
-and the CSC product (``csc_matvec``) scipy's compiled kernel, loaded without importing
-``scipy``, whose ``linalg`` and ``sparse`` pull in a second OpenBLAS and an array-API layer.
+The band LU (``dgbtrf``, solved by two ``dtbsv`` band sweeps, or by ``dgbtrs`` after a row
+interchange) is numpy's own OpenBLAS, called through ``ctypes``, and the CSC product
+(``csc_matvec``) scipy's compiled kernel, loaded without importing ``scipy``, whose
+``linalg`` and ``sparse`` pull in a second OpenBLAS and an array-API layer.
 """
 
 from __future__ import annotations
@@ -48,10 +49,11 @@ def _scipy_extension(package: str, module: str):
 
 try:  # numpy's linalg module links its bundled OpenBLAS, whose ILP64 LAPACK dlsym reaches
     _numpy_lapack = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    _dgbtrf, _dgbtrs = _numpy_lapack.scipy_dgbtrf_64_, _numpy_lapack.scipy_dgbtrs_64_
+    _dgbtrf, _dgbtrs, _dtbsv = (getattr(_numpy_lapack, f"scipy_{name}_64_")
+                                for name in ("dgbtrf", "dgbtrs", "dtbsv"))
 except AttributeError as exc:  # the message names the missing symbol
     raise ImportError(f"numpy's OpenBLAS lacks the band LU: {exc}") from None
-_dgbtrf.restype = _dgbtrs.restype = None
+_dgbtrf.restype = _dgbtrs.restype = _dtbsv.restype = None
 _csc_matvec = _scipy_extension("sparse", "_sparsetools").csc_matvec
 
 
@@ -131,9 +133,8 @@ class Factorization:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        n = b.shape[0]
-        if self.matrix.shape != (n, n):
-            raise ValueError(f"matrix {self.matrix.shape} does not match vector of size {n}")
+        if b.ndim != 1 or self.matrix.shape != (b.size, b.size):
+            raise ValueError(f"matrix {self.matrix.shape} does not match vector of shape {b.shape}")
         x = self._solve(b)
         r, bound = self._residual(self.matrix, x, b)
         # written so that a NaN residual fails too
@@ -192,9 +193,8 @@ def _norm_inf(a: _CscMatrix) -> float:
 def _band_lu(data, order, width, slots):
     """``dgbtrf`` of CSC ``data`` placed at ``slots``; returns a solve in the unpermuted order."""
     n, rows = order.size, 3 * width + 1
-    # LAPACK takes ctypes buffers as they are, and numpy writes them through views;
-    # the band's spare doubles end the shifted view below
-    band, rhs = (ctypes.c_double * (rows * n + width))(), (ctypes.c_double * n)()
+    # LAPACK takes ctypes buffers as they are, and numpy writes them through views
+    band, rhs = (ctypes.c_double * (rows * n))(), (ctypes.c_double * n)()
     pivots = (ctypes.c_int64 * n)()
     ab, piv, work = np.frombuffer(band), np.frombuffer(pivots, np.int64), np.frombuffer(rhs)
     ab[slots] = data
@@ -202,22 +202,24 @@ def _band_lu(data, order, width, slots):
     _dgbtrf(size, size, kl, kl, band, ldab, pivots, ctypes.byref(info))
     if info.value:
         raise SingularMatrixError(f"factorization failed: dgbtrf info {info.value}")
-    lu, ku = band, kl
-    # 1-based pivots; with no interchange U's fill rows stay zero, and the solve skips them
+    # built once; the hidden lengths of the character arguments come last.  With no
+    # interchange (1-based pivots), dgbtrs's forward loop is a unit-lower band sweep and
+    # U's fill rows stay zero: two dtbsv calls, on L from row 2 width and U from row width
+    one, lengths = _int64(1), (ctypes.c_size_t(1),) * 3
     if np.array_equal(piv, np.arange(1, n + 1)):
-        lu, ku = ctypes.byref(band, 8 * width), _int64(0)
-    # built once; the last argument is the length of the character "N"
-    args = (b"N", size, kl, ku, _int64(1), lu, ldab, pivots, rhs, size, ctypes.byref(info),
-            ctypes.c_size_t(1))
+        sweeps = [(_dtbsv, (uplo, b"N", diag, size, kl, ctypes.byref(band, 8 * row), ldab, rhs,
+                            one, *lengths))
+                  for uplo, diag, row in ((b"L", b"U", 2 * width), (b"U", b"N", width))]
+    else:
+        sweeps = [(_dgbtrs, (b"N", size, kl, kl, one, band, ldab, pivots, rhs, size,
+                             ctypes.byref(info), lengths[0]))]
 
-    # column by column when b is 2-D, without a call to itself: a closure that refers to
-    # itself is a reference cycle, and only the cyclic collector would free its band
     def solve(b):
+        np.take(b, order, out=work)
+        for routine, args in sweeps:
+            routine(*args)
         x = np.empty_like(b)
-        for column, out in zip(b.T, x.T) if b.ndim == 2 else [(b, x)]:
-            np.take(column, order, out=work)
-            _dgbtrs(*args)
-            out[order] = work
+        x[order] = work
         return x
 
     return solve

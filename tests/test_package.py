@@ -269,3 +269,22 @@ def test_no_module_of_the_package_imports_superlu():
     for name in ("solve_bordered", "solve_general"):
         assert not hasattr(burgersfb.sparse, name)
         assert name not in burgersfb.sparse.__all__
+
+
+def test_the_package_imports_itself_only_relatively():
+    # every module reaches its siblings by relative import, so one source tree loads
+    # under another package name beside a second tree, and each keeps its own modules
+    package = os.path.dirname(burgersfb.__file__)
+    sources = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    assert "__init__.py" in sources and "sparse.py" in sources
+    for name in sources:
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                absolute = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                absolute = [node.module]
+            else:
+                continue
+            assert not any(path.split(".")[0] == "burgersfb" for path in absolute), name

@@ -89,11 +89,11 @@ def test_factorization_serves_several_right_hand_sides(rng):
         x_star = rng.standard_normal(a.shape[0])
         x = factor.solve(a @ x_star)
         assert np.linalg.norm(x - x_star) <= 1e-9 * np.linalg.norm(x_star)
-    # or several at once, as the columns of one array
-    x_star = rng.standard_normal((a.shape[0], 3))
-    assert np.linalg.norm(factor.solve(a @ x_star) - x_star) <= 1e-9 * np.linalg.norm(x_star)
-    with pytest.raises(ValueError):
-        factor.solve(np.ones(a.shape[0] + 1))
+    # one right-hand side per call: a 2-D or 0-d b is rejected before any solve
+    for b in (np.ones(a.shape[0] + 1), np.ones((a.shape[0], 3)), np.ones((a.shape[0], 1)),
+              np.ones(())):
+        with pytest.raises(ValueError, match="does not match"):
+            factor.solve(b)
 
 
 def test_certificate_sums_the_matrix_norm_only_when_needed(rng):
@@ -376,25 +376,70 @@ def test_band_solve_is_bit_equal_to_the_full_band(jittered_mesh, n, pinned, pivo
     assert disc.factor(data)._solve(b).tobytes() == expected.tobytes()
 
 
-def test_step_matrix_solves_on_the_band_without_fill_rows(monkeypatch):
-    # a unit-square step matrix makes no row interchange, so U's width fill rows stay
-    # zero and the solve skips them: dgbtrs sees no superdiagonal of fill
-    disc = Discretization(build_unit_square_mesh(8))
-    held, _ = step_matrices(disc, np.random.default_rng(3), 5e-4)
-    b = np.random.default_rng(4).standard_normal(disc.mesh.num_vertices)
-    expected, lu, _ = full_band_solve(disc, held, b)
-    assert not np.any(lu[: disc.bandwidth])
+def spy_on_the_solve(monkeypatch):
+    """Record the ``(uplo, diag, k)`` of each ``dtbsv`` and the ``(kl, ku)`` of each
+    ``dgbtrs`` call that factors made after this returns."""
+    # LAPACK takes its integers by reference: ctypes.byref of a c_int64
     calls = []
-    dgbtrs = sparse._dgbtrs
+    dtbsv, dgbtrs = sparse._dtbsv, sparse._dgbtrs
 
-    def recorded(trans, n, kl, ku, *args):
-        # LAPACK takes its integers by reference: ctypes.byref of a c_int64
-        calls.append((kl._obj.value, ku._obj.value))
+    def sweep(uplo, trans, diag, n, k, *args):
+        calls.append(("dtbsv", uplo.decode(), diag.decode(), k._obj.value))
+        return dtbsv(uplo, trans, diag, n, k, *args)
+
+    def full(trans, n, kl, ku, *args):
+        calls.append(("dgbtrs", kl._obj.value, ku._obj.value))
         return dgbtrs(trans, n, kl, ku, *args)
 
-    monkeypatch.setattr(sparse, "_dgbtrs", recorded)
+    monkeypatch.setattr(sparse, "_dtbsv", sweep)
+    monkeypatch.setattr(sparse, "_dgbtrs", full)
+    return calls
+
+
+def assert_solves_by_two_band_sweeps(monkeypatch, mesh):
+    # a unit-square step matrix makes no row interchange, so U's width fill rows stay
+    # zero and dgbtrs's forward loop is a unit-lower band solve: the solve is one dtbsv
+    # on L and one on U's width superdiagonals, bit-equal to dgbtrs on the full band
+    disc = Discretization(mesh)
+    held, _ = step_matrices(disc, np.random.default_rng(3), 5e-4)
+    b = np.random.default_rng(4).standard_normal(disc.mesh.num_vertices)
+    expected, lu, piv = full_band_solve(disc, held, b)
+    assert np.array_equal(piv, np.arange(mesh.num_vertices))
+    assert not np.any(lu[: disc.bandwidth])
+    calls = spy_on_the_solve(monkeypatch)
     assert disc.factor(held).solve(b).tobytes() == expected.tobytes()
-    assert calls == [(disc.bandwidth, 0)]
+    width = disc.bandwidth
+    assert calls == [("dtbsv", "L", "U", width), ("dtbsv", "U", "N", width)]
+
+
+def test_step_matrix_solves_on_the_band_without_fill_rows(monkeypatch):
+    assert_solves_by_two_band_sweeps(monkeypatch, build_unit_square_mesh(8))
+
+
+@pytest.mark.parametrize("refinements", [0, 2])
+def test_blocked_factor_of_a_width_66_step_matrix_solves_by_two_band_sweeps(monkeypatch,
+                                                                           refinements):
+    # past width 64 dgbtrf factors by blocks: a study level at n = 64, and the reference
+    # mesh refined twice from n = 16
+    mesh = build_unit_square_mesh(64 >> refinements)
+    for _ in range(refinements):
+        mesh = refine_uniform(mesh)
+    assert Discretization(mesh).bandwidth == 66
+    assert_solves_by_two_band_sweeps(monkeypatch, mesh)
+
+
+def test_a_factor_with_interchanges_solves_by_dgbtrs_on_the_full_band(monkeypatch):
+    # random entries over a diagonal shrunk by 1e-3 make dgbtrf interchange rows
+    disc = Discretization(build_unit_square_mesh(4))
+    rng = np.random.default_rng(5)
+    on_diagonal = disc.indices == np.repeat(np.arange(disc.mesh.num_vertices), np.diff(disc.indptr))
+    data = rng.standard_normal(disc.indices.size) * np.where(on_diagonal, 1e-3, 1.0)
+    b = rng.standard_normal(disc.mesh.num_vertices)
+    expected, _, piv = full_band_solve(disc, data, b)
+    assert not np.array_equal(piv, np.arange(disc.mesh.num_vertices))
+    calls = spy_on_the_solve(monkeypatch)
+    assert disc.factor(data)._solve(b).tobytes() == expected.tobytes()
+    assert calls == [("dgbtrs", disc.bandwidth, disc.bandwidth)]
 
 
 def test_a_band_factor_is_freed_without_the_cyclic_collector(unit4):
@@ -517,7 +562,11 @@ def test_band_lu_is_bit_equal_to_scipys_lapack_and_scipy_still_imports(rng):
         rows = 3 * width + 1
         band = np.zeros((rows, n), order="F")
         band[width:] = rng.standard_normal((2 * width + 1, n))
-        band[2 * width] += 0.0 if pivoting else 4.0 * width + 4.0
+        # a diagonal shrunk by 1e-3 makes dgbtrf interchange rows, a dominant one none
+        if pivoting:
+            band[2 * width] *= 1e-3
+        else:
+            band[2 * width] += 4.0 * width + 4.0
         expected, expected_piv, info = dgbtrf(band, width, width)
         assert info == 0 and np.array_equal(expected_piv, np.arange(n)) != pivoting
         ab, piv, info = band.copy(order="F"), np.empty(n, np.int64), ctypes.c_int64()
@@ -526,13 +575,12 @@ def test_band_lu_is_bit_equal_to_scipys_lapack_and_scipy_still_imports(rng):
                        ctypes.c_void_p(piv.ctypes.data), ctypes.byref(info))
         assert info.value == 0
         assert ab.tobytes() == expected.tobytes() and np.array_equal(piv - 1, expected_piv)
-        # the package's solve, trimmed or not, in a scrambled vertex order, 1-D and 2-D
+        # the package's solve, by band sweeps or by dgbtrs, in a scrambled vertex order
         order = rng.permutation(n)
         solve = sparse._band_lu(band.ravel(order="F"), order, width, np.arange(rows * n))
-        for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-            x = np.empty_like(b)
-            x[order] = dgbtrs(expected, width, width, b[order], expected_piv)[0]
-            assert solve(b).tobytes() == x.tobytes()
+        b, x = rng.standard_normal(n), np.empty(n)
+        x[order] = dgbtrs(expected, width, width, b[order], expected_piv)[0]
+        assert solve(b).tobytes() == x.tobytes()
     # the package loads scipy's compiled csc_matvec without scipy or scipy.sparse; a
     # later import of the packages works and holds the very kernel the package calls
     run_fresh(
