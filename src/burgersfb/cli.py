@@ -17,26 +17,9 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .assembly import FeField, interpolate, l2_norm
-from .evolution import (
-    _MIN_FIT_SAMPLES,
-    _g,
-    _write_csv,
-    decay_rate_bound,
-    fit_decay_rate,
-    run,
-)
-from .harness import (
-    ProblemConfig,
-    Study,
-    StudyConfig,
-    _evolution,
-    _initial_field,
-    _steady_field,
-    _write_rates,
-    run_example1,
-    run_example2,
-)
-from .mesh import ConfigError, _grid_vertices, build_unit_square_mesh, tag_boundary
+from .evolution import decay_rate_bound, fit_decay_rate, run, write_csv
+from .harness import ProblemConfig, Study, StudyConfig, run_example1, run_example2
+from .mesh import ConfigError, build_unit_square_mesh, grid_vertices, tag_boundary
 from .sparse import NonconvergenceError, SingularMatrixError
 from .steady import (
     SteadySpec,
@@ -170,9 +153,7 @@ def _controlled(config: dict) -> bool:
 def _problem(config: dict, vertices) -> ProblemConfig:
     """The problem of ``config``; its expressions are checked at ``vertices``."""
     spec = _steady_spec(config, vertices)
-    initial = config.get("initial", {})
-    if "w0" not in initial:
-        raise ValueError("initial section needs a 'w0' expression")
+    w0 = _require(config, "initial.w0")
     source = config.get("steady", {}).get("source", "analytic")
     if source == "analytic" and spec.u_steady is None:
         raise ValueError(
@@ -183,10 +164,10 @@ def _problem(config: dict, vertices) -> ProblemConfig:
         nu=spec.nu,
         c0=_number(_require(config, "physics.c0", 1.0), "physics.c0"),
         steady=spec,
-        w0=_expression(initial["w0"], "initial.w0", vertices),
+        w0=_expression(w0, "initial.w0", vertices),
         dirichlet_region=config.get("domain", {}).get("dirichlet"),
         coefficient_source=source,
-        initial_projection=initial.get("projection", "interpolate"),
+        initial_projection=config["initial"].get("projection", "interpolate"),
     )
 
 
@@ -220,8 +201,7 @@ def _cmd_steady(args) -> int:
     payload["smallness"] = asdict(smallness_report(mesh, solution, forcing, spec.nu))
     out = _output_dir(config, args.output_dir)
     path = os.path.join(out, "steady.csv")
-    x, y = mesh.vertices.T
-    _write_csv(path, "x,y,u", zip(map(_g, x), map(_g, y), map(_g, solution.values)))
+    write_csv(path, "x,y,u", (*mesh.vertices.T, solution.values))
     payload["csv"] = path
     _emit(payload)
     return 0
@@ -233,22 +213,24 @@ def _cmd_simulate(args) -> int:
     problem = _problem(config, mesh.vertices)
     k = _number(_require(config, "time.k"), "time.k")
     t_end = _number(_require(config, "time.t_end"), "time.t_end")
-    evolution = _evolution(problem, k, t_end)
+    evolution = problem.dynamics(k, t_end)
     # EvolutionConfig owns the default solver
     if "nonlinear" in config["time"]:
         evolution = replace(evolution, nonlinear=config["time"]["nonlinear"])
     if not _controlled(config):
         evolution = replace(evolution, control=None)
-    u_steady = _steady_field(mesh, problem)
-    record = run(_initial_field(mesh, problem), evolution, mesh, u_steady)
+    u_steady = problem.steady_field(mesh)
+    record = run(problem.initial_field(mesh), evolution, mesh, u_steady)
     out = _output_dir(config, args.output_dir)
     path = os.path.join(out, "trajectory.csv")
     record.to_csv(path)
     # a run too short to fit a rate, or one resting at the steady state (a zero
     # norm has no logarithm), still reports everything else
     fitted = alpha = None
-    if record.times.shape[0] >= _MIN_FIT_SAMPLES and np.all(record.l2 > 0.0):
+    try:
         fitted = fit_decay_rate(record, window=(0.0, t_end)).fitted_rate
+    except ValueError:
+        pass
     if record.c0 is not None:
         alpha = decay_rate_bound(record.nu, record.c0, record.friedrichs)
     payload = {
@@ -289,7 +271,7 @@ def _cmd_study(args) -> int:
     # the 1/reference grid holds every level's vertices; the study builds its meshes
     # from the problem, whose expressions are checked first
     try:
-        vertices = _grid_vertices(reference)
+        vertices = grid_vertices(reference)
     except (MemoryError, ValueError) as exc:  # as for domain.n in _build_mesh
         too_large = f"is too large to build a mesh ({exc})"
         raise ConfigError("reference_level", too_large, reference) from None
@@ -298,7 +280,7 @@ def _cmd_study(args) -> int:
     table = study.rate_table()
     _emit(
         {
-            **_write_rates(table, _output_dir(config, args.output_dir)),
+            **table.write(_output_dir(config, args.output_dir)),
             "l2_rates": [float(r) for r in table.l2_rates],
             "h1_rates": [float(r) for r in table.h1_rates],
             "control_rates": [float(r) for r in table.control_rates],

@@ -31,6 +31,7 @@ steps then share.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,6 +50,7 @@ __all__ = [
     "fit_decay_rate",
     "lyapunov_decay_coefficient",
     "run",
+    "write_csv",
 ]
 
 _CSV_HEADER = "time,l2,h1semi,lyapunov,control_l2,newton_iters"
@@ -250,30 +252,25 @@ class TrajectoryRecord:
 
     def to_csv(self, stream) -> None:
         """Write rows in a reproducible fixed format (17 significant digits)."""
-        rows = zip(
-            map(_g, self.times),
-            map(_g, self.l2),
-            map(_g, self.h1_semi),
-            map(_g, self.lyapunov),
-            map(_g, self.control_l2),
-            map(str, map(int, self.newton_iters)),
-        )
-        _write_csv(stream, _CSV_HEADER, rows)
+        columns = (self.times, self.l2, self.h1_semi, self.lyapunov, self.control_l2,
+                   self.newton_iters)
+        write_csv(stream, _CSV_HEADER, columns)
 
 
-def _g(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _write_csv(stream, header: str, rows) -> None:
-    """Write ``header`` and the comma-joined string ``rows`` to a path or stream."""
-    if isinstance(stream, (str, bytes)):
+def write_csv(stream, header: str, columns) -> None:
+    """Write ``header`` and one row per entry of the equally long ``columns`` to a path or
+    stream; a number is written to 17 significant digits (an integer as itself) and
+    ``None`` as an empty cell."""
+    if isinstance(stream, (str, bytes, os.PathLike)):
         with open(stream, "w", encoding="ascii", newline="\n") as handle:
-            _write_csv(handle, header, rows)
+            write_csv(handle, header, columns)
         return
+    cells = []
+    for column in columns:
+        values = column.tolist() if isinstance(column, np.ndarray) else column
+        cells.append(["" if x is None else f"{x:.17g}" for x in values])
     stream.write(header + "\n")
-    for row in rows:
-        stream.write(",".join(row) + "\n")
+    stream.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
 def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> TrajectoryRecord:

@@ -29,7 +29,7 @@ from .assembly import (
     prolong,
 )
 from .control import ControlParams, _boundary_l2, _Feedback
-from .evolution import EvolutionConfig, TrajectoryRecord, _check_steps, _g, _write_csv, run
+from .evolution import EvolutionConfig, TrajectoryRecord, _check_steps, run, write_csv
 from .mesh import ConfigError, Mesh, _normalize_region, _one_of, build_unit_square_mesh
 from .mesh import refine_uniform, tag_boundary
 from .steady import AnalyticFunction, SteadySpec, analytic_from_expression, solve_steady
@@ -83,6 +83,23 @@ class ProblemConfig:
         _one_of("initial_projection", self.initial_projection, _PROJECTIONS)
         _normalize_region(self.dirichlet_region)
 
+    def steady_field(self, mesh: Mesh) -> FeField:
+        """The steady state on ``mesh``, by ``coefficient_source``."""
+        if self.coefficient_source == "analytic":
+            return interpolate(self.steady.u_steady.value, mesh)
+        return solve_steady(mesh, self.steady)
+
+    def initial_field(self, mesh: Mesh) -> FeField:
+        """``w0`` on ``mesh``, by ``initial_projection``."""
+        if self.initial_projection == "elliptic":
+            return elliptic_projection(mesh, self.w0.value, self.w0.dx, self.w0.dy)
+        return interpolate(self.w0.value, mesh)
+
+    def dynamics(self, k: float, t_end: float) -> EvolutionConfig:
+        """The controlled dynamics with step ``k`` up to ``t_end``."""
+        control = ControlParams(nu=self.nu, c0=self.c0)
+        return EvolutionConfig(nu=self.nu, k=k, t_end=t_end, control=control)
+
 
 @dataclass(frozen=True)
 class StudyConfig:
@@ -127,24 +144,6 @@ def compute_rates(errors, hs) -> np.ndarray:
     return np.log2(errors[:-1] / errors[1:])
 
 
-def _steady_field(mesh: Mesh, problem: ProblemConfig) -> FeField:
-    if problem.coefficient_source == "analytic":
-        return interpolate(problem.steady.u_steady.value, mesh)
-    return solve_steady(mesh, problem.steady)
-
-
-def _initial_field(mesh: Mesh, problem: ProblemConfig) -> FeField:
-    if problem.initial_projection == "elliptic":
-        return elliptic_projection(mesh, problem.w0.value, problem.w0.dx, problem.w0.dy)
-    return interpolate(problem.w0.value, mesh)
-
-
-def _evolution(problem: ProblemConfig, k: float, t_end: float) -> EvolutionConfig:
-    """The problem's controlled dynamics with step ``k`` up to ``t_end``."""
-    control = ControlParams(nu=problem.nu, c0=problem.c0)
-    return EvolutionConfig(nu=problem.nu, k=k, t_end=t_end, control=control)
-
-
 class Study:
     """Caches meshes, steady fields, and level solutions of one study.
 
@@ -155,7 +154,7 @@ class Study:
 
     def __init__(self, config: StudyConfig):
         self.config = config
-        self._dynamics = _evolution(config.problem, config.k, config.t_eval)
+        self._dynamics = config.problem.dynamics(config.k, config.t_eval)
         self._meshes: dict = {}
         self._steady: dict = {}
         self._records: dict = {}
@@ -175,13 +174,13 @@ class Study:
 
     def steady_field(self, n: int) -> FeField:
         if n not in self._steady:
-            self._steady[n] = _steady_field(self.mesh(n), self.config.problem)
+            self._steady[n] = self.config.problem.steady_field(self.mesh(n))
         return self._steady[n]
 
     def record(self, n: int) -> TrajectoryRecord:
         if n not in self._records:
             mesh = self.mesh(n)
-            w0 = _initial_field(mesh, self.config.problem)
+            w0 = self.config.problem.initial_field(mesh)
             self._records[n] = run(w0, self._dynamics, mesh, self.steady_field(n))
         return self._records[n]
 
@@ -229,30 +228,23 @@ class RateTable:
     control_errors: np.ndarray
     control_rates: np.ndarray
 
-    def _rows(self, *columns):
-        """``h``, then each (errors, rates) pair; the first row has no rates."""
-        for i, h in enumerate(self.hs):
-            row = [_g(h)]
-            for errors, rates in columns:
-                row += [_g(errors[i]), "" if i == 0 else _g(rates[i - 1])]
-            yield row
-
     def write_state_csv(self, stream) -> None:
-        columns = (self.l2_errors, self.l2_rates), (self.h1_errors, self.h1_rates)
-        _write_csv(stream, "h,error_l2,rate_l2,error_h1,rate_h1", self._rows(*columns))
+        """``h``, then each norm's errors and rates; the first row has no rates."""
+        columns = (self.hs, self.l2_errors, [None, *self.l2_rates],
+                   self.h1_errors, [None, *self.h1_rates])
+        write_csv(stream, "h,error_l2,rate_l2,error_h1,rate_h1", columns)
 
     def write_control_csv(self, stream) -> None:
-        columns = (self.control_errors, self.control_rates)
-        _write_csv(stream, "h,error_control,rate_control", self._rows(columns))
+        columns = self.hs, self.control_errors, [None, *self.control_rates]
+        write_csv(stream, "h,error_control,rate_control", columns)
 
-
-def _write_rates(table: RateTable, output_dir: str) -> dict:
-    """``rates_state.csv`` and ``rates_control.csv`` in ``output_dir``, by key."""
-    keys = ("rates_state", "rates_control")
-    paths = {key: os.path.join(output_dir, key + ".csv") for key in keys}
-    table.write_state_csv(paths["rates_state"])
-    table.write_control_csv(paths["rates_control"])
-    return paths
+    def write(self, output_dir: str) -> dict:
+        """``rates_state.csv`` and ``rates_control.csv`` in ``output_dir``, by key."""
+        keys = ("rates_state", "rates_control")
+        paths = {key: os.path.join(output_dir, key + ".csv") for key in keys}
+        self.write_state_csv(paths["rates_state"])
+        self.write_control_csv(paths["rates_control"])
+        return paths
 
 
 def _write_series(output_dir: str, prefix: str, controlled, uncontrolled) -> dict:
@@ -261,8 +253,7 @@ def _write_series(output_dir: str, prefix: str, controlled, uncontrolled) -> dic
     paths = {key: os.path.join(output_dir, f"{prefix}_{name}.csv") for key, name in names.items()}
     controlled.to_csv(paths["controlled"])
     uncontrolled.to_csv(paths["uncontrolled"])
-    rows = zip(map(_g, controlled.times), map(_g, controlled.control_l2))
-    _write_csv(paths["control_norm"], "time,control_l2", rows)
+    write_csv(paths["control_norm"], "time,control_l2", (controlled.times, controlled.control_l2))
     return paths
 
 
@@ -303,9 +294,9 @@ class ExampleResult:
 
 def _figure_runs(problem: ProblemConfig, n: int, k: float, t_end: float):
     mesh = tag_boundary(build_unit_square_mesh(n), problem.dirichlet_region)
-    u_steady = _steady_field(mesh, problem)
-    w0 = _initial_field(mesh, problem)
-    cfg = _evolution(problem, k, t_end)
+    u_steady = problem.steady_field(mesh)
+    w0 = problem.initial_field(mesh)
+    cfg = problem.dynamics(k, t_end)
     controlled = run(w0, cfg, mesh, u_steady)
     uncontrolled = run(w0, replace(cfg, control=None), mesh, u_steady)
     return controlled, uncontrolled
@@ -331,7 +322,7 @@ def run_example1(
     controlled, uncontrolled = _figure_runs(problem, figure_n, k, t_end)
     table = Study(StudyConfig(problem, tuple(levels), reference, k, t_eval)).rate_table()
     paths = _write_series(output_dir, "example1", controlled, uncontrolled)
-    paths.update(_write_rates(table, output_dir))
+    paths.update(table.write(output_dir))
     return ExampleResult(controlled, uncontrolled, paths, table)
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "RefinementParent",
     "build_unit_square_mesh",
     "friedrichs_constant",
+    "grid_vertices",
     "refine_uniform",
     "tag_boundary",
     "validate_mesh",
@@ -167,7 +168,7 @@ def _boundary_edges(vertices: np.ndarray, triangles: np.ndarray):
     return edges, normals
 
 
-def _grid_vertices(n: int) -> np.ndarray:
+def grid_vertices(n: int) -> np.ndarray:
     """The vertices of the 1/n grid on the unit square, row-major (x fastest)."""
     coords = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(coords, coords, indexing="xy")
@@ -184,7 +185,7 @@ def build_unit_square_mesh(n: int) -> Mesh:
     """
     if n < 1:
         raise ValueError(f"need at least one cell per side, got n={n}")
-    vertices = _grid_vertices(n)
+    vertices = grid_vertices(n)
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
     v00 = (jj * (n + 1) + ii).ravel()
     v10 = v00 + 1

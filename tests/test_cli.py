@@ -341,7 +341,7 @@ def test_mesh_too_large_names_its_key(tmp_path, capsys, monkeypatch):
     def unallocatable(n):
         raise MemoryError(f"Unable to allocate an array for the {n + 1}^2 grid vertices")
 
-    monkeypatch.setattr("burgersfb.mesh._grid_vertices", unallocatable)
+    monkeypatch.setattr("burgersfb.mesh.grid_vertices", unallocatable)
     large = write_config(tmp_path, {**BASE, "domain": {"n": 100000}}, "large.json")
     for command in ("simulate", "steady"):
         message = run_error(capsys, [command, "--config", large])
@@ -362,7 +362,7 @@ def test_study_reference_too_large_names_its_key(tmp_path, capsys, monkeypatch):
     def unallocatable(n):
         raise MemoryError(f"Unable to allocate an array for the {n + 1}^2 grid vertices")
 
-    monkeypatch.setattr("burgersfb.cli._grid_vertices", unallocatable)
+    monkeypatch.setattr("burgersfb.cli.grid_vertices", unallocatable)
     study = {"levels": [25000, 50000], "reference": 100000, "t_eval": 0.05}
     large = write_config(tmp_path, {**BASE, "study": study}, "large.json")
     message = run_error(capsys, ["study", "--config", large])
@@ -427,7 +427,8 @@ def test_config_file_shape_is_checked(tmp_path, capsys, command, text, message):
 
 def test_rejects_malformed_configs(tmp_path, capsys):
     missing_w0 = write_config(tmp_path, {**BASE, "initial": {}}, "a.json")
-    assert "w0" in run_error(capsys, ["simulate", "--config", missing_w0])
+    message = run_error(capsys, ["simulate", "--config", missing_w0])
+    assert message == "missing config key 'initial.w0'"
     no_forcing = write_config(tmp_path, {**BASE, "steady": {"mean": -0.1}}, "d.json")
     assert "f_inf" in run_error(capsys, ["steady", "--config", no_forcing])
     typo = write_config(

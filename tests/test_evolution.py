@@ -23,6 +23,7 @@ from burgersfb.evolution import (
     fit_decay_rate,
     lyapunov_decay_coefficient,
     run,
+    write_csv,
 )
 from burgersfb.mesh import ConfigError, build_unit_square_mesh, tag_boundary
 from burgersfb.sparse import NonconvergenceError, SingularMatrixError
@@ -615,6 +616,24 @@ def test_csv_roundtrip_and_determinism():
     assert lines[0] == "time,l2,h1semi,lyapunov,control_l2,newton_iters"
     assert len(lines) == 7
     assert lines[1].split(",")[0] == "0"
+
+
+def test_csv_writer_bytes_and_path_forms(tmp_path):
+    # a float to 17 significant digits, an int as itself, None as an empty cell,
+    # ASCII lines ending in "\n"; a str path and an os.PathLike write the same bytes
+    columns = (np.array([0.1, 2.5]), np.array([3, 0]), [None, 1e-20])
+    expected = b"a,b,c\n0.10000000000000001,3,\n2.5,0,9.9999999999999995e-21\n"
+    write_csv(str(tmp_path / "str.csv"), "a,b,c", columns)
+    write_csv(tmp_path / "path.csv", "a,b,c", columns)
+    assert (tmp_path / "str.csv").read_bytes() == expected
+    assert (tmp_path / "path.csv").read_bytes() == expected
+    record = synthetic_record(n=5)
+    stream = io.StringIO()
+    record.to_csv(stream)
+    record.to_csv(tmp_path / "record.csv")
+    assert (tmp_path / "record.csv").read_bytes() == stream.getvalue().encode("ascii")
+    with pytest.raises(ValueError):
+        write_csv(io.StringIO(), "a,b", (np.zeros(2), np.zeros(3)))
 
 
 def test_predicted_decay_constants():

@@ -128,6 +128,27 @@ def test_every_listed_name_exists_and_test_oracles_are_not_listed():
     assert burgersfb.control.ACTIVE_TAGS is burgersfb.assembly.ACTIVE_TAGS
 
 
+def test_the_front_end_imports_no_private_name():
+    # ProblemConfig builds a problem's fields and dynamics on a mesh, and evolution.write_csv
+    # formats every CSV cell: cli imports no private name, and the count of private names
+    # imported across the package's modules does not grow back (24 before they moved)
+    package = os.path.dirname(burgersfb.__file__)
+    private = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            private[name] = [alias.name for node in ast.walk(tree)
+                             if isinstance(node, ast.ImportFrom) and node.level
+                             for alias in node.names if alias.name.startswith("_")]
+    assert private["cli.py"] == []
+    assert sum(map(len, private.values())) <= 14, private
+    for module in (burgersfb.cli, burgersfb.evolution, burgersfb.harness, burgersfb.mesh):
+        for name in ("_steady_field", "_initial_field", "_evolution", "_write_rates", "_g",
+                     "_write_csv", "_grid_vertices"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
 def test_factorization_takes_csc_only_and_no_stale_log_is_tracked():
     # every matrix the package factors is CSC on a Discretization's pattern, so
     # Factorization has no CSR branch; the tests' solve_general converts what it is given
