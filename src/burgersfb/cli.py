@@ -19,7 +19,9 @@ import numpy as np
 from .assembly import FeField, interpolate, l2_norm
 from .evolution import decay_rate_bound, fit_decay_rate, run, write_csv
 from .harness import ProblemConfig, Study, StudyConfig, run_example1, run_example2
-from .mesh import ConfigError, build_unit_square_mesh, grid_vertices, tag_boundary
+from .mesh import (
+    ConfigError, build_unit_square_mesh, friedrichs_constant, grid_vertices, tag_boundary,
+)
 from .sparse import NonconvergenceError, SingularMatrixError
 from .steady import (
     SteadySpec,
@@ -228,11 +230,11 @@ def _cmd_simulate(args) -> int:
     # norm has no logarithm), still reports everything else
     fitted = alpha = None
     try:
-        fitted = fit_decay_rate(record, window=(0.0, t_end)).fitted_rate
+        fitted = fit_decay_rate(record, window=(0.0, t_end))
     except ValueError:
         pass
-    if record.c0 is not None:
-        alpha = decay_rate_bound(record.nu, record.c0, record.friedrichs)
+    if evolution.control is not None:
+        alpha = decay_rate_bound(problem.nu, problem.c0, friedrichs_constant(mesh))
     payload = {
         "csv": path,
         "l2_final": float(record.l2[-1]),

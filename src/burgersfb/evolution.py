@@ -26,6 +26,9 @@ Picard linearizes at the last state and refines from the start on the
 held factorization (usually two solves); a step that ``_PICARD_SOLVES``
 refinement solves do not certify factors its own matrix, which later
 steps then share.
+
+A ``TrajectoryRecord`` holds only what the run computed; the guaranteed
+decay rate depends on the problem data alone (:func:`decay_rate_bound`).
 """
 
 from __future__ import annotations
@@ -39,11 +42,10 @@ import numpy as np
 
 from .assembly import _MASS_PATTERN, Discretization, FeField
 from .control import ControlParams, _boundary_l2, _Feedback
-from .mesh import ConfigError, Mesh, _one_of, friedrichs_constant
+from .mesh import ConfigError, Mesh, _one_of
 from .sparse import NonconvergenceError, SingularMatrixError
 
 __all__ = [
-    "DecayReport",
     "EvolutionConfig",
     "TrajectoryRecord",
     "decay_rate_bound",
@@ -129,16 +131,13 @@ class _Trajectory:
         self.cubic_scale = feedback.cubic if controlled else 0.0
         self.factor = None
         size = round(cfg.t_end / cfg.k) + 1
-        c0 = cfg.control.c0 if controlled else None
-        self.result = TrajectoryRecord(
-            *np.zeros((5, size)), np.zeros(size, dtype=int),
-            cfg.nu, c0, friedrichs_constant(mesh), final_state=None,
-        )
+        self.result = TrajectoryRecord(*np.zeros((5, size)), np.zeros(size, dtype=int),
+                                       final_state=None)
 
     def record(self, i, w, iterations, traces=None):
         """Record ``w`` as the state of step ``i``, reached in ``iterations``; ``traces``
         are its edge traces when the step computed them.  A non-finite diagnostic raises
-        ``FloatingPointError`` naming its column, step and time."""
+        ``FloatingPointError`` naming its column."""
         mw = self.mass @ w
         energy = w @ mw
         result = self.result
@@ -155,9 +154,7 @@ class _Trajectory:
         # three square roots and half a float: finite entries never sum to inf
         if not math.isfinite(sum(row)):
             column = _CSV_HEADER.split(",")[1 + [math.isfinite(v) for v in row].index(False)]
-            exc = FloatingPointError(f"step {i} (t = {i * self.cfg.k:.6g}): {column} is not finite")
-            exc.step, exc.time = i, i * self.cfg.k
-            raise exc
+            raise FloatingPointError(f"{column} is not finite")
         self.w, self.inertia, self.traces = w, (1.0 / self.cfg.k) * mw, traces
 
     def residual(self, w):
@@ -230,10 +227,9 @@ class _Trajectory:
 class TrajectoryRecord:
     """Per-step diagnostics of one trajectory, including the initial state.
 
-    Carries the physical constants needed to compare the observed decay
-    against the predicted bounds; ``c0`` is ``None`` for uncontrolled runs.
-    ``factorizations`` is the number of LU factorizations the run made and
-    ``solves`` the number of linear solves; for Newton that is
+    Holds only what the run computed: the six CSV series, the last state,
+    ``factorizations``, the number of LU factorizations the run made, and
+    ``solves``, the number of linear solves; for Newton that is
     ``newton_iters.sum()``, for Picard the refinement and direct solves.
     """
 
@@ -243,9 +239,6 @@ class TrajectoryRecord:
     lyapunov: np.ndarray
     control_l2: np.ndarray
     newton_iters: np.ndarray
-    nu: float
-    c0: Optional[float]
-    friedrichs: float
     final_state: "FeField"
     factorizations: int = 0
     solves: int = 0
@@ -285,19 +278,19 @@ def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> Tra
     trajectory = _Trajectory(mesh, u_steady, cfg)
     w = w0.values.copy()
     w[trajectory.disc.dirichlet] = 0.0
-    trajectory.record(0, w, 0)
     advance = trajectory.picard if cfg.nonlinear == "picard" else trajectory.newton
     states = []  # the last four states, newest first
-    for n in range(1, trajectory.result.times.size):
-        states = [trajectory.w] + states[:3]
-        start = sum(c * s for c, s in zip(_START[len(states) - 1], states))
-        try:
-            step = advance(start)
-        except (NonconvergenceError, SingularMatrixError) as exc:
-            exc.args = (f"step {n} (t = {n * cfg.k:.6g}): {exc}",)
-            exc.step, exc.time = n, n * cfg.k
-            raise
-        trajectory.record(n, *step)
+    n = 0
+    try:
+        trajectory.record(0, w, 0)
+        for n in range(1, trajectory.result.times.size):
+            states = [trajectory.w] + states[:3]
+            start = sum(c * s for c, s in zip(_START[len(states) - 1], states))
+            trajectory.record(n, *advance(start))
+    except (NonconvergenceError, SingularMatrixError, FloatingPointError) as exc:
+        exc.args = (f"step {n} (t = {n * cfg.k:.6g}): {exc}",)
+        exc.step, exc.time = n, n * cfg.k
+        raise
     trajectory.result.final_state = FeField(mesh, trajectory.w)
     return trajectory.result
 
@@ -312,22 +305,7 @@ def lyapunov_decay_coefficient(nu: float, c0: float, friedrichs: float) -> float
     return 2.0 * min(7.0 * nu / 8.0, c0 / 2.0 + 7.0 * nu / 8.0) / friedrichs
 
 
-@dataclass(frozen=True)
-class DecayReport:
-    """Fitted decay rate next to the predicted bounds.
-
-    ``delta`` is the dissipation margin left at the predicted rate; the
-    predicted fields are ``None`` when the trajectory was uncontrolled.
-    """
-
-    fitted_rate: float
-    fit_window: tuple
-    predicted_alpha: Optional[float]
-    c_lyp: Optional[float]
-    delta: Optional[float]
-
-
-def fit_decay_rate(record: TrajectoryRecord, window: tuple) -> DecayReport:
+def fit_decay_rate(record: TrajectoryRecord, window: tuple) -> float:
     """Least-squares exponential decay rate of the recorded L2 norms.
 
     Fits ``log ||w||`` against time over ``window = (t0, t1)`` and returns
@@ -348,14 +326,4 @@ def fit_decay_rate(record: TrajectoryRecord, window: tuple) -> DecayReport:
     if np.any(values <= 0.0):
         raise ValueError("fit window contains nonpositive norms")
     slope = np.polyfit(record.times[mask], np.log(values), 1)[0]
-    fitted = -float(slope)
-    if record.c0 is None:
-        return DecayReport(fitted, (t0, t1), None, None, None)
-    alpha = decay_rate_bound(record.nu, record.c0, record.friedrichs)
-    c_lyp = lyapunov_decay_coefficient(record.nu, record.c0, record.friedrichs)
-    two_alpha_cf = 2.0 * alpha * record.friedrichs
-    delta = min(
-        7.0 * record.nu / 4.0 - two_alpha_cf,
-        record.c0 + 7.0 * record.nu / 4.0 - two_alpha_cf,
-    )
-    return DecayReport(fitted, (t0, t1), alpha, c_lyp, delta)
+    return -float(slope)

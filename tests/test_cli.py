@@ -238,6 +238,7 @@ def test_simulate_uncontrolled(tmp_path, capsys):
         capsys, ["simulate", "--config", config, "--output-dir", str(tmp_path)]
     )
     assert payload["l2_final"] > 0.0
+    assert payload["predicted_alpha"] is None  # the bound is the controlled run's
     assert os.path.exists(payload["csv"])
 
 

@@ -26,6 +26,8 @@ def test_package_exposes_submodules_and_runs_readme_example():
         ControlParams, EvolutionConfig, build_unit_square_mesh,
         interpolate, run, fit_decay_rate,
     )
+    from burgersfb.evolution import decay_rate_bound
+    from burgersfb.mesh import friedrichs_constant
 
     mesh = build_unit_square_mesh(4)
     u_inf = interpolate(lambda x, y: -0.2 * x, mesh)
@@ -33,9 +35,22 @@ def test_package_exposes_submodules_and_runs_readme_example():
     cfg = EvolutionConfig(nu=0.1, k=0.01, t_end=0.1,
                           control=ControlParams(nu=0.1, c0=1.0))
     record = run(w0, cfg, mesh, u_inf)
-    rate = fit_decay_rate(record, window=(0.0, 0.1)).fitted_rate
+    rate = fit_decay_rate(record, window=(0.0, 0.1))
+    alpha = decay_rate_bound(0.1, 1.0, friedrichs_constant(mesh))  # guaranteed rate
     assert 0.0 < record.l2[-1] < record.l2[0]
-    assert rate > 0.0
+    assert rate > alpha > 0.0
+
+
+def test_a_trajectory_record_holds_only_what_the_run_computed():
+    # the guaranteed rates depend on the problem data alone (decay_rate_bound), so the
+    # record carries no physical constant and fit_decay_rate returns the fitted rate only
+    evolution = burgersfb.evolution
+    assert not hasattr(evolution, "DecayReport")
+    assert "DecayReport" not in evolution.__all__
+    assert not hasattr(evolution, "friedrichs_constant")
+    fields = [field.name for field in dataclasses.fields(evolution.TrajectoryRecord)]
+    assert fields == ["times", "l2", "h1_semi", "lyapunov", "control_l2", "newton_iters",
+                      "final_state", "factorizations", "solves"]
 
 
 def test_every_listed_name_exists_and_test_oracles_are_not_listed():

@@ -17,9 +17,10 @@ import burgersfb
 from burgersfb import sparse
 from burgersfb.assembly import Discretization, FeField, interpolate
 from burgersfb.control import ControlParams
-from burgersfb.evolution import EvolutionConfig, _Trajectory
+from burgersfb.evolution import EvolutionConfig, _Trajectory, run
 from burgersfb.mesh import build_unit_square_mesh, refine_uniform, tag_boundary
 from burgersfb.sparse import Factorization, SingularMatrixError, _bordered_solve
+from burgersfb.steady import analytic_from_expression, manufactured_solve_spec, solve_steady
 from oracles import (
     SuperLU,
     assemble_mass_by_element,
@@ -440,6 +441,23 @@ def test_a_factor_with_interchanges_solves_by_dgbtrs_on_the_full_band(monkeypatc
     calls = spy_on_the_solve(monkeypatch)
     assert disc.factor(data)._solve(b).tobytes() == expected.tobytes()
     assert calls == [("dgbtrs", disc.bandwidth, disc.bandwidth)]
+
+
+def test_the_steady_newton_solves_by_dgbtrs_and_the_time_loop_by_band_sweeps(monkeypatch,
+                                                                             mixed8):
+    # on the Example 2 layout the bordered factors of the steady Newton interchange rows
+    # and its step matrices do not, so a run of that layout takes both branches of the
+    # band LU: dgbtrs in the steady solve, two dtbsv sweeps in every step's solve
+    calls = spy_on_the_solve(monkeypatch)
+    spec = manufactured_solve_spec(analytic_from_expression("-0.2*x1"), 0.1, -0.1)
+    u_steady = solve_steady(mixed8, spec)
+    assert any(call[0] == "dgbtrs" for call in calls)
+    w0 = interpolate(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y), mixed8)
+    for control, nonlinear in ((ControlParams(nu=0.1, c0=1.0), "chord"), (None, "picard")):
+        calls.clear()
+        cfg = EvolutionConfig(nu=0.1, k=0.01, t_end=0.1, control=control, nonlinear=nonlinear)
+        run(w0, cfg, mixed8, u_steady)
+        assert calls and all(call[0] == "dtbsv" for call in calls), nonlinear
 
 
 def test_a_band_factor_is_freed_without_the_cyclic_collector(unit4):
