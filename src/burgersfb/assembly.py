@@ -6,12 +6,13 @@ samples callables, and a three-point Gauss rule on boundary edges exact to
 degree 5 integrates the cubic and quartic traces exactly.
 :class:`Discretization` is the one matrix assembler: mass, stiffness and
 the time loop's forms go onto its fixed CSC pattern, on the edge helpers
-:func:`_trace`, :func:`_edge_load` and :func:`_edge_blocks`.  The norms
-sum per triangle and assemble nothing.
+:func:`_trace`, :func:`_edge_load` and :func:`_edge_blocks`, each sum one
+``csc_matvec``.  The norms sum per triangle and assemble nothing.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +101,7 @@ def _geometry(mesh: Mesh):
 
 
 _MASS_PATTERN = (np.ones((3, 3)) + np.eye(3)) / 12.0
+_ONE = np.ones(1)
 
 
 def _stiffness_blocks(areas, gx, gy):
@@ -308,9 +310,9 @@ class Discretization:
     basis function.  ``slots`` gives each local entry's data position, the
     element entries (3, 3, triangles) first and then the active-edge entries
     (active edges, 2, 2); ``load_index`` lists the corners, then the
-    active-edge endpoints.  Every matrix kernel scatters through a prefix of
-    ``slots`` and every load through a prefix of ``load_index``, each with
-    one ``np.bincount``; an iterate is gathered once (:meth:`gather`).
+    active-edge endpoints.  Every matrix kernel sums through a prefix of
+    ``slots`` and every load through a prefix of ``load_index``, each by one
+    ``csc_matvec`` in ``np.bincount``'s order, as does :meth:`transport` on ``vp``.
     ``dirichlet`` holds the sorted vertices of the ``DIRICHLET_ZERO`` edges,
     whose slots :meth:`eliminate` clears.  :meth:`factor` is the band LU of
     every solve on the pattern: ``order`` numbers the vertices row by row (by
@@ -323,24 +325,28 @@ class Discretization:
         n = mesh.num_vertices
         # triangles last: numpy broadcasts and reduces fastest along the long axis
         corners = np.ascontiguousarray(mesh.triangles.T)
-        # column-major keys order the pattern as CSC; key [i, j, e] is entry (i, j) of triangle e
-        keys, slots = np.unique(corners * n + corners[:, None], return_inverse=True)
+        self.bq = boundary_quadrature(mesh, ACTIVE_TAGS)
+        e = self.bq.edges
+        # column-major keys order the pattern as CSC: entry (i, j) of triangle t, then of edge a
+        keys = np.append(corners * n + corners[:, None], e[:, None, :] * n + e[:, :, None])
+        # one sort: the distinct keys are the pattern, and their running count gives the slots
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.append(True, keys[1:] != keys[:-1])
+        self.slots = np.empty(keys.size, dtype=np.int32)
+        self.slots[order] = np.cumsum(first, dtype=np.int32) - 1
+        keys = keys[first]
         rows, columns = keys % n, keys // n
-        self.mesh = mesh
-        self.corners = corners
+        self.mesh, self.corners = mesh, corners
         areas, gx, gy = _geometry(mesh)
         self.indices = rows.astype(np.int32)
         self.indptr = np.searchsorted(columns, np.arange(n + 1)).astype(np.int32)
         # every matrix shares the index arrays, so nothing may write to them
         self.indices.flags.writeable = self.indptr.flags.writeable = False
         self._shape = (n, n)
-        self.bq = boundary_quadrature(mesh, ACTIVE_TAGS)
-        e = self.bq.edges
-        edge_slots = np.searchsorted(keys, e[:, None, :] * n + e[:, :, None])
-        self.slots = np.concatenate([slots.ravel(), edge_slots.ravel()])
-        self.load_index = np.concatenate([corners.ravel(), e.ravel()])
-        self.mass = self._scatter(_MASS_PATTERN[:, :, None] * areas)
-        self.stiffness = self._scatter(_stiffness_blocks(areas, gx, gy).transpose(1, 2, 0))
+        self.load_index = np.concatenate([corners.ravel(), e.ravel()]).astype(np.int32)
+        self.mass = self._sum(_MASS_PATTERN[:, :, None] * areas)
+        self.stiffness = self._sum(_stiffness_blocks(areas, gx, gy).transpose(1, 2, 0))
         self.slopes = np.ascontiguousarray(_slopes(areas, gx, gy).T)
         pinned_edges = mesh.boundary_edges[mesh.boundary_tags == int(BoundaryTag.DIRICHLET_ZERO)]
         pinned = np.zeros(n, dtype=bool)
@@ -362,10 +368,24 @@ class Discretization:
         """Certified band LU of ``matrix(data)`` in the vertex order ``order``."""
         return Factorization(self.matrix(data), (self.order, self.bandwidth, self.band_slots))
 
-    def _scatter(self, data: np.ndarray) -> np.ndarray:
-        """Sum flat block ``data`` into the pattern through the first ``data.size`` slots."""
-        data = data.ravel()
-        return np.bincount(self.slots[: data.size], data, self.indices.size)
+    def _sum(self, local: np.ndarray, index=None, size=None) -> np.ndarray:
+        """Sum ``local`` through a prefix of ``slots``, or of ``index`` into ``size`` rows, as
+        ``np.bincount`` does: ``csc_matvec`` of one CSC column with repeated rows."""
+        index = (self.slots if index is None else index)[: local.size]
+        shape = (size or self.indices.size, 1)
+        return _CscMatrix(local.ravel(), index, np.array([0, local.size], np.int32), shape) @ _ONE
+
+    @functools.cached_property
+    def _transport(self) -> _CscMatrix:
+        """Picard's transport, built on first use: column (i, t) holds ``slopes[j, t]`` in the
+        slot of entry (i, j, t), each active-edge entry a unit column after them.  A slot sums
+        as ``np.bincount`` does: by (i, t) on the diagonal, off it over at most two triangles."""
+        t = self.corners.shape[1]
+        slots = self.slots[: 9 * t].reshape(3, 3, t).transpose(0, 2, 1)  # (i, t, j)
+        rows = np.append(slots, self.slots[9 * t :])
+        data = np.append(np.broadcast_to(self.slopes.T, (3, t, 3)), np.ones(rows.size - 9 * t))
+        columns = np.r_[: 9 * t : 3, 9 * t : rows.size + 1].astype(np.int32)
+        return _CscMatrix(data, rows, columns, (self.indices.size, columns.size - 1))
 
     def traces(self, values: np.ndarray) -> np.ndarray:
         """Values at the active-edge quadrature points, shape (edges, points)."""
@@ -386,18 +406,25 @@ class Discretization:
         weights = (vp * g).ravel()
         if tr is not None:
             weights = np.concatenate([weights, _edge_load(self.bq, cubic_scale * tr**3).ravel()])
-        return np.bincount(self.load_index[: weights.size], weights, values.size), gathered
+        return self._sum(weights, self.load_index, values.size), gathered
 
-    def jacobian(self, vp: np.ndarray, g=None, gq=None) -> np.ndarray:
+    def jacobian(self, vp: np.ndarray, g: np.ndarray, gq=None) -> np.ndarray:
         """Data of the transport ``integral of v (d/dx1 + d/dx2) phi_j phi_i`` from ``vp``,
-        plus the gradient ``integral of (d/dx1 + d/dx2) v phi_j phi_i`` from ``g`` and the
-        boundary mass of the values ``gq`` at the active-edge points, unless ``None``."""
+        plus the gradient ``integral of (d/dx1 + d/dx2) v phi_j phi_i`` from ``g``, and the
+        boundary mass of the values ``gq`` at the active-edge points unless ``None``."""
         blocks = vp[:, None] * self.slopes
-        if g is not None:
-            blocks += _MASS_PATTERN[:, :, None] * g
+        blocks += _MASS_PATTERN[:, :, None] * g
         if gq is not None:
             blocks = np.concatenate([blocks.ravel(), _edge_blocks(self.bq, gq).ravel()])
-        return self._scatter(blocks)
+        return self._sum(blocks)
+
+    def transport(self, values: np.ndarray, gq=None) -> np.ndarray:
+        """:meth:`jacobian` of the field ``v`` with no gradient term, as Picard lags it."""
+        corners = self.corners
+        local = np.empty(self._transport.shape[1])
+        local[corners.size :] = 0.0 if gq is None else _edge_blocks(self.bq, gq).ravel()
+        np.matmul(_MASS_PATTERN, values[corners], out=local[: corners.size].reshape(corners.shape))
+        return self._transport @ local
 
     def eliminate(self, data: np.ndarray) -> None:
         """Eliminate the Dirichlet rows and columns in place, with unit diagonals."""

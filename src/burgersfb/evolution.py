@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .assembly import _MASS_PATTERN, Discretization, FeField
+from .assembly import Discretization, FeField
 from .control import ControlParams, _boundary_l2, _Feedback
 from .mesh import ConfigError, Mesh, _one_of
 from .sparse import NonconvergenceError, SingularMatrixError
@@ -206,9 +206,8 @@ class _Trajectory:
     def picard(self, start):
         """The Picard step linearized at the recorded state, refined from ``start``."""
         disc = self.disc
-        vp = _MASS_PATTERN @ self.w[disc.corners]
         gq = self.cubic_scale * self.traces**2 if self.cubic_scale else None
-        system = self.step_matrix.data + disc.jacobian(vp, gq=gq)
+        system = self.step_matrix.data + disc.transport(self.w, gq)
         rhs = self.inertia.copy()
         disc.eliminate(system)
         rhs[disc.dirichlet] = 0.0
@@ -245,9 +244,7 @@ class TrajectoryRecord:
 
     def to_csv(self, stream) -> None:
         """Write rows in a reproducible fixed format (17 significant digits)."""
-        columns = (self.times, self.l2, self.h1_semi, self.lyapunov, self.control_l2,
-                   self.newton_iters)
-        write_csv(stream, _CSV_HEADER, columns)
+        write_csv(stream, _CSV_HEADER, [getattr(self, f.name) for f in fields(self)[:6]])
 
 
 def write_csv(stream, header: str, columns) -> None:
@@ -271,7 +268,8 @@ def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> Tra
 
     Dirichlet vertices are held exactly at zero throughout.  A failed step's
     ``NonconvergenceError`` or ``SingularMatrixError``, and the ``FloatingPointError``
-    of a non-finite diagnostic, names its step and time.
+    of a non-finite diagnostic, names its ``step`` and ``time`` and keeps the ``record``
+    of the steps before it, ending in the last good state (``None`` if step 0 failed).
     """
     if w0.mesh is not mesh:
         raise ValueError("initial state does not live on the given mesh")
@@ -285,11 +283,16 @@ def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> Tra
         trajectory.record(0, w, 0)
         for n in range(1, trajectory.result.times.size):
             states = [trajectory.w] + states[:3]
-            start = sum(c * s for c, s in zip(_START[len(states) - 1], states))
+            start = np.zeros(w.size)  # from +0.0, so it rounds as Python's sum() of the terms
+            for c, s in zip(_START[len(states) - 1], states):
+                start += c * s
             trajectory.record(n, *advance(start))
     except (NonconvergenceError, SingularMatrixError, FloatingPointError) as exc:
         exc.args = (f"step {n} (t = {n * cfg.k:.6g}): {exc}",)
         exc.step, exc.time = n, n * cfg.k
+        result, last = trajectory.result, FeField(mesh, trajectory.w) if n else None
+        series = {f.name: getattr(result, f.name)[:n] for f in fields(result)[:6]}
+        exc.record = replace(result, **series, final_state=last)
         raise
     trajectory.result.final_state = FeField(mesh, trajectory.w)
     return trajectory.result

@@ -9,9 +9,9 @@ each Picard step does on the factor of an earlier step matrix.  The time loop's 
 Jacobian matrices, the one-off mass and projection solves and the mean-constrained steady
 Newton (a bordered system, :func:`_bordered_solve`) all factor here; nothing loads SuperLU.
 The band LU (``dgbtrf``, solved by two ``dtbsv`` band sweeps, or by ``dgbtrs`` after a row
-interchange) is numpy's own OpenBLAS, called through ``ctypes``, and the CSC product
-(``csc_matvec``) scipy's compiled kernel, loaded without importing ``scipy``, whose
-``linalg`` and ``sparse`` pull in a second OpenBLAS and an array-API layer.
+interchange) is numpy's own OpenBLAS, called through ``ctypes``, and the CSC product, which
+also sums every assembly, scipy's compiled ``csc_matvec``, loaded without importing ``scipy``,
+whose ``linalg`` and ``sparse`` pull in a second OpenBLAS and an array-API layer.
 """
 
 from __future__ import annotations

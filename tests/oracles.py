@@ -15,7 +15,9 @@ the one place ``scipy.sparse.linalg`` is loaded: :func:`solve_general` and
 the bordered steady solve :func:`solve_bordered` are the references for
 the package's band LU.  :func:`full_band` lets a small matrix of any
 pattern take the package's band LU, and :func:`scipy_csc` turns the package's
-own CSC matrices into scipy's for the references.
+own CSC matrices into scipy's for the references.  :class:`BincountSums` sums
+the local entries of a :class:`~burgersfb.assembly.Discretization` by
+``np.bincount``, the reference its compiled sums must equal bit for bit.
 """
 
 import numpy as np
@@ -90,6 +92,47 @@ def full_band(a: sp.csc_matrix) -> tuple:
     width = max(n - 1, 0)
     columns = np.repeat(np.arange(n), np.diff(a.indptr))
     return np.arange(n), width, 2 * width + a.indices - columns + (3 * width + 1) * columns
+
+
+class BincountSums:
+    """The sums of a ``Discretization``'s local entries by ``np.bincount``, which adds each
+    slot's entries from zero in place order: the element entries (3, 3, triangles), then
+    the active-edge entries (active edges, 2, 2), through slots found by ``np.unique`` and
+    ``np.searchsorted``; loads through the corners, then the active-edge endpoints."""
+
+    def __init__(self, disc):
+        n, corners, edges = disc.mesh.num_vertices, disc.corners, disc.bq.edges
+        keys, slots = np.unique(corners * n + corners[:, None], return_inverse=True)
+        edge_slots = np.searchsorted(keys, edges[:, None, :] * n + edges[:, :, None])
+        self.disc, self.rows, self.columns = disc, keys % n, keys // n
+        self.slots = np.concatenate([slots.ravel(), edge_slots.ravel()])
+        self.load_index = np.concatenate([corners.ravel(), edges.ravel()])
+        areas, gx, gy = _geometry(disc.mesh)
+        self.mass = self.scatter(_MASS_PATTERN[:, :, None] * areas)
+        self.stiffness = self.scatter(_stiffness_blocks(areas, gx, gy).transpose(1, 2, 0))
+
+    def scatter(self, blocks: np.ndarray) -> np.ndarray:
+        blocks = blocks.ravel()
+        return np.bincount(self.slots[: blocks.size], blocks, self.rows.size)
+
+    def jacobian(self, vp, g=None, gq=None) -> np.ndarray:
+        """The transport from ``vp``, the gradient term from ``g`` and the boundary mass
+        of ``gq``, each unless ``None``; Picard's system takes ``g = None``."""
+        blocks = vp[:, None] * self.disc.slopes
+        if g is not None:
+            blocks += _MASS_PATTERN[:, :, None] * g
+        if gq is not None:
+            blocks = np.concatenate([blocks.ravel(), _edge_blocks(self.disc.bq, gq).ravel()])
+        return self.scatter(blocks)
+
+    def load(self, vp, g, tr=None, cubic_scale=0.0) -> np.ndarray:
+        """The residual load from ``vp * g`` and, given traces ``tr``, the cubic edge load."""
+        weights = (vp * g).ravel()
+        if tr is not None:
+            cubic = _edge_load(self.disc.bq, cubic_scale * tr**3).ravel()
+            weights = np.concatenate([weights, cubic])
+        n = self.disc.mesh.num_vertices
+        return np.bincount(self.load_index[: weights.size], weights, n)
 
 
 def _element_triplets(mesh: Mesh, cells: np.ndarray, blocks: np.ndarray) -> sp.csr_matrix:

@@ -31,6 +31,7 @@ from burgersfb import assembly
 from burgersfb.control import ACTIVE_TAGS
 from burgersfb.steady import analytic_from_expression
 from oracles import (
+    BincountSums,
     SuperLU,
     apply_dirichlet,
     assemble_boundary_mass,
@@ -592,7 +593,7 @@ def test_fused_kernels_match_element_assembly(jittered_mesh, n, pinned, controll
         assert tr is None
         close(load, transport @ w.values)
         close(disc.jacobian(vp, g), transport + gradient)
-        close(disc.jacobian(vp), transport)
+        close(disc.transport(w.values), transport)
         return
     assert np.array_equal(tr, disc.traces(w.values))
     close(load, transport @ w.values + cubic * boundary_cubic_residual(w, ACTIVE_TAGS))
@@ -600,7 +601,51 @@ def test_fused_kernels_match_element_assembly(jittered_mesh, n, pinned, controll
     close(disc.jacobian(vp, g, 3.0 * cubic * tr**2), newton)
     boundary = cubic * trace_values(w, ACTIVE_TAGS) ** 2
     picard = transport + assemble_boundary_mass(mesh, boundary, ACTIVE_TAGS)
-    close(disc.jacobian(vp, gq=cubic * tr**2), picard)
+    close(disc.transport(w.values, cubic * tr**2), picard)
+
+
+SIDES = [((0.0, 0.0), (1.0, 0.0)), ((1.0, 0.0), (1.0, 1.0)),
+         ((1.0, 1.0), (0.0, 1.0)), ((0.0, 1.0), (0.0, 0.0))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    n=st.integers(1, 12),
+    layout=st.sampled_from(["unit", "refined", "jittered"]),
+    # every edge active, the right side pinned, or no active edge at all
+    region=st.sampled_from([None, SIDES[1], SIDES]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compiled_sums_are_bit_equal_to_bincount(jittered_mesh, n, layout, region, seed):
+    # every sum of local entries is one compiled product that adds each slot's entries
+    # from zero in np.bincount's order: a build of scipy's kernels that fused the
+    # transport's product and sum into an FMA, or a reordered sum, fails here rather
+    # than moving the CSVs
+    rng = np.random.default_rng(seed)
+    mesh = jittered_mesh(n, False, rng) if layout == "jittered" else build_unit_square_mesh(n)
+    if layout == "refined":
+        mesh = refine_uniform(mesh)
+    disc = Discretization(tag_boundary(mesh, region))
+    reference = BincountSums(disc)
+    assert (disc.bq.edges.size == 0) == (region is SIDES)
+
+    def same(got, want):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    columns = np.repeat(np.arange(mesh.num_vertices), np.diff(disc.indptr))
+    assert np.array_equal(disc.indices, reference.rows)
+    assert np.array_equal(columns, reference.columns)
+    same(disc.mass, reference.mass)
+    same(disc.stiffness, reference.stiffness)
+    w = rng.standard_normal(mesh.num_vertices)
+    vp, g, tr = disc.gather(w, traced=True)
+    gq, cubic = rng.standard_normal(tr.shape), rng.uniform(0.1, 2.0)
+    same(disc.jacobian(vp, g), reference.jacobian(vp, g))
+    same(disc.jacobian(vp, g, gq), reference.jacobian(vp, g, gq))
+    same(disc.residual(w)[0], reference.load(vp, g))
+    same(disc.residual(w, cubic)[0], reference.load(vp, g, tr, cubic))
+    same(disc.transport(w), reference.jacobian(vp))
+    same(disc.transport(w, gq), reference.jacobian(vp, gq=gq))
 
 
 def test_matrices_share_one_read_only_pattern(unit4):

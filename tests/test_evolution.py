@@ -476,12 +476,21 @@ def test_run_from_rest_needs_no_iteration(nonlinear):
 def test_run_nonconvergence_names_step_and_time():
     mesh = build_unit_square_mesh(4)
     cfg = config(k=0.5, t_end=1.0)
+    w0 = interpolate(lambda x, y: 1e3 * x, mesh)
     with pytest.raises(NonconvergenceError) as info:
-        run(interpolate(lambda x, y: 1e3 * x, mesh), cfg, mesh, steady_shear(mesh))
+        run(w0, cfg, mesh, steady_shear(mesh))
     assert info.value.step == 1
     assert info.value.time == 0.5
     assert "step 1 (t = 0.5)" in str(info.value)
     assert len(info.value.residual_history) == evolution._NEWTON_MAX + 1
+    # the error keeps what the run computed: step 0's row and state, and the failed
+    # step's factorizations and solves
+    record = info.value.record
+    assert record.times.tolist() == [0.0] and record.newton_iters.tolist() == [0]
+    assert record.final_state.mesh is mesh
+    assert np.array_equal(record.final_state.values, w0.values)
+    assert record.l2[0] == np.sqrt(w0.values @ (assemble_mass(mesh) @ w0.values))
+    assert record.factorizations >= 1 and record.solves == evolution._NEWTON_MAX
 
 
 @pytest.mark.parametrize("nonlinear", ["chord", "picard"])
@@ -496,6 +505,7 @@ def test_run_singular_solve_names_step_and_time(monkeypatch, nonlinear):
         run(initial_bump(mesh), cfg, mesh, steady_shear(mesh))
     assert (info.value.step, info.value.time) == (1, 0.25)
     assert str(info.value).startswith("step 1 (t = 0.25): ")
+    assert info.value.record.times.tolist() == [0.0]
 
 
 @pytest.mark.parametrize("nonlinear", ["newton", "picard"])
@@ -517,6 +527,21 @@ def test_run_names_the_step_and_time_of_a_non_finite_diagnostic(monkeypatch, non
         run(initial_bump(mesh), cfg, mesh, steady_shear(mesh))
     assert (info.value.step, info.value.time) == (3, 3 * cfg.k)
     assert str(info.value) == "step 3 (t = 0.03): l2 is not finite"
+    # the record stops at the last good step, not at the overflowed one
+    clean = run(initial_bump(mesh), replace(cfg, t_end=2 * cfg.k), mesh, steady_shear(mesh))
+    record = info.value.record
+    for name in ("times", "l2", "h1_semi", "lyapunov", "control_l2", "newton_iters"):
+        assert np.array_equal(getattr(record, name), getattr(clean, name)), name
+    assert np.array_equal(record.final_state.values, clean.final_state.values)
+
+
+def test_run_error_at_step_zero_keeps_an_empty_record():
+    mesh = build_unit_square_mesh(4)
+    cfg = config(k=0.5, t_end=1.0, control=ControlParams(nu=NU, c0=1e308))
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as info:
+        run(initial_bump(mesh), cfg, mesh, steady_shear(mesh))
+    assert info.value.step == 0
+    assert info.value.record.times.size == 0 and info.value.record.final_state is None
 
 
 @pytest.mark.parametrize("pinned", [False, True])

@@ -335,8 +335,7 @@ def step_matrices(disc, rng, k):
     feedback = rng.uniform(0.0, 2.0, disc.bq.points.shape[:2])
     vp, g, _ = disc.gather(u)
     held = disc.mass / k + 0.1 * disc.stiffness + disc.jacobian(vp, g, feedback)
-    vp, _, _ = disc.gather(k * w)
-    near = held + disc.jacobian(vp, gq=k * feedback**2)
+    near = held + disc.transport(k * w, k * feedback**2)
     for data in (held, near):
         disc.eliminate(data)
     return held, near
@@ -642,7 +641,7 @@ def test_products_are_bit_equal_to_scipys(jittered_mesh, n, jittered, pinned, co
     trajectory = _Trajectory(mesh, FeField(mesh, rng.standard_normal(mesh.num_vertices)), cfg)
     disc, w = trajectory.disc, rng.standard_normal(mesh.num_vertices)
     gq = trajectory.cubic_scale * disc.traces(w) ** 2 if controlled else None
-    picard = trajectory.step_matrix.data + disc.jacobian(disc.gather(w)[0], gq=gq)
+    picard = trajectory.step_matrix.data + disc.transport(w, gq)
     disc.eliminate(picard)
     for matrix in (trajectory.mass, trajectory.stiffness, trajectory.step_matrix,
                    disc.matrix(picard)):
