@@ -49,11 +49,13 @@ def _scipy_extension(package: str, module: str):
 
 try:  # numpy's linalg module links its bundled OpenBLAS, whose ILP64 LAPACK dlsym reaches
     _numpy_lapack = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    _dgbtrf, _dgbtrs, _dtbsv = (getattr(_numpy_lapack, f"scipy_{name}_64_")
-                                for name in ("dgbtrf", "dgbtrs", "dtbsv"))
+    _dgbtrf, _dgbtrs, _dtbsv, _get_threads, _set_threads = (getattr(_numpy_lapack, name) for name in (
+        "scipy_dgbtrf_64_", "scipy_dgbtrs_64_", "scipy_dtbsv_64_",
+        # C's int by value; the names with _64_ are the Fortran forms, by reference
+        "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"))
 except AttributeError as exc:  # the message names the missing symbol
     raise ImportError(f"numpy's OpenBLAS lacks the band LU: {exc}") from None
-_dgbtrf.restype = _dgbtrs.restype = _dtbsv.restype = None
+_dgbtrf.restype = _dgbtrs.restype = _dtbsv.restype = _set_threads.restype = None
 _csc_matvec = _scipy_extension("sparse", "_sparsetools").csc_matvec
 
 
@@ -199,7 +201,12 @@ def _band_lu(data, order, width, slots):
     ab, piv, work = np.frombuffer(band), np.frombuffer(pivots, np.int64), np.frombuffer(rhs)
     ab[slots] = data
     size, kl, ldab, info = _int64(n), _int64(width), _int64(rows), ctypes.c_int64()
+    # on one OpenBLAS thread: with two, a fresh process's first factor at n >= 64 sometimes
+    # waits about 1 s (cause not established); the caller's count is restored
+    threads = _get_threads()
+    _set_threads(1)
     _dgbtrf(size, size, kl, kl, band, ldab, pivots, ctypes.byref(info))
+    _set_threads(threads)
     if info.value:
         raise SingularMatrixError(f"factorization failed: dgbtrf info {info.value}")
     # built once; the hidden lengths of the character arguments come last.  With no

@@ -7,6 +7,7 @@ import inspect
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -16,27 +17,20 @@ import pytest
 import burgersfb
 import burgersfb.cli
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def test_package_exposes_submodules_and_runs_readme_example():
     for name in ("assembly", "control", "evolution", "harness", "mesh", "steady"):
         assert hasattr(burgersfb, name), name
 
-    # The README "Library" snippet at n = 4, k = 0.01, t_end = 0.1.
-    from burgersfb import (
-        ControlParams, EvolutionConfig, build_unit_square_mesh,
-        interpolate, run, fit_decay_rate,
-    )
-    from burgersfb.evolution import decay_rate_bound
-    from burgersfb.mesh import friedrichs_constant
-
-    mesh = build_unit_square_mesh(4)
-    u_inf = interpolate(lambda x, y: -0.2 * x, mesh)
-    w0 = interpolate(lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y) + 0.2 * x, mesh)
-    cfg = EvolutionConfig(nu=0.1, k=0.01, t_end=0.1,
-                          control=ControlParams(nu=0.1, c0=1.0))
-    record = run(w0, cfg, mesh, u_inf)
-    rate = fit_decay_rate(record, window=(0.0, 0.1))
-    alpha = decay_rate_bound(0.1, 1.0, friedrichs_constant(mesh))  # guaranteed rate
+    # README's one python block, the Library example, run as written
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        blocks = re.findall(r"^```python\n(.*?)^```", handle.read(), re.S | re.M)
+    assert len(blocks) == 1, f"{len(blocks)} python blocks in README.md"
+    example = {}
+    exec(compile(blocks[0], "README.md", "exec"), example)
+    record, rate, alpha = example["record"], example["rate"], example["alpha"]
     assert 0.0 < record.l2[-1] < record.l2[0]
     assert rate > alpha > 0.0
 
@@ -169,6 +163,21 @@ def test_the_front_end_imports_no_private_name():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
+def test_the_source_lines_and_public_names_do_not_grow():
+    # the lines of src/burgersfb (cat src/burgersfb/*.py | wc -l) and the public names
+    # (len(__all__) summed over the submodules); a change that adds some raises the bound
+    package = os.path.dirname(burgersfb.__file__)
+    lines = 0
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                lines += handle.read().count("\n")
+    assert lines <= 2647
+    public = sum(len(importlib.import_module(f"burgersfb.{info.name}").__all__)
+                 for info in pkgutil.iter_modules(burgersfb.__path__) if info.name != "__main__")
+    assert public <= 60
+
+
 def test_factorization_takes_csc_only_and_no_stale_log_is_tracked():
     # every matrix the package factors is CSC on a Discretization's pattern, so
     # Factorization has no CSR branch; the tests' solve_general converts what it is given
@@ -180,9 +189,8 @@ def test_factorization_takes_csc_only_and_no_stale_log_is_tracked():
     with pytest.raises(ValueError, match="not CSC"):
         Factorization(sp.csr_matrix(np.eye(2)), full_band(sp.csc_matrix(np.eye(2))))
     # the seed's pytest log, listed in .gitignore, is no longer tracked
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    if os.path.isdir(os.path.join(root, ".git")):
-        listed = subprocess.run(["git", "ls-files", "test_output.txt"], cwd=root,
+    if os.path.isdir(os.path.join(ROOT, ".git")):
+        listed = subprocess.run(["git", "ls-files", "test_output.txt"], cwd=ROOT,
                                 capture_output=True, text=True)
         assert listed.stdout == ""
 

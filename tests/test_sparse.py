@@ -1,6 +1,7 @@
 import ctypes
 import gc
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -569,6 +570,30 @@ def run_fresh(script):
                           timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def test_a_band_factor_runs_on_one_openblas_thread_and_restores_the_count(monkeypatch):
+    # with OpenBLAS's two threads, a fresh process's first factor at n >= 64 sometimes
+    # waited about 1 s; a spy on dgbtrf reads the count each factor runs with
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    script = (
+        "import json\n"
+        "from burgersfb import sparse\n"
+        "from burgersfb.assembly import Discretization\n"
+        "from burgersfb.mesh import build_unit_square_mesh\n"
+        "seen, factor = [], sparse._dgbtrf\n"
+        "def spy(*args):\n"
+        "    seen.append(sparse._get_threads())\n"
+        "    factor(*args)\n"
+        "sparse._dgbtrf = spy\n"
+        "before = sparse._get_threads()\n"
+        "disc = Discretization(build_unit_square_mesh(8))\n"
+        "disc.factor(disc.mass), disc.factor(disc.stiffness + disc.mass)\n"
+        "print(json.dumps([before, seen, sparse._get_threads()]))\n"
+    )
+    before, seen, after = json.loads(run_fresh(script))
+    assert seen == [1, 1]
+    assert after == before == min(2, os.cpu_count())
 
 
 def test_band_lu_is_bit_equal_to_scipys_lapack_and_scipy_still_imports(rng):
