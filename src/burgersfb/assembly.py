@@ -5,9 +5,10 @@ constant per triangle.  A six-point interior rule exact to degree 4 only
 samples callables, and a three-point Gauss rule on boundary edges exact to
 degree 5 integrates the cubic and quartic traces exactly.
 :class:`Discretization` is the one matrix assembler: mass, stiffness and
-the time loop's forms go onto its fixed CSC pattern, on the edge helpers
-:func:`_trace`, :func:`_edge_load` and :func:`_edge_blocks`, each sum one
-``csc_matvec``.  The norms sum per triangle and assemble nothing.
+the time loop's forms go onto its fixed CSC pattern, each summed by one
+``csc_matvec``.  :class:`BoundaryQuadrature` owns the edge rule: its traces,
+loads, blocks and boundary L2 norm are the only edge integrals in the package.
+The norms sum per triangle and assemble nothing.
 """
 
 from __future__ import annotations
@@ -138,12 +139,29 @@ def convection_form(v: FeField, w: FeField, z: FeField) -> float:
 @dataclass(frozen=True, eq=False)
 class BoundaryQuadrature:
     """Per-mesh edge quadrature data of a tag subset: the edges, their lengths and
-    outward normals, and the edge quadrature points, shape (edges, points, 2)."""
+    outward normals, and the edge quadrature points, shape (edges, points, 2).
+    Its methods are the edge rule; ``gq`` holds values at the points."""
 
     edges: np.ndarray
     lengths: np.ndarray
     normals: np.ndarray
     points: np.ndarray
+
+    def trace(self, values: np.ndarray) -> np.ndarray:
+        """The nodal ``values`` at the edge points, shape (edges, points)."""
+        return values[self.edges] @ _EDGE_BASIS
+
+    def load(self, gq: np.ndarray) -> np.ndarray:
+        """``integral of g phi_i`` per edge and endpoint ``i``, (edges, 2)."""
+        return (gq @ _EDGE_LOAD) * self.lengths[:, None]
+
+    def blocks(self, gq: np.ndarray) -> np.ndarray:
+        """Blocks of ``integral of g phi_j phi_i`` per edge, (edges, 4); column 2i+j is (i, j)."""
+        return (gq @ _EDGE_PAIRS) * self.lengths[:, None]
+
+    def l2(self, gq: np.ndarray) -> float:
+        """``sqrt(integral of g^2)`` over the edges."""
+        return float(np.sqrt(max(np.sum((gq**2 @ _EDGE_WEIGHTS) * self.lengths), 0.0)))
 
 
 def boundary_quadrature(mesh: Mesh, tags=None) -> BoundaryQuadrature:
@@ -164,15 +182,6 @@ def boundary_quadrature(mesh: Mesh, tags=None) -> BoundaryQuadrature:
     )
 
 
-def _trace(values: np.ndarray, bq: BoundaryQuadrature) -> np.ndarray:
-    return values[bq.edges] @ _EDGE_BASIS
-
-
-def _edge_blocks(bq: BoundaryQuadrature, gq: np.ndarray) -> np.ndarray:
-    """Blocks of ``integral of g phi_j phi_i`` per edge, (edges, 4); column 2i+j is (i, j)."""
-    return (gq @ _EDGE_PAIRS) * bq.lengths[:, None]
-
-
 def boundary_load(mesh: Mesh, flux) -> np.ndarray:
     """Vector of ``integral over the boundary of flux phi_i``.
 
@@ -183,13 +192,8 @@ def boundary_load(mesh: Mesh, flux) -> np.ndarray:
     shape = bq.points.shape[:2]
     nx, ny = (np.broadcast_to(bq.normals[:, None, i], shape) for i in (0, 1))
     gq = np.asarray(flux(bq.points[:, :, 0], bq.points[:, :, 1], nx, ny), dtype=float)
-    load = _edge_load(bq, gq * np.ones(shape))
+    load = bq.load(gq * np.ones(shape))
     return np.bincount(bq.edges.ravel(), load.ravel(), mesh.num_vertices)
-
-
-def _edge_load(bq: BoundaryQuadrature, gq: np.ndarray) -> np.ndarray:
-    """``integral of g phi_i`` per edge and endpoint ``i``, (edges, 2); ``gq`` at the points."""
-    return (gq @ _EDGE_LOAD) * bq.lengths[:, None]
 
 
 def _at_interior_points(mesh: Mesh, f) -> np.ndarray:
@@ -387,16 +391,12 @@ class Discretization:
         columns = np.r_[: 9 * t : 3, 9 * t : rows.size + 1].astype(np.int32)
         return _CscMatrix(data, rows, columns, (self.indices.size, columns.size - 1))
 
-    def traces(self, values: np.ndarray) -> np.ndarray:
-        """Values at the active-edge quadrature points, shape (edges, points)."""
-        return _trace(values, self.bq)
-
     def gather(self, values: np.ndarray, traced: bool = False):
         """``(vp, g, tr)`` of the field ``v``: its mass-pattern image ``vp`` (3, triangles),
         the integral ``g`` of ``(d/dx1 + d/dx2) v`` per triangle, and, if ``traced``,
         its active-edge traces ``tr`` (else ``None``)."""
         vk = values[self.corners]
-        tr = self.traces(values) if traced else None
+        tr = self.bq.trace(values) if traced else None
         return _MASS_PATTERN @ vk, (self.slopes * vk).sum(axis=0), tr
 
     def residual(self, values: np.ndarray, cubic_scale: float = 0.0):
@@ -405,7 +405,7 @@ class Discretization:
         gathered = vp, g, tr = self.gather(values, bool(cubic_scale))
         weights = (vp * g).ravel()
         if tr is not None:
-            weights = np.concatenate([weights, _edge_load(self.bq, cubic_scale * tr**3).ravel()])
+            weights = np.concatenate([weights, self.bq.load(cubic_scale * tr**3).ravel()])
         return self._sum(weights, self.load_index, values.size), gathered
 
     def jacobian(self, vp: np.ndarray, g: np.ndarray, gq=None) -> np.ndarray:
@@ -415,14 +415,14 @@ class Discretization:
         blocks = vp[:, None] * self.slopes
         blocks += _MASS_PATTERN[:, :, None] * g
         if gq is not None:
-            blocks = np.concatenate([blocks.ravel(), _edge_blocks(self.bq, gq).ravel()])
+            blocks = np.concatenate([blocks.ravel(), self.bq.blocks(gq).ravel()])
         return self._sum(blocks)
 
     def transport(self, values: np.ndarray, gq=None) -> np.ndarray:
         """:meth:`jacobian` of the field ``v`` with no gradient term, as Picard lags it."""
         corners = self.corners
         local = np.empty(self._transport.shape[1])
-        local[corners.size :] = 0.0 if gq is None else _edge_blocks(self.bq, gq).ravel()
+        local[corners.size :] = 0.0 if gq is None else self.bq.blocks(gq).ravel()
         np.matmul(_MASS_PATTERN, values[corners], out=local[: corners.size].reshape(corners.shape))
         return self._transport @ local
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _EDGE_WEIGHTS, ACTIVE_TAGS, FeField, _trace
+from .assembly import ACTIVE_TAGS, FeField
 from .mesh import ConfigError
 
 __all__ = [
@@ -53,15 +53,10 @@ class _Feedback:
     def __init__(self, bq, u_steady: FeField, params: ControlParams):
         if bq.edges.shape[0] == 0:
             raise NoActiveBoundaryError("no boundary edge carries an active control tag")
-        self.bq, self.nu = bq, params.nu
-        self.linear = params.c0 + params.nu + 2.0 * np.abs(_trace(u_steady.values, bq))
+        self.nu = params.nu
+        self.linear = params.c0 + params.nu + 2.0 * np.abs(bq.trace(u_steady.values))
         self.cubic = 2.0 / (9.0 * params.c0)
 
     def flux(self, tr: np.ndarray) -> np.ndarray:
         """The feedback flux of a deviation with edge traces ``tr``."""
         return -(self.linear * tr + self.cubic * tr**3) / self.nu
-
-
-def _boundary_l2(bq, values: np.ndarray) -> float:
-    val = np.sum((values**2 @ _EDGE_WEIGHTS) * bq.lengths)
-    return float(np.sqrt(max(val, 0.0)))

@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .assembly import Discretization, FeField
-from .control import ControlParams, _boundary_l2, _Feedback
+from .control import ControlParams, _Feedback
 from .mesh import ConfigError, Mesh, _one_of
 from .sparse import NonconvergenceError, SingularMatrixError
 
@@ -50,7 +50,6 @@ __all__ = [
     "TrajectoryRecord",
     "decay_rate_bound",
     "fit_decay_rate",
-    "lyapunov_decay_coefficient",
     "run",
     "write_csv",
 ]
@@ -147,8 +146,8 @@ class _Trajectory:
         result.lyapunov[i] = 0.5 * float(energy)
         if self.feedback is not None:
             if traces is None:
-                traces = self.disc.traces(w)
-            result.control_l2[i] = _boundary_l2(self.feedback.bq, self.feedback.flux(traces))
+                traces = self.disc.bq.trace(w)
+            result.control_l2[i] = self.disc.bq.l2(self.feedback.flux(traces))
         result.newton_iters[i] = iterations
         row = result.l2[i], result.h1_semi[i], result.lyapunov[i], result.control_l2[i]
         # three square roots and half a float: finite entries never sum to inf
@@ -301,11 +300,6 @@ def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> Tra
 def decay_rate_bound(nu: float, c0: float, friedrichs: float) -> float:
     """Guaranteed exponential decay rate of the controlled deviation norm."""
     return min(nu / 2.0, c0 + 7.0 * nu / 4.0) / (2.0 * friedrichs)
-
-
-def lyapunov_decay_coefficient(nu: float, c0: float, friedrichs: float) -> float:
-    """Coefficient in ``dV/dt <= -C V`` for the controlled energy."""
-    return 2.0 * min(7.0 * nu / 8.0, c0 / 2.0 + 7.0 * nu / 8.0) / friedrichs
 
 
 def fit_decay_rate(record: TrajectoryRecord, window: tuple) -> float:

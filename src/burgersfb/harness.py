@@ -20,7 +20,6 @@ from .assembly import (
     ACTIVE_TAGS,
     FeField,
     NonNestedMeshError,
-    _trace,
     boundary_quadrature,
     elliptic_projection,
     h1_seminorm,
@@ -28,7 +27,7 @@ from .assembly import (
     l2_norm,
     prolong,
 )
-from .control import ControlParams, _boundary_l2, _Feedback
+from .control import ControlParams, _Feedback
 from .evolution import EvolutionConfig, TrajectoryRecord, _check_steps, run, write_csv
 from .mesh import ConfigError, Mesh, _normalize_region, _one_of, build_unit_square_mesh
 from .mesh import refine_uniform, tag_boundary
@@ -184,15 +183,11 @@ class Study:
             self._records[n] = run(w0, self._dynamics, mesh, self.steady_field(n))
         return self._records[n]
 
-    def state(self, n: int) -> FeField:
-        return self.record(n).final_state
-
     def state_errors(self, n: int):
         """L2 and H1-seminorm errors against the reference at t_eval."""
-        cfg = self.config
-        ref_mesh = self.mesh(cfg.reference_level)
-        coarse = prolong(self.state(n), ref_mesh)
-        diff = FeField(ref_mesh, coarse.values - self.state(cfg.reference_level).values)
+        ref = self.config.reference_level
+        coarse = prolong(self.record(n).final_state, self.mesh(ref))
+        diff = FeField(coarse.mesh, coarse.values - self.record(ref).final_state.values)
         return l2_norm(diff), h1_seminorm(diff)
 
     def control_errors(self, n: int) -> float:
@@ -200,10 +195,10 @@ class Study:
         ref = self.config.reference_level
         bq = boundary_quadrature(self.mesh(ref), ACTIVE_TAGS)
         feedback = _Feedback(bq, self.steady_field(ref), self._dynamics.control)
-        coarse = prolong(self.state(n), self.mesh(ref))
-        level = feedback.flux(_trace(coarse.values, bq))
-        reference = feedback.flux(_trace(self.state(ref).values, bq))
-        return _boundary_l2(bq, level - reference)
+        coarse = prolong(self.record(n).final_state, self.mesh(ref))
+        level = feedback.flux(bq.trace(coarse.values))
+        reference = feedback.flux(bq.trace(self.record(ref).final_state.values))
+        return bq.l2(level - reference)
 
     def rate_table(self) -> "RateTable":
         levels = self.config.levels

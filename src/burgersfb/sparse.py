@@ -1,13 +1,12 @@
 """Sparse storage and the one linear solver behind assembly and Newton loops.
 
-Every matrix the package assembles is CSC on the fixed pattern of a
-:class:`~burgersfb.assembly.Discretization`, and every square solve is a certified
-:class:`Factorization`: LAPACK band LU with partial pivoting in the vertex order of that
-pattern, kept when one factor serves several right-hand sides, or several matrices:
-:meth:`Factorization.refine` solves a nearby matrix by stationary iterative refinement, as
-each Picard step does on the factor of an earlier step matrix.  The time loop's step and
-Jacobian matrices, the one-off mass and projection solves and the mean-constrained steady
-Newton (a bordered system, :func:`_bordered_solve`) all factor here; nothing loads SuperLU.
+Every matrix the package assembles is a :class:`_CscMatrix`, data on a fixed CSC pattern,
+and every square solve is a certified :class:`Factorization`: LAPACK band LU with partial
+pivoting in a vertex order and band layout its caller supplies, kept when one factor serves
+several right-hand sides, or several matrices: :meth:`Factorization.refine` solves a nearby
+matrix by stationary iterative refinement, as each Picard step does on the factor of an
+earlier step matrix.  The time loop's step and Jacobian matrices, the one-off mass and
+projection solves and the steady Newton's bordered solves all factor here; nothing loads SuperLU.
 The band LU (``dgbtrf``, solved by two ``dtbsv`` band sweeps, or by ``dgbtrs`` after a row
 interchange) is numpy's own OpenBLAS, called through ``ctypes``, and the CSC product, which
 also sums every assembly, scipy's compiled ``csc_matvec``, loaded without importing ``scipy``,
@@ -235,38 +234,3 @@ def _band_lu(data, order, width, slots):
 def _int64(value: int):
     """An ILP64 integer argument: LAPACK takes every argument by reference."""
     return ctypes.byref(ctypes.c_int64(value))
-
-
-def _bordered_solve(disc, data, constraint, rhs, value: float):
-    """``(x, mu)`` with ``J x + mu c = rhs`` and ``c . x = value``, ``J`` the CSC ``data``
-    on the pattern of the :class:`~burgersfb.assembly.Discretization` ``disc`` and ``c``
-    the ``constraint`` row.
-
-    Block elimination (Govaerts, SIAM 2000, ch. 3; Chan, SIAM J. Numer. Anal. 21, 1984)
-    on the band LU of ``J + alpha e_i e_i^T``, ``i`` the largest entry of ``c`` and
-    ``alpha = |J_ii|``, which deflates J's near-null constant mode: certified solves of
-    ``rhs``, ``e_i`` and ``c`` give ``x = a + alpha x_i b - mu d``, with ``(x_i, mu)``
-    from a 2 x 2 system, whose singularity raises :class:`SingularMatrixError`.  One
-    refinement step on the bordered residual (Govaerts & Pryce, BIT 30, 1990) bounds
-    the error by the bordered matrix's condition, not the deflated one's.
-    """
-    i = int(np.argmax(constraint))
-    slot = disc.indptr[i] + np.searchsorted(disc.indices[disc.indptr[i] : disc.indptr[i + 1]], i)
-    alpha = abs(data[slot])
-    pinned = data.copy()
-    pinned[slot] += alpha
-    factor = disc.factor(pinned)
-    b, d = factor.solve(np.eye(1, rhs.size, i)[0]), factor.solve(constraint)
-    system = [[1.0 - alpha * b[i], d[i]], [alpha * (constraint @ b), -(constraint @ d)]]
-
-    def eliminate(r, gap):
-        a = factor.solve(r)
-        try:
-            x_i, mu = np.linalg.solve(system, [a[i], gap - constraint @ a])
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(f"bordered system is singular: {exc}") from exc
-        return a + alpha * x_i * b - mu * d, mu
-
-    x, mu = eliminate(rhs, value)
-    dx, dmu = eliminate(rhs - disc.matrix(data) @ x - mu * constraint, value - constraint @ x)
-    return x + dx, float(mu + dmu)

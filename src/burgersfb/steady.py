@@ -2,7 +2,8 @@
 
 The steady problem is pure Neumann, so its solution is fixed only up to the
 choice of mean; the solver pins the mass-weighted mean through a bordered
-Newton iteration.  Closed-form data is text in x1 and x2, which
+Newton iteration, whose bordered solve (:func:`_bordered_solve`, block
+elimination on the band LU) lives here beside it.  Closed-form data is text in x1 and x2, which
 :func:`analytic_from_expression` parses and differentiates symbolically.
 Every steady state is solved for: closed-form forcing (optionally with the
 matching boundary flux) directly, and a closed-form state as the
@@ -32,7 +33,7 @@ from .assembly import (
     load_vector,
 )
 from .mesh import ConfigError, Mesh
-from .sparse import NonconvergenceError, _bordered_solve
+from .sparse import NonconvergenceError, SingularMatrixError
 
 __all__ = [
     "AnalyticFunction",
@@ -292,13 +293,48 @@ def _quotient_norm(residual: np.ndarray, unit_constraint: np.ndarray) -> float:
     return float(np.linalg.norm(projected))
 
 
+def _bordered_solve(disc, data, constraint, rhs, value: float):
+    """``(x, mu)`` with ``J x + mu c = rhs`` and ``c . x = value``, ``J`` the CSC ``data``
+    on the pattern of the :class:`Discretization` ``disc`` and ``c`` the ``constraint``
+    row.
+
+    Block elimination (Govaerts, SIAM 2000, ch. 3; Chan, SIAM J. Numer. Anal. 21, 1984)
+    on the band LU of ``J + alpha e_i e_i^T``, ``i`` the largest entry of ``c`` and
+    ``alpha = |J_ii|``, which deflates J's near-null constant mode: certified solves of
+    ``rhs``, ``e_i`` and ``c`` give ``x = a + alpha x_i b - mu d``, with ``(x_i, mu)``
+    from a 2 x 2 system, whose singularity raises :class:`SingularMatrixError`.  One
+    refinement step on the bordered residual (Govaerts & Pryce, BIT 30, 1990) bounds
+    the error by the bordered matrix's condition, not the deflated one's.
+    """
+    i = int(np.argmax(constraint))
+    slot = disc.indptr[i] + np.searchsorted(disc.indices[disc.indptr[i] : disc.indptr[i + 1]], i)
+    alpha = abs(data[slot])
+    pinned = data.copy()
+    pinned[slot] += alpha
+    factor = disc.factor(pinned)
+    b, d = factor.solve(np.eye(1, rhs.size, i)[0]), factor.solve(constraint)
+    system = [[1.0 - alpha * b[i], d[i]], [alpha * (constraint @ b), -(constraint @ d)]]
+
+    def eliminate(r, gap):
+        a = factor.solve(r)
+        try:
+            x_i, mu = np.linalg.solve(system, [a[i], gap - constraint @ a])
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(f"bordered system is singular: {exc}") from exc
+        return a + alpha * x_i * b - mu * d, mu
+
+    x, mu = eliminate(rhs, value)
+    dx, dmu = eliminate(rhs - disc.matrix(data) @ x - mu * constraint, value - constraint @ x)
+    return x + dx, float(mu + dmu)
+
+
 def solve_steady(mesh: Mesh, spec: SteadySpec, full_output: bool = False):
     """Solve the steady problem with the mean pinned to ``spec.mean_value``.
 
     A ``u_steady`` spec is solved as :func:`manufactured_solve_spec` of its state.
     Newton's method from zero on the discrete residual, augmented by the
     mass-weighted mean constraint through a bordered solve on the band LU
-    (:func:`~burgersfb.sparse._bordered_solve`).  A full step
+    (:func:`_bordered_solve`).  A full step
     that increases the residual norm is halved up to 8 times.  Convergence
     requires the residual norm at or below ``_STEADY_TOL`` (1e-10) and the
     mean constraint met to 1e-10.  Residual norms are measured with the

@@ -3,7 +3,7 @@
 The element-by-element assemblers (mass, stiffness, convection by transport
 and by gradient, boundary mass, traces and the cubic boundary terms) build
 scipy CSR matrices cell by cell from COO triplets on the package's private
-kernels.  :class:`~burgersfb.assembly.Discretization`, the package's one
+kernels and the edge rule of :class:`~burgersfb.assembly.BoundaryQuadrature`.  :class:`~burgersfb.assembly.Discretization`, the package's one
 matrix assembler, is checked against them, and
 :func:`steady_residual_and_gap` builds the steady residual from them.
 :func:`refined_boundary_by_rescan` finds a refined mesh's boundary from its
@@ -31,12 +31,9 @@ from burgersfb.assembly import (
     _MASS_PATTERN,
     ACTIVE_TAGS,
     FeField,
-    _edge_blocks,
-    _edge_load,
     _geometry,
     _slopes,
     _stiffness_blocks,
-    _trace,
     boundary_load,
     boundary_quadrature,
     load_vector,
@@ -122,14 +119,14 @@ class BincountSums:
         if g is not None:
             blocks += _MASS_PATTERN[:, :, None] * g
         if gq is not None:
-            blocks = np.concatenate([blocks.ravel(), _edge_blocks(self.disc.bq, gq).ravel()])
+            blocks = np.concatenate([blocks.ravel(), self.disc.bq.blocks(gq).ravel()])
         return self.scatter(blocks)
 
     def load(self, vp, g, tr=None, cubic_scale=0.0) -> np.ndarray:
         """The residual load from ``vp * g`` and, given traces ``tr``, the cubic edge load."""
         weights = (vp * g).ravel()
         if tr is not None:
-            cubic = _edge_load(self.disc.bq, cubic_scale * tr**3).ravel()
+            cubic = self.disc.bq.load(cubic_scale * tr**3).ravel()
             weights = np.concatenate([weights, cubic])
         n = self.disc.mesh.num_vertices
         return np.bincount(self.load_index[: weights.size], weights, n)
@@ -208,7 +205,7 @@ def assemble_convection_by_gradient(v: FeField) -> sp.csr_matrix:
 
 def trace_values(w: FeField, tags=None) -> np.ndarray:
     """Field values at the edge quadrature points, shape (edges, points)."""
-    return _trace(w.values, boundary_quadrature(w.mesh, tags))
+    return boundary_quadrature(w.mesh, tags).trace(w.values)
 
 
 def assemble_boundary_mass(mesh: Mesh, g, tags=None) -> sp.csr_matrix:
@@ -221,13 +218,13 @@ def assemble_boundary_mass(mesh: Mesh, g, tags=None) -> sp.csr_matrix:
     """
     bq = boundary_quadrature(mesh, tags)
     gq = np.broadcast_to(np.asarray(g, dtype=float), bq.points.shape[:2])
-    return _element_triplets(mesh, bq.edges, _edge_blocks(bq, gq))
+    return _element_triplets(mesh, bq.edges, bq.blocks(gq))
 
 
 def boundary_cubic_residual(w: FeField, tags=None) -> np.ndarray:
     """Vector of ``integral over tagged edges of w^3 phi_i`` (exact)."""
     bq = boundary_quadrature(w.mesh, tags)
-    load = _edge_load(bq, _trace(w.values, bq) ** 3)
+    load = bq.load(bq.trace(w.values) ** 3)
     return np.bincount(bq.edges.ravel(), load.ravel(), w.mesh.num_vertices)
 
 

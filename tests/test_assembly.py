@@ -540,7 +540,7 @@ def test_pattern_assembly_matches_element_assembly(jittered_mesh, n, pinned, see
         bound = 5 * np.finfo(float).eps * want[diagonal]
         assert np.all(np.abs(got - want)[diagonal] <= bound)
     disc = Discretization(mesh)
-    assert_relative_close(disc.traces(w.values), trace_values(w, ACTIVE_TAGS))
+    assert_relative_close(disc.bq.trace(w.values), trace_values(w, ACTIVE_TAGS))
     # the edge load of a normal-dependent flux against the edge blocks (the two
     # edge basis functions sum to one)
     c = rng.standard_normal(3)
@@ -557,7 +557,7 @@ def test_pattern_assembly_matches_element_assembly(jittered_mesh, n, pinned, see
     linear = a * mesh.vertices[:, 0] + b * mesh.vertices[:, 1] + c
     points = disc.bq.points
     assert_relative_close(
-        disc.traces(linear), a * points[..., 0] + b * points[..., 1] + c, rtol=1e-14
+        disc.bq.trace(linear), a * points[..., 0] + b * points[..., 1] + c, rtol=1e-14
     )
     vp, g, _ = disc.gather(w.values)
     data = disc.jacobian(vp, g) + disc.stiffness
@@ -595,7 +595,7 @@ def test_fused_kernels_match_element_assembly(jittered_mesh, n, pinned, controll
         close(disc.jacobian(vp, g), transport + gradient)
         close(disc.transport(w.values), transport)
         return
-    assert np.array_equal(tr, disc.traces(w.values))
+    assert np.array_equal(tr, disc.bq.trace(w.values))
     close(load, transport @ w.values + cubic * boundary_cubic_residual(w, ACTIVE_TAGS))
     newton = transport + gradient + cubic * boundary_cubic_jacobian(w, ACTIVE_TAGS)
     close(disc.jacobian(vp, g, 3.0 * cubic * tr**2), newton)

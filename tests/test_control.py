@@ -12,7 +12,6 @@ from burgersfb.control import (
     ACTIVE_TAGS,
     ControlParams,
     NoActiveBoundaryError,
-    _boundary_l2,
     _Feedback,
 )
 from burgersfb.evolution import EvolutionConfig, run
@@ -74,7 +73,7 @@ def test_feedback_flux_and_norm_match_the_law_written_out(mesh_name, request, rn
         flux = _Feedback(bq, u_steady, p).flux(trace_values(w, ACTIVE_TAGS))
         expected = control_trace(w, u_steady, p)
         assert np.allclose(flux, expected[active], rtol=1e-14, atol=0.0)
-        assert _boundary_l2(bq, flux) == pytest.approx(
+        assert bq.l2(flux) == pytest.approx(
             control_boundary_l2(w, u_steady, p), rel=1e-14, abs=0.0
         )
 

@@ -20,7 +20,6 @@ from burgersfb.evolution import (
     TrajectoryRecord,
     decay_rate_bound,
     fit_decay_rate,
-    lyapunov_decay_coefficient,
     run,
     write_csv,
 )
@@ -677,7 +676,6 @@ def test_csv_writer_bytes_and_path_forms(tmp_path):
 
 def test_predicted_decay_constants():
     assert decay_rate_bound(NU, C0, 2.0) == pytest.approx(0.0125, abs=1e-15)
-    assert lyapunov_decay_coefficient(NU, C0, 2.0) == pytest.approx(0.0875, abs=1e-15)
 
 
 def test_fit_decay_rate_synthetic():

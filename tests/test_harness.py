@@ -147,7 +147,6 @@ def test_rate_table_matches_member_errors(small_study):
 
 def test_trajectories_are_cached(small_study):
     assert small_study.record(4) is small_study.record(4)
-    assert small_study.state(4) is small_study.state(4)
 
 
 def test_unknown_level_is_rejected(small_study):

@@ -9,6 +9,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,8 +21,13 @@ from burgersfb.assembly import Discretization, FeField, interpolate
 from burgersfb.control import ControlParams
 from burgersfb.evolution import EvolutionConfig, _Trajectory, run
 from burgersfb.mesh import build_unit_square_mesh, refine_uniform, tag_boundary
-from burgersfb.sparse import Factorization, SingularMatrixError, _bordered_solve
-from burgersfb.steady import analytic_from_expression, manufactured_solve_spec, solve_steady
+from burgersfb.sparse import Factorization, SingularMatrixError
+from burgersfb.steady import (
+    _bordered_solve,
+    analytic_from_expression,
+    manufactured_solve_spec,
+    solve_steady,
+)
 from oracles import (
     SuperLU,
     assemble_mass_by_element,
@@ -31,6 +37,12 @@ from oracles import (
     solve_bordered,
     solve_general,
 )
+
+# the full-band references call scipy's own OpenBLAS: on one thread, as the package's band
+# factor runs, since with two the first width-66 factor in a process sometimes waits ~1 s
+_scipy_set_threads = ctypes.CDLL(scipy.linalg._flapack.__file__).scipy_openblas_set_num_threads
+_scipy_set_threads.argtypes, _scipy_set_threads.restype = [ctypes.c_int], None
+_scipy_set_threads(1)
 
 
 def test_solve_general_mass_matrix_rhs(unit4):
@@ -665,7 +677,7 @@ def test_products_are_bit_equal_to_scipys(jittered_mesh, n, jittered, pinned, co
     cfg = EvolutionConfig(nu=0.1, k=1e-3, t_end=1e-3, control=control)
     trajectory = _Trajectory(mesh, FeField(mesh, rng.standard_normal(mesh.num_vertices)), cfg)
     disc, w = trajectory.disc, rng.standard_normal(mesh.num_vertices)
-    gq = trajectory.cubic_scale * disc.traces(w) ** 2 if controlled else None
+    gq = trajectory.cubic_scale * disc.bq.trace(w) ** 2 if controlled else None
     picard = trajectory.step_matrix.data + disc.transport(w, gq)
     disc.eliminate(picard)
     for matrix in (trajectory.mass, trajectory.stiffness, trajectory.step_matrix,
