@@ -23,13 +23,7 @@ from .mesh import (
     ConfigError, build_unit_square_mesh, friedrichs_constant, grid_vertices, tag_boundary,
 )
 from .sparse import NonconvergenceError, SingularMatrixError
-from .steady import (
-    SteadySpec,
-    analytic_from_expression,
-    manufacture_forcing,
-    smallness_report,
-    solve_steady,
-)
+from .steady import SteadySpec, analytic_from_expression, smallness_report, solve_steady
 
 __all__ = ["main"]
 
@@ -199,8 +193,7 @@ def _cmd_steady(args) -> int:
         payload["interpolant_gap_l2"] = l2_norm(
             FeField(mesh, solution.values - exact.values)
         )
-    forcing = spec.forcing if spec.u_steady is None else manufacture_forcing(spec.u_steady, spec.nu)
-    payload["smallness"] = asdict(smallness_report(mesh, solution, forcing, spec.nu))
+    payload["smallness"] = asdict(smallness_report(solution, spec))
     out = _output_dir(config, args.output_dir)
     path = os.path.join(out, "steady.csv")
     write_csv(path, "x,y,u", (*mesh.vertices.T, solution.values))

@@ -37,9 +37,9 @@ class ControlParams:
     c0: float
 
     def __post_init__(self):
-        if self.nu <= 0.0:
+        if not self.nu > 0.0:
             raise ConfigError("nu", "must be positive", self.nu)
-        if self.c0 <= 0.0:
+        if not self.c0 > 0.0:
             raise ConfigError("c0", "must be positive", self.c0)
 
 

@@ -34,7 +34,6 @@ decay rate depends on the problem data alone (:func:`decay_rate_bound`).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -92,7 +91,7 @@ class EvolutionConfig:
     nonlinear: str = "chord"
 
     def __post_init__(self):
-        if self.nu <= 0.0:
+        if not self.nu > 0.0:
             raise ConfigError("nu", "must be positive", self.nu)
         _check_steps("t_end", self.t_end, self.k)
         _one_of("nonlinear", self.nonlinear, _SOLVERS)
@@ -241,25 +240,22 @@ class TrajectoryRecord:
     factorizations: int = 0
     solves: int = 0
 
-    def to_csv(self, stream) -> None:
+    def to_csv(self, path) -> None:
         """Write rows in a reproducible fixed format (17 significant digits)."""
-        write_csv(stream, _CSV_HEADER, [getattr(self, f.name) for f in fields(self)[:6]])
+        write_csv(path, _CSV_HEADER, [getattr(self, f.name) for f in fields(self)[:6]])
 
 
-def write_csv(stream, header: str, columns) -> None:
-    """Write ``header`` and one row per entry of the equally long ``columns`` to a path or
-    stream; a number is written to 17 significant digits (an integer as itself) and
+def write_csv(path, header: str, columns) -> None:
+    """Write ``header`` and one row per entry of the equally long ``columns`` to the file
+    at ``path``; a number is written to 17 significant digits (an integer as itself) and
     ``None`` as an empty cell."""
-    if isinstance(stream, (str, bytes, os.PathLike)):
-        with open(stream, "w", encoding="ascii", newline="\n") as handle:
-            write_csv(handle, header, columns)
-        return
     cells = []
     for column in columns:
         values = column.tolist() if isinstance(column, np.ndarray) else column
         cells.append(["" if x is None else f"{x:.17g}" for x in values])
-    stream.write(header + "\n")
-    stream.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
+    with open(path, "w", encoding="ascii", newline="\n") as handle:
+        handle.write(header + "\n")
+        handle.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
 def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> TrajectoryRecord:

@@ -70,9 +70,9 @@ class ProblemConfig:
     initial_projection: str = "interpolate"
 
     def __post_init__(self):
-        if self.nu <= 0.0:
+        if not self.nu > 0.0:
             raise ConfigError("nu", "must be positive", self.nu)
-        if self.c0 <= 0.0:
+        if not self.c0 > 0.0:
             raise ConfigError("c0", "must be positive", self.c0)
         if abs(self.steady.nu - self.nu) > 1e-14:
             raise ValueError("steady viscosity disagrees with the dynamics")
@@ -223,15 +223,15 @@ class RateTable:
     control_errors: np.ndarray
     control_rates: np.ndarray
 
-    def write_state_csv(self, stream) -> None:
+    def write_state_csv(self, path) -> None:
         """``h``, then each norm's errors and rates; the first row has no rates."""
         columns = (self.hs, self.l2_errors, [None, *self.l2_rates],
                    self.h1_errors, [None, *self.h1_rates])
-        write_csv(stream, "h,error_l2,rate_l2,error_h1,rate_h1", columns)
+        write_csv(path, "h,error_l2,rate_l2,error_h1,rate_h1", columns)
 
-    def write_control_csv(self, stream) -> None:
+    def write_control_csv(self, path) -> None:
         columns = self.hs, self.control_errors, [None, *self.control_rates]
-        write_csv(stream, "h,error_control,rate_control", columns)
+        write_csv(path, "h,error_control,rate_control", columns)
 
     def write(self, output_dir: str) -> dict:
         """``rates_state.csv`` and ``rates_control.csv`` in ``output_dir``, by key."""

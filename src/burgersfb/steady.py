@@ -5,9 +5,9 @@ choice of mean; the solver pins the mass-weighted mean through a bordered
 Newton iteration, whose bordered solve (:func:`_bordered_solve`, block
 elimination on the band LU) lives here beside it.  Closed-form data is text in x1 and x2, which
 :func:`analytic_from_expression` parses and differentiates symbolically.
-Every steady state is solved for: closed-form forcing (optionally with the
-matching boundary flux) directly, and a closed-form state as the
-manufactured problem whose exact solution it is.  The module also estimates the
+Every steady state is solved for: closed-form forcing with zero flux
+directly, and a closed-form state as the manufactured problem (forcing and
+flux) that :class:`SteadySpec` derives from it.  The module also estimates the
 continuity constant of the convection form by random sampling and reports
 the smallness quantities the stabilization analysis relies on.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import ast
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -41,9 +41,7 @@ __all__ = [
     "SteadySpec",
     "analytic_from_expression",
     "estimate_convection_constant",
-    "manufacture_forcing",
     "manufactured_solve_spec",
-    "normal_flux",
     "smallness_report",
     "solve_steady",
     "steady_residual",
@@ -51,6 +49,8 @@ __all__ = [
 
 _STEADY_TOL = 1e-10
 _STEADY_MAX_ITER = 50
+# the sampled triples of estimate_convection_constant and the seed of their rng stream
+_CONVECTION_SAMPLES, _CONVECTION_SEED = 64, 0
 
 
 @dataclass(frozen=True)
@@ -212,33 +212,16 @@ def analytic_from_expression(expr: str) -> AnalyticFunction:
     return AnalyticFunction(*map(_callable, (value, dx, dy, laplacian)))
 
 
-def manufacture_forcing(u: AnalyticFunction, nu: float) -> Callable:
-    """The forcing ``-nu lap(u) + u (du/dx1 + du/dx2)``, whose steady state is ``u``."""
-
-    def forcing(x, y):
-        return -nu * u.laplacian(x, y) + u.value(x, y) * (u.dx(x, y) + u.dy(x, y))
-
-    return forcing
-
-
-def normal_flux(u: AnalyticFunction) -> Callable:
-    """Normal derivative of ``u`` as a flux callable ``(x, y, nx, ny)``."""
-
-    def flux(x, y, nx, ny):
-        return u.dx(x, y) * nx + u.dy(x, y) * ny
-
-    return flux
-
-
 @dataclass(frozen=True)
 class SteadySpec:
     """Steady-state problem description.
 
-    Exactly one of ``u_steady`` (closed-form state, solved for as its
-    manufactured problem, :func:`manufactured_solve_spec`) and ``forcing``
-    (closed-form forcing) must be given.  With ``forcing``, ``neumann_flux``
-    prescribes the normal derivative of the target state; leave it ``None``
-    for a state with zero flux.  The
+    Exactly one of ``u_steady`` (closed-form state) and ``forcing``
+    (closed-form forcing) must be given.  A ``u_steady`` spec derives the
+    manufactured problem whose exact solution it is: ``forcing`` becomes
+    ``-nu lap(u) + u (du/dx1 + du/dx2)`` and ``neumann_flux`` the normal
+    derivative ``du/dn``, a callable ``(x, y, nx, ny)``; a ``forcing`` spec
+    has zero flux (``neumann_flux`` is ``None``).  The
     constant test function is owned by the mean constraint, so any
     compatibility defect in the data (e.g. quadrature error on a
     transcendental forcing) lands in the constraint multiplier instead of
@@ -249,34 +232,40 @@ class SteadySpec:
     mean_value: float = 0.0
     u_steady: AnalyticFunction | None = None
     forcing: Callable | None = None
-    neumann_flux: Callable | None = None
+    neumann_flux: Callable | None = field(default=None, init=False)
 
     def __post_init__(self):
-        if self.nu <= 0.0:
+        if not self.nu > 0.0:
             raise ConfigError("nu", "must be positive", self.nu)
         if (self.u_steady is None) == (self.forcing is None):
             raise ValueError("specify exactly one of u_steady and forcing")
+        u, nu = self.u_steady, self.nu
+        if u is not None:
+
+            def forcing(x, y):
+                return -nu * u.laplacian(x, y) + u.value(x, y) * (u.dx(x, y) + u.dy(x, y))
+
+            def flux(x, y, nx, ny):
+                return u.dx(x, y) * nx + u.dy(x, y) * ny
+
+            object.__setattr__(self, "forcing", forcing)
+            object.__setattr__(self, "neumann_flux", flux)
 
 
 def manufactured_solve_spec(u: AnalyticFunction, nu: float, mean_value: float) -> SteadySpec:
-    """Forcing spec whose exact solution is the manufactured state ``u``."""
-    forcing = manufacture_forcing(u, nu)
-    return SteadySpec(nu, mean_value, forcing=forcing, neumann_flux=normal_flux(u))
+    """The spec whose exact solution is the manufactured state ``u``."""
+    return SteadySpec(nu, mean_value, u_steady=u)
 
 
-def _steady_load(mesh: Mesh, spec: SteadySpec) -> np.ndarray:
-    load = load_vector(mesh, spec.forcing)
-    if spec.neumann_flux is not None:
-        load = load + spec.nu * boundary_load(mesh, spec.neumann_flux)
-    return load
-
-
-def _steady_system(mesh: Mesh, spec: SteadySpec):
+def _steady_system(mesh: Mesh, spec: SteadySpec, neumann_flux):
     """``(disc, residual, constraint)`` on one fixed pattern: ``residual(u)`` is
-    ``(nu K u + T(u) u - load, disc.gather(u))``, ``constraint`` the mass row sums."""
+    ``(nu K u + T(u) u - load, disc.gather(u))``, ``constraint`` the mass row sums;
+    the load is ``spec.forcing``'s plus ``nu`` times that of ``neumann_flux``, if any."""
     disc = Discretization(mesh)
     viscous = disc.matrix(spec.nu * disc.stiffness)
-    load = _steady_load(mesh, spec)
+    load = load_vector(mesh, spec.forcing)
+    if neumann_flux is not None:
+        load = load + spec.nu * boundary_load(mesh, neumann_flux)
 
     def residual(u: np.ndarray):
         convection, gathered = disc.residual(u)
@@ -331,7 +320,7 @@ def _bordered_solve(disc, data, constraint, rhs, value: float):
 def solve_steady(mesh: Mesh, spec: SteadySpec, full_output: bool = False):
     """Solve the steady problem with the mean pinned to ``spec.mean_value``.
 
-    A ``u_steady`` spec is solved as :func:`manufactured_solve_spec` of its state.
+    A ``u_steady`` spec is solved as the manufactured problem it derives.
     Newton's method from zero on the discrete residual, augmented by the
     mass-weighted mean constraint through a bordered solve on the band LU
     (:func:`_bordered_solve`).  A full step
@@ -352,9 +341,7 @@ def solve_steady(mesh: Mesh, spec: SteadySpec, full_output: bool = False):
     SingularMatrixError
         When a Newton step's factor, solves or 2 x 2 system fail.
     """
-    if spec.u_steady is not None:
-        spec = manufactured_solve_spec(spec.u_steady, spec.nu, spec.mean_value)
-    disc, residual_at, constraint = _steady_system(mesh, spec)
+    disc, residual_at, constraint = _steady_system(mesh, spec, spec.neumann_flux)
     unit_constraint = constraint / np.linalg.norm(constraint)
     u = np.zeros(mesh.num_vertices)
     residual, gathered = residual_at(u)
@@ -363,8 +350,8 @@ def solve_steady(mesh: Mesh, spec: SteadySpec, full_output: bool = False):
     for iteration in range(_STEADY_MAX_ITER + 1):
         mean_gap = spec.mean_value - float(constraint @ u)
         if res_norm <= _STEADY_TOL and abs(mean_gap) <= 1e-10:
-            field = FeField(mesh, u)
-            return (field, history) if full_output else field
+            solution = FeField(mesh, u)
+            return (solution, history) if full_output else solution
         if iteration == _STEADY_MAX_ITER:
             break
         jac = spec.nu * disc.stiffness + disc.jacobian(*gathered[:2])
@@ -399,29 +386,27 @@ def steady_residual(mesh: Mesh, u: FeField, forcing, nu: float,
     """
     if u.mesh is not mesh:
         raise ValueError("field does not live on the given mesh")
-    spec = SteadySpec(nu=nu, forcing=forcing, neumann_flux=neumann_flux)
-    _, residual, constraint = _steady_system(mesh, spec)
+    spec = SteadySpec(nu=nu, forcing=forcing)
+    _, residual, constraint = _steady_system(mesh, spec, neumann_flux)
     return _quotient_norm(residual(u.values)[0], constraint / np.linalg.norm(constraint))
 
 
-def estimate_convection_constant(disc: Discretization, samples: int = 64, seed: int = 0) -> float:
+def estimate_convection_constant(disc: Discretization) -> float:
     """Sampled lower bound on the continuity constant of the convection form.
 
-    Draws ``samples`` random triples of zero-mean nodal fields on the mesh of
-    ``disc`` and maximizes ``|c(v; w, z)| / (|v|_1 |w|_1 |z|_1)`` over them,
-    where ``|.|_1`` is the H1 seminorm.  One rng stream is used, so for a
-    fixed seed the estimate is nondecreasing in ``samples``.  Triples
-    containing a numerically constant field are skipped.
+    Draws ``_CONVECTION_SAMPLES`` (64) random triples of zero-mean nodal fields
+    on the mesh of ``disc``, from one rng stream seeded ``_CONVECTION_SEED`` (0),
+    and maximizes ``|c(v; w, z)| / (|v|_1 |w|_1 |z|_1)`` over them, where
+    ``|.|_1`` is the H1 seminorm.  Triples containing a numerically constant
+    field are skipped.
     """
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_CONVECTION_SEED)
     mesh = disc.mesh
     stiffness = disc.matrix(disc.stiffness)
     weights = np.bincount(disc.indices, disc.mass, mesh.num_vertices)
     volume = float(weights.sum())
     best, valid = 0.0, 0
-    for _ in range(samples):
+    for _ in range(_CONVECTION_SAMPLES):
         triple, seminorms = [], []
         for _field in range(3):
             v = rng.standard_normal(mesh.num_vertices)
@@ -461,24 +446,17 @@ class SmallnessReport:
     forcing_l2: float
 
 
-def smallness_report(mesh: Mesh, u_steady: FeField, forcing, nu: float) -> SmallnessReport:
-    """Evaluate the smallness quantities for a computed steady state.
-
-    ``forcing`` is a callable of (x1, x2), or ``None`` for zero forcing.
-    """
-    if u_steady.mesh is not mesh:
-        raise ValueError("field does not live on the given mesh")
-    if nu <= 0.0:
-        raise ConfigError("nu", "must be positive", nu)
+def smallness_report(u_steady: FeField, spec: SteadySpec) -> SmallnessReport:
+    """Evaluate the smallness quantities for a computed steady state ``u_steady``
+    of ``spec``, on the field's mesh, with the spec's forcing and viscosity."""
+    mesh = u_steady.mesh
     grad_norm = h1_seminorm(u_steady)
     disc = Discretization(mesh)
     constant = estimate_convection_constant(disc)
-    bound = nu / (4.0 * constant)
-    loose = 3.0 * nu / (4.0 * constant)
-    forcing_l2 = 0.0
-    if forcing is not None:
-        squared = integrate(mesh, lambda x, y: np.asarray(forcing(x, y), dtype=float) ** 2)
-        forcing_l2 = float(np.sqrt(max(squared, 0.0)))
+    bound = spec.nu / (4.0 * constant)
+    loose = 3.0 * spec.nu / (4.0 * constant)
+    squared = integrate(mesh, lambda x, y: np.asarray(spec.forcing(x, y), dtype=float) ** 2)
+    forcing_l2 = float(np.sqrt(max(squared, 0.0)))
     laplacian = discrete_laplacian(disc, u_steady)
     return SmallnessReport(
         grad_norm=grad_norm,

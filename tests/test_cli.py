@@ -19,7 +19,6 @@ from burgersfb.mesh import ConfigError, InvalidRegionError, build_unit_square_me
 from burgersfb.steady import (
     SteadySpec,
     analytic_from_expression,
-    manufacture_forcing,
     manufactured_solve_spec,
     smallness_report,
     solve_steady,
@@ -66,8 +65,8 @@ def test_steady_manufactured(tmp_path, capsys):
     assert payload["smallness"]["laplacian_norm"] == pytest.approx(l2_norm(laplacian), rel=1e-12)
     assert payload["smallness"]["laplacian_norm"] > 0.0
     # "smallness" holds every field of the report on the solved state, by name
-    forcing = manufacture_forcing(analytic_from_expression("-0.2*x1"), 0.1)
-    report = smallness_report(mesh, FeField(mesh, solution), forcing, 0.1)
+    spec = SteadySpec(0.1, -0.1, u_steady=analytic_from_expression("-0.2*x1"))
+    report = smallness_report(FeField(mesh, solution), spec)
     assert set(payload["smallness"]) == {
         "grad_norm", "convection_constant", "bound", "bound_loose", "satisfied",
         "laplacian_norm", "forcing_l2",

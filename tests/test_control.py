@@ -54,7 +54,8 @@ def weak_terms(u_steady, p, w):
 
 
 def test_params_validation():
-    for field, nu, c0 in (("nu", 0.0, 1.0), ("c0", 0.1, -1.0)):
+    nan = float("nan")
+    for field, nu, c0 in (("nu", 0.0, 1.0), ("c0", 0.1, -1.0), ("nu", nan, 1.0), ("c0", 0.1, nan)):
         with pytest.raises(ConfigError) as caught:
             ControlParams(nu=nu, c0=c0)
         assert caught.value.field == field

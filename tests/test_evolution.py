@@ -1,4 +1,3 @@
-import io
 from dataclasses import replace
 
 import numpy as np
@@ -120,6 +119,8 @@ def test_config_validation():
     with pytest.raises(ConfigError) as caught:
         EvolutionConfig(nu=0.0, k=0.1, t_end=1.0)
     assert (caught.value.field, caught.value.value) == ("nu", 0.0)
+    with pytest.raises(ConfigError, match="nu must be positive"):
+        EvolutionConfig(nu=float("nan"), k=0.1, t_end=1.0)
     with pytest.raises(ValueError):
         EvolutionConfig(nu=NU, k=0.1, t_end=1.0, nonlinear="broken")
     with pytest.raises(ValueError):
@@ -459,16 +460,15 @@ def test_run_starts_each_step_from_the_extrapolated_trajectory(monkeypatch, nonl
 
 
 @pytest.mark.parametrize("nonlinear", ["chord", "newton"])
-def test_run_from_rest_needs_no_iteration(nonlinear):
+def test_run_from_rest_needs_no_iteration(nonlinear, tmp_path):
     mesh = tag_boundary(build_unit_square_mesh(4), RIGHT_SIDE)
     w0 = FeField(mesh, np.zeros(mesh.num_vertices))
     record = run(w0, config(nonlinear=nonlinear), mesh, steady_shear(mesh))
     # zero is a steady state, so every extrapolated start already satisfies the step
     assert np.all(record.newton_iters == 0)
     assert record.solves == 0 and record.factorizations == 0
-    stream = io.StringIO()
-    record.to_csv(stream)
-    rows = stream.getvalue().splitlines()[1:]
+    record.to_csv(tmp_path / "trajectory.csv")
+    rows = (tmp_path / "trajectory.csv").read_text(encoding="ascii").splitlines()[1:]
     assert len(rows) == 11 and all(row.rsplit(",", 1)[1] == "0" for row in rows)
 
 
@@ -644,13 +644,13 @@ def test_lyapunov_values(unit4):
     assert lyapunov(tripled) == pytest.approx(9.0 * lyapunov(one), abs=1e-12)
 
 
-def test_csv_roundtrip_and_determinism():
+def test_csv_roundtrip_and_determinism(tmp_path):
     record = synthetic_record(n=5)
-    first, second = io.StringIO(), io.StringIO()
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
     record.to_csv(first)
     record.to_csv(second)
-    assert first.getvalue() == second.getvalue()
-    lines = first.getvalue().splitlines()
+    assert first.read_bytes() == second.read_bytes()
+    lines = first.read_text(encoding="ascii").splitlines()
     assert lines[0] == "time,l2,h1semi,lyapunov,control_l2,newton_iters"
     assert len(lines) == 7
     assert lines[1].split(",")[0] == "0"
@@ -666,12 +666,11 @@ def test_csv_writer_bytes_and_path_forms(tmp_path):
     assert (tmp_path / "str.csv").read_bytes() == expected
     assert (tmp_path / "path.csv").read_bytes() == expected
     record = synthetic_record(n=5)
-    stream = io.StringIO()
-    record.to_csv(stream)
+    record.to_csv(str(tmp_path / "record-str.csv"))
     record.to_csv(tmp_path / "record.csv")
-    assert (tmp_path / "record.csv").read_bytes() == stream.getvalue().encode("ascii")
+    assert (tmp_path / "record.csv").read_bytes() == (tmp_path / "record-str.csv").read_bytes()
     with pytest.raises(ValueError):
-        write_csv(io.StringIO(), "a,b", (np.zeros(2), np.zeros(3)))
+        write_csv(tmp_path / "ragged.csv", "a,b", (np.zeros(2), np.zeros(3)))
 
 
 def test_predicted_decay_constants():

@@ -1,10 +1,10 @@
 """The bytes the north star promises: every CSV of a few small CLI runs, pinned by digest.
 
 ``golden.json`` maps a machine key (numpy's OpenBLAS build, numpy's version and the
-processor) to the SHA-256 of every CSV that ``cli.main`` writes for :data:`CONFIGS`, and to
-each ``simulate`` run's solver counts.  Another BLAS kernel may round differently, so a
-machine with no recorded key skips the comparison; the fresh-interpreter test holds
-everywhere.  A change that moves the bytes edits ``golden.json`` by hand and says why.
+processor) to the SHA-256 of every CSV that ``cli.main`` writes for :data:`CONFIGS`, to
+each ``simulate`` run's solver counts, and to each ``steady`` run's reported numbers.
+Another BLAS kernel may round differently, so a machine with no recorded key skips the
+comparison; the fresh-interpreter test holds everywhere.  A change that moves the bytes edits ``golden.json`` by hand and says why.
 
 Run as a script, ``python tests/test_golden.py DIR`` prints the digests of runs under DIR.
 """
@@ -38,16 +38,22 @@ LAYOUTS = {
     "example2": {"domain": {"n": 8, "dirichlet": [[1.0, 0.0], [1.0, 1.0]]},
                  "initial": {"w0": "sin(pi*x1)*sin(pi*x2)"}},
 }
-# 20 steps of each solver on each layout, the steady state, and a study of levels 4 and 8
+# 20 steps of each solver on each layout, the steady state of u_inf and of an f_inf alone,
+# and a study of levels 4 and 8
 CONFIGS = {
     **{f"simulate-{layout}-{solver}": (
         "simulate", {**BASE, **sections, "time": {"k": 0.0005, "t_end": 0.01, "nonlinear": solver}})
        for layout, sections in LAYOUTS.items() for solver in ("chord", "newton", "picard")},
     "steady": ("steady", BASE),
+    "steady-forcing": ("steady", {**BASE, "steady": {"f_inf": "0.04*x1 + sin(x2)", "mean": 0.2}}),
     "study": ("study", {**BASE, "time": {"k": 0.0005},
                         "study": {"levels": [4, 8], "reference": 16, "t_eval": 0.02}}),
 }
-COUNTS = ("newton_iters", "factorizations", "solves")
+# the stdout numbers each command's entry records, where the run reports them
+REPORTED = {
+    "simulate": ("newton_iters", "factorizations", "solves"),
+    "steady": ("newton_iterations", "residual_norm", "interpolant_gap_l2", "smallness"),
+}
 
 
 def machine_key() -> str:
@@ -57,7 +63,7 @@ def machine_key() -> str:
 
 
 def outputs(root: str) -> dict:
-    """Each config's CSV digests, by file name, and a ``simulate`` run's counts."""
+    """Each config's CSV digests, by file name, and the numbers of :data:`REPORTED`."""
     found = {}
     for name, (command, config) in CONFIGS.items():
         out = os.path.join(root, name)
@@ -71,9 +77,9 @@ def outputs(root: str) -> dict:
         for csv in sorted(os.listdir(out)):
             with open(os.path.join(out, csv), "rb") as handle:
                 found[name][csv] = hashlib.sha256(handle.read()).hexdigest()
-        if command == "simulate":
-            payload = json.loads(printed.getvalue())
-            found[name].update({count: payload[count] for count in COUNTS})
+        payload = json.loads(printed.getvalue())
+        reported = REPORTED.get(command, ())
+        found[name].update({key: payload[key] for key in reported if key in payload})
     return found
 
 

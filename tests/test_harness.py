@@ -4,7 +4,6 @@ The studies here run on deliberately tiny meshes and horizons; the
 full-size experiment checks live in the acceptance suite.
 """
 
-import io
 from dataclasses import replace
 
 import numpy as np
@@ -63,10 +62,10 @@ def test_compute_rates_rejects_bad_input():
 def test_problem_config_validation():
     steady = SteadySpec(nu=0.1, u_steady=analytic_from_expression("-0.2*x1"))
     w0 = analytic_from_expression("x1")
-    with pytest.raises(ValueError):
-        ProblemConfig(nu=0.0, c0=1.0, steady=steady, w0=w0)
-    with pytest.raises(ValueError):
-        ProblemConfig(nu=0.1, c0=-1.0, steady=steady, w0=w0)
+    nan = float("nan")
+    for nu, c0 in ((0.0, 1.0), (0.1, -1.0), (nan, 1.0), (0.1, nan)):
+        with pytest.raises(ConfigError, match="must be positive"):
+            ProblemConfig(nu=nu, c0=c0, steady=steady, w0=w0)
     with pytest.raises(ConfigError, match="coefficient_source must be one of"):
         ProblemConfig(nu=0.1, c0=1.0, steady=steady, w0=w0, coefficient_source="discrte")
     with pytest.raises(ConfigError, match="initial_projection must be one of"):
@@ -228,10 +227,9 @@ SAMPLE_TABLE = RateTable(
 )
 
 
-def test_state_csv_layout():
-    stream = io.StringIO()
-    SAMPLE_TABLE.write_state_csv(stream)
-    lines = stream.getvalue().splitlines()
+def test_state_csv_layout(tmp_path):
+    SAMPLE_TABLE.write_state_csv(tmp_path / "rates_state.csv")
+    lines = (tmp_path / "rates_state.csv").read_text(encoding="ascii").splitlines()
     assert lines[0] == "h,error_l2,rate_l2,error_h1,rate_h1"
     assert len(lines) == 3
     # No rate on the coarsest row.
@@ -239,20 +237,19 @@ def test_state_csv_layout():
     assert lines[2].split(",")[2] == "2"
 
 
-def test_control_csv_layout():
-    stream = io.StringIO()
-    SAMPLE_TABLE.write_control_csv(stream)
-    lines = stream.getvalue().splitlines()
+def test_control_csv_layout(tmp_path):
+    SAMPLE_TABLE.write_control_csv(tmp_path / "rates_control.csv")
+    lines = (tmp_path / "rates_control.csv").read_text(encoding="ascii").splitlines()
     assert lines[0] == "h,error_control,rate_control"
     assert len(lines) == 3
     assert lines[1].split(",")[2] == ""
 
 
-def test_csv_writes_are_deterministic():
-    first, second = io.StringIO(), io.StringIO()
+def test_csv_writes_are_deterministic(tmp_path):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
     SAMPLE_TABLE.write_state_csv(first)
     SAMPLE_TABLE.write_state_csv(second)
-    assert first.getvalue() == second.getvalue()
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_example2_problem_pins_right_side():
