@@ -265,15 +265,15 @@ def prolong(coarse: FeField, fine_mesh: Mesh) -> FeField:
     chain = []
     m = fine_mesh
     while m is not coarse.mesh:
-        if m.refinement_parent is None:
+        if m.parent is None:
             raise NonNestedMeshError(
                 "target mesh is not a refinement descendant of the field's mesh"
             )
         chain.append(m)
-        m = m.refinement_parent.mesh
+        m = m.parent
     values = coarse.values.copy()
     for mesh_level in reversed(chain):
-        pairs = mesh_level.refinement_parent.vertex_parents
+        pairs = mesh_level.vertex_parents
         values = 0.5 * (values[pairs[:, 0]] + values[pairs[:, 1]])
     return FeField(fine_mesh, values)
 

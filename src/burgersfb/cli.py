@@ -43,7 +43,7 @@ _CONFIG_KEYS = {
 _FIELD_KEYS = {
     "n": "domain.n", "nu": "physics.nu", "c0": "physics.c0", "k": "time.k", "t_end": "time.t_end",
     "nonlinear": "time.nonlinear", "levels": "study.levels", "reference_level": "study.reference",
-    "t_eval": "study.t_eval", "coefficient_source": "steady.source",
+    "t_eval": "study.t_eval", "coefficient_source": "steady.source", "mean_value": "steady.mean",
     "initial_projection": "initial.projection", "dirichlet_region": "domain.dirichlet",
 }
 
@@ -184,7 +184,7 @@ def _cmd_steady(args) -> int:
     spec = _steady_spec(config, mesh.vertices)
     solution, history = solve_steady(mesh, spec, full_output=True)
     payload = {
-        "n": int(round(1.0 / mesh.h)),
+        "n": int(_require(config, "domain.n", 16)),  # checked by _build_mesh
         "newton_iterations": len(history) - 1,
         "residual_norm": history[-1],
     }

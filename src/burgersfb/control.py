@@ -37,9 +37,9 @@ class ControlParams:
     c0: float
 
     def __post_init__(self):
-        if not self.nu > 0.0:
+        if not 0.0 < self.nu < np.inf:
             raise ConfigError("nu", "must be positive", self.nu)
-        if not self.c0 > 0.0:
+        if not 0.0 < self.c0 < np.inf:
             raise ConfigError("c0", "must be positive", self.c0)
 
 

@@ -71,7 +71,7 @@ def _check_steps(field: str, time: float, k: float) -> None:
     positive whole number of steps ``k``, to 1e-9 relative."""
     if not 0.0 < k < 1.0:
         raise ConfigError("k", "must lie in (0, 1)", k)
-    if not k <= time or abs(round(time / k) * k - time) > 1e-9 * max(time, 1.0):
+    if not k <= time < np.inf or abs(round(time / k) * k - time) > 1e-9 * max(time, 1.0):
         raise ConfigError(field, f"must be a positive whole number of steps of {k}", time)
 
 
@@ -91,7 +91,7 @@ class EvolutionConfig:
     nonlinear: str = "chord"
 
     def __post_init__(self):
-        if not self.nu > 0.0:
+        if not 0.0 < self.nu < np.inf:
             raise ConfigError("nu", "must be positive", self.nu)
         _check_steps("t_end", self.t_end, self.k)
         _one_of("nonlinear", self.nonlinear, _SOLVERS)
@@ -253,9 +253,11 @@ def write_csv(path, header: str, columns) -> None:
     for column in columns:
         values = column.tolist() if isinstance(column, np.ndarray) else column
         cells.append(["" if x is None else f"{x:.17g}" for x in values])
+    if len(set(map(len, cells))) > 1:  # before open, so ragged columns leave no file
+        raise ValueError(f"columns of unequal lengths {[len(c) for c in cells]}")
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write(header + "\n")
-        handle.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
+        handle.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def run(w0: FeField, cfg: EvolutionConfig, mesh: Mesh, u_steady: FeField) -> TrajectoryRecord:

@@ -70,9 +70,9 @@ class ProblemConfig:
     initial_projection: str = "interpolate"
 
     def __post_init__(self):
-        if not self.nu > 0.0:
+        if not 0.0 < self.nu < np.inf:
             raise ConfigError("nu", "must be positive", self.nu)
-        if not self.c0 > 0.0:
+        if not 0.0 < self.c0 < np.inf:
             raise ConfigError("c0", "must be positive", self.c0)
         if abs(self.steady.nu - self.nu) > 1e-14:
             raise ValueError("steady viscosity disagrees with the dynamics")

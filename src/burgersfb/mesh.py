@@ -19,7 +19,6 @@ __all__ = [
     "ConfigError",
     "InvalidRegionError",
     "Mesh",
-    "RefinementParent",
     "build_unit_square_mesh",
     "friedrichs_constant",
     "grid_vertices",
@@ -61,23 +60,6 @@ def _one_of(field: str, value, choices: tuple) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class RefinementParent:
-    """Link from a refined mesh back to the mesh it was refined from.
-
-    ``vertex_parents[i]`` holds two parent vertex indices; the fine vertex is
-    their midpoint.  Vertices inherited from the parent repeat the same index
-    twice, so prolongation of nodal values is ``0.5 * (v[a] + v[b])`` in all
-    cases.
-    """
-
-    mesh: "Mesh"
-    vertex_parents: np.ndarray
-
-    def __post_init__(self):
-        self.vertex_parents.setflags(write=False)
-
-
-@dataclass(frozen=True, eq=False)
 class Mesh:
     """Triangulation with oriented boundary data.
 
@@ -96,11 +78,12 @@ class Mesh:
         Outward unit normal per boundary edge.
     boundary_tags : ndarray, shape (nb,)
         ``BoundaryTag`` value per boundary edge.
-    h : float
-        Grid spacing of the structured family the mesh belongs to (1/n for
-        the unit square builders; halved by uniform refinement).
-    refinement_parent : RefinementParent or None
-        Set on meshes produced by :func:`refine_uniform`.
+    parent : Mesh or None
+        The mesh that :func:`refine_uniform` refined into this one.
+    vertex_parents : ndarray, shape (nv, 2), or None
+        Set with ``parent``: two parent vertex indices per vertex, whose midpoint
+        it is (an inherited vertex repeats its own index), so prolongation of
+        nodal values is ``0.5 * (v[a] + v[b])`` in all cases.
 
     The arrays are read-only: a ``Discretization`` caches maps derived from them.
     """
@@ -110,13 +93,14 @@ class Mesh:
     boundary_edges: np.ndarray
     boundary_normals: np.ndarray
     boundary_tags: np.ndarray
-    h: float
-    refinement_parent: RefinementParent | None = None
+    parent: Mesh | None = None
+    vertex_parents: np.ndarray | None = None
 
     def __post_init__(self):
         for array in (self.vertices, self.triangles, self.boundary_edges,
-                      self.boundary_normals, self.boundary_tags):
-            array.setflags(write=False)
+                      self.boundary_normals, self.boundary_tags, self.vertex_parents):
+            if array is not None:
+                array.setflags(write=False)
 
     @property
     def num_vertices(self) -> int:
@@ -147,6 +131,11 @@ def _local_edges(triangles: np.ndarray) -> np.ndarray:
     return triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
 
 
+def _edge_keys(pairs: np.ndarray, nv: int) -> np.ndarray:
+    """The key ``min * nv + max`` of each vertex pair in ``pairs``, one per undirected edge."""
+    return pairs.min(axis=1) * nv + pairs.max(axis=1)
+
+
 def _boundary_edges(vertices: np.ndarray, triangles: np.ndarray):
     """Extract boundary edges in deterministic (triangle-traversal) order.
 
@@ -156,9 +145,8 @@ def _boundary_edges(vertices: np.ndarray, triangles: np.ndarray):
     edge tangent rotated clockwise by 90 degrees.
     """
     locals_ = _local_edges(triangles)
-    key = np.sort(locals_, axis=1)
     _, inverse, counts = np.unique(
-        key, axis=0, return_inverse=True, return_counts=True
+        _edge_keys(locals_, len(vertices)), return_inverse=True, return_counts=True
     )
     on_boundary = counts[inverse] == 1
     edges = locals_[on_boundary]
@@ -204,7 +192,6 @@ def build_unit_square_mesh(n: int) -> Mesh:
         boundary_edges=edges,
         boundary_normals=normals,
         boundary_tags=np.full(edges.shape[0], int(BoundaryTag.NEUMANN_CONTROL), dtype=int),
-        h=1.0 / n,
     )
     validate_mesh(mesh)
     return mesh
@@ -217,15 +204,13 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     one new vertex per parent edge.  Each parent boundary edge ``(a, b)``
     splits at its midpoint ``m`` into ``(a, m)`` and ``(m, b)``, listed in
     parent order; both children keep the parent's orientation, outward
-    normal and tag.  The returned mesh records a :class:`RefinementParent`
-    so nodal fields can be prolonged exactly.
+    normal and tag.  The returned mesh records its ``parent`` and
+    ``vertex_parents`` so nodal fields can be prolonged exactly.
     """
     nv = mesh.num_vertices
     tris = mesh.triangles
-    # unique undirected edges as keys lo * nv + hi; their sorted order makes
-    # midpoint indices reproducible run to run
-    local = np.sort(_local_edges(tris), axis=1)
-    keys, inverse = np.unique(local[:, 0] * nv + local[:, 1], return_inverse=True)
+    # the sorted order of the edge keys makes midpoint indices reproducible run to run
+    keys, inverse = np.unique(_edge_keys(_local_edges(tris), nv), return_inverse=True)
     edges = np.stack([keys // nv, keys % nv], axis=1)
     midpoints = 0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])
     vertices = np.concatenate([mesh.vertices, midpoints])
@@ -239,21 +224,16 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     children[2::4] = np.stack([v2, m20, m12], axis=1)
     children[3::4] = np.stack([m01, m12, m20], axis=1)
 
-    vertex_parents = np.concatenate(
-        [np.stack([np.arange(nv), np.arange(nv)], axis=1), edges]
-    )
-    parent = RefinementParent(mesh=mesh, vertex_parents=vertex_parents)
-
     a, b = mesh.boundary_edges.T
-    m = nv + np.searchsorted(keys, np.minimum(a, b) * nv + np.maximum(a, b))
+    m = nv + np.searchsorted(keys, _edge_keys(mesh.boundary_edges, nv))
     refined = Mesh(
         vertices=vertices,
         triangles=children,
         boundary_edges=np.stack([a, m, m, b], axis=1).reshape(-1, 2),
         boundary_normals=np.repeat(mesh.boundary_normals, 2, axis=0),
         boundary_tags=np.repeat(mesh.boundary_tags, 2),
-        h=mesh.h / 2.0,
-        refinement_parent=parent,
+        parent=mesh,
+        vertex_parents=np.concatenate([np.stack([np.arange(nv)] * 2, axis=1), edges]),
     )
     validate_mesh(refined)
     return refined

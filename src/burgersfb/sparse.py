@@ -16,7 +16,6 @@ whose ``linalg`` and ``sparse`` pull in a second OpenBLAS and an array-API layer
 from __future__ import annotations
 
 import ctypes
-import functools
 import os
 import sys
 from importlib import machinery, util
@@ -127,11 +126,6 @@ class Factorization:
         self.matrix = a
         self._solve = _band_lu(a.data, *band)
 
-    @functools.cached_property
-    def norm_inf(self) -> float:
-        """``||a||_inf`` of the factored matrix, summed on first use."""
-        return _norm_inf(self.matrix)
-
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if b.ndim != 1 or self.matrix.shape != (b.size, b.size):
@@ -182,8 +176,7 @@ class Factorization:
             raise SingularMatrixError("solution contains non-finite entries")
         if r <= 1e-10 * b_inf:
             return r, 1e-10 * b_inf
-        norm = self.norm_inf if a is self.matrix else _norm_inf(a)
-        return r, 1e-10 * (norm * x_inf + b_inf)
+        return r, 1e-10 * (_norm_inf(a) * x_inf + b_inf)
 
 
 def _norm_inf(a: _CscMatrix) -> float:

@@ -235,8 +235,10 @@ class SteadySpec:
     neumann_flux: Callable | None = field(default=None, init=False)
 
     def __post_init__(self):
-        if not self.nu > 0.0:
+        if not 0.0 < self.nu < np.inf:
             raise ConfigError("nu", "must be positive", self.nu)
+        if not -np.inf < self.mean_value < np.inf:
+            raise ConfigError("mean_value", "must be finite", self.mean_value)
         if (self.u_steady is None) == (self.forcing is None):
             raise ValueError("specify exactly one of u_steady and forcing")
         u, nu = self.u_steady, self.nu

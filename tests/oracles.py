@@ -6,8 +6,10 @@ scipy CSR matrices cell by cell from COO triplets on the package's private
 kernels and the edge rule of :class:`~burgersfb.assembly.BoundaryQuadrature`.  :class:`~burgersfb.assembly.Discretization`, the package's one
 matrix assembler, is checked against them, and
 :func:`steady_residual_and_gap` builds the steady residual from them.
-:func:`refined_boundary_by_rescan` finds a refined mesh's boundary from its
-children, where ``refine_uniform`` inherits it from the parent.
+:func:`boundary_edges_by_row_unique` finds a mesh's boundary edges by a row
+``np.unique`` of the sorted local edges, the reference for the package's scalar
+edge keys, and :func:`refined_boundary_by_rescan` finds a refined mesh's boundary
+with it from the children, where ``refine_uniform`` inherits it from the parent.
 :func:`analytic_from_expression_by_sympy` parses and differentiates
 closed-form data with sympy, the reference for the package's own parser.
 :class:`SuperLU` is a :class:`~burgersfb.sparse.Factorization` on SuperLU,
@@ -39,7 +41,7 @@ from burgersfb.assembly import (
     load_vector,
 )
 from burgersfb.control import ControlParams
-from burgersfb.mesh import Mesh, _boundary_edges
+from burgersfb.mesh import Mesh
 from burgersfb.sparse import Factorization, SingularMatrixError
 from burgersfb.steady import AnalyticFunction
 
@@ -252,6 +254,24 @@ def control_boundary_l2(w: FeField, u_steady: FeField, params: ControlParams) ->
     return float(np.sqrt(np.sum(weights * control_trace(w, u_steady, params) ** 2)))
 
 
+def boundary_edges_by_row_unique(vertices: np.ndarray, triangles: np.ndarray) -> tuple:
+    """Boundary ``(edges, outward_normals)`` in triangle-traversal order.
+
+    An edge is on the boundary when its sorted vertex pair is a row that
+    ``np.unique(axis=0)`` counts once among the edges 0-1, 1-2 and 2-0 of every
+    triangle; it is oriented by that triangle, and its normal is the tangent
+    rotated clockwise by 90 degrees.
+    """
+    local = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    _, inverse, counts = np.unique(
+        np.sort(local, axis=1), axis=0, return_inverse=True, return_counts=True
+    )
+    edges = local[counts[inverse] == 1]
+    tangent = vertices[edges[:, 1]] - vertices[edges[:, 0]]
+    length = np.linalg.norm(tangent, axis=1)
+    return edges, np.stack([tangent[:, 1], -tangent[:, 0]], axis=1) / length[:, None]
+
+
 def refined_boundary_by_rescan(fine: Mesh) -> tuple:
     """Boundary ``(edges, normals, tags)`` of a refined mesh, derived from its children.
 
@@ -259,15 +279,15 @@ def refined_boundary_by_rescan(fine: Mesh) -> tuple:
     that child; its tag is that of the parent boundary edge holding the
     parent vertices of both endpoints.
     """
-    parent = fine.refinement_parent
-    edges, normals = _boundary_edges(fine.vertices, fine.triangles)
+    parent, vertex_parents = fine.parent, fine.vertex_parents
+    edges, normals = boundary_edges_by_row_unique(fine.vertices, fine.triangles)
     parent_tag = {
         (min(a, b), max(a, b)): int(tag)
-        for (a, b), tag in zip(parent.mesh.boundary_edges.tolist(), parent.mesh.boundary_tags)
+        for (a, b), tag in zip(parent.boundary_edges.tolist(), parent.boundary_tags)
     }
     tags = []
     for a, b in edges:
-        owners = set(parent.vertex_parents[a].tolist()) | set(parent.vertex_parents[b].tolist())
+        owners = set(vertex_parents[a].tolist()) | set(vertex_parents[b].tolist())
         tags.append(parent_tag[(min(owners), max(owners))])
     return edges, normals, np.array(tags, dtype=int)
 

@@ -673,6 +673,13 @@ def test_csv_writer_bytes_and_path_forms(tmp_path):
         write_csv(tmp_path / "ragged.csv", "a,b", (np.zeros(2), np.zeros(3)))
 
 
+def test_csv_writer_checks_column_lengths_before_it_opens_the_file(tmp_path):
+    path = tmp_path / "ragged.csv"
+    with pytest.raises(ValueError, match="unequal lengths"):
+        write_csv(path, "a,b", (np.zeros(2), np.zeros(3)))
+    assert not path.exists()
+
+
 def test_predicted_decay_constants():
     assert decay_rate_bound(NU, C0, 2.0) == pytest.approx(0.0125, abs=1e-15)
 

@@ -16,6 +16,8 @@ from burgersfb.assembly import (
     interpolate,
     l2_norm,
 )
+from burgersfb.control import ControlParams
+from burgersfb.evolution import EvolutionConfig
 from burgersfb.harness import (
     ProblemConfig,
     RateTable,
@@ -77,6 +79,31 @@ def test_problem_config_validation():
     # the steady state must be the equilibrium of the same dynamics
     with pytest.raises(ValueError, match="steady viscosity"):
         ProblemConfig(nu=0.2, c0=1.0, steady=forcing_only, w0=w0, coefficient_source="discrete")
+
+
+_U = analytic_from_expression("-0.2*x1")
+_NON_FINITE = {
+    "ControlParams.nu": lambda v: ControlParams(nu=v, c0=1.0),
+    "ControlParams.c0": lambda v: ControlParams(nu=0.1, c0=v),
+    "EvolutionConfig.nu": lambda v: EvolutionConfig(nu=v, k=0.01, t_end=0.02),
+    "EvolutionConfig.t_end": lambda v: EvolutionConfig(nu=0.1, k=0.01, t_end=v),
+    "SteadySpec.nu": lambda v: SteadySpec(nu=v, u_steady=_U),
+    "SteadySpec.mean_value": lambda v: SteadySpec(nu=0.1, mean_value=v, u_steady=_U),
+    "ProblemConfig.nu": lambda v: ProblemConfig(nu=v, c0=1.0, steady=SteadySpec(0.1, u_steady=_U),
+                                                w0=_U),
+    "ProblemConfig.c0": lambda v: ProblemConfig(nu=0.1, c0=v, steady=SteadySpec(0.1, u_steady=_U),
+                                                w0=_U),
+    "StudyConfig.t_eval": lambda v: StudyConfig(example1_problem(), (2, 4), 8, 0.01, v),
+}
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("where", sorted(_NON_FINITE))
+def test_non_finite_parameters_fail_by_name(where, value):
+    # a ConfigError naming the field, before any run could fail on it unnamed
+    with pytest.raises(ConfigError) as caught:
+        _NON_FINITE[where](value)
+    assert caught.value.field == where.split(".")[1]
 
 
 def test_study_config_validation():

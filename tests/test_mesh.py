@@ -12,7 +12,7 @@ from burgersfb.mesh import (
     tag_boundary,
     validate_mesh,
 )
-from oracles import refined_boundary_by_rescan
+from oracles import boundary_edges_by_row_unique, refined_boundary_by_rescan
 
 RIGHT_SIDE = ((1.0, 0.0), (1.0, 1.0))
 
@@ -29,7 +29,7 @@ def test_counts(n):
     assert mesh.num_vertices == (n + 1) ** 2
     assert mesh.num_triangles == 2 * n * n
     assert mesh.num_boundary_edges == 4 * n
-    assert mesh.h == 1.0 / n
+    assert mesh.parent is None and mesh.vertex_parents is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -106,7 +106,6 @@ def test_refine_matches_direct_build():
     want = {tuple(v) for v in np.round(direct.vertices, 12)}
     assert got == want
     assert abs(fine.triangle_areas().sum() - 1.0) <= 1e-12
-    assert fine.h == direct.h
 
 
 def test_refine_embeds_coarse_vertices_and_midpoints():
@@ -115,10 +114,11 @@ def test_refine_embeds_coarse_vertices_and_midpoints():
     nv = coarse.num_vertices
     # coarse vertices come first, bit-identical
     assert np.array_equal(fine.vertices[:nv], coarse.vertices)
-    parents = fine.refinement_parent.vertex_parents
+    parents = fine.vertex_parents
+    assert np.array_equal(parents[:nv], np.stack([np.arange(nv)] * 2, axis=1))
     mids = 0.5 * (coarse.vertices[parents[nv:, 0]] + coarse.vertices[parents[nv:, 1]])
     assert np.array_equal(fine.vertices[nv:], mids)
-    assert fine.refinement_parent.mesh is coarse
+    assert fine.parent is coarse
 
 
 def test_refine_inherits_boundary_tags():
@@ -128,6 +128,17 @@ def test_refine_inherits_boundary_tags():
         on_right = np.allclose(fine.vertices[[v0, v1], 0], 1.0)
         expected = BoundaryTag.DIRICHLET_ZERO if on_right else BoundaryTag.NEUMANN_CONTROL
         assert tag == expected
+
+
+def assert_boundary_matches_a_rescan(fine):
+    """The boundary ``fine`` inherited is the one a rescan of its children finds."""
+    got = (fine.boundary_edges, fine.boundary_normals, fine.boundary_tags)
+    want = refined_boundary_by_rescan(fine)
+    # the same oriented edges, in another order
+    order_got = np.lexsort(got[0].T[::-1])
+    order_want = np.lexsort(want[0].T[::-1])
+    for mine, theirs in zip(got, want):
+        assert np.array_equal(mine[order_got], theirs[order_want])
 
 
 @pytest.mark.parametrize(
@@ -147,15 +158,23 @@ def test_refined_boundary_matches_a_rescan_of_the_children(n, region, levels):
         assert mesh.num_boundary_edges == 2 * coarse.num_boundary_edges
         assert np.array_equal(mesh.boundary_edges[0::2, 0], coarse.boundary_edges[:, 0])
         assert np.array_equal(mesh.boundary_edges[1::2, 1], coarse.boundary_edges[:, 1])
-        got = (mesh.boundary_edges, mesh.boundary_normals, mesh.boundary_tags)
-        want = refined_boundary_by_rescan(mesh)
-        # the same oriented edges, in another order
-        order_got = np.lexsort(got[0].T[::-1])
-        order_want = np.lexsort(want[0].T[::-1])
-        for mine, theirs in zip(got, want):
-            assert np.array_equal(mine[order_got], theirs[order_want])
+        assert_boundary_matches_a_rescan(mesh)
     if region is not None:
         assert set(mesh.boundary_tags.tolist()) == {int(tag) for tag in BoundaryTag}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_boundary_edges_equal_the_row_unique_reference(n):
+    # the scalar edge keys find the boundary the row np.unique(axis=0) finds, bit for bit
+    mesh = build_unit_square_mesh(n)
+    edges, normals = boundary_edges_by_row_unique(mesh.vertices, mesh.triangles)
+    assert np.array_equal(mesh.boundary_edges, edges)
+    assert np.array_equal(mesh.boundary_normals, normals)
+    # one and two refinements of a tagged mesh inherit the boundary the rescan finds
+    fine = tag_boundary(mesh, RIGHT_SIDE)
+    for _ in range(2):
+        fine = refine_uniform(fine)
+        assert_boundary_matches_a_rescan(fine)
 
 
 def test_tag_boundary_region_variants(unit4):
@@ -195,7 +214,7 @@ def test_mesh_arrays_are_read_only():
         mesh.boundary_edges,
         mesh.boundary_normals,
         mesh.boundary_tags,
-        mesh.refinement_parent.vertex_parents,
+        mesh.vertex_parents,
     ):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0

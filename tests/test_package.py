@@ -117,6 +117,10 @@ def test_every_listed_name_exists_and_test_oracles_are_not_listed():
         (burgersfb.steady, "manufacture_forcing"),
         (burgersfb.steady, "normal_flux"),
         (burgersfb.steady, "_steady_load"),
+        # a refined mesh holds its parent and vertex_parents itself
+        (burgersfb.mesh, "RefinementParent"),
+        # no run reaches the certificate's norm fallback, so the factor caches no norm
+        (burgersfb.sparse.Factorization, "norm_inf"),
     ):
         assert not hasattr(module, name), name
     # the time loop and the study take the law from control through these names only
@@ -197,10 +201,26 @@ def test_the_source_lines_and_public_names_do_not_grow():
         if name.endswith(".py"):
             with open(os.path.join(package, name), encoding="utf-8") as handle:
                 lines += handle.read().count("\n")
-    assert lines <= 2605
+    assert lines <= 2575
     public = sum(len(importlib.import_module(f"burgersfb.{info.name}").__all__)
                  for info in pkgutil.iter_modules(burgersfb.__path__) if info.name != "__main__")
-    assert public <= 57
+    assert public <= 56
+
+
+def test_the_mesh_keys_every_edge_one_way():
+    # mesh._edge_keys is the one edge key; the row np.unique(axis=0) is the tests' reference
+    package = os.path.dirname(burgersfb.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "unique":
+                    assert "axis" not in [k.arg for k in node.keywords], f"{name}:{node.lineno}"
+    # the mesh keeps what its readers use: the refinement link, and no grid spacing
+    fields = [field.name for field in dataclasses.fields(burgersfb.mesh.Mesh)]
+    assert fields == ["vertices", "triangles", "boundary_edges", "boundary_normals",
+                      "boundary_tags", "parent", "vertex_parents"]
 
 
 def test_factorization_takes_csc_only_and_no_stale_log_is_tracked():

@@ -98,7 +98,8 @@ def test_solve_general_is_one_factorization_solve(rng):
 def test_factorization_serves_several_right_hand_sides(rng):
     a = random_system(rng)
     factor = Factorization(a, full_band(a))
-    assert factor.norm_inf == pytest.approx(np.max(np.abs(a.toarray()).sum(axis=1)), rel=1e-14)
+    assert sparse._norm_inf(a) == pytest.approx(np.max(np.abs(a.toarray()).sum(axis=1)),
+                                                rel=1e-14)
     for _ in range(4):
         x_star = rng.standard_normal(a.shape[0])
         x = factor.solve(a @ x_star)
@@ -110,21 +111,22 @@ def test_factorization_serves_several_right_hand_sides(rng):
             factor.solve(b)
 
 
-def test_certificate_sums_the_matrix_norm_only_when_needed(rng):
-    # an accurate solve leaves a residual far below 1e-10 ||b||, which certifies it alone
+def test_certificate_sums_the_matrix_norm_only_when_needed(rng, monkeypatch):
+    # an accurate solve leaves a residual far below 1e-10 ||b||, which certifies it alone;
+    # the factor caches no norm, since no run reaches the fallback that sums one
     a = random_system(rng)
     factor = Factorization(a, full_band(a))
+    norm_inf, summed = sparse._norm_inf, []
+    monkeypatch.setattr(sparse, "_norm_inf", lambda m: summed.append(m) or norm_inf(m))
     factor.solve(a @ rng.standard_normal(a.shape[0]))
-    assert "norm_inf" not in vars(factor)
-    assert factor.norm_inf == pytest.approx(np.max(np.abs(a.toarray()).sum(axis=1)), rel=1e-14)
-    assert vars(factor)["norm_inf"] == factor.norm_inf
+    assert summed == [] and not hasattr(factor, "norm_inf")
 
 
 def test_norm_inf_sums_rows_in_either_format():
     # row sums 6, 2, 3.5 and column sums 1.5, 7, 3: a column sum would read 7
     dense = np.array([[1.0, -5.0, 0.0], [0.0, 2.0, 0.0], [0.5, 0.0, -3.0]])
     a = sp.csc_matrix(dense)
-    assert Factorization(a, full_band(a)).norm_inf == abs(a).toarray().sum(axis=1).max() == 6.0
+    assert sparse._norm_inf(a) == abs(a).toarray().sum(axis=1).max() == 6.0
 
 
 def test_factorization_certificate_raises(rng):
@@ -171,7 +173,7 @@ def test_certificate_bound_weighs_solution_and_right_hand_side(rng, monkeypatch)
     factor = Factorization(a, full_band(a))
     b = rng.standard_normal(a.shape[0])
     x = factor.solve(b)
-    bound = 1e-10 * (factor.norm_inf * np.max(np.abs(x)) + np.max(np.abs(b)))
+    bound = 1e-10 * (sparse._norm_inf(a) * np.max(np.abs(x)) + np.max(np.abs(b)))
     # a @ shift has unit entries, so x + t bound shift misses b by about t bound
     shift = solve_general(a, np.ones(a.shape[0]))
     solve = factor._solve
@@ -547,7 +549,7 @@ def test_refine_checks_the_bound_against_the_given_matrix(rng, monkeypatch):
     factor = Factorization(a, full_band(a))
     b = rng.standard_normal(a.shape[0])
     x = factor.solve(b)
-    bound = 1e-10 * (factor.norm_inf * np.max(np.abs(x)) + np.max(np.abs(b)))
+    bound = 1e-10 * (sparse._norm_inf(a) * np.max(np.abs(x)) + np.max(np.abs(b)))
     assert 0.5 * bound > 1e-10 * np.max(np.abs(b))
     shift = solve_general(a, np.ones(a.shape[0]))
     # zero corrections stop at once, so refine certifies the guess itself
